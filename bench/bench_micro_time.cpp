@@ -7,7 +7,8 @@
 //  * --json [--grid N] [--repeats R] — machine-readable end-to-end map()
 //    wall-clock comparison over the whole workload suite per engine, plus
 //    the per-II solver-reuse counters (sessions, horizon extensions,
-//    assumptions used, learnt clauses retained, nogoods added), recorded in
+//    assumptions used, learnt clauses retained, nogoods added, horizons
+//    refuted by the capacity floor), recorded in
 //    BENCH_time.json to track the time-phase perf trajectory across PRs.
 //    The "hard" section additionally records engine="speculative" rows —
 //    the cross-II race (map_speculative) with its certificate-traffic
@@ -68,18 +69,32 @@ void BM_TimeScheduleEnumeration(benchmark::State& state) {
 BENCHMARK(BM_TimeScheduleEnumeration)->Arg(0)->Arg(1);
 
 void BM_TimeHorizonExtensions(benchmark::State& state) {
-  // Capacity-bound chain on one PE: the solver must walk several horizon
-  // extensions before the first schedule appears (Arg 0: engine).
+  // Capacity-bound chain on one PE at II 6: horizons 4 and 5 are UNSAT,
+  // so the walk from the critical path needs two extensions before the
+  // first schedule appears (Arg 0: 0 = one TimeSession extended in place,
+  // 1 = a fresh TimeFormulation per horizon). TimeSolver would start at
+  // the capacity floor and skip that walk, so the layers are driven
+  // directly.
   const Dfg dfg = Dfg::from_edges(
       "chain6", 6,
       {{0, 1, 0}, {1, 2, 0}, {2, 3, 0}, {0, 4, 0}, {1, 5, 0}});
   const CgraArch arch(1, 1);
-  const TimeEngine engine = state.range(0) == 0 ? TimeEngine::kIncremental
-                                                : TimeEngine::kReference;
+  const int ii = 6;
   for (auto _ : state) {
-    TimeSolver solver(dfg, arch, engine_options(engine));
-    const auto sol = solver.next(Deadline(30.0));
-    benchmark::DoNotOptimize(sol.has_value());
+    bool found = false;
+    if (state.range(0) == 0) {
+      TimeSession session(dfg, arch, ii);
+      while (!(found = session.solve(Deadline(30.0)) == SatStatus::kSat) &&
+             session.extend_horizon()) {
+      }
+    } else {
+      for (int horizon = critical_path_length(dfg); !found; ++horizon) {
+        TimeFormulation formulation(dfg, arch, ii, horizon);
+        found = formulation.build() &&
+                formulation.solve(Deadline(30.0)) == SatStatus::kSat;
+      }
+    }
+    benchmark::DoNotOptimize(found);
   }
 }
 BENCHMARK(BM_TimeHorizonExtensions)->Arg(0)->Arg(1);
@@ -143,6 +158,8 @@ void run_json_mode(int grid, int repeats) {
       json.field("narrow_nogoods", last.time_stats.narrow_nogoods);
       json.field("nogoods_lifted", last.time_stats.nogoods_lifted);
       json.field("nogoods_deduped", last.time_stats.nogoods_deduped);
+      json.field("capacity_refuted_horizons",
+                 last.time_stats.capacity_refuted_horizons);
       json.field("space_truncated", last.space_truncated);
       json.field("space_exhausted", last.space_exhausted);
       json.field("space_backjumps", last.space_backjumps);
@@ -157,7 +174,10 @@ void run_json_mode(int grid, int repeats) {
   // where schedule seeding, retry diversification, conflict-set nogoods
   // and the adaptive space budget are decisive, so the baseline pins them
   // explicitly (nw rides along for its II-3-vs-4 sensitivity to the
-  // refutation-patience rule). Grid 8 rides along for the cross-II
+  // refutation-patience rule). Grid 2 is the paper's 2x2 mesh, where the
+  // time phase itself is the hard part: pigeonhole horizons that the
+  // capacity floor skips (capacity_refuted_horizons) used to cost SAT
+  // seconds there. Grid 8 rides along for the cross-II
   // certificate channel: its mII refutations are where the warm rows
   // harvest certificates. Each case also records the cross-II race on 4
   // workers (clamped to the machine's cores): engine="speculative" is
@@ -170,7 +190,7 @@ void run_json_mode(int grid, int repeats) {
   json.begin_array();
   for (const char* name : {"hotspot3D", "cfd", "nw"}) {
     const Benchmark& b = benchmark_by_name(name);
-    for (const int side : {4, 5, 8}) {
+    for (const int side : {2, 4, 5, 8}) {
       const CgraArch hard_arch = CgraArch::square(side);
       for (const TimeEngine engine :
            {TimeEngine::kIncremental, TimeEngine::kReference}) {
@@ -196,6 +216,9 @@ void run_json_mode(int grid, int repeats) {
         json.field("ii", last.success ? last.ii : -1);
         json.field("seconds", median(seconds));
         json.field("schedules_tried", last.schedules_tried);
+        json.field("sat_calls", last.time_stats.sat_calls);
+        json.field("capacity_refuted_horizons",
+                   last.time_stats.capacity_refuted_horizons);
         json.field("nogoods_added", last.time_stats.nogoods_added);
         json.field("space_truncated", last.space_truncated);
         json.field("space_exhausted", last.space_exhausted);
@@ -229,6 +252,9 @@ void run_json_mode(int grid, int repeats) {
         json.field("ii", last.success ? last.ii : -1);
         json.field("seconds", median(seconds));
         json.field("schedules_tried", last.schedules_tried);
+        json.field("sat_calls", last.time_stats.sat_calls);
+        json.field("capacity_refuted_horizons",
+                   last.time_stats.capacity_refuted_horizons);
         json.field("nogoods_added", last.time_stats.nogoods_added);
         if (warm) {
           json.field("speculative_hits", last.speculative_hits);

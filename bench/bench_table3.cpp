@@ -125,6 +125,8 @@ int main(int argc, char** argv) {
         json.field("time_learnt_retained", mono.time_stats.learnt_retained);
         json.field("time_nogoods_added", mono.time_stats.nogoods_added);
         json.field("time_narrow_nogoods", mono.time_stats.narrow_nogoods);
+        json.field("time_capacity_refuted_horizons",
+                   mono.time_stats.capacity_refuted_horizons);
         json.field("baseline_success", !base_to);
         json.field("baseline_s", base.total_s);
         json.field("ii", mono_to ? -1 : mono.ii);

@@ -138,7 +138,7 @@ const std::vector<PeId>& CgraArch::interior_first_order() const {
 }
 
 const std::vector<int>& CgraArch::interior_first_rank() const {
-  interior_first_order();  // builds both under the lock
+  (void)interior_first_order();  // builds both under the lock
   return interior_rank_;
 }
 

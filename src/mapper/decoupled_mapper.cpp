@@ -83,6 +83,7 @@ void merge_attempt_counters(MapResult& into, const MapResult& from) {
   t.nogoods_lifted += f.nogoods_lifted;
   t.nogoods_deduped += f.nogoods_deduped;
   t.nogoods_lifted_cross_ii += f.nogoods_lifted_cross_ii;
+  t.capacity_refuted_horizons += f.capacity_refuted_horizons;
 }
 
 /// Create this request's governor when a budget is configured and no outer

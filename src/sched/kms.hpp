@@ -51,6 +51,21 @@ class Kms {
   std::vector<std::vector<KmsEntry>> rows_;
 };
 
+/// Capacity floor of the KMS at `ii`: the smallest schedule horizon in
+/// [cp, cp + max_extension] (cp = critical-path length) at which every
+/// node can take a kernel slot from its window mod `ii` with at most
+/// `num_pes` nodes per slot, or -1 when no horizon in that range admits
+/// such a seating. This is Hall's condition for the bipartite b-matching
+/// of nodes to slots, i.e. the time formulation's capacity constraint with
+/// the dependency and connectivity families relaxed, so every horizon
+/// below the floor is unsatisfiable for the full formulation too.
+/// Windows only grow with the horizon, so feasibility is monotone: one
+/// augmenting-path matching is extended in place as the windows widen.
+/// Returns cp without matching when no KMS row at cp has more than
+/// `num_pes` candidate nodes.
+int capacity_horizon_floor(const Dfg& dfg, int ii, int num_pes,
+                           int max_extension);
+
 }  // namespace monomap
 
 #endif  // MONOMAP_SCHED_KMS_HPP

@@ -8,12 +8,13 @@
 namespace monomap {
 
 TimeSession::TimeSession(const Dfg& dfg, const CgraArch& arch, int ii,
-                         TimeConstraintOptions options)
+                         TimeConstraintOptions options, int start_horizon)
     : dfg_(dfg),
       arch_(arch),
       ii_(ii),
       options_(options),
-      horizon_(critical_path_length(dfg)),
+      horizon_(start_horizon > 0 ? start_horizon
+                                 : critical_path_length(dfg)),
       ranges_(compute_asap_alap(dfg, horizon_)),
       cnf_(solver_) {
   MONOMAP_ASSERT(ii >= 1);

@@ -48,9 +48,13 @@ namespace monomap {
 
 class TimeSession {
  public:
-  /// Build the base encoding at the critical-path horizon.
+  /// Build the base encoding at `start_horizon` schedule steps (0 = the
+  /// critical path; otherwise at least the critical path). TimeSolver
+  /// starts at the II's capacity floor (capacity_horizon_floor), since
+  /// every narrower horizon is unsatisfiable.
   TimeSession(const Dfg& dfg, const CgraArch& arch, int ii,
-              TimeConstraintOptions options = TimeConstraintOptions{});
+              TimeConstraintOptions options = TimeConstraintOptions{},
+              int start_horizon = 0);
 
   /// False once the underlying formula is unsatisfiable without any
   /// assumptions — no horizon extension of this II can recover.
@@ -58,6 +62,7 @@ class TimeSession {
 
   [[nodiscard]] int ii() const { return ii_; }
   [[nodiscard]] int horizon() const { return horizon_; }
+  /// Horizon steps added since construction.
   [[nodiscard]] int extension() const {
     return static_cast<int>(selectors_.size()) - 1;
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "sched/asap_alap.hpp"
+#include "sched/kms.hpp"
 #include "support/log.hpp"
 
 namespace monomap {
@@ -24,9 +25,9 @@ TimeSolver::TimeSolver(const Dfg& dfg, const CgraArch& arch,
       max_ii_(options.max_ii > 0
                   ? options.max_ii
                   : std::max(mii_.mii(), std::max(1, dfg.num_nodes()))),
-      ii_(std::max(mii_.mii(), options.min_ii)) {
+      ii_(std::max(mii_.mii(), options.min_ii)),
+      critical_path_(critical_path_length(dfg)) {
   MONOMAP_ASSERT(dfg.num_nodes() > 0);
-  extension_ = -1;  // advance_instance() pre-increments (reference path)
 }
 
 TimeSolver::~TimeSolver() = default;
@@ -42,14 +43,32 @@ void TimeSolver::enter_next_ii() {
   ++ii_;
 }
 
+int TimeSolver::first_extension_at_ii() {
+  if (!options_.constraints.capacity) return 0;
+  const int max_extension = std::max(0, options_.max_horizon_extension);
+  const int floor =
+      capacity_horizon_floor(dfg_, ii_, arch_.num_pes(), max_extension);
+  if (floor < 0) {
+    stats_.capacity_refuted_horizons += max_extension + 1;
+    return -1;
+  }
+  stats_.capacity_refuted_horizons += floor - critical_path_;
+  return floor - critical_path_;
+}
+
 bool TimeSolver::advance_instance() {
   if (options_.engine == TimeEngine::kIncremental) {
     for (;;) {
       if (ii_ > max_ii_) return false;
       if (!session_) {
-        session_ = std::make_unique<TimeSession>(dfg_, arch_, ii_,
-                                                 options_.constraints);
-        extension_ = 0;
+        const int first = first_extension_at_ii();
+        if (first < 0) {
+          enter_next_ii();
+          continue;
+        }
+        session_ = std::make_unique<TimeSession>(
+            dfg_, arch_, ii_, options_.constraints, critical_path_ + first);
+        extension_ = first;
         ++stats_.sessions_created;
         ++stats_.instances_built;
         // Arm cross-II nogoods that were injected before the session
@@ -78,15 +97,22 @@ bool TimeSolver::advance_instance() {
     }
   }
   for (;;) {
-    ++extension_;
-    if (extension_ > options_.max_horizon_extension) {
-      enter_next_ii();
-      ++extension_;  // enter_next_ii resets to -1; this instance is 0
-    }
     if (ii_ > max_ii_) {
       return false;  // also covers mII already above the configured cap
     }
-    const int horizon = critical_path_length(dfg_) + extension_;
+    if (extension_ < 0) {  // first instance of this II
+      extension_ = first_extension_at_ii();
+      if (extension_ < 0) {
+        enter_next_ii();
+        continue;
+      }
+    } else if (extension_ < options_.max_horizon_extension) {
+      ++extension_;
+    } else {
+      enter_next_ii();
+      continue;
+    }
+    const int horizon = critical_path_ + extension_;
     formulation_ = std::make_unique<TimeFormulation>(
         dfg_, arch_, ii_, horizon, options_.constraints);
     ++stats_.instances_built;
@@ -106,7 +132,7 @@ bool TimeSolver::advance_instance() {
         return true;
       }
     }
-    // Trivially unsatisfiable (e.g. capacity cannot fit); try next instance.
+    // Unsatisfiable already at build time; try the next instance.
     instance_ok_ = false;
   }
 }

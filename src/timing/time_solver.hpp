@@ -8,6 +8,12 @@
 // conflict explanation back as a nogood that prunes whole families of
 // schedules, not just the failed label vector.
 //
+// Each II's search starts at its capacity floor (capacity_horizon_floor):
+// horizons whose windows cannot seat every node at most |PEs| per slot are
+// unsatisfiable, and CDCL refutes such pigeonhole windows only with
+// exponential effort, so they are skipped without a solver — and an II
+// with no floor at all is exhausted without building one.
+//
 // Two engines drive the search:
 //  * TimeEngine::kIncremental (default) — one persistent TimeSession (one
 //    warm SAT solver) per II serves every horizon extension via
@@ -78,6 +84,10 @@ struct TimeSolverStats {
   int nogoods_lifted = 0;        // extra rotation clauses derived from them
   int nogoods_deduped = 0;       // conflicts already covered by a recorded one
   int nogoods_lifted_cross_ii = 0;  // clauses instantiated from other IIs
+  // Horizons never handed to SAT because they lie below their II's
+  // capacity floor (capacity_horizon_floor), whole IIs included (both
+  // engines).
+  int capacity_refuted_horizons = 0;
   TimeFormulationStats last_formulation;
 };
 
@@ -141,6 +151,10 @@ class TimeSolver {
  private:
   bool advance_instance();  // move to next (ii, extension); false if done
   void enter_next_ii();
+  // First extension worth a SAT call at the current II (its capacity
+  // floor minus the critical path), or -1 when the floor rules out every
+  // horizon up to max_horizon_extension.
+  int first_extension_at_ii();
 
   const Dfg& dfg_;
   const CgraArch& arch_;
@@ -148,7 +162,10 @@ class TimeSolver {
   MiiBreakdown mii_;
   int max_ii_;
   int ii_;
-  int extension_ = 0;
+  int critical_path_;
+  // Counted from the critical path; -1 until the current II's first
+  // instance exists.
+  int extension_ = -1;
   // kReference engine state: one formulation per (ii, extension), plus the
   // nogoods recorded at this II (rotations included) for re-application
   // after each rebuild. The incremental engine also queues cross-II

@@ -305,8 +305,8 @@ TEST(Mrrg, InvalidConstructionThrows) {
   const CgraArch arch = CgraArch::square(2);
   EXPECT_THROW(Mrrg(arch, 0), AssertionError);
   const Mrrg mrrg(arch, 2);
-  EXPECT_THROW(mrrg.vertex(0, 2), AssertionError);
-  EXPECT_THROW(mrrg.vertex(9, 0), AssertionError);
+  EXPECT_THROW((void)mrrg.vertex(0, 2), AssertionError);
+  EXPECT_THROW((void)mrrg.vertex(9, 0), AssertionError);
 }
 
 TEST(Cgra, DescriptionMentionsShape) {

@@ -38,6 +38,33 @@ TEST(DecoupledMapper, RunningExampleOnLargerGridsKeepsIi) {
   }
 }
 
+TEST(DecoupledMapper, CfdMapsAtMiiOn2x2) {
+  // Five of cfd's horizons at II 13 are capacity pigeonholes that CDCL
+  // cannot refute in reasonable time; the capacity floor skips them.
+  const Benchmark& b = benchmark_by_name("cfd");
+  const CgraArch arch = CgraArch::square(2);
+  const MapResult r = DecoupledMapper(fast_options()).map(b.dfg, arch);
+  ASSERT_TRUE(r.success) << r.failure_reason;
+  EXPECT_EQ(r.ii, 13);
+  EXPECT_EQ(r.ii_lo, 13);
+  EXPECT_EQ(r.ii_hi, 13);
+  EXPECT_EQ(r.time_stats.capacity_refuted_horizons, 5);
+  EXPECT_TRUE(mapping_is_valid(b.dfg, arch, r.mapping));
+}
+
+TEST(DecoupledMapper, Hotspot3DNeedsOneSatCallOn2x2) {
+  // hotspot3D's refuted horizons at II 15 are all below its capacity
+  // floor, so the first SAT call already sits at a satisfiable horizon.
+  const Benchmark& b = benchmark_by_name("hotspot3D");
+  const CgraArch arch = CgraArch::square(2);
+  const MapResult r = DecoupledMapper(fast_options()).map(b.dfg, arch);
+  ASSERT_TRUE(r.success) << r.failure_reason;
+  EXPECT_EQ(r.ii, 15);
+  EXPECT_EQ(r.time_stats.sat_calls, 1);
+  EXPECT_EQ(r.time_stats.capacity_refuted_horizons, 3);
+  EXPECT_TRUE(mapping_is_valid(b.dfg, arch, r.mapping));
+}
+
 TEST(CoupledMapper, RunningExampleMatchesDecoupledQuality) {
   const Dfg dfg = running_example_dfg();
   const CgraArch arch = CgraArch::square(2);

@@ -5,6 +5,7 @@
 
 #include "mapper/coupled_mapper.hpp"
 #include "mapper/decoupled_mapper.hpp"
+#include "sched/kms.hpp"
 #include "space/monomorphism.hpp"
 #include "support/rng.hpp"
 #include "workloads/synthetic.hpp"
@@ -132,6 +133,55 @@ TEST_P(RandomPipeline, BothExactMappersValidateAndAgreeOnFeasibility) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomPipeline, ::testing::Range(0, 12));
+
+class CapacityFloorVsSat : public ::testing::TestWithParam<int> {};
+
+TEST_P(CapacityFloorVsSat, EveryHorizonBelowTheFloorIsUnsat) {
+  // The floor is a relaxation of the time formulation, so the full CNF
+  // must be UNSAT below it (soundness). With dependencies and
+  // connectivity switched off the CNF is exactly the relaxation, so it
+  // must also turn SAT at the floor itself (the floor is tight).
+  SyntheticSpec spec;
+  spec.num_nodes = 5 + GetParam() % 6;
+  spec.seed = static_cast<std::uint64_t>(GetParam()) * 7919 + 11;
+  const Dfg dfg = random_dfg(spec);
+  const int cp = critical_path_length(dfg);
+  constexpr int kMaxExtension = 4;
+  TimeConstraintOptions capacity_only;
+  capacity_only.dependencies = false;
+  capacity_only.connectivity = false;
+  for (const CgraArch& arch :
+       {CgraArch(1, 2), CgraArch(1, 3), CgraArch::square(2)}) {
+    const int mii = compute_mii(dfg, arch).mii();
+    for (int ii = mii; ii <= mii + 2; ++ii) {
+      const int floor =
+          capacity_horizon_floor(dfg, ii, arch.num_pes(), kMaxExtension);
+      ASSERT_TRUE(floor == -1 || (floor >= cp && floor <= cp + kMaxExtension))
+          << floor;
+      for (int horizon = cp; horizon <= cp + kMaxExtension; ++horizon) {
+        const std::string where = arch.description() + " II " +
+                                  std::to_string(ii) + " horizon " +
+                                  std::to_string(horizon) + " floor " +
+                                  std::to_string(floor);
+        const bool below = floor == -1 || horizon < floor;
+        if (below) {
+          TimeFormulation full(dfg, arch, ii, horizon);
+          if (full.build()) {
+            EXPECT_EQ(full.solve(Deadline(60.0)), SatStatus::kUnsat) << where;
+          }
+        }
+        TimeFormulation relaxed(dfg, arch, ii, horizon, capacity_only);
+        const SatStatus status = relaxed.build()
+                                     ? relaxed.solve(Deadline(60.0))
+                                     : SatStatus::kUnsat;
+        EXPECT_EQ(status, below ? SatStatus::kUnsat : SatStatus::kSat)
+            << where;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CapacityFloorVsSat, ::testing::Range(0, 24));
 
 }  // namespace
 }  // namespace monomap

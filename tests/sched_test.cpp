@@ -104,6 +104,51 @@ TEST(Kms, CandidateTimesSpanTheWindow) {
   EXPECT_EQ(kms.candidate_times(13), (std::vector<int>{3, 4, 5}));
 }
 
+TEST(CapacityFloor, FastPathReturnsCriticalPath) {
+  // 14 nodes over 4 slots on a 4x4 fabric: no KMS row can overflow.
+  const Dfg dfg = running_example_dfg();
+  EXPECT_EQ(capacity_horizon_floor(dfg, 4, 16, 8), 6);
+}
+
+TEST(CapacityFloor, ChainNeedsOneExtraStepOnOnePe) {
+  // 0->1->2->3 plus 0->4 at II 5 on one PE: at the critical-path horizon
+  // (4) node 4's window [1, 3] holds only slots 1..3, already owned by the
+  // fixed nodes 1..3. One more step opens slot 4 to every window.
+  const Dfg dfg = Dfg::from_edges(
+      "chain5", 5, {{0, 1, 0}, {1, 2, 0}, {2, 3, 0}, {0, 4, 0}});
+  EXPECT_EQ(capacity_horizon_floor(dfg, 5, 1, 8), 5);
+  EXPECT_EQ(capacity_horizon_floor(dfg, 5, 1, 0), -1);
+  EXPECT_EQ(capacity_horizon_floor(dfg, 5, 2, 0), 4);
+}
+
+TEST(CapacityFloor, IndependentNodesFillSlotsOneStepAtATime) {
+  // Six edge-free nodes share the window [0, h-1] at horizon h, so on one
+  // PE at II 6 the first horizon that seats them all is 6 (cp = 1).
+  const Dfg dfg = Dfg::from_edges("six", 6, {});
+  EXPECT_EQ(capacity_horizon_floor(dfg, 6, 1, 5), 6);
+  EXPECT_EQ(capacity_horizon_floor(dfg, 6, 1, 4), -1);
+  EXPECT_EQ(capacity_horizon_floor(dfg, 6, 2, 8), 3);
+  // Below ResII no horizon can help.
+  EXPECT_EQ(capacity_horizon_floor(dfg, 3, 1, 8), -1);
+  EXPECT_EQ(capacity_horizon_floor(dfg, 3, 1, 0), -1);
+}
+
+TEST(CapacityFloor, SuiteFloorsAreCriticalPathFromThreeByThree) {
+  // The floor only moves on the smallest fabrics: from 3x3 up, every
+  // suite DFG seats at its critical path for the first four IIs.
+  for (const Benchmark& b : benchmark_suite()) {
+    const int cp = critical_path_length(b.dfg);
+    for (const int side : {3, 4, 5, 8, 10, 20}) {
+      const CgraArch arch = CgraArch::square(side);
+      const int mii = compute_mii(b.dfg, arch).mii();
+      for (int ii = mii; ii <= mii + 3; ++ii) {
+        EXPECT_EQ(capacity_horizon_floor(b.dfg, ii, arch.num_pes(), 8), cp)
+            << b.name << " " << side << "x" << side << " II " << ii;
+      }
+    }
+  }
+}
+
 TEST(Mii, RunningExampleOn2x2) {
   const Dfg dfg = running_example_dfg();
   const CgraArch arch = CgraArch::square(2);

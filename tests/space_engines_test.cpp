@@ -392,7 +392,9 @@ TEST(SpaceEngines, TiledAndUntiledLayoutsAreTraceIdentical) {
         << tag;
     EXPECT_EQ(tiled.pe, untiled.pe) << tag;
     EXPECT_EQ(untiled.tiles_skipped, 0u) << tag;
-    if (expect_skips) EXPECT_GT(tiled.tiles_skipped, 0u) << tag;
+    if (expect_skips) {
+      EXPECT_GT(tiled.tiles_skipped, 0u) << tag;
+    }
     EXPECT_LE(tiled.domain_bytes_touched, untiled.domain_bytes_touched)
         << tag;
   };

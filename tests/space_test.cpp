@@ -11,7 +11,7 @@ namespace {
 
 /// Check the returned placement is a genuine monomorphism.
 void expect_monomorphism(const Dfg& dfg, const CgraArch& arch,
-                         const std::vector<int>& labels, int ii,
+                         const std::vector<int>& labels,
                          const SpaceResult& result) {
   ASSERT_TRUE(result.found) << result.failure_reason;
   ASSERT_EQ(result.pe.size(), static_cast<std::size_t>(dfg.num_nodes()));
@@ -52,7 +52,7 @@ TEST(Monomorphism, RunningExamplePlacesOn2x2) {
   ASSERT_TRUE(sol.has_value());
   const auto labels = labels_of(*sol, dfg);
   const SpaceResult result = find_monomorphism(dfg, arch, labels, sol->ii);
-  expect_monomorphism(dfg, arch, labels, sol->ii, result);
+  expect_monomorphism(dfg, arch, labels, result);
 }
 
 TEST(Monomorphism, TrivialSingleNode) {
@@ -141,7 +141,7 @@ TEST(Monomorphism, OrderHeuristicsAllSucceedOnSuiteSchedules) {
     opt.order = order;
     opt.max_backtracks = 0;  // completeness, not budget luck
     const SpaceResult r = find_monomorphism(b.dfg, arch, labels, sol->ii, opt);
-    expect_monomorphism(b.dfg, arch, labels, sol->ii, r);
+    expect_monomorphism(b.dfg, arch, labels, r);
   }
 }
 

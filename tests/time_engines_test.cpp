@@ -67,6 +67,43 @@ TEST(TimeEngines, DifferentialFirstSolutionOnSuite) {
   }
 }
 
+TEST(TimeEngines, DifferentialOnSuiteAt2x2) {
+  // The paper's 2x2 mesh is where the capacity floor moves the starting
+  // horizon: both engines must skip the same horizons, land on the same
+  // first II, and map every suite DFG at the same II.
+  const CgraArch arch = CgraArch::square(2);
+  for (const Benchmark& b : benchmark_suite()) {
+    TimeSolver incremental(b.dfg, arch,
+                           engine_options(TimeEngine::kIncremental));
+    TimeSolver reference(b.dfg, arch,
+                         engine_options(TimeEngine::kReference));
+    const auto inc = incremental.next(Deadline(60.0));
+    const auto ref = reference.next(Deadline(60.0));
+    ASSERT_TRUE(inc.has_value()) << b.name;
+    ASSERT_TRUE(ref.has_value()) << b.name;
+    EXPECT_EQ(inc->ii, ref->ii) << b.name;
+    EXPECT_EQ(incremental.stats().capacity_refuted_horizons,
+              reference.stats().capacity_refuted_horizons)
+        << b.name;
+    expect_time_feasible(b.dfg, arch, *inc);
+    expect_time_feasible(b.dfg, arch, *ref);
+
+    int mapped_ii[2] = {0, 0};
+    for (const TimeEngine engine :
+         {TimeEngine::kIncremental, TimeEngine::kReference}) {
+      DecoupledMapperOptions opt;
+      opt.timeout_s = 60.0;
+      opt.time.engine = engine;
+      const MapResult r = DecoupledMapper(opt).map(b.dfg, arch);
+      ASSERT_TRUE(r.success) << b.name << " " << to_string(engine) << ": "
+                             << r.failure_reason;
+      EXPECT_TRUE(mapping_is_valid(b.dfg, arch, r.mapping)) << b.name;
+      mapped_ii[engine == TimeEngine::kReference] = r.ii;
+    }
+    EXPECT_EQ(mapped_ii[0], mapped_ii[1]) << b.name;
+  }
+}
+
 TEST(TimeEngines, DifferentialOnSyntheticDfgs) {
   const CgraArch arch = CgraArch::square(3);
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {

@@ -327,6 +327,91 @@ TEST(TimeSolver, HorizonExtensionUnlocksTightCapacity) {
   expect_solution_feasible(dfg, arch, *sol, false);
 }
 
+TEST(TimeSession, StartsAtAWiderHorizon) {
+  // Built directly at the capacity floor (5) of the chain5 instance, the
+  // session solves without any extension.
+  const Dfg dfg = Dfg::from_edges(
+      "chain5", 5, {{0, 1, 0}, {1, 2, 0}, {2, 3, 0}, {0, 4, 0}});
+  const CgraArch arch(1, 1);
+  TimeSession session(dfg, arch, 5, TimeConstraintOptions{}, 5);
+  EXPECT_EQ(session.horizon(), 5);
+  EXPECT_EQ(session.extension(), 0);
+  ASSERT_EQ(session.solve(Deadline::unlimited()), SatStatus::kSat);
+  expect_solution_feasible(dfg, arch, session.extract(), false);
+  ASSERT_TRUE(session.extend_horizon());
+  EXPECT_EQ(session.horizon(), 6);
+}
+
+TEST(TimeSolver, CapacityFloorSkipsPigeonholeHorizons) {
+  // chain5 on one PE at II 5: the critical-path horizon (4) cannot seat
+  // node 4 (see TimeSolver.HorizonExtensionUnlocksTightCapacity), so both
+  // engines start at horizon 5 and answer with a single SAT call.
+  const Dfg dfg = Dfg::from_edges(
+      "chain5", 5, {{0, 1, 0}, {1, 2, 0}, {2, 3, 0}, {0, 4, 0}});
+  const CgraArch arch(1, 1);
+  for (const TimeEngine engine :
+       {TimeEngine::kIncremental, TimeEngine::kReference}) {
+    TimeSolverOptions opt;
+    opt.engine = engine;
+    TimeSolver solver(dfg, arch, opt);
+    const auto sol = solver.next(Deadline::unlimited());
+    ASSERT_TRUE(sol.has_value()) << to_string(engine);
+    EXPECT_EQ(sol->ii, 5) << to_string(engine);
+    EXPECT_EQ(sol->horizon, 5) << to_string(engine);
+    EXPECT_EQ(solver.stats().sat_calls, 1) << to_string(engine);
+    EXPECT_EQ(solver.stats().instances_built, 1) << to_string(engine);
+    EXPECT_EQ(solver.stats().capacity_refuted_horizons, 1)
+        << to_string(engine);
+  }
+}
+
+TEST(TimeSolver, CapacityFloorExhaustsIiWithoutASolver) {
+  // Six edge-free nodes on one PE share the window [0, h-1]: with at most
+  // two extensions (h <= 3) no II can seat them, so the whole range is
+  // refuted by matching alone — no session, no formulation, no SAT call.
+  const Dfg dfg = Dfg::from_edges("six", 6, {});
+  const CgraArch arch(1, 1);
+  for (const TimeEngine engine :
+       {TimeEngine::kIncremental, TimeEngine::kReference}) {
+    TimeSolverOptions opt;
+    opt.engine = engine;
+    opt.max_horizon_extension = 2;
+    opt.max_ii = 7;
+    TimeSolver solver(dfg, arch, opt);
+    EXPECT_FALSE(solver.next(Deadline::unlimited()).has_value());
+    EXPECT_FALSE(solver.timed_out()) << to_string(engine);
+    EXPECT_EQ(solver.stats().sat_calls, 0) << to_string(engine);
+    EXPECT_EQ(solver.stats().instances_built, 0) << to_string(engine);
+    EXPECT_EQ(solver.stats().sessions_created, 0) << to_string(engine);
+    // IIs 6 and 7, three horizons each.
+    EXPECT_EQ(solver.stats().capacity_refuted_horizons, 6)
+        << to_string(engine);
+  }
+  // The CNF agrees: every one of those horizons is unsatisfiable.
+  for (int ii = 6; ii <= 7; ++ii) {
+    for (int horizon = 1; horizon <= 3; ++horizon) {
+      TimeFormulation f(dfg, arch, ii, horizon);
+      if (f.build()) {
+        EXPECT_EQ(f.solve(Deadline::unlimited()), SatStatus::kUnsat)
+            << "II " << ii << " horizon " << horizon;
+      }
+    }
+  }
+}
+
+TEST(TimeSolver, CapacityFloorIsOffWithoutCapacityConstraints) {
+  const Dfg dfg = Dfg::from_edges(
+      "chain5", 5, {{0, 1, 0}, {1, 2, 0}, {2, 3, 0}, {0, 4, 0}});
+  const CgraArch arch(1, 1);
+  TimeSolverOptions opt;
+  opt.constraints.capacity = false;
+  TimeSolver solver(dfg, arch, opt);
+  const auto sol = solver.next(Deadline::unlimited());
+  ASSERT_TRUE(sol.has_value());
+  EXPECT_EQ(sol->horizon, 4);
+  EXPECT_EQ(solver.stats().capacity_refuted_horizons, 0);
+}
+
 TEST(TimeSolver, ReportsExhaustionOnImpossibleInstance) {
   // Zero-distance cycle would throw earlier; instead: impossible capacity
   // with max_ii capped below requirement.

@@ -318,6 +318,9 @@ int cmd_map(const std::string& spec, const CliOptions& opt) {
               << r.budget_extensions << "/-" << r.budget_shrinks
               << " (time " << format_time_s(r.time_phase_s) << " s, space "
               << format_time_s(r.space_phase_s) << " s)\n";
+    std::cout << "time: " << r.time_stats.sat_calls << " SAT calls, "
+              << r.time_stats.capacity_refuted_horizons
+              << " horizons refuted by the capacity floor\n";
     std::cout << "outcome: " << to_string(r.outcome) << ", sound II interval ["
               << r.ii_lo << ", "
               << (r.ii_hi > 0 ? std::to_string(r.ii_hi) : std::string("inf"))
