@@ -69,8 +69,7 @@ int main(int argc, char** argv) {
   };
   std::vector<Instance> instances;
   for (const Benchmark& b : benchmark_suite()) {
-    TimeSolver solver(b.dfg, arch);
-    const auto sol = solver.next(Deadline(timeout_s()));
+    const auto sol = first_schedule(b.dfg, arch, Deadline(timeout_s()));
     if (!sol.has_value()) continue;
     Instance inst;
     inst.bench = &b;

@@ -2,9 +2,14 @@
 #ifndef MONOMAP_BENCH_BENCH_COMMON_HPP
 #define MONOMAP_BENCH_BENCH_COMMON_HPP
 
+#include <algorithm>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
+
+#include "sched/mii.hpp"
+#include "timing/time_solver.hpp"
 
 namespace monomap::bench {
 
@@ -32,6 +37,23 @@ inline std::vector<int> parse_grids(const std::string& arg) {
     pos = comma + 1;
   }
   return grids;
+}
+
+/// The first schedule at the lowest II whose time search yields one: one
+/// TimeSolver per II from mII up to the automatic ceiling
+/// max(mII, #nodes), all under `deadline`. std::nullopt when no II in that
+/// range yields a schedule or the deadline expired first.
+inline std::optional<TimeSolution> first_schedule(
+    const Dfg& dfg, const CgraArch& arch, const Deadline& deadline,
+    const TimeSolverOptions& options = {}) {
+  const int mii = compute_mii(dfg, arch).mii();
+  const int ceiling = std::max(mii, dfg.num_nodes());
+  for (int ii = mii; ii <= ceiling; ++ii) {
+    TimeSolver solver(dfg, arch, ii, options);
+    if (std::optional<TimeSolution> sol = solver.next(deadline)) return sol;
+    if (solver.timed_out()) break;
+  }
+  return std::nullopt;
 }
 
 }  // namespace monomap::bench

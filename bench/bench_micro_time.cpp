@@ -11,13 +11,14 @@
 //    refuted by the capacity floor), recorded in
 //    BENCH_time.json to track the time-phase perf trajectory across PRs.
 //    The "hard" section additionally records engine="speculative" rows —
-//    the cross-II race (map_speculative) with its certificate-traffic
+//    the cross-II race (a lookahead-2 walk) with its certificate-traffic
 //    counters (speculative_hits, nogoods_lifted_cross_ii, steals).
 #include <benchmark/benchmark.h>
 
 #include <cstring>
 #include <iostream>
 
+#include "bench_common.hpp"
 #include "bench_json.hpp"
 #include "mapper/decoupled_mapper.hpp"
 #include "support/stopwatch.hpp"
@@ -27,6 +28,7 @@
 namespace {
 
 using namespace monomap;
+using monomap::bench::first_schedule;
 using monomap::bench::JsonWriter;
 using monomap::bench::median;
 
@@ -43,22 +45,24 @@ void BM_TimeFirstSolution(benchmark::State& state) {
   const TimeEngine engine = state.range(0) == 0 ? TimeEngine::kIncremental
                                                 : TimeEngine::kReference;
   for (auto _ : state) {
-    TimeSolver solver(b.dfg, arch, engine_options(engine));
-    const auto sol = solver.next(Deadline(30.0));
+    const auto sol =
+        first_schedule(b.dfg, arch, Deadline(30.0), engine_options(engine));
     benchmark::DoNotOptimize(sol.has_value());
   }
 }
 BENCHMARK(BM_TimeFirstSolution)->Arg(0)->Arg(1);
 
 void BM_TimeScheduleEnumeration(benchmark::State& state) {
-  // The mapper's retry pattern: enumerate 8 distinct schedules (Arg 0:
-  // engine). The incremental engine answers re-solves from a warm solver.
+  // The mapper's retry pattern: enumerate 8 distinct schedules at mII
+  // (Arg 0: engine). The incremental engine answers re-solves from a warm
+  // solver.
   const CgraArch arch = CgraArch::square(8);
   const Benchmark& b = benchmark_by_name("gsm");
   const TimeEngine engine = state.range(0) == 0 ? TimeEngine::kIncremental
                                                 : TimeEngine::kReference;
+  const int ii = compute_mii(b.dfg, arch).mii();
   for (auto _ : state) {
-    TimeSolver solver(b.dfg, arch, engine_options(engine));
+    TimeSolver solver(b.dfg, arch, ii, engine_options(engine));
     int yielded = 0;
     while (yielded < 8 && solver.next(Deadline(30.0)).has_value()) {
       ++yielded;
@@ -179,11 +183,11 @@ void run_json_mode(int grid, int repeats) {
   // capacity floor skips (capacity_refuted_horizons) used to cost SAT
   // seconds there. Grid 8 rides along for the cross-II
   // certificate channel: its mII refutations are where the warm rows
-  // harvest certificates. Each case also records the cross-II race on 4
-  // workers (clamped to the machine's cores): engine="speculative" is
-  // the default cold race, which lands on the incremental rows' final II
-  // bit-exactly, and engine="speculative-warm" shares certificates
-  // (SpeculativeOptions::share_nogoods — may settle a different II on
+  // harvest certificates. Each case also records the cross-II race, a
+  // lookahead-2 walk (3 workers, clamped to the machine's cores):
+  // engine="speculative" is the cold race, which lands on the incremental
+  // rows' final II bit-exactly, and engine="speculative-warm" passes a
+  // certificate store (WalkOptions::store — may settle a different II on
   // borderline cases); the certificate-traffic counters ride on the warm
   // rows.
   json.key("hard");
@@ -231,14 +235,15 @@ void run_json_mode(int grid, int repeats) {
         DecoupledMapperOptions opt;
         opt.timeout_s = 120.0;
         const DecoupledMapper mapper(opt);
-        SpeculativeOptions sopt;
-        sopt.num_threads = 4;
-        sopt.share_nogoods = warm;
         std::vector<double> seconds;
         MapResult last;
         for (int r = 0; r < repeats; ++r) {
+          CrossIiNogoodStore store;
+          WalkOptions walk;
+          walk.lookahead = 2;
+          if (warm) walk.store = &store;
           Stopwatch wall;
-          last = mapper.map_speculative(b.dfg, hard_arch, sopt);
+          last = mapper.map(b.dfg, hard_arch, walk);
           seconds.push_back(wall.elapsed_s());
         }
         json.begin_object();

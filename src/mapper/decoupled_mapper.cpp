@@ -1,10 +1,13 @@
 #include "mapper/decoupled_mapper.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <deque>
 #include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -18,11 +21,36 @@
 
 namespace monomap {
 
-/// Cross-II state threaded through one speculative attempt's mapping loop:
-/// the shared store, this attempt's II, and the local certificate snapshot
-/// the schedule prefilter scans.
-struct DecoupledMapper::CrossIiContext {
-  CrossIiNogoodStore* store = nullptr;
+/// DecoupledMapperOptions::max_schedules for one walk, shared by all of its
+/// attempts: every schedule pulled takes one unit, and a time search that
+/// comes back empty hands its unit back.
+class DecoupledMapper::ScheduleBudget {
+ public:
+  explicit ScheduleBudget(int limit) : limit_(limit) {}
+
+  /// False once the walk has pulled `limit` schedules (never when 0).
+  bool take() {
+    if (limit_ <= 0) return true;
+    if (used_++ < limit_) return true;
+    --used_;
+    return false;
+  }
+
+  void give_back() {
+    if (limit_ > 0) --used_;
+  }
+
+ private:
+  const int limit_;
+  std::atomic<int> used_{0};
+};
+
+/// State threaded through one attempt's mapping loop: the walk's schedule
+/// budget and, with certificate sharing, the store, this attempt's II and
+/// the local certificate snapshot the schedule prefilter scans.
+struct DecoupledMapper::AttemptContext {
+  ScheduleBudget* budget = nullptr;
+  CrossIiNogoodStore* store = nullptr;  // null = no certificate sharing
   int attempt_ii = 0;
   std::size_t cursor = 0;                // drain position in the store
   std::vector<SlotPartitionCert> certs;  // local snapshot for the prefilter
@@ -54,7 +82,7 @@ void finalize_outcome(MapResult& r) {
 
 /// Fold one resolved attempt's effort counters into an aggregate. Result
 /// fields that identify the outcome (success, ii, mapping, failure_reason,
-/// last_space, final_ii, learnt_retained) stay the receiver's.
+/// last_space, learnt_retained) stay the receiver's.
 void merge_attempt_counters(MapResult& into, const MapResult& from) {
   into.time_phase_s += from.time_phase_s;
   into.space_phase_s += from.space_phase_s;
@@ -86,9 +114,38 @@ void merge_attempt_counters(MapResult& into, const MapResult& from) {
   t.capacity_refuted_horizons += f.capacity_refuted_horizons;
 }
 
+/// The verdict on work an injected fault or an allocation failure killed.
+/// Anything else — AssertionError above all: an invariant violation is a
+/// bug, not a fault — is rethrown.
+MapResult fault_result(const std::exception_ptr& error) {
+  MapResult r;
+  r.timed_out = true;
+  try {
+    std::rethrow_exception(error);
+  } catch (const fault::FaultInjectedError& e) {
+    r.faulted = true;
+    r.failure_reason = std::string("injected fault: ") + e.what();
+    r.causes.push_back({e.site(), "injected fault"});
+  } catch (const std::bad_alloc&) {
+    r.memory_out = true;
+    r.failure_reason = "allocation failure";
+    r.causes.push_back({"alloc", "allocation failure"});
+  }
+  return r;
+}
+
+/// Certificates carry across IIs only under register persistence: with
+/// kConsecutiveOnly cyclic label distances change with II, so the store is
+/// not used there.
+CrossIiNogoodStore* sharing_store(const DecoupledMapperOptions& options,
+                                  CrossIiNogoodStore* store) {
+  return options.space.model == MrrgModel::kRegisterPersistence ? store
+                                                                 : nullptr;
+}
+
 /// Create this request's governor when a budget is configured and no outer
-/// scope already bound one (nested calls — the anytime probe, portfolio
-/// racers on the caller's thread — inherit the outer request's budget).
+/// scope already bound one (nested calls — portfolio racers on the
+/// caller's thread — inherit the outer request's budget).
 std::unique_ptr<ResourceGovernor> make_request_governor(
     std::size_t memory_budget_mb) {
   if (GovernorScope::current() != nullptr || memory_budget_mb == 0) {
@@ -112,272 +169,74 @@ void absorb_governor(MapResult& r, const ResourceGovernor* gov) {
 
 }  // namespace
 
-MapResult DecoupledMapper::map(const Dfg& dfg, const CgraArch& arch) const {
-  const Deadline deadline = options_.timeout_s > 0
-                                ? Deadline(options_.timeout_s)
-                                : Deadline::unlimited();
-  return map(dfg, arch, deadline);
-}
-
-MapResult DecoupledMapper::map(const Dfg& dfg, const CgraArch& arch,
-                               const Deadline& deadline) const {
-  std::unique_ptr<ResourceGovernor> owned_gov =
-      make_request_governor(options_.memory_budget_mb);
-  const GovernorScope scope(owned_gov.get());
-  ResourceGovernor* gov = GovernorScope::current();
-
-  // Fault containment: an injected fault (or allocation failure) escaping
-  // the walk abandons that attempt's state entirely — solvers may be
-  // mid-search — and retries from scratch after a bounded backoff.
-  // AssertionError is NOT caught: an invariant violation is a bug, not a
-  // fault to retry.
+MapResult DecoupledMapper::map_at_ii(const Dfg& dfg, const CgraArch& arch,
+                                     int ii, const Deadline& deadline,
+                                     CrossIiNogoodStore* store) const {
+  const MiiBreakdown mii = compute_mii(dfg, arch);
   MapResult result;
-  int retries = 0;
-  for (;;) {
-    bool retryable = false;
-    try {
-      result = map_sequential(dfg, arch, deadline);
-      result.fault_retries += retries;
-      break;
-    } catch (const fault::FaultInjectedError& e) {
-      result = MapResult{};
-      result.faulted = true;
-      result.timed_out = true;
-      result.failure_reason = std::string("injected fault: ") + e.what();
-      result.causes.push_back({e.site(), "injected fault"});
-      retryable = true;
-    } catch (const std::bad_alloc&) {
-      result = MapResult{};
-      result.memory_out = true;
-      result.timed_out = true;
-      result.failure_reason = "allocation failure";
-      result.causes.push_back({"alloc", "allocation failure"});
-      retryable = true;
-    }
-    if (!retryable || retries >= options_.max_fault_retries ||
-        !fault::backoff_sleep(deadline, retries)) {
-      result.fault_retries = retries;
-      result.cancelled = deadline.cancel_fired();
-      break;
-    }
-    ++retries;
+  if (ii < mii.mii()) {
+    // No schedule exists below mII: refuted by the bound itself.
+    result.failure_reason = "time search exhausted up to max II";
+    result.sound_refutation = true;
+  } else {
+    ScheduleBudget budget(options_.max_schedules);
+    result = attempt(dfg, arch, ii, deadline, sharing_store(options_, store),
+                     budget);
   }
-  absorb_governor(result, gov);
+  result.mii = mii;
+  // An attempt above mII never looked at the IIs below it, so it reports
+  // only the universally known [1, mII) floor; its own verdict travels in
+  // sound_refutation.
+  result.ii_refuted_up_to =
+      (result.sound_refutation && ii == mii.mii()) ? ii : mii.mii() - 1;
   finalize_outcome(result);
   return result;
 }
 
-MapResult DecoupledMapper::map_walk(const Dfg& dfg, const CgraArch& arch,
-                                    const Deadline& deadline,
-                                    const TimeSolverOptions& time_opts) const {
-  MapResult result;
-  TimeSolverOptions time_options = time_opts;
+MapResult DecoupledMapper::attempt(const Dfg& dfg, const CgraArch& arch,
+                                   int ii, const Deadline& deadline,
+                                   CrossIiNogoodStore* store,
+                                   ScheduleBudget& budget) const {
+  TimeSolverOptions time_options = options_.time;
   if (options_.space.model == MrrgModel::kConsecutiveOnly) {
     // Restricted interconnect: keep the time search consistent with the
     // space model, or every schedule with a long slot span would be
     // rejected in space.
     time_options.constraints.consecutive_slots = true;
   }
-  TimeSolver time_solver(dfg, arch, time_options);
-  result.mii = time_solver.mii();
-  run_mapping_loop(dfg, arch, deadline, time_solver, nullptr, result);
-  result.time_stats = time_solver.stats();
-  result.total_s = result.time_phase_s + result.space_phase_s;
-  return result;
-}
-
-MapResult DecoupledMapper::map_sequential(const Dfg& dfg, const CgraArch& arch,
-                                          const Deadline& deadline) const {
-  if (!options_.anytime) {
-    return map_walk(dfg, arch, deadline, options_.time);
-  }
-  // Anytime mode: secure the fallback first. At the automatic ceiling
-  // (max(mII, #nodes)) a fully sequential schedule always satisfies
-  // capacity and connectivity, so the probe is cheap and near-certain;
-  // a user-configured max_ii is probed instead when set.
-  const MiiBreakdown mii = compute_mii(dfg, arch);
-  const int probe_ii = options_.time.max_ii > 0
-                           ? options_.time.max_ii
-                           : std::max(mii.mii(), std::max(1, dfg.num_nodes()));
-  MapResult probe = map_at_ii(dfg, arch, probe_ii, deadline);
-  if (!probe.success) {
-    // No safety net to degrade onto — fall back to the plain walk (the
-    // probe's effort is merged so telemetry still accounts for it).
-    MapResult result = map_walk(dfg, arch, deadline, options_.time);
-    merge_attempt_counters(result, probe);
-    return result;
-  }
-  if (probe_ii <= mii.mii()) {
-    // The ceiling IS the floor: the probe is provably optimal.
-    probe.ii_refuted_up_to = mii.mii() - 1;
-    return probe;
-  }
-  TimeSolverOptions walk_time = options_.time;
-  walk_time.max_ii = probe_ii - 1;
-  MapResult walk = map_walk(dfg, arch, deadline, walk_time);
-  if (walk.success) {
-    merge_attempt_counters(walk, probe);
-    return walk;
-  }
-  if (walk.cancelled) {
-    // Cancellation never degrades: the caller asked this run to stop
-    // producing, not for its best effort so far.
-    merge_attempt_counters(walk, probe);
-    return walk;
-  }
-  // The capped walk ended without a better mapping. If it soundly refuted
-  // everything below the probe, the probe is the proven optimum; otherwise
-  // return it marked degraded with the sound interval the walk did
-  // establish.
-  MapResult result = std::move(probe);
-  merge_attempt_counters(result, walk);
-  result.ii_refuted_up_to = walk.ii_refuted_up_to;
-  if (walk.ii_refuted_up_to >= probe_ii - 1) {
-    return result;  // kFeasible, interval collapses to [probe_ii, probe_ii]
-  }
-  result.degraded = true;
-  result.timed_out = walk.timed_out;
-  result.memory_out = walk.memory_out;
-  result.faulted = walk.faulted;
-  result.failure_reason = walk.failure_reason;
-  result.causes = walk.causes;
-  result.causes.push_back(
-      {"anytime", "walk below the held mapping was cut short"});
-  return result;
-}
-
-MapResult DecoupledMapper::map_at_ii(const Dfg& dfg, const CgraArch& arch,
-                                     int ii, const Deadline& deadline,
-                                     CrossIiNogoodStore* store) const {
-  MapResult result;
-  TimeSolverOptions time_options = options_.time;
-  if (options_.space.model == MrrgModel::kConsecutiveOnly) {
-    time_options.constraints.consecutive_slots = true;
-  }
-  // Pin the time search to exactly this II. (An ii below mII comes back
-  // refuted immediately: the solver clamps its start to mII, which then
-  // exceeds max_ii — correct, since no schedule exists there.)
-  time_options.min_ii = ii;
-  time_options.max_ii = ii;
-  TimeSolver time_solver(dfg, arch, time_options);
-  result.mii = time_solver.mii();
-  CrossIiContext ctx;
-  ctx.store = store;
-  ctx.attempt_ii = ii;
-  run_mapping_loop(dfg, arch, deadline, time_solver,
-                   store != nullptr ? &ctx : nullptr, result);
-  result.time_stats = time_solver.stats();
-  result.total_s = result.time_phase_s + result.space_phase_s;
-  finalize_outcome(result);
-  return result;
-}
-
-MapResult DecoupledMapper::map_warm(const Dfg& dfg, const CgraArch& arch,
-                                    const Deadline& deadline,
-                                    CrossIiNogoodStore* store,
-                                    int refuted_floor) const {
-  std::unique_ptr<ResourceGovernor> owned_gov =
-      make_request_governor(options_.memory_budget_mb);
-  const GovernorScope scope(owned_gov.get());
-  ResourceGovernor* gov = GovernorScope::current();
-
-  MapResult aggregate;   // counters of the non-final attempts
-  MapResult final_result;
-  int floor = std::max(0, refuted_floor);
-  int ii = floor + 1;
-  int cap = options_.time.max_ii;  // 0 = unknown until the first attempt
-  int retries = 0;
-  bool first = true;
-  for (;;) {
-    MapResult attempt;
-    bool retryable = false;
+  for (int retries = 0;; ++retries) {
+    MapResult failed;
     try {
-      DecoupledMapperOptions per = options_;
-      if (options_.max_schedules > 0) {
-        // The schedule budget spans the whole walk, like map()'s.
-        per.max_schedules =
-            options_.max_schedules - aggregate.schedules_tried;
-        if (per.max_schedules <= 0) {
-          final_result.timed_out = true;
-          final_result.failure_reason = "schedule budget exhausted";
-          final_result.causes.push_back(
-              {"budget", "schedule budget exhausted"});
-          break;
-        }
-      }
-      attempt = DecoupledMapper(per).map_at_ii(dfg, arch, ii, deadline,
-                                               store);
-    } catch (const fault::FaultInjectedError& e) {
-      attempt = MapResult{};
-      attempt.faulted = true;
-      attempt.timed_out = true;
-      attempt.failure_reason = std::string("injected fault: ") + e.what();
-      attempt.causes.push_back({e.site(), "injected fault"});
-      retryable = true;
-    } catch (const std::bad_alloc&) {
-      attempt = MapResult{};
-      attempt.memory_out = true;
-      attempt.timed_out = true;
-      attempt.failure_reason = "allocation failure";
-      attempt.causes.push_back({"alloc", "allocation failure"});
-      retryable = true;
+      TimeSolver time_solver(dfg, arch, ii, time_options);
+      AttemptContext ctx;
+      ctx.budget = &budget;
+      ctx.store = store;
+      ctx.attempt_ii = ii;
+      MapResult result;
+      run_mapping_loop(dfg, arch, deadline, time_solver, ctx, result);
+      result.time_stats = time_solver.stats();
+      result.total_s = result.time_phase_s + result.space_phase_s;
+      result.fault_retries = retries;
+      return result;
+    } catch (...) {
+      // Fault containment: an injected fault (or allocation failure)
+      // abandons the attempt's state entirely — solvers may be
+      // mid-search — and retries it from scratch after a bounded backoff.
+      failed = fault_result(std::current_exception());
     }
-    if (retryable) {
-      if (retries >= options_.max_fault_retries ||
-          !fault::backoff_sleep(deadline, retries)) {
-        attempt.fault_retries = retries;
-        attempt.cancelled = deadline.cancel_fired();
-        final_result = std::move(attempt);
-        break;
-      }
-      ++retries;
-      continue;  // retry the same II
+    if (retries >= options_.max_fault_retries ||
+        !fault::backoff_sleep(deadline, retries)) {
+      failed.fault_retries = retries;
+      failed.cancelled = deadline.cancel_fired();
+      return failed;
     }
-    if (first) {
-      first = false;
-      final_result.mii = attempt.mii;
-      if (cap <= 0) {
-        cap = std::max(attempt.mii.mii(), std::max(1, dfg.num_nodes()));
-      }
-    }
-    const int mii = attempt.mii.mii();
-    if (attempt.success || attempt.timed_out) {
-      const MiiBreakdown walk_mii = final_result.mii;
-      final_result = std::move(attempt);
-      final_result.mii = walk_mii;
-      break;
-    }
-    // Refuted at this II. IIs below mII are refuted by the bound itself,
-    // so a pinned attempt below it closes the whole gap in one step.
-    const int closed_up_to = mii > ii ? mii - 1 : ii;
-    if (attempt.sound_refutation && ii == floor + 1) {
-      floor = closed_up_to;
-    }
-    const int next_ii = std::max(ii + 1, mii);
-    if (next_ii > cap) {
-      const MiiBreakdown walk_mii = final_result.mii;
-      final_result = std::move(attempt);
-      final_result.mii = walk_mii;
-      final_result.success = false;
-      final_result.timed_out = false;
-      final_result.failure_reason = "warm walk exhausted the II range";
-      break;
-    }
-    merge_attempt_counters(aggregate, attempt);
-    ii = next_ii;
   }
-  merge_attempt_counters(final_result, aggregate);
-  final_result.fault_retries += retries;
-  final_result.ii_refuted_up_to = floor;
-  absorb_governor(final_result, gov);
-  finalize_outcome(final_result);
-  return final_result;
 }
 
 void DecoupledMapper::run_mapping_loop(const Dfg& dfg, const CgraArch& arch,
                                        const Deadline& deadline,
                                        TimeSolver& time_solver,
-                                       CrossIiContext* ctx,
+                                       AttemptContext& ctx,
                                        MapResult& result) const {
   Stopwatch phase;
   const std::uint64_t base_budget = options_.space.max_backtracks;
@@ -391,28 +250,8 @@ void DecoupledMapper::run_mapping_loop(const Dfg& dfg, const CgraArch& arch,
   int narrow_refutations_at_current_ii = 0;
   bool refuted_at_current_ii = false;  // any complete refutation at this II
   bool probed_at_current_ii = false;   // last-chance probe already granted
-  int last_ii = -1;
-  // Sound refutation accounting. An II counts as soundly refuted only when
-  // its time search exhausted naturally (never via skip_to_next_ii — the
-  // retry caps are heuristics) AND no space search at it was truncated:
-  // every schedule was either fully refuted in space or pruned by a sound
-  // nogood/prefilter certificate. The run value advances contiguously from
-  // the solver's starting II, so the reported interval never has holes.
-  const int start_ii = time_solver.current_ii();
-  int run_refuted_up_to = start_ii - 1;
-  bool truncated_at_current_ii = false;
-  bool skipped_current_ii = false;
-  const auto note_ii_closed = [&](int closed_ii) {
-    if (closed_ii >= 0 && !skipped_current_ii && !truncated_at_current_ii &&
-        closed_ii == run_refuted_up_to + 1) {
-      run_refuted_up_to = closed_ii;
-    }
-    truncated_at_current_ii = false;
-    skipped_current_ii = false;
-  };
   for (;;) {
-    if (options_.max_schedules > 0 &&
-        result.schedules_tried >= options_.max_schedules) {
+    if (!ctx.budget->take()) {
       // Deterministic work budget: unlike a wall deadline this trips at a
       // bit-reproducible point, so degraded anytime results are replayable.
       result.timed_out = true;
@@ -420,30 +259,30 @@ void DecoupledMapper::run_mapping_loop(const Dfg& dfg, const CgraArch& arch,
       result.causes.push_back({"budget", "schedule budget exhausted"});
       break;
     }
-    if (ctx != nullptr) {
-      // Pull certificates the other racing IIs learned since the last
+    if (ctx.store != nullptr) {
+      // Pull certificates the walk's other attempts learned since the last
       // look: instantiate their cyclic-rotation clauses into this II's
       // solver (warm start — see CrossIiNogoodStore) and extend the local
       // snapshot the prefilter below scans. Own-II certificates skip the
       // clause step: add_space_nogood already lifted their rotations here.
       std::vector<SlotPartitionCert> fresh;
-      ctx->store->drain(&ctx->cursor, &fresh);
+      ctx.store->drain(&ctx.cursor, &fresh);
       for (SlotPartitionCert& cert : fresh) {
-        if (cert.source_ii != ctx->attempt_ii) {
-          for (auto& rotation :
-               instantiate_rotations(cert, ctx->attempt_ii)) {
+        if (cert.source_ii != ctx.attempt_ii) {
+          for (auto& rotation : instantiate_rotations(cert, ctx.attempt_ii)) {
             if (time_solver.add_cross_ii_nogood(std::move(rotation))) {
               ++result.nogoods_lifted_cross_ii;
             }
           }
         }
-        ctx->certs.push_back(std::move(cert));
+        ctx.certs.push_back(std::move(cert));
       }
     }
     phase.restart();
     const std::optional<TimeSolution> schedule = time_solver.next(deadline);
     result.time_phase_s += phase.elapsed_s();
     if (!schedule.has_value()) {
+      ctx.budget->give_back();
       result.timed_out = time_solver.timed_out();
       result.cancelled = result.timed_out && deadline.cancel_fired();
       if (result.timed_out && time_solver.memory_out()) {
@@ -456,31 +295,15 @@ void DecoupledMapper::run_mapping_loop(const Dfg& dfg, const CgraArch& arch,
                                     : "time search exhausted up to max II";
       }
       if (!result.timed_out) {
-        // Natural exhaustion of the whole range: close the last II the
-        // solver visited, and if the run stayed contiguous to it — or the
-        // range was refuted purely in time (last_ii == -1, not one
-        // schedule yielded) — the full range up to max_ii is sound.
-        note_ii_closed(last_ii);
-        if (last_ii == -1 || run_refuted_up_to == last_ii) {
-          run_refuted_up_to = time_solver.max_ii();
-        }
+        // Natural exhaustion refutes the II soundly when no space search
+        // here was truncated: every schedule was either fully refuted in
+        // space or pruned by a sound nogood/prefilter certificate.
+        result.sound_refutation = result.space_truncated == 0;
         result.causes.push_back({"time", "search space exhausted"});
       }
       break;
     }
     ++result.schedules_tried;
-    if (schedule->ii != last_ii) {
-      // The time solver escalates II on its own when an II's schedules are
-      // exhausted; the new II's first schedule gets the full search effort.
-      // The II it left behind is closed: fold it into the sound run.
-      note_ii_closed(last_ii);
-      uninformative_at_current_ii = 0;
-      narrow_refutations_at_current_ii = 0;
-      refuted_at_current_ii = false;
-      probed_at_current_ii = false;
-      budget = base_budget;
-      last_ii = schedule->ii;
-    }
 
     std::vector<int> labels(static_cast<std::size_t>(dfg.num_nodes()));
     for (NodeId v = 0; v < dfg.num_nodes(); ++v) {
@@ -495,8 +318,8 @@ void DecoupledMapper::run_mapping_loop(const Dfg& dfg, const CgraArch& arch,
     // budget adaptation, retry caps).
     bool prefilter_hit = false;
     SpaceResult space;
-    if (ctx != nullptr) {
-      for (const SlotPartitionCert& cert : ctx->certs) {
+    if (ctx.store != nullptr) {
+      for (const SlotPartitionCert& cert : ctx.certs) {
         if (cert_hits_labels(cert, labels)) {
           prefilter_hit = true;
           ++result.speculative_hits;
@@ -567,10 +390,11 @@ void DecoupledMapper::run_mapping_loop(const Dfg& dfg, const CgraArch& arch,
     // to spend on the next one from how this one died.
     if (!space.timed_out && !space.conflict_nodes.empty()) {
       time_solver.add_space_nogood(*schedule, space.conflict_nodes);
-      if (ctx != nullptr && !prefilter_hit) {
-        // Publish the refutation for the other racing IIs (the prefilter's
-        // own hits are already in the store — they came from it).
-        ctx->store->add(ctx->attempt_ii, space.conflict_nodes, labels);
+      if (ctx.store != nullptr && !prefilter_hit) {
+        // Publish the refutation for the walk's other attempts (the
+        // prefilter's own hits are already in the store — they came from
+        // it).
+        ctx.store->add(ctx.attempt_ii, space.conflict_nodes, labels);
       }
     }
     const bool narrow_conflict =
@@ -582,7 +406,6 @@ void DecoupledMapper::run_mapping_loop(const Dfg& dfg, const CgraArch& arch,
       ++uninformative_at_current_ii;
       // A truncated space search proves nothing about this II: it can
       // never enter the sound refuted interval.
-      truncated_at_current_ii = true;
     } else {
       ++result.space_exhausted;
       refuted_at_current_ii = true;
@@ -669,33 +492,13 @@ void DecoupledMapper::run_mapping_loop(const Dfg& dfg, const CgraArch& arch,
         MONOMAP_DEBUG("last-chance probe at II=" << schedule->ii);
         continue;
       }
-      uninformative_at_current_ii = 0;
-      narrow_refutations_at_current_ii = 0;
-      refuted_at_current_ii = false;
-      probed_at_current_ii = false;
-      budget = base_budget;
       // Giving an II up by retry-cap heuristic is NOT a refutation:
-      // schedules at it may remain untried. Keep it out of the sound run.
-      skipped_current_ii = true;
-      phase.restart();
-      const bool more = time_solver.skip_to_next_ii();
-      result.time_phase_s += phase.elapsed_s();
-      if (!more) {
-        result.failure_reason = "space search failed for every II up to max";
-        break;
-      }
-      MONOMAP_DEBUG("escalating to II=" << time_solver.current_ii());
+      // schedules at it may remain untried, so sound_refutation stays off.
+      result.failure_reason = "space search failed for every II up to max";
+      MONOMAP_DEBUG("giving up II=" << schedule->ii);
+      break;
     }
   }
-  // Publish the sound interval. A pinned attempt starting above mII (the
-  // speculative racers) cannot claim IIs below its own start refuted — it
-  // never looked at them — so it only reports the universally-known
-  // [1, mII) floor; its per-run verdict travels via sound_refutation.
-  const int mii = result.mii.mii();
-  result.sound_refutation = !result.success && !result.timed_out &&
-                            run_refuted_up_to >= time_solver.max_ii();
-  result.ii_refuted_up_to =
-      (start_ii <= mii) ? run_refuted_up_to : mii - 1;
 }
 
 std::vector<SpaceOptions> default_portfolio_configs(const SpaceOptions& base) {
@@ -779,74 +582,110 @@ MapResult DecoupledMapper::map_portfolio(const Dfg& dfg, const CgraArch& arch,
 
 namespace {
 
-/// One speculative cross-II race: per-II pinned attempts on a shared
-/// work-stealing pool, a frontier walking upward over refutations, and a
-/// commit rule that only accepts a feasible II once every smaller II is
-/// refuted (minimal-II optimality, agreement with sequential map()).
-///
-/// Completion-driven: no thread ever blocks waiting for an attempt. Each
-/// attempt's tail (still on the worker) resolves its state under the run
-/// mutex, advances the frontier, and launches whatever the window
-/// [frontier, frontier + lookahead] is missing. The pool's wait_idle() is
-/// therefore the natural barrier: when no tasks remain, every run has
-/// committed.
-class SpeculativeRun {
- public:
-  struct Config {
-    int start_ii = 1;   // mII — where the frontier starts
-    int max_ii = 1;     // inclusive II ceiling (mirrors TimeSolver's rule)
-    int lookahead = 2;  // IIs kept in flight beyond the frontier
-    bool lift = false;  // cross-II certificate sharing (register persistence)
-    bool anytime = false;       // degrade to the best held feasible mapping
-    int max_fault_retries = 3;  // per-attempt injected-fault retry cap
-  };
+// The II attempts are CPU-bound SAT/search work: workers beyond the
+// machine's cores only timeslice against each other, turning speculation
+// from free use of spare cores into a tax on the frontier attempt. Treat
+// the requested thread count as a ceiling; on a small machine the race
+// degenerates gracefully toward the sequential walk (queued attempts run
+// frontier-first and a win cancels them before they start).
+int hardware_cores() {
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
 
-  SpeculativeRun(const DecoupledMapper& mapper, const Dfg& dfg,
-                 const CgraArch& arch, const Deadline& base,
-                 const Config& config, WorkStealingPool& pool,
-                 MiiBreakdown mii, ResourceGovernor* gov)
+int clamp_pool_threads(int requested) {
+  return requested <= 0 ? hardware_cores()
+                        : std::min(requested, hardware_cores());
+}
+
+}  // namespace
+
+/// One II walk: pinned per-II attempts, a frontier walking upward over
+/// refuted attempts, and a commit rule that accepts a feasible II only once
+/// every smaller II is refuted (minimal-II optimality; the same answer at
+/// every lookahead). mII and the II ceiling are computed once, here.
+///
+/// Completion-driven: each attempt's tail resolves its state under the
+/// walk mutex, advances the frontier, and launches whatever the window
+/// [frontier, frontier + lookahead] is missing. With a pool the attempts
+/// are its tasks and the pool's wait_idle() is the barrier; without one
+/// (lookahead 0) they queue and run_queued() runs them on the caller's
+/// thread in launch order. Pool tasks hold the walk's address, so a pool
+/// must be declared after the walks it runs: its destructor then joins
+/// the workers before any walk dies, exception paths included.
+class DecoupledMapper::Walk {
+ public:
+  Walk(const DecoupledMapper& mapper, const Dfg& dfg, const CgraArch& arch,
+       const Deadline& deadline, const WalkOptions& options,
+       ResourceGovernor* gov)
       : mapper_(mapper),
         dfg_(dfg),
         arch_(arch),
-        base_(base),
-        config_(config),
-        pool_(pool),
-        mii_(std::move(mii)),
+        deadline_(deadline),
+        store_(sharing_store(mapper.options_, options.store)),
+        lookahead_(std::max(options.lookahead, 0)),
+        anytime_(mapper.options_.anytime),
         gov_(gov),
-        frontier_(config.start_ii),
-        refuted_up_to_(config.start_ii - 1) {
-    store_.set_governor(gov);
-  }
+        mii_(compute_mii(dfg, arch)),
+        ceiling_(mapper.options_.max_ii > 0
+                     ? mapper.options_.max_ii
+                     : std::max(mii_.mii(), std::max(1, dfg.num_nodes()))),
+        budget_(mapper.options_.max_schedules),
+        frontier_(std::max(options.floor + 1, mii_.mii())),
+        refuted_up_to_(frontier_ - 1) {}
+  Walk(const Walk&) = delete;
+  Walk& operator=(const Walk&) = delete;
 
-  /// Launch the initial attempt window. Call once, before wait_idle().
-  void start() {
+  /// Launch the anytime probe, then the first attempt window, as tasks of
+  /// `pool` (null: queued for run_queued()). Call once.
+  void start(WorkStealingPool* pool) {
     const std::lock_guard<std::mutex> lock(m_);
-    if (frontier_ > config_.max_ii) {
-      // mII already beyond the configured cap — same verdict the
-      // sequential solver reaches without a single SAT call.
+    pool_ = pool;
+    if (frontier_ > ceiling_) {
+      // Nothing between the start and the ceiling: the walk is refuted
+      // without a single SAT call.
       MapResult none;
       none.failure_reason = "time search exhausted up to max II";
-      commit_locked(std::move(none));
+      commit_locked(std::move(none), frontier_);
       return;
     }
-    launch_locked();
+    if (anytime_) launch_locked(ceiling_);
+    fill_window_locked();
   }
 
-  /// The committed result. Valid after the pool drained; if a worker
-  /// failure left the run uncommitted (its attempt's tail never ran), the
+  /// Run the queued attempts on the calling thread until none is left (the
+  /// pool-less walk). Returns what an attempt threw past its own fault
+  /// handling, like WorkStealingPool::wait_idle_collect().
+  std::exception_ptr run_queued() {
+    try {
+      for (;;) {
+        std::pair<int, Attempt*> next;
+        {
+          const std::lock_guard<std::mutex> lock(m_);
+          if (queue_.empty()) return nullptr;
+          next = queue_.front();
+          queue_.pop_front();
+        }
+        run_attempt(next.first, next.second);
+      }
+    } catch (...) {
+      return std::current_exception();
+    }
+  }
+
+  /// The committed result. Valid once no attempt is left running; if a
+  /// failure left the walk uncommitted (its attempt's tail never ran), the
   /// accumulated effort is returned classified as a fault instead of
   /// asserting — batch siblings must not lose their results over it.
   MapResult take() {
     const std::lock_guard<std::mutex> lock(m_);
     if (!done_) {
-      MapResult aborted = std::move(aggregate_);
+      MapResult aborted;
       aborted.faulted = true;
       aborted.timed_out = true;
-      aborted.failure_reason = "speculative run aborted by a worker failure";
+      aborted.failure_reason = "II walk aborted by a worker failure";
       aborted.causes.push_back(
-          {"speculative", "worker failed before the run committed"});
-      aborted.ii_refuted_up_to = refuted_up_to_;
-      commit_locked(std::move(aborted));
+          {"walk", "worker failed before the walk committed"});
+      commit_locked(std::move(aborted), frontier_);
     }
     return std::move(final_);
   }
@@ -858,21 +697,26 @@ class SpeculativeRun {
     CancelToken token;  // parented to the caller's token, if any
     MapResult result;
     State state = State::kRunning;
-    bool cancelled_by_us = false;
   };
 
-  // Fill the window [frontier, min(frontier + lookahead, max_ii)] with
-  // running attempts; never above an already-feasible II. m_ held.
-  void launch_locked() {
+  // Fill the window [frontier, min(frontier + lookahead, ceiling)] with
+  // attempts; never at or above an already-feasible II. m_ held.
+  void fill_window_locked() {
     if (done_) return;
-    int cap = std::min(frontier_ + config_.lookahead, config_.max_ii);
+    int cap = frontier_ + std::min(lookahead_, ceiling_ - frontier_);
     if (best_feasible_ >= 0) cap = std::min(cap, best_feasible_ - 1);
-    for (int ii = frontier_; ii <= cap; ++ii) {
-      if (attempts_.count(ii) != 0) continue;
-      auto attempt = std::make_unique<Attempt>(base_.cancel_token());
-      Attempt* a = attempt.get();
-      attempts_.emplace(ii, std::move(attempt));
-      pool_.submit([this, ii, a] { run_attempt(ii, a); });
+    for (int ii = frontier_; ii <= cap; ++ii) launch_locked(ii);
+  }
+
+  void launch_locked(int ii) {
+    if (attempts_.count(ii) != 0) return;
+    auto attempt = std::make_unique<Attempt>(deadline_.cancel_token());
+    Attempt* a = attempt.get();
+    attempts_.emplace(ii, std::move(attempt));
+    if (pool_ != nullptr) {
+      pool_->submit([this, ii, a] { run_attempt(ii, a); });
+    } else {
+      queue_.emplace_back(ii, a);
     }
   }
 
@@ -888,45 +732,11 @@ class SpeculativeRun {
       r.cancelled = true;
       r.failure_reason = "cancelled before start";
     } else {
-      // The attempt shares the run's wall budget (remaining as of launch —
-      // both deadlines tick from the same start) and carries its own
-      // cancel token so a smaller feasible II can cut it individually.
-      // Injected faults and allocation failures abandon the attempt's
-      // solvers and retry from scratch after a bounded backoff; a
-      // permanent fault resolves the attempt as unresolved-at-deadline so
-      // the frontier reports it instead of crashing the race.
-      const Deadline deadline(base_.remaining_s(), &a->token);
-      int retries = 0;
-      for (;;) {
-        bool retryable = false;
-        try {
-          r = mapper_.map_at_ii(dfg_, arch_, ii, deadline,
-                                config_.lift ? &store_ : nullptr);
-          r.fault_retries += retries;
-          break;
-        } catch (const fault::FaultInjectedError& e) {
-          r = MapResult{};
-          r.faulted = true;
-          r.timed_out = true;
-          r.failure_reason = std::string("injected fault: ") + e.what();
-          r.causes.push_back({e.site(), "injected fault"});
-          retryable = true;
-        } catch (const std::bad_alloc&) {
-          r = MapResult{};
-          r.memory_out = true;
-          r.timed_out = true;
-          r.failure_reason = "allocation failure";
-          r.causes.push_back({"alloc", "allocation failure"});
-          retryable = true;
-        }
-        if (!retryable || retries >= config_.max_fault_retries ||
-            !fault::backoff_sleep(deadline, retries)) {
-          r.fault_retries = retries;
-          r.cancelled = deadline.cancel_fired();
-          break;
-        }
-        ++retries;
-      }
+      // The attempt shares the walk's wall budget (what remains of it, so
+      // both deadlines end at the same instant) and carries its own cancel
+      // token so a smaller feasible II can cut it individually.
+      const Deadline deadline(deadline_.remaining_s(), &a->token);
+      r = mapper_.attempt(dfg_, arch_, ii, deadline, store_, budget_);
     }
 
     const std::lock_guard<std::mutex> lock(m_);
@@ -941,7 +751,6 @@ class SpeculativeRun {
       // running, the commit rule still needs their refutations.
       for (auto& [other_ii, other] : attempts_) {
         if (other_ii > ii && other->state == Attempt::State::kRunning) {
-          other->cancelled_by_us = true;
           other->token.cancel();
         }
       }
@@ -961,84 +770,88 @@ class SpeculativeRun {
       Attempt& a = *it->second;
       if (a.state == Attempt::State::kFeasible) {
         // Every II below the frontier was refuted — this is THE minimal
-        // feasible II, same answer the sequential walk reaches.
-        MapResult final_result = std::move(a.result);
-        merge_attempt_counters(final_result, aggregate_);
-        final_result.ii_refuted_up_to = refuted_up_to_;
-        commit_locked(std::move(final_result));
+        // feasible II of the walk.
+        commit_locked(std::move(a.result), frontier_);
         return;
       }
       if (a.state == Attempt::State::kTimedOut) {
-        // The frontier is never cancelled by us (only IIs above a feasible
-        // one are), so this is the shared wall budget or the caller's
-        // token. Optimality below a held feasible II is unprovable now.
-        if (config_.anytime && best_feasible_ >= 0 && !base_.cancel_fired()) {
+        // The walk never cancels its frontier (only IIs above a feasible
+        // one), so this is the wall clock, the schedule budget, a fault,
+        // the governor or the caller's token. Optimality below a held
+        // feasible II is unprovable now.
+        if (anytime_ && best_feasible_ >= 0 && !deadline_.cancel_fired()) {
           // Anytime contract: surrender optimality, not the mapping. The
           // best held feasible II ships marked degraded, with the sound
           // interval [refuted_up_to_ + 1, best_feasible_] and the
           // frontier's stop cause attached. (An explicit caller cancel
           // still returns nothing — cancellation never degrades.)
-          const auto best = attempts_.find(best_feasible_);
-          MONOMAP_ASSERT(best != attempts_.end());
-          MapResult final_result = std::move(best->second->result);
-          merge_attempt_counters(final_result, aggregate_);
-          merge_attempt_counters(final_result, a.result);
-          final_result.degraded = true;
-          final_result.timed_out = a.result.timed_out;
-          final_result.memory_out = a.result.memory_out;
-          final_result.faulted = a.result.faulted;
-          final_result.ii_refuted_up_to = refuted_up_to_;
+          const int held_ii = best_feasible_;
+          MapResult held = std::move(attempts_.at(held_ii)->result);
+          merge_attempt_counters(held, a.result);
+          held.degraded = true;
+          held.timed_out = a.result.timed_out;
+          held.memory_out = a.result.memory_out;
+          held.faulted = a.result.faulted;
+          held.failure_reason = a.result.failure_reason;
+          held.causes = a.result.causes;
           std::ostringstream note;
-          note << "II=" << frontier_ << " unresolved ("
-               << a.result.failure_reason << ")";
-          final_result.causes.push_back({"speculative", note.str()});
-          commit_locked(std::move(final_result));
+          note << "II=" << frontier_ << " unresolved below the held II="
+               << held_ii;
+          held.causes.push_back({"anytime", note.str()});
+          commit_locked(std::move(held), held_ii);
           return;
         }
-        // Strict mode: report the timeout rather than a possibly
-        // non-minimal mapping.
-        MapResult final_result = std::move(a.result);
-        merge_attempt_counters(final_result, aggregate_);
-        final_result.ii_refuted_up_to = refuted_up_to_;
+        // Strict mode: report the stop rather than a possibly non-minimal
+        // mapping.
+        MapResult stop = std::move(a.result);
         if (best_feasible_ >= 0) {
           std::ostringstream note;
-          note << final_result.failure_reason << " (II=" << frontier_
+          note << stop.failure_reason << " (II=" << frontier_
                << " unresolved; a feasible mapping at II=" << best_feasible_
-               << " was held back by the determinism rule)";
-          final_result.failure_reason = note.str();
+               << " was held back by the commit rule)";
+          stop.failure_reason = note.str();
         }
-        commit_locked(std::move(final_result));
+        commit_locked(std::move(stop), frontier_);
         return;
       }
-      // Refuted. A pinned attempt whose whole (single-II) range was
-      // soundly refuted extends the contiguous sound interval.
-      if (a.result.sound_refutation && it->first == refuted_up_to_ + 1) {
-        refuted_up_to_ = it->first;
+      // Refuted. A sound refutation contiguous with the refuted prefix
+      // extends the sound interval; a heuristic give-up does not.
+      if (a.result.sound_refutation && frontier_ == refuted_up_to_ + 1) {
+        refuted_up_to_ = frontier_;
       }
-      // The topmost II carries the exhaustion verdict itself.
-      if (it->first >= config_.max_ii) {
-        MapResult final_result = std::move(a.result);
-        merge_attempt_counters(final_result, aggregate_);
-        final_result.ii_refuted_up_to = refuted_up_to_;
-        commit_locked(std::move(final_result));
+      if (frontier_ >= ceiling_) {
+        // The topmost II carries the exhaustion verdict itself.
+        commit_locked(std::move(a.result), frontier_);
         return;
       }
       merge_attempt_counters(aggregate_, a.result);
       ++frontier_;
     }
-    launch_locked();
+    fill_window_locked();
   }
 
-  void commit_locked(MapResult final_result) {
+  // `final_result` came from the attempt at `from_ii`. m_ held.
+  void commit_locked(MapResult final_result, int from_ii) {
+    merge_attempt_counters(final_result, aggregate_);
+    if (anytime_ && from_ii != ceiling_) {
+      // The probe's effort is the walk's too (the schedule budget already
+      // counted it), unless it was cancelled while still running.
+      const auto probe = attempts_.find(ceiling_);
+      if (probe != attempts_.end() &&
+          probe->second->state != Attempt::State::kRunning) {
+        merge_attempt_counters(final_result, probe->second->result);
+      }
+    }
     final_result.mii = mii_;
+    final_result.ii_refuted_up_to = refuted_up_to_;
+    final_result.sound_refutation = !final_result.success &&
+                                    !final_result.timed_out &&
+                                    refuted_up_to_ >= ceiling_;
     final_result.total_s =
         final_result.time_phase_s + final_result.space_phase_s;
     finalize_outcome(final_result);
     for (auto& [ii, attempt] : attempts_) {
-      if (attempt->state == Attempt::State::kRunning) {
-        attempt->cancelled_by_us = true;
-        attempt->token.cancel();
-      }
+      if (attempt->state == Attempt::State::kRunning) attempt->token.cancel();
     }
     final_ = std::move(final_result);
     done_ = true;
@@ -1047,108 +860,71 @@ class SpeculativeRun {
   const DecoupledMapper& mapper_;
   const Dfg& dfg_;
   const CgraArch& arch_;
-  const Deadline& base_;
-  const Config config_;
-  WorkStealingPool& pool_;
+  const Deadline& deadline_;
+  CrossIiNogoodStore* const store_;  // null = no certificate sharing
+  const int lookahead_;
+  const bool anytime_;
+  WorkStealingPool* pool_ = nullptr;  // null = run_queued() on the caller
+  ResourceGovernor* const gov_;   // request governor, rebound per attempt
   const MiiBreakdown mii_;
-  ResourceGovernor* gov_;  // request governor, rebound on each worker
-  CrossIiNogoodStore store_;
+  const int ceiling_;  // inclusive; the anytime probe runs here
+  ScheduleBudget budget_;
 
   std::mutex m_;
   std::map<int, std::unique_ptr<Attempt>> attempts_;
+  std::deque<std::pair<int, Attempt*>> queue_;  // pool-less launches
   int frontier_;            // lowest unresolved II
   int best_feasible_ = -1;  // smallest II with a held feasible mapping
-  // Largest II such that [start_ii, refuted_up_to_] is contiguously,
-  // soundly refuted (pinned attempts report sound_refutation; heuristic
-  // give-ups do not extend this).
+  // Largest II such that every II up to it is soundly refuted (the floor
+  // and IIs below mII included); heuristic give-ups do not extend it.
   int refuted_up_to_;
   // Effort counters of the refuted IIs the frontier walked over, merged in
-  // ascending II order (cancelled speculative losers above the final II
-  // are deliberately excluded — they are wall-clock, not work the answer
+  // ascending II order (cancelled racers above the final II are
+  // deliberately excluded — they are wall clock, not work the answer
   // needed).
   MapResult aggregate_;
   MapResult final_;
   bool done_ = false;
 };
 
-SpeculativeRun::Config speculative_config(const DecoupledMapperOptions& options,
-                                          const Dfg& dfg, int lookahead,
-                                          bool share_nogoods,
-                                          const MiiBreakdown& mii) {
-  SpeculativeRun::Config config;
-  config.start_ii = mii.mii();
-  // Same auto ceiling as TimeSolver: at II = #nodes a fully sequential
-  // schedule always satisfies capacity and connectivity.
-  config.max_ii = options.time.max_ii > 0
-                      ? options.time.max_ii
-                      : std::max(mii.mii(), std::max(1, dfg.num_nodes()));
-  config.lookahead = std::max(lookahead, 0);
-  config.lift = share_nogoods &&
-                options.space.model == MrrgModel::kRegisterPersistence;
-  config.anytime = options.anytime;
-  config.max_fault_retries = options.max_fault_retries;
-  return config;
-}
-
-// The II attempts are CPU-bound SAT/search work: workers beyond the
-// machine's cores only timeslice against each other, turning speculation
-// from free use of spare cores into a tax on the frontier attempt. Treat
-// the requested thread count as a ceiling; on a small machine the race
-// degenerates gracefully toward the sequential walk (queued attempts run
-// frontier-first and a win cancels them before they start).
-int clamp_pool_threads(int requested) {
-  const int cores =
-      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-  if (requested <= 0) return cores;
-  return std::min(requested, cores);
-}
-
-}  // namespace
-
-MapResult DecoupledMapper::map_speculative(const Dfg& dfg,
-                                           const CgraArch& arch,
-                                           const SpeculativeOptions& spec) const {
+MapResult DecoupledMapper::map(const Dfg& dfg, const CgraArch& arch,
+                               const WalkOptions& walk) const {
   const Deadline deadline = options_.timeout_s > 0
                                 ? Deadline(options_.timeout_s)
                                 : Deadline::unlimited();
-  return map_speculative(dfg, arch, deadline, spec);
+  return map(dfg, arch, deadline, walk);
 }
 
-MapResult DecoupledMapper::map_speculative(const Dfg& dfg,
-                                           const CgraArch& arch,
-                                           const Deadline& deadline,
-                                           const SpeculativeOptions& spec) const {
+MapResult DecoupledMapper::map(const Dfg& dfg, const CgraArch& arch,
+                               const Deadline& deadline,
+                               const WalkOptions& walk) const {
   std::unique_ptr<ResourceGovernor> owned_gov =
       make_request_governor(options_.memory_budget_mb);
   const GovernorScope scope(owned_gov.get());
   ResourceGovernor* gov = GovernorScope::current();
 
-  WorkStealingPool pool(clamp_pool_threads(spec.num_threads));
-  MiiBreakdown mii = compute_mii(dfg, arch);
-  const SpeculativeRun::Config config = speculative_config(
-      options_, dfg, spec.lookahead, spec.share_nogoods, mii);
-  SpeculativeRun run(*this, dfg, arch, deadline, config, pool,
-                     std::move(mii), gov);
-  run.start();
-  const std::exception_ptr error = pool.wait_idle_collect();
+  Walk run(*this, dfg, arch, deadline, walk, gov);
+  // The frontier plus the IIs raced beyond it: min(lookahead + 1, cores)
+  // workers.
+  std::optional<WorkStealingPool> pool;
+  if (walk.lookahead > 0) {
+    pool.emplace(std::min(walk.lookahead, hardware_cores() - 1) + 1);
+  }
+  run.start(pool ? &*pool : nullptr);
+  const std::exception_ptr error =
+      pool ? pool->wait_idle_collect() : run.run_queued();
   MapResult result = run.take();
-  result.steals = pool.steals();
+  if (pool) result.steals = pool->steals();
   if (error != nullptr) {
-    // A worker died past its retry budget. Classify the known fault
-    // classes onto the result (take() already salvaged the effort
-    // counters); anything else — AssertionError above all — propagates.
-    try {
-      std::rethrow_exception(error);
-    } catch (const fault::FaultInjectedError& e) {
-      if (!result.success) {
-        result.faulted = true;
-        result.causes.push_back({e.site(), "injected fault"});
-      }
-    } catch (const std::bad_alloc&) {
-      if (!result.success) {
-        result.memory_out = true;
-        result.causes.push_back({"alloc", "allocation failure"});
-      }
+    // A task died past its attempt's fault handling: classify the known
+    // fault classes onto the result (take() already salvaged the effort
+    // counters); anything else propagates out of fault_result.
+    const MapResult fault = fault_result(error);
+    if (!result.success) {
+      result.faulted = result.faulted || fault.faulted;
+      result.memory_out = result.memory_out || fault.memory_out;
+      result.causes.insert(result.causes.end(), fault.causes.begin(),
+                           fault.causes.end());
     }
   }
   absorb_governor(result, gov);
@@ -1184,43 +960,33 @@ std::vector<MapResult> DecoupledMapper::map_batch(
     }
     return results;
   }
-  // Pooled path: every case becomes a speculative run with lookahead 1 —
-  // its per-II attempts are the pool's tasks. A hard case decomposes into
-  // subtasks the other workers steal, instead of pinning one thread for
-  // the whole batch (the pre-pool behaviour: static case-per-thread via
-  // parallel_for_indices, where one pathological case idled its siblings).
-  // No certificate sharing: batch results stay bit-exactly what the
-  // per-case sequential map() would return (see SpeculativeOptions::
-  // share_nogoods for why warm starts can move the committed II).
+  // Pooled path: every case is a lookahead-1 walk whose per-II attempts
+  // are the pool's tasks. A hard case decomposes into subtasks the other
+  // workers steal, instead of pinning one thread for the whole batch. No
+  // certificate sharing: each case commits what its own map() would.
   std::unique_ptr<ResourceGovernor> owned_gov =
       make_request_governor(options_.memory_budget_mb);
   const GovernorScope scope(owned_gov.get());
   ResourceGovernor* gov = GovernorScope::current();
 
-  WorkStealingPool pool(clamp_pool_threads(num_threads));
-  std::vector<std::unique_ptr<SpeculativeRun>> runs;
-  runs.reserve(dfgs.size());
+  WalkOptions walk;
+  walk.lookahead = 1;
+  std::vector<std::unique_ptr<Walk>> walks;
+  walks.reserve(dfgs.size());
   for (const Dfg* dfg : dfgs) {
-    MiiBreakdown mii = compute_mii(*dfg, arch);
-    const SpeculativeRun::Config config = speculative_config(
-        options_, *dfg, /*lookahead=*/1, /*share_nogoods=*/false, mii);
-    runs.push_back(std::make_unique<SpeculativeRun>(
-        *this, *dfg, arch, deadline, config, pool, std::move(mii), gov));
+    walks.push_back(
+        std::make_unique<Walk>(*this, *dfg, arch, deadline, walk, gov));
   }
-  for (auto& run : runs) run->start();
-  const std::exception_ptr error = pool.wait_idle_collect();
-  if (error != nullptr) {
-    // One poisoned case must not sink the batch: the known fault classes
-    // are already folded into the affected case's take() fallback;
-    // anything else (AssertionError first) propagates.
-    try {
-      std::rethrow_exception(error);
-    } catch (const fault::FaultInjectedError&) {
-    } catch (const std::bad_alloc&) {
-    }
+  WorkStealingPool pool(clamp_pool_threads(num_threads));
+  for (auto& w : walks) w->start(&pool);
+  // One poisoned case must not sink the batch: the known fault classes
+  // are already folded into the affected case's take() fallback;
+  // anything else (AssertionError first) propagates out of fault_result.
+  if (const std::exception_ptr error = pool.wait_idle_collect()) {
+    (void)fault_result(error);
   }
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    results[i] = runs[i]->take();
+  for (std::size_t i = 0; i < walks.size(); ++i) {
+    results[i] = walks[i]->take();
     if (stats != nullptr) {
       ++stats->outcome_counts[static_cast<std::size_t>(results[i].outcome)];
     }

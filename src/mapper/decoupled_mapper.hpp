@@ -6,6 +6,14 @@
 //   2. SPACE  — monomorphism search places the labelled DFG into the MRRG.
 //   3. If space fails (rare; Sec. IV-D argues it should not happen under the
 //      constraints), block that label vector and ask for the next schedule.
+//   4. When the per-II policy gives the II up, move on to II+1.
+//
+// Every entry point runs one II walk, set up by WalkOptions. Each II is
+// one attempt (map_at_ii — a TimeSolver pinned to that II plus the per-II
+// policy, with its own fault retries); a frontier walks upward over
+// refuted attempts and commits a feasible II only once every smaller II
+// is refuted, so without a certificate store the committed II is the same
+// whether attempts run one at a time or race ahead on a pool.
 //
 // The result records the two phase times separately — Table III's
 // "Time"/"Space" columns.
@@ -19,6 +27,7 @@
 
 #include "mapper/cross_ii_store.hpp"
 #include "mapper/mapping.hpp"
+#include "sched/mii.hpp"
 #include "space/monomorphism.hpp"
 #include "support/outcome.hpp"
 #include "timing/time_solver.hpp"
@@ -30,6 +39,10 @@ struct DecoupledMapperOptions {
   SpaceOptions space;
   /// Overall wall-clock budget in seconds (paper: 4000 s); <= 0 = unlimited.
   double timeout_s = 4000.0;
+  /// Highest II the walk tries; 0 = automatic (max(mII, #nodes) — at
+  /// II = #nodes a fully sequential schedule always satisfies capacity and
+  /// connectivity).
+  int max_ii = 0;
   /// After this many *uninformative* space failures at one II, escalate to
   /// II+1. Uninformative means the search either truncated (budget ran
   /// out, nothing learned) or refuted the schedule with a conflict set
@@ -83,24 +96,26 @@ struct DecoupledMapperOptions {
   /// engine proved schedules dead there within budget) escalate without
   /// the probe. Bounded: one probe per II.
   bool last_chance_probe = true;
-  /// Anytime mode (map() only): before the bottom-up walk, secure a
-  /// fallback mapping at the II ceiling (max(mII, #nodes) — where a fully
-  /// sequential schedule always places) and cap the walk below it. If the
-  /// walk is cut short by the deadline, the schedule budget, or the memory
-  /// governor, the held mapping is returned marked MapOutcome::kDegraded
-  /// with the sound interval [ii_lo, ii_hi] instead of a bare failure; if
-  /// the walk soundly refutes everything below the ceiling, the fallback
-  /// is promoted to kFeasible. Default off: the probe costs one extra
-  /// mapping attempt, and non-anytime callers pin exact-walk behaviour.
+  /// Anytime mode: the walk launches its first attempt at the II ceiling
+  /// (max_ii, or max(mII, #nodes) — where a fully sequential schedule
+  /// always places) and holds a mapping found there as its best feasible
+  /// attempt. If the walk below is cut short by the deadline, the schedule
+  /// budget, a fault or the memory governor, the held mapping is returned
+  /// marked MapOutcome::kDegraded with the sound interval [ii_lo, ii_hi]
+  /// instead of a bare failure; a walk that is not cut short returns what
+  /// it would without anytime. Default off: the probe costs one extra
+  /// mapping attempt.
   bool anytime = false;
   /// Deterministic work budget: give up (timed_out, or degraded under
-  /// anytime) after this many schedules have been tried. Unlike the wall
-  /// clock this is bit-reproducible across machines and runs — the
-  /// degraded-mode determinism test pins that. 0 = unlimited.
+  /// anytime) after this many schedules, counted over the whole walk,
+  /// anytime probe included. Unlike the wall clock this is
+  /// bit-reproducible across machines and runs at lookahead 0 — the
+  /// degraded-mode determinism test pins that; racing attempts share it,
+  /// so where a race runs out depends on thread timing. 0 = unlimited.
   int max_schedules = 0;
-  /// Retries after an injected fault or allocation failure before the
-  /// request is classified kFault/kMemory (bounded exponential backoff
-  /// between attempts; see support/fault.hpp).
+  /// Retries of one II attempt after an injected fault or allocation
+  /// failure before the attempt is classified kFault/kMemory (bounded
+  /// exponential backoff between tries; see support/fault.hpp).
   int max_fault_retries = 3;
   /// Per-request memory budget in MiB, accounted by the SAT learnt DB, the
   /// bitset searcher's trail reservations, and the cross-II nogood store
@@ -126,35 +141,36 @@ struct PortfolioOptions {
 /// seeded from `base` (engine/model/budget are inherited from it).
 std::vector<SpaceOptions> default_portfolio_configs(const SpaceOptions& base);
 
-/// Speculative cross-II race configuration (map_speculative).
-struct SpeculativeOptions {
-  /// Worker threads for the II race (<= 0 = hardware concurrency). Always
-  /// clamped to the machine's core count: extra workers would only
-  /// timeslice against the frontier attempt. On a small machine the race
-  /// degenerates gracefully toward the sequential walk.
-  int num_threads = 4;
-  /// How many IIs beyond the unresolved frontier to keep in flight: with
-  /// lookahead 2, while II is still being refuted II+1 and II+2 already
-  /// run on spare threads. 0 degenerates to one II at a time (still a
-  /// pinned-II replay of the sequential walk, just on a worker thread).
-  int lookahead = 2;
-  /// Share slot-partition certificates across the racing IIs (see
-  /// CrossIiNogoodStore) so speculative IIs start warm. The certificates
-  /// are sound — they prune only schedules whose slot partition some II
-  /// already proved spatially dead, so a feasible II can never be missed
-  /// and the committed mapping always validates — but the injected
-  /// clauses change the SAT enumeration order, which moves the per-II
-  /// retry policy's heuristic give-up points: on borderline cases the
-  /// warm walk can settle one II away from the sequential walk (either
-  /// direction), and which certificates arrive in time depends on thread
-  /// timing. Default OFF, which makes every attempt a pure function of
-  /// its II and the final answer bit-exactly equal to sequential map().
-  /// Turn on for throughput work where "a valid minimal-II-of-its-walk
-  /// mapping, faster" beats "the exact sequential answer". Certificate
-  /// sharing is additionally gated off for MrrgModel::kConsecutiveOnly,
-  /// where cyclic label distances change with II and the partition
-  /// argument does not carry.
-  bool share_nogoods = false;
+/// Settings of one II walk (DecoupledMapper::map). The defaults are the
+/// plain sequential walk from mII.
+struct WalkOptions {
+  /// Highest II already known to be soundly refuted (every II <= floor
+  /// refuted by natural exhaustion — a KnowledgeStore floor, say). The walk
+  /// starts at max(floor + 1, mII) and reports the floor in ii_lo.
+  int floor = 0;
+  /// Slot-partition certificates shared by every attempt of the walk (see
+  /// CrossIiNogoodStore): certificates already in the store warm-start the
+  /// time search as rotation clauses plus a schedule prefilter, and every
+  /// refutation the walk proves is published back for the caller to
+  /// harvest. Sound — only schedules whose slot partition is proved
+  /// spatially dead are pruned, so every mapping validates — but the
+  /// injected clauses change the SAT enumeration order, which moves the
+  /// per-II retry policy's give-up points: on borderline cases a
+  /// certificate-sharing walk can settle one II away from the plain walk
+  /// (either direction), and under a race which certificates arrive in
+  /// time depends on thread timing. Used only under
+  /// MrrgModel::kRegisterPersistence: with kConsecutiveOnly cyclic label
+  /// distances change with II and the partition argument does not carry,
+  /// so the walk leaves the store untouched.
+  CrossIiNogoodStore* store = nullptr;
+  /// IIs kept in flight beyond the unresolved frontier. 0 runs one attempt
+  /// at a time on the caller's thread. Above 0 the attempts race on a
+  /// work-stealing pool of min(lookahead + 1, cores) workers: while II is
+  /// still being refuted, II+1..II+lookahead already run. Without a store
+  /// or a schedule budget each attempt is a pure function of its II, so
+  /// the committed II is exactly the lookahead-0 answer — the race buys
+  /// wall clock only.
+  int lookahead = 0;
 };
 
 /// Aggregate telemetry for one map_batch call (the per-case MapResults
@@ -171,8 +187,8 @@ struct MapResult {
   bool success = false;
   bool timed_out = false;
   /// The deadline's CancelToken fired (subset of timed_out): the run was
-  /// cut short by a caller — a portfolio/speculative first-win or an
-  /// explicit batch cancel — not by the wall clock. Batch telemetry uses
+  /// cut short by a caller — a portfolio first-win or an explicit batch
+  /// cancel — not by the wall clock. Batch telemetry uses
   /// this to tell a cancelled case from one that genuinely ran out of
   /// budget.
   bool cancelled = false;
@@ -201,16 +217,16 @@ struct MapResult {
   /// exhaustion with zero truncated space searches at that II (heuristic
   /// skips prove nothing), contiguously from the walk's start. ii_hi is
   /// the achieved II on success/degraded, 0 (unknown) otherwise. On a
-  /// kFeasible result from the plain walk ii_hi == ii but ii_lo may sit
-  /// below it when the walk skipped IIs heuristically.
+  /// kFeasible result ii_hi == ii but ii_lo may sit below it when the walk
+  /// skipped IIs heuristically.
   int ii_lo = 1;
   int ii_hi = 0;
   /// The raw contiguous sound-refutation high-water mark behind ii_lo.
   int ii_refuted_up_to = 0;
   /// This run soundly refuted its ENTIRE II range (natural time-phase
   /// exhaustion, zero truncated space searches, no heuristic skips). For a
-  /// pinned map_at_ii run this means exactly "this II is soundly refuted"
-  /// — the speculative walk's interval tracking keys on it.
+  /// map_at_ii run this means exactly "this II is soundly refuted" — the
+  /// walk's interval tracking keys on it.
   bool sound_refutation = false;
   /// Memory-governor telemetry (zero when ungoverned).
   std::size_t mem_peak_bytes = 0;
@@ -233,15 +249,15 @@ struct MapResult {
   int budget_extensions = 0;
   int budget_shrinks = 0;
   int budget_probes = 0;  // last-chance full-budget searches granted
-  /// Speculative runs: schedules discarded by the cross-II certificate
-  /// prefilter without running a space search (each one is a space search
-  /// another II already paid for).
+  /// Certificate-sharing walks: schedules discarded by the cross-II
+  /// certificate prefilter without running a space search (each one is a
+  /// space search another II already paid for).
   int speculative_hits = 0;
-  /// Speculative runs: label-nogood clauses instantiated from other IIs'
-  /// slot-partition certificates (warm-start volume).
+  /// Certificate-sharing walks: label-nogood clauses instantiated from
+  /// other IIs' slot-partition certificates (warm-start volume).
   int nogoods_lifted_cross_ii = 0;
-  /// Work-stealing pool steals observed by this call (map_speculative
-  /// only; map_batch reports pool-level steals via BatchStats).
+  /// Work-stealing pool steals observed by a racing walk (lookahead > 0;
+  /// map_batch reports pool-level steals via BatchStats).
   std::uint64_t steals = 0;
   std::string failure_reason;
   TimeSolverStats time_stats;
@@ -256,61 +272,27 @@ class DecoupledMapper {
   explicit DecoupledMapper(DecoupledMapperOptions options = {})
       : options_(options) {}
 
-  /// Map `dfg` onto `arch`. The returned mapping (on success) always passes
-  /// validate_mapping — this is asserted internally.
-  MapResult map(const Dfg& dfg, const CgraArch& arch) const;
-
-  /// Like map(), but under an externally supplied deadline (which may carry
-  /// a CancelToken). options_.timeout_s is ignored.
+  /// Map `dfg` onto `arch` by walking IIs upward (see WalkOptions). The
+  /// returned mapping (on success) always passes validate_mapping — this
+  /// is asserted internally.
   MapResult map(const Dfg& dfg, const CgraArch& arch,
-                const Deadline& deadline) const;
+                const WalkOptions& walk = {}) const;
 
-  /// Run the space/time loop pinned to exactly `ii` — no escalation. The
-  /// per-II policy (nogood feedback, adaptive budgets, last-chance probe)
-  /// is the exact code map() runs at one II, so "!success && !timed_out"
-  /// here means precisely "sequential map() would have escalated past ii".
-  /// When `store` is non-null (speculative runs, register-persistence
-  /// model only) the attempt drains the store into its time solver as
-  /// warm-start clauses + a schedule prefilter, and contributes its own
-  /// refutation certificates back.
+  /// Like the above under an externally supplied deadline (which may carry
+  /// a CancelToken). options_.timeout_s is ignored.
+  MapResult map(const Dfg& dfg, const CgraArch& arch, const Deadline& deadline,
+                const WalkOptions& walk = {}) const;
+
+  /// One II attempt: the space/time loop pinned to exactly `ii`, with its
+  /// own fault retries (DecoupledMapperOptions::max_fault_retries) — the
+  /// unit every walk is made of. The per-II policy (nogood feedback,
+  /// adaptive budgets, last-chance probe) gives the II up on its retry
+  /// caps, so "!success && !timed_out" here means precisely "the walk
+  /// moves past ii". `store` is used as in WalkOptions (register-
+  /// persistence model only). An ii below mII comes back soundly refuted.
   MapResult map_at_ii(const Dfg& dfg, const CgraArch& arch, int ii,
                       const Deadline& deadline,
                       CrossIiNogoodStore* store = nullptr) const;
-
-  /// Warm-started sequential walk for the cross-request knowledge layer:
-  /// II rises one at a time from max(refuted_floor + 1, mII) via pinned
-  /// map_at_ii attempts that share `store` — seeded certificates prune
-  /// schedules through the usual rotation-clause + prefilter channel, and
-  /// refutations this walk finds are published back into `store` for the
-  /// caller to harvest. `refuted_floor` must be sound (every II <= floor
-  /// refuted by natural exhaustion — the KnowledgeStore only records such
-  /// floors), and the walk keeps the same contiguous sound-refutation
-  /// accounting as map(): the result's ii_refuted_up_to never exceeds a
-  /// sound refutation. With a null store and floor 0 this is the
-  /// per-II replay of sequential map() (same per-II policy, same answer).
-  MapResult map_warm(const Dfg& dfg, const CgraArch& arch,
-                     const Deadline& deadline,
-                     CrossIiNogoodStore* store = nullptr,
-                     int refuted_floor = 0) const;
-
-  /// Speculative cross-II race: while the lowest unresolved II is still in
-  /// its space/time loop, II+1..II+lookahead already run on spare threads.
-  /// Deterministic commit rule: a feasible II is returned only once every
-  /// strictly smaller II has been refuted, so minimal-II optimality is
-  /// preserved. With the default options each attempt is a pure function
-  /// of its II (no cross-attempt information flow), so the committed II
-  /// bit-exactly equals the sequential map() answer on every input —
-  /// speculation buys wall clock, not a different answer. With
-  /// spec.share_nogoods the attempts additionally exchange slot-partition
-  /// certificates through a CrossIiNogoodStore (see that option's caveat).
-  MapResult map_speculative(const Dfg& dfg, const CgraArch& arch,
-                            const SpeculativeOptions& spec = {}) const;
-
-  /// Like the above under an external deadline (which may carry a
-  /// CancelToken). options_.timeout_s is ignored.
-  MapResult map_speculative(const Dfg& dfg, const CgraArch& arch,
-                            const Deadline& deadline,
-                            const SpeculativeOptions& spec = {}) const;
 
   /// Race several space configurations for the same DFG across threads;
   /// the first valid mapping wins and cancels the rest (atomic first-win
@@ -331,11 +313,11 @@ class DecoupledMapper {
   /// shared `deadline` — including its CancelToken, so a caller can cut an
   /// entire in-flight batch short. options_.timeout_s is ignored.
   ///
-  /// With num_threads != 1 the batch runs on a work-stealing pool and each
-  /// case is split into per-II subtasks (a lookahead-1 speculative race),
-  /// so one pathological case no longer idles the other cores; with
-  /// num_threads == 1 every case runs the plain sequential map() in order.
-  /// `stats`, when non-null, receives pool-level telemetry.
+  /// With num_threads != 1 every case is one lookahead-1 walk on a shared
+  /// work-stealing pool — its per-II attempts are the pool's tasks, so one
+  /// pathological case no longer idles the other cores; with
+  /// num_threads == 1 every case runs the plain map() in order. `stats`,
+  /// when non-null, receives pool-level telemetry.
   std::vector<MapResult> map_batch(const std::vector<const Dfg*>& dfgs,
                                    const CgraArch& arch,
                                    const Deadline& deadline,
@@ -343,26 +325,21 @@ class DecoupledMapper {
                                    BatchStats* stats = nullptr) const;
 
  private:
-  struct CrossIiContext;  // speculative-attempt state threaded into the loop
+  class Walk;            // the II walk behind map() and map_batch()
+  class ScheduleBudget;  // max_schedules, shared by one walk's attempts
+  struct AttemptContext;
 
-  /// The per-schedule space/time loop shared by map() and map_at_ii():
-  /// pull schedules, run (or prefilter) the space search, feed conflicts
-  /// back, adapt budgets, escalate II when the policy says so. `ctx` is
-  /// null on sequential runs.
+  /// map_at_ii for a walk that computed mII once and shares `budget`.
+  MapResult attempt(const Dfg& dfg, const CgraArch& arch, int ii,
+                    const Deadline& deadline, CrossIiNogoodStore* store,
+                    ScheduleBudget& budget) const;
+
+  /// The per-schedule space/time loop at one II: pull schedules, run (or
+  /// prefilter) the space search, feed conflicts back, adapt budgets, give
+  /// the II up when the policy says so.
   void run_mapping_loop(const Dfg& dfg, const CgraArch& arch,
                         const Deadline& deadline, TimeSolver& time_solver,
-                        CrossIiContext* ctx, MapResult& result) const;
-
-  /// One bottom-up walk under the given time options (the historical map()
-  /// body, parameterised so the anytime path can cap max_ii).
-  MapResult map_walk(const Dfg& dfg, const CgraArch& arch,
-                     const Deadline& deadline,
-                     const TimeSolverOptions& time_options) const;
-
-  /// map() minus governor binding and fault retries: the plain walk, or
-  /// the anytime probe + capped walk + degradation merge.
-  MapResult map_sequential(const Dfg& dfg, const CgraArch& arch,
-                           const Deadline& deadline) const;
+                        AttemptContext& ctx, MapResult& result) const;
 
   DecoupledMapperOptions options_;
 };

@@ -46,8 +46,7 @@ std::uint64_t soundness_fingerprint(const DecoupledMapperOptions& options) {
 std::uint64_t options_fingerprint(const DecoupledMapperOptions& options) {
   std::uint64_t h = soundness_fingerprint(options);
   h = fold(h, static_cast<std::uint64_t>(options.time.engine));
-  h = fold(h, static_cast<std::uint64_t>(options.time.max_ii));
-  h = fold(h, static_cast<std::uint64_t>(options.time.min_ii));
+  h = fold(h, static_cast<std::uint64_t>(options.max_ii));
   const SpaceOptions& s = options.space;
   h = fold(h, static_cast<std::uint64_t>(s.engine));
   h = fold(h, static_cast<std::uint64_t>(s.order));

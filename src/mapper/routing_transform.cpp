@@ -67,8 +67,8 @@ MapResult map_with_routing(const Dfg& dfg, const CgraArch& arch,
   // past mII only burns the budget.
   auto capped = [&](const Dfg& d) {
     DecoupledMapperOptions opt = options;
-    if (opt.time.max_ii <= 0) {
-      opt.time.max_ii = compute_mii(d, arch).mii() + 6;
+    if (opt.max_ii <= 0) {
+      opt.max_ii = compute_mii(d, arch).mii() + 6;
     }
     return opt;
   };

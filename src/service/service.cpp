@@ -177,7 +177,7 @@ std::string MappingService::run_map_job(const ServeRequest& req) {
   DecoupledMapperOptions opts = options_.mapper;
   opts.anytime = req.anytime;
   if (req.max_schedules > 0) opts.max_schedules = req.max_schedules;
-  if (req.max_ii > 0) opts.time.max_ii = req.max_ii;
+  if (req.max_ii > 0) opts.max_ii = req.max_ii;
   const bool use_memo = req.memo == -1 ? options_.memo : req.memo != 0;
   const bool use_warm = req.warm == -1 ? options_.warm : req.warm != 0;
   const double deadline_s =
@@ -208,8 +208,10 @@ std::string MappingService::run_map_job(const ServeRequest& req) {
       warm_starts_.fetch_add(1, std::memory_order_relaxed);
     }
     const Deadline deadline(deadline_s);
-    result = DecoupledMapper(opts).map_warm(*dfg, arch, deadline, &scratch,
-                                            floor);
+    WalkOptions walk;
+    walk.floor = floor;
+    walk.store = &scratch;
+    result = DecoupledMapper(opts).map(*dfg, arch, deadline, walk);
     store_.publish(fp, arch_fp, opts, scratch, result.ii_refuted_up_to);
     if (use_memo) {
       store_.store(*dfg, fp, arch_fp, opts, result, mode_salt);

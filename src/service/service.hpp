@@ -13,10 +13,10 @@
 //
 //   memo  — exact/isomorphic repeat with the same options fingerprint is
 //           answered from the KnowledgeStore without any search;
-//   warm  — the worker walks IIs via DecoupledMapper::map_warm with a
-//           scratch CrossIiNogoodStore seeded from the KnowledgeStore
-//           (certificates + sound refuted-II floor) and publishes what the
-//           walk learned back for the next request.
+//   warm  — the worker runs DecoupledMapper::map with a WalkOptions
+//           floor and a scratch CrossIiNogoodStore seeded from the
+//           KnowledgeStore (sound refuted-II floor + certificates) and
+//           publishes what the walk learned back for the next request.
 //
 // Failure containment: the `serve.request` fault-injection site fires at
 // the top of every worker job; an injected fault (or any exception the

@@ -16,32 +16,18 @@ const char* to_string(TimeEngine engine) {
   return "?";
 }
 
-TimeSolver::TimeSolver(const Dfg& dfg, const CgraArch& arch,
+TimeSolver::TimeSolver(const Dfg& dfg, const CgraArch& arch, int ii,
                        TimeSolverOptions options)
     : dfg_(dfg),
       arch_(arch),
       options_(options),
-      mii_(compute_mii(dfg, arch)),
-      max_ii_(options.max_ii > 0
-                  ? options.max_ii
-                  : std::max(mii_.mii(), std::max(1, dfg.num_nodes()))),
-      ii_(std::max(mii_.mii(), options.min_ii)),
+      ii_(ii),
       critical_path_(critical_path_length(dfg)) {
   MONOMAP_ASSERT(dfg.num_nodes() > 0);
+  MONOMAP_ASSERT(ii >= 1);
 }
 
 TimeSolver::~TimeSolver() = default;
-
-void TimeSolver::enter_next_ii() {
-  formulation_.reset();
-  session_.reset();
-  ii_nogoods_.clear();
-  seen_nogoods_.clear();
-  instance_ok_ = false;
-  extension_ = -1;
-  reseed_salt_ = 0;
-  ++ii_;
-}
 
 int TimeSolver::first_extension_at_ii() {
   if (!options_.constraints.capacity) return 0;
@@ -57,33 +43,34 @@ int TimeSolver::first_extension_at_ii() {
 }
 
 bool TimeSolver::advance_instance() {
-  if (options_.engine == TimeEngine::kIncremental) {
-    for (;;) {
-      if (ii_ > max_ii_) return false;
+  const bool incremental = options_.engine == TimeEngine::kIncremental;
+  while (!exhausted_) {
+    if (extension_ < 0) {  // first instance
+      extension_ = first_extension_at_ii();
+      if (extension_ < 0) {
+        exhausted_ = true;
+        break;
+      }
+    } else if (extension_ < options_.max_horizon_extension) {
+      ++extension_;
+    } else {
+      exhausted_ = true;
+      break;
+    }
+    ++stats_.instances_built;
+    if (incremental) {
       if (!session_) {
-        const int first = first_extension_at_ii();
-        if (first < 0) {
-          enter_next_ii();
-          continue;
-        }
         session_ = std::make_unique<TimeSession>(
-            dfg_, arch_, ii_, options_.constraints, critical_path_ + first);
-        extension_ = first;
+            dfg_, arch_, ii_, options_.constraints,
+            critical_path_ + extension_);
         ++stats_.sessions_created;
-        ++stats_.instances_built;
         // Arm cross-II nogoods that were injected before the session
-        // existed (empty outside speculative runs).
+        // existed (empty outside certificate-sharing walks).
         for (const auto& nogood : ii_nogoods_) {
           session_->add_label_nogood(nogood);
         }
       } else {
-        if (extension_ >= options_.max_horizon_extension) {
-          enter_next_ii();
-          continue;
-        }
-        ++extension_;
         ++stats_.horizon_extensions;
-        ++stats_.instances_built;
         session_->extend_horizon();
       }
       if (session_->ok()) {
@@ -93,29 +80,11 @@ bool TimeSolver::advance_instance() {
       }
       // The session's formula died without assumptions: every further
       // extension is a superset, so the whole II is exhausted.
-      enter_next_ii();
+      exhausted_ = true;
+      break;
     }
-  }
-  for (;;) {
-    if (ii_ > max_ii_) {
-      return false;  // also covers mII already above the configured cap
-    }
-    if (extension_ < 0) {  // first instance of this II
-      extension_ = first_extension_at_ii();
-      if (extension_ < 0) {
-        enter_next_ii();
-        continue;
-      }
-    } else if (extension_ < options_.max_horizon_extension) {
-      ++extension_;
-    } else {
-      enter_next_ii();
-      continue;
-    }
-    const int horizon = critical_path_ + extension_;
     formulation_ = std::make_unique<TimeFormulation>(
-        dfg_, arch_, ii_, horizon, options_.constraints);
-    ++stats_.instances_built;
+        dfg_, arch_, ii_, critical_path_ + extension_, options_.constraints);
     if (formulation_->build()) {
       // Re-arm the space-conflict nogoods recorded at this II; a rebuild
       // must keep pruning exactly what the incremental session prunes.
@@ -135,13 +104,7 @@ bool TimeSolver::advance_instance() {
     // Unsatisfiable already at build time; try the next instance.
     instance_ok_ = false;
   }
-}
-
-bool TimeSolver::skip_to_next_ii() {
-  last_solution_.reset();
-  last_blocked_by_nogood_ = false;
-  enter_next_ii();
-  return ii_ <= max_ii_;
+  return false;
 }
 
 bool TimeSolver::add_space_nogood(const TimeSolution& solution,
@@ -215,7 +178,7 @@ bool TimeSolver::add_cross_ii_nogood(
   if (options_.engine == TimeEngine::kIncremental) {
     if (session_) session_->add_label_nogood(placements);
     // Queue for replay in case the II's session is created later (or not
-    // yet); enter_next_ii clears the queue with the II it belongs to.
+    // yet).
     ii_nogoods_.push_back(std::move(placements));
     return true;
   }
@@ -282,7 +245,6 @@ std::optional<TimeSolution> TimeSolver::next(const Deadline& deadline) {
                                            << solution.horizon);
       last_solution_ = solution;
       ++stats_.solutions_yielded;
-      stats_.final_ii = ii_;
       return solution;
     }
     if (status == SatStatus::kUnknown) {
@@ -298,7 +260,7 @@ std::optional<TimeSolution> TimeSolver::next(const Deadline& deadline) {
     // not rest on the horizon selector exhausts the whole II at once.
     instance_ok_ = false;
     if (incremental && session_ && session_->unsat_is_final()) {
-      enter_next_ii();
+      exhausted_ = true;
     }
   }
 }

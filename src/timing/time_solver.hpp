@@ -1,12 +1,13 @@
-// Time-dimension search driver (paper Sec. IV-B).
+// Time-dimension search at one II (paper Sec. IV-B).
 //
-// Sweeps II upward from mII. For each II it searches the KMS (optionally
-// with extended schedule horizons, which add mobility slack exactly like
-// SAT-MapIt's iterative schedule extension) and yields schedules. The
-// caller (DecoupledMapper) may ask for further, different-labelled
-// schedules after a space failure — and may feed the space phase's
-// conflict explanation back as a nogood that prunes whole families of
-// schedules, not just the failed label vector.
+// A TimeSolver searches the KMS of a single II (optionally with extended
+// schedule horizons, which add mobility slack exactly like SAT-MapIt's
+// iterative schedule extension) and yields schedules. The caller
+// (DecoupledMapper, whose II walk builds one solver per II attempt) may
+// ask for further, different-labelled schedules after a space failure —
+// and may feed the space phase's conflict explanation back as a nogood
+// that prunes whole families of schedules, not just the failed label
+// vector.
 //
 // Each II's search starts at its capacity floor (capacity_horizon_floor):
 // horizons whose windows cannot seat every node at most |PEs| per slot are
@@ -32,7 +33,6 @@
 #include <utility>
 #include <vector>
 
-#include "sched/mii.hpp"
 #include "timing/time_formulation.hpp"
 #include "timing/time_session.hpp"
 
@@ -54,13 +54,6 @@ const char* to_string(TimeEngine engine);
 struct TimeSolverOptions {
   TimeConstraintOptions constraints;
   TimeEngine engine = TimeEngine::kIncremental;
-  /// Highest II to try; 0 = automatic (max(mII, #nodes) — at II = #nodes a
-  /// fully sequential schedule always satisfies capacity and connectivity).
-  int max_ii = 0;
-  /// Lowest II to try; the search starts at max(mII, min_ii). Setting
-  /// min_ii == max_ii pins the solver to exactly one II — the speculative
-  /// mapper runs one such pinned solver per racing II.
-  int min_ii = 0;
   /// Extra schedule steps to try beyond the critical path at each II before
   /// giving the II up. Adds KMS folds, exactly like the paper's iterative
   /// MobS folding.
@@ -71,7 +64,6 @@ struct TimeSolverStats {
   int instances_built = 0;  // (II, extension) instances activated
   int sat_calls = 0;
   int solutions_yielded = 0;
-  int final_ii = 0;
   // Incremental-engine reuse counters (zero on the reference path where
   // noted).
   int sessions_created = 0;      // warm solvers built (one per II reached)
@@ -93,24 +85,19 @@ struct TimeSolverStats {
 
 class TimeSolver {
  public:
-  TimeSolver(const Dfg& dfg, const CgraArch& arch,
+  /// A search pinned to `ii` (>= 1). Below mII the search simply comes
+  /// back exhausted.
+  TimeSolver(const Dfg& dfg, const CgraArch& arch, int ii,
              TimeSolverOptions options = TimeSolverOptions{});
   ~TimeSolver();
   TimeSolver(const TimeSolver&) = delete;
   TimeSolver& operator=(const TimeSolver&) = delete;
 
-  /// Yield the next time solution. The first call returns a schedule at the
-  /// lowest feasible II >= mII; subsequent calls block the previously
-  /// returned label vector and continue the search (same II first, then
-  /// larger horizons, then larger IIs). Returns std::nullopt when the search
-  /// space is exhausted up to max_ii or the deadline expired (see
-  /// timed_out()).
+  /// Yield the next time solution. Subsequent calls block the previously
+  /// returned label vector and continue the search (same horizon first,
+  /// then larger horizons). Returns std::nullopt when the II's search space
+  /// is exhausted or the deadline expired (see timed_out()).
   std::optional<TimeSolution> next(const Deadline& deadline);
-
-  /// Abandon the current II entirely (the mapper calls this when several
-  /// schedules at this II failed in space) and continue at II+1. Returns
-  /// false if II+1 exceeds max_ii.
-  bool skip_to_next_ii();
 
   /// Record a space-conflict nogood against the current II: the subset
   /// `nodes` of `solution`'s nodes cannot jointly take their labelled
@@ -137,20 +124,14 @@ class TimeSolver {
   /// when the II's solver comes up. Returns true when the nogood was new.
   bool add_cross_ii_nogood(std::vector<std::pair<NodeId, int>> placements);
 
-  [[nodiscard]] int current_ii() const { return ii_; }
-  /// Effective inclusive II ceiling (options.max_ii, or the automatic
-  /// max(mII, #nodes) when unset).
-  [[nodiscard]] int max_ii() const { return max_ii_; }
   [[nodiscard]] bool timed_out() const { return timed_out_; }
   /// Subset of timed_out(): the stop came from the memory governor
   /// tripping, not the deadline — callers classify it as `memory`.
   [[nodiscard]] bool memory_out() const { return memory_out_; }
-  [[nodiscard]] const MiiBreakdown& mii() const { return mii_; }
   [[nodiscard]] const TimeSolverStats& stats() const { return stats_; }
 
  private:
-  bool advance_instance();  // move to next (ii, extension); false if done
-  void enter_next_ii();
+  bool advance_instance();  // move to the next extension; false if done
   // First extension worth a SAT call at the current II (its capacity
   // floor minus the critical path), or -1 when the floor rules out every
   // horizon up to max_horizon_extension.
@@ -159,13 +140,12 @@ class TimeSolver {
   const Dfg& dfg_;
   const CgraArch& arch_;
   TimeSolverOptions options_;
-  MiiBreakdown mii_;
-  int max_ii_;
   int ii_;
   int critical_path_;
   // Counted from the critical path; -1 until the current II's first
   // instance exists.
   int extension_ = -1;
+  bool exhausted_ = false;  // no horizon left to try at the II
   // kReference engine state: one formulation per (ii, extension), plus the
   // nogoods recorded at this II (rotations included) for re-application
   // after each rebuild. The incremental engine also queues cross-II

@@ -282,7 +282,7 @@ TEST(Anytime, RefutationBelowMiiIsSoundAndRefutedOutcome) {
   // Cap the search strictly below mII: the time phase refutes the whole
   // range without one SAT call — the strongest sound refutation there is.
   DecoupledMapperOptions opt = base_options();
-  opt.time.max_ii = feasible.mii.mii() - 1;
+  opt.max_ii = feasible.mii.mii() - 1;
   const MapResult r = DecoupledMapper(opt).map(b.dfg, arch);
   EXPECT_FALSE(r.success);
   EXPECT_EQ(r.outcome, MapOutcome::kRefuted);
@@ -500,10 +500,9 @@ TEST(FaultSweep, SpeculativeSurvivesPermanentFaults) {
   const CgraArch arch = CgraArch::square(4);
   DecoupledMapperOptions opt = base_options();
   opt.timeout_s = 20.0;
-  SpeculativeOptions spec;
-  spec.num_threads = 2;
-  const MapResult r =
-      DecoupledMapper(opt).map_speculative(b.dfg, arch, spec);
+  WalkOptions walk;
+  walk.lookahead = 1;
+  const MapResult r = DecoupledMapper(opt).map(b.dfg, arch, walk);
   EXPECT_FALSE(r.success);
   EXPECT_EQ(r.outcome, MapOutcome::kFault);
 }

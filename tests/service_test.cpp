@@ -196,25 +196,54 @@ TEST(KnowledgeStoreTest, DifferentOptionsOrSaltNeverShareMemoSlots) {
 // ---- warm starts ---------------------------------------------------------
 
 TEST(ServiceTest, WarmWalkMatchesSequentialAnswerWithEmptyStore) {
-  // map_warm seeded with nothing must agree with map() on ii/success —
-  // the warm path is the same walk, only the starting knowledge differs.
+  // A warm walk seeded with nothing must agree with map() on the answer
+  // and on the effort behind it — the warm path is the same walk, only
+  // the starting knowledge differs.
   const Deadline deadline(30.0);
+  const CgraArch arch(4, 4, Topology::kMesh);
+  const auto expect_same = [&](const char* name, MrrgModel model,
+                               const MapResult& cold, const MapResult& warm) {
+    EXPECT_EQ(cold.success, warm.success) << name;
+    EXPECT_EQ(cold.ii, warm.ii) << name;
+    EXPECT_EQ(cold.ii_lo, warm.ii_lo) << name;
+    EXPECT_EQ(cold.schedules_tried, warm.schedules_tried) << name;
+    EXPECT_EQ(cold.time_stats.sat_calls, warm.time_stats.sat_calls) << name;
+    if (warm.success) {
+      EXPECT_TRUE(
+          validate_mapping(benchmark_by_name(name).dfg, arch, warm.mapping,
+                           model)
+              .empty())
+          << name;
+    }
+  };
   for (const char* name : {"fft", "gsm", "nw", "susan"}) {
     const Dfg dfg = benchmark_by_name(name).dfg;
-    const CgraArch arch(4, 4, Topology::kMesh);
     const DecoupledMapper mapper{DecoupledMapperOptions{}};
     const MapResult cold = mapper.map(dfg, arch);
     CrossIiNogoodStore scratch;
-    const MapResult warm = mapper.map_warm(dfg, arch, deadline, &scratch, 0);
-    EXPECT_EQ(cold.success, warm.success) << name;
-    EXPECT_EQ(cold.ii, warm.ii) << name;
-    if (warm.success) {
-      EXPECT_TRUE(validate_mapping(dfg, arch, warm.mapping,
-                                   MrrgModel::kRegisterPersistence)
-                      .empty())
-          << name;
-    }
+    WalkOptions walk;
+    walk.store = &scratch;
+    const MapResult warm = mapper.map(dfg, arch, deadline, walk);
+    expect_same(name, MrrgModel::kRegisterPersistence, cold, warm);
   }
+  // Under the consecutive-only model certificates do not carry across
+  // IIs, so the walk must leave the store alone: hotspot3D then lands
+  // where map() does (II 5), not one II higher on certificate-pruned
+  // schedules.
+  DecoupledMapperOptions restricted;
+  restricted.space.model = MrrgModel::kConsecutiveOnly;
+  const DecoupledMapper mapper(restricted);
+  const Dfg dfg = benchmark_by_name("hotspot3D").dfg;
+  const MapResult cold = mapper.map(dfg, arch);
+  ASSERT_TRUE(cold.success) << cold.failure_reason;
+  EXPECT_EQ(cold.ii, 5);
+  CrossIiNogoodStore scratch;
+  WalkOptions walk;
+  walk.store = &scratch;
+  const MapResult warm = mapper.map(dfg, arch, deadline, walk);
+  expect_same("hotspot3D", MrrgModel::kConsecutiveOnly, cold, warm);
+  EXPECT_EQ(scratch.size(), 0u);
+  EXPECT_EQ(warm.nogoods_lifted_cross_ii, 0);
 }
 
 TEST(ServiceTest, WarmSecondRequestSameAnswerNoMoreSchedules) {

@@ -12,6 +12,7 @@
 #include <set>
 #include <string>
 
+#include "first_schedule.hpp"
 #include "mapper/decoupled_mapper.hpp"
 #include "space/monomorphism.hpp"
 #include "support/rng.hpp"
@@ -103,8 +104,7 @@ TEST(SpaceEngines, DifferentialOnScheduleRealisticInstances) {
     const bool hard = std::string(name) == "hotspot3D";
     const Benchmark& b = benchmark_by_name(name);
     const CgraArch arch = CgraArch::square(4);
-    TimeSolver solver(b.dfg, arch);
-    const auto sol = solver.next(Deadline(30.0));
+    const auto sol = first_schedule(b.dfg, arch, Deadline(30.0)).solution;
     ASSERT_TRUE(sol.has_value()) << name;
     std::vector<int> labels;
     for (NodeId v = 0; v < b.dfg.num_nodes(); ++v) {
@@ -289,8 +289,7 @@ TEST(SpaceEngines, DifferentialLargeGrid) {
   const CgraArch arch = CgraArch::square(32);
   for (const char* name : {"fft", "gsm"}) {
     const Benchmark& b = benchmark_by_name(name);
-    TimeSolver solver(b.dfg, arch);
-    const auto sol = solver.next(Deadline(30.0));
+    const auto sol = first_schedule(b.dfg, arch, Deadline(30.0)).solution;
     ASSERT_TRUE(sol.has_value()) << name;
     std::vector<int> labels;
     for (NodeId v = 0; v < b.dfg.num_nodes(); ++v) {
@@ -328,8 +327,7 @@ TEST(SpaceEngines, SimdLevelsAreTraceIdentical) {
     const CgraArch arch = CgraArch::square(side);
     for (const char* name : {"fft", "hotspot3D"}) {
       const Benchmark& b = benchmark_by_name(name);
-      TimeSolver solver(b.dfg, arch);
-      const auto sol = solver.next(Deadline(30.0));
+      const auto sol = first_schedule(b.dfg, arch, Deadline(30.0)).solution;
       ASSERT_TRUE(sol.has_value()) << name;
       std::vector<int> labels;
       for (NodeId v = 0; v < b.dfg.num_nodes(); ++v) {
@@ -401,8 +399,7 @@ TEST(SpaceEngines, TiledAndUntiledLayoutsAreTraceIdentical) {
   {
     const Benchmark& b = benchmark_by_name("fft");
     const CgraArch arch = CgraArch::square(32);
-    TimeSolver solver(b.dfg, arch);
-    const auto sol = solver.next(Deadline(30.0));
+    const auto sol = first_schedule(b.dfg, arch, Deadline(30.0)).solution;
     ASSERT_TRUE(sol.has_value());
     std::vector<int> labels;
     for (NodeId v = 0; v < b.dfg.num_nodes(); ++v) {
@@ -434,8 +431,7 @@ TEST(SpaceEngines, SparseMrvAgreesWithDynamicMrvOnSuite) {
   const CgraArch arch = CgraArch::square(8);
   int found_count = 0;
   for (const Benchmark& b : benchmark_suite()) {
-    TimeSolver solver(b.dfg, arch);
-    const auto sol = solver.next(Deadline(30.0));
+    const auto sol = first_schedule(b.dfg, arch, Deadline(30.0)).solution;
     ASSERT_TRUE(sol.has_value()) << b.name;
     std::vector<int> labels;
     for (NodeId v = 0; v < b.dfg.num_nodes(); ++v) {
@@ -534,8 +530,7 @@ TEST(SpaceEngines, BitsetPrunesAtLeastAsHard) {
   // one-step lookahead on the same static order.
   const Benchmark& b = benchmark_by_name("hotspot3D");
   const CgraArch arch = CgraArch::square(4);
-  TimeSolver solver(b.dfg, arch);
-  const auto sol = solver.next(Deadline(30.0));
+  const auto sol = first_schedule(b.dfg, arch, Deadline(30.0)).solution;
   ASSERT_TRUE(sol.has_value());
   std::vector<int> labels;
   for (NodeId v = 0; v < b.dfg.num_nodes(); ++v) {
@@ -556,8 +551,7 @@ TEST(SpaceEngines, BitsetPrunesAtLeastAsHard) {
 TEST(SpaceEngines, BudgetAndDeadlineReporting) {
   const Benchmark& b = benchmark_by_name("hotspot3D");
   const CgraArch arch = CgraArch::square(4);
-  TimeSolver solver(b.dfg, arch);
-  const auto sol = solver.next(Deadline(30.0));
+  const auto sol = first_schedule(b.dfg, arch, Deadline(30.0)).solution;
   ASSERT_TRUE(sol.has_value());
   std::vector<int> labels;
   for (NodeId v = 0; v < b.dfg.num_nodes(); ++v) {

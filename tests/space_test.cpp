@@ -1,6 +1,7 @@
 // Tests for the monomorphism space search (paper Sec. IV-C).
 #include <gtest/gtest.h>
 
+#include "first_schedule.hpp"
 #include "space/monomorphism.hpp"
 #include "timing/time_solver.hpp"
 #include "workloads/running_example.hpp"
@@ -47,8 +48,8 @@ std::vector<int> labels_of(const TimeSolution& sol, const Dfg& dfg) {
 TEST(Monomorphism, RunningExamplePlacesOn2x2) {
   const Dfg dfg = running_example_dfg();
   const CgraArch arch = CgraArch::square(2);
-  TimeSolver time_solver(dfg, arch);
-  const auto sol = time_solver.next(Deadline::unlimited());
+  const auto sol =
+      first_schedule(dfg, arch, Deadline::unlimited()).solution;
   ASSERT_TRUE(sol.has_value());
   const auto labels = labels_of(*sol, dfg);
   const SpaceResult result = find_monomorphism(dfg, arch, labels, sol->ii);
@@ -116,7 +117,7 @@ TEST(Monomorphism, ConsecutiveOnlyModelRejectsLongSpans) {
 TEST(Monomorphism, OrderHeuristicsAllSucceedOnSuiteSchedules) {
   const Benchmark& b = benchmark_by_name("gsm");
   const CgraArch arch = CgraArch::square(4);
-  TimeSolver time_solver(b.dfg, arch);
+  TimeSolver time_solver(b.dfg, arch, compute_mii(b.dfg, arch).mii());
   // Not every yielded schedule is spatially feasible (which exact label
   // vector comes first depends on the time engine's model order); walk to
   // the first placeable one — the complete default search decides that
@@ -148,8 +149,8 @@ TEST(Monomorphism, OrderHeuristicsAllSucceedOnSuiteSchedules) {
 TEST(Monomorphism, SymmetryBreakingPreservesCompleteness) {
   const Dfg dfg = running_example_dfg();
   const CgraArch arch = CgraArch::square(2);
-  TimeSolver time_solver(dfg, arch);
-  const auto sol = time_solver.next(Deadline::unlimited());
+  const auto sol =
+      first_schedule(dfg, arch, Deadline::unlimited()).solution;
   ASSERT_TRUE(sol.has_value());
   const auto labels = labels_of(*sol, dfg);
   SpaceOptions with;
@@ -165,8 +166,8 @@ TEST(Monomorphism, BacktrackBudgetReportsTimeout) {
   // backtracking, with a budget of 1.
   const Benchmark& b = benchmark_by_name("hotspot3D");
   const CgraArch arch = CgraArch::square(4);
-  TimeSolver time_solver(b.dfg, arch);
-  const auto sol = time_solver.next(Deadline::unlimited());
+  const auto sol =
+      first_schedule(b.dfg, arch, Deadline::unlimited()).solution;
   ASSERT_TRUE(sol.has_value());
   const auto labels = labels_of(*sol, b.dfg);
   SpaceOptions opt;
@@ -186,8 +187,8 @@ TEST(Monomorphism, BacktrackBudgetReportsTimeout) {
 TEST(Monomorphism, DeadlineExpiresCleanly) {
   const Benchmark& b = benchmark_by_name("cfd");
   const CgraArch arch = CgraArch::square(8);
-  TimeSolver time_solver(b.dfg, arch);
-  const auto sol = time_solver.next(Deadline::unlimited());
+  const auto sol =
+      first_schedule(b.dfg, arch, Deadline::unlimited()).solution;
   ASSERT_TRUE(sol.has_value());
   const auto labels = labels_of(*sol, b.dfg);
   const Deadline expired(0.0);

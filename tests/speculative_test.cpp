@@ -1,15 +1,17 @@
-// Speculative cross-II race (map_speculative) and the cross-II
-// slot-partition certificate store.
+// Speculative cross-II race (a walk with lookahead above 0) and the
+// cross-II slot-partition certificate store.
 //
 // The load-bearing property is determinism: the race may only buy wall
 // clock, never change the answer — the committed II must equal what the
-// sequential map() walk finds, because a feasible II commits only after
-// every strictly smaller II has been refuted. The tests here pin that
-// agreement across the suite and random DFGs, check the certificate
+// lookahead-0 walk finds, because a feasible II commits only after every
+// strictly smaller II has been refuted, and without a store every attempt
+// is a pure function of its II. The tests here pin that agreement (answer
+// and effort) across the suite and random DFGs, check the certificate
 // machinery's soundness against both time engines, and stress the
 // cancellation plumbing (run these under ThreadSanitizer via
 // -DMONOMAP_TSAN=ON to check the pool and store synchronisation).
 #include <chrono>
+#include <string>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -28,39 +30,43 @@ DecoupledMapperOptions fast_options() {
   return opt;
 }
 
-SpeculativeOptions race_options() {
-  SpeculativeOptions spec;
-  spec.num_threads = 4;  // clamped to the machine's cores internally
-  spec.lookahead = 2;
-  return spec;
+WalkOptions race_options(int lookahead = 2) {
+  WalkOptions walk;
+  walk.lookahead = lookahead;  // a pool of lookahead + 1 workers, clamped
+  return walk;
 }
 
-SpeculativeOptions warm_options() {
-  SpeculativeOptions spec = race_options();
-  spec.share_nogoods = true;
-  return spec;
+/// The race agrees with the sequential walk on the answer and on the
+/// effort behind it: the frontier merges exactly the attempts the
+/// sequential walk runs, so the deterministic counters match too.
+void expect_same_walk(const MapResult& seq, const MapResult& spec,
+                      const std::string& what) {
+  ASSERT_EQ(seq.success, spec.success) << what << ": " << spec.failure_reason;
+  EXPECT_EQ(seq.ii, spec.ii) << what;
+  EXPECT_EQ(seq.ii_lo, spec.ii_lo) << what;
+  EXPECT_EQ(seq.schedules_tried, spec.schedules_tried) << what;
+  EXPECT_EQ(seq.time_stats.sat_calls, spec.time_stats.sat_calls) << what;
 }
 
-/// Determinism on the suite: the default (cold) race and sequential agree
-/// on feasibility and on the exact final II. Grid 5 is load-bearing: it
-/// is where a certificate-warmed walk historically settled one II above
-/// sequential on hotspot3D (which is why share_nogoods defaults to off).
+/// Determinism on the suite: the cold race and the sequential walk agree
+/// on feasibility, the exact final II and the effort. Grid 5 is
+/// load-bearing: it is where a certificate-sharing walk historically
+/// settled one II above sequential on hotspot3D (which is why the race
+/// shares no certificates unless given a store).
 TEST(SpeculativeMapper, MatchesSequentialOnSuiteGrids) {
   const DecoupledMapper mapper(fast_options());
   for (const char* name : {"bitcount", "fft", "nw", "hotspot3D", "cfd"}) {
     const Benchmark& b = benchmark_by_name(name);
     for (const int side : {4, 5, 8}) {
       const CgraArch arch = CgraArch::square(side);
+      const std::string what =
+          std::string(name) + " " + std::to_string(side) + "x" +
+          std::to_string(side);
       const MapResult seq = mapper.map(b.dfg, arch);
-      const MapResult spec = mapper.map_speculative(b.dfg, arch,
-                                                    race_options());
-      ASSERT_EQ(seq.success, spec.success)
-          << name << " " << side << "x" << side << ": "
-          << spec.failure_reason;
+      const MapResult spec = mapper.map(b.dfg, arch, race_options());
+      expect_same_walk(seq, spec, what);
       if (seq.success) {
-        EXPECT_EQ(seq.ii, spec.ii) << name << " " << side << "x" << side;
-        EXPECT_TRUE(mapping_is_valid(b.dfg, arch, spec.mapping))
-            << name << " " << side << "x" << side;
+        EXPECT_TRUE(mapping_is_valid(b.dfg, arch, spec.mapping)) << what;
       }
     }
   }
@@ -76,27 +82,23 @@ TEST(SpeculativeMapper, MatchesSequentialOnRandomDfgs) {
     dfg_spec.seed = seed;
     const Dfg dfg = random_dfg(dfg_spec);
     const MapResult seq = mapper.map(dfg, arch);
-    const MapResult spec = mapper.map_speculative(dfg, arch, race_options());
-    ASSERT_EQ(seq.success, spec.success) << "seed " << seed;
+    const MapResult spec = mapper.map(dfg, arch, race_options());
+    expect_same_walk(seq, spec, "seed " + std::to_string(seed));
     if (seq.success) {
-      EXPECT_EQ(seq.ii, spec.ii) << "seed " << seed;
       EXPECT_TRUE(mapping_is_valid(dfg, arch, spec.mapping)) << seed;
     }
   }
 }
 
-/// Lookahead 0 degenerates to a pinned-II replay of the sequential walk
-/// and must still agree.
-TEST(SpeculativeMapper, ZeroLookaheadStillMatches) {
+/// The narrowest race — one II beyond the frontier on two workers, the
+/// shape every map_batch case takes — must still agree.
+TEST(SpeculativeMapper, LookaheadOneStillMatches) {
   const DecoupledMapper mapper(fast_options());
   const Benchmark& b = benchmark_by_name("hotspot3D");
   const CgraArch arch = CgraArch::square(4);
-  SpeculativeOptions spec = race_options();
-  spec.lookahead = 0;
   const MapResult seq = mapper.map(b.dfg, arch);
-  const MapResult r = mapper.map_speculative(b.dfg, arch, spec);
-  ASSERT_EQ(seq.success, r.success) << r.failure_reason;
-  EXPECT_EQ(seq.ii, r.ii);
+  const MapResult r = mapper.map(b.dfg, arch, race_options(1));
+  expect_same_walk(seq, r, "hotspot3D 4x4");
 }
 
 /// map_at_ii is the exact per-II policy of map(): pinned below the
@@ -164,7 +166,7 @@ TEST(SpeculativeMapper, CrossIiCertificatesAreSoundOnBothEngines) {
   }
 }
 
-/// The warm (share_nogoods) flavour gives up bit-exact agreement with
+/// The warm (certificate-sharing) race gives up bit-exact agreement with
 /// sequential — certificate arrival can move the retry policy's give-up
 /// points — but never soundness: it must always produce a mapping that
 /// validates, at an II no better than feasibility allows.
@@ -174,8 +176,10 @@ TEST(SpeculativeMapper, WarmStartStaysSoundAndValid) {
     const Benchmark& b = benchmark_by_name(name);
     for (const int side : {5, 8}) {
       const CgraArch arch = CgraArch::square(side);
-      const MapResult r =
-          mapper.map_speculative(b.dfg, arch, warm_options());
+      CrossIiNogoodStore store;
+      WalkOptions walk = race_options();
+      walk.store = &store;
+      const MapResult r = mapper.map(b.dfg, arch, walk);
       ASSERT_TRUE(r.success) << name << " " << side << ": "
                              << r.failure_reason;
       EXPECT_GE(r.ii, r.mii.mii()) << name << " " << side;
@@ -261,8 +265,10 @@ TEST(SpeculativeMapper, CancellationStress) {
       std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
       cancel.cancel();
     });
-    const MapResult r =
-        mapper.map_speculative(b.dfg, arch, deadline, warm_options());
+    CrossIiNogoodStore store;
+    WalkOptions walk = race_options();
+    walk.store = &store;
+    const MapResult r = mapper.map(b.dfg, arch, deadline, walk);
     axe.join();
     if (r.success) {
       // The race beat the axe; the mapping must still be a real one.
@@ -281,7 +287,7 @@ TEST(SpeculativeMapper, ExpiredDeadlineIsNotReportedAsCancelled) {
   const Benchmark& b = benchmark_by_name("fft");
   const CgraArch arch = CgraArch::square(4);
   const MapResult r =
-      mapper.map_speculative(b.dfg, arch, Deadline(0.0), race_options());
+      mapper.map(b.dfg, arch, Deadline(0.0), race_options());
   EXPECT_FALSE(r.success);
   EXPECT_TRUE(r.timed_out);
   EXPECT_FALSE(r.cancelled);

@@ -5,8 +5,9 @@
 // mapper-internal validation.
 #include <gtest/gtest.h>
 
+#include "first_schedule.hpp"
 #include "mapper/decoupled_mapper.hpp"
-#include "timing/time_solver.hpp"
+#include "sched/mii.hpp"
 #include "workloads/suite.hpp"
 
 namespace monomap {
@@ -23,14 +24,13 @@ TEST_P(ConstraintSweep, FirstScheduleSatisfiesAllConstraintFamilies) {
   const Benchmark& b =
       benchmark_suite()[static_cast<std::size_t>(GetParam().bench)];
   const CgraArch arch = CgraArch::square(GetParam().grid);
-  TimeSolver solver(b.dfg, arch);
-  const auto sol = solver.next(Deadline(30.0));
+  const auto sol = first_schedule(b.dfg, arch, Deadline(30.0)).solution;
   if (!sol.has_value()) {
     GTEST_SKIP() << "no schedule within budget";
   }
   const Graph& g = b.dfg.graph();
   const int ii = sol->ii;
-  ASSERT_GE(ii, solver.mii().mii());
+  ASSERT_GE(ii, compute_mii(b.dfg, arch).mii());
 
   // 1. Modulo-scheduling constraints.
   for (EdgeId e = 0; e < g.num_edges(); ++e) {

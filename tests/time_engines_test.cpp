@@ -2,18 +2,21 @@
 // TimeSession, assumption-based horizon activation, space-conflict nogood
 // feedback) against the rebuild-per-instance reference engine.
 //
-// Both engines sweep the same (II, horizon-extension) instance lattice, so
-// for any workload they must agree on the final II (the instances are
-// decided exactly, not heuristically), and every yielded schedule must
-// satisfy the time constraints. The mapper-level sweep additionally checks
-// the full decoupled pipeline — including instances where the space phase
-// fails and feeds nogoods back — and the restricted consecutive-slots mode.
+// Both engines sweep the same horizon-extension instances at each II, so
+// walking IIs from mII up they must agree on the first II with a schedule
+// (the instances are decided exactly, not heuristically), and every
+// yielded schedule must satisfy the time constraints. The mapper-level
+// sweep additionally checks the full decoupled pipeline — including
+// instances where the space phase fails and feeds nogoods back — and the
+// restricted consecutive-slots mode.
 #include <gtest/gtest.h>
 
 #include <optional>
 #include <vector>
 
+#include "first_schedule.hpp"
 #include "mapper/decoupled_mapper.hpp"
+#include "sched/mii.hpp"
 #include "timing/time_solver.hpp"
 #include "workloads/running_example.hpp"
 #include "workloads/suite.hpp"
@@ -49,16 +52,20 @@ TimeSolverOptions engine_options(TimeEngine engine) {
   return opt;
 }
 
+/// One engine's first schedule, walking IIs from mII up.
+FirstSchedule first_schedule(const Dfg& dfg, const CgraArch& arch,
+                             TimeEngine engine) {
+  return first_schedule(dfg, arch, Deadline(60.0), engine_options(engine));
+}
+
 TEST(TimeEngines, DifferentialFirstSolutionOnSuite) {
   const CgraArch arch = CgraArch::square(4);
   for (const char* name : {"gsm", "fft", "susan", "hotspot3D", "nw"}) {
     const Benchmark& b = benchmark_by_name(name);
-    TimeSolver incremental(b.dfg, arch,
-                           engine_options(TimeEngine::kIncremental));
-    TimeSolver reference(b.dfg, arch,
-                         engine_options(TimeEngine::kReference));
-    const auto inc = incremental.next(Deadline(60.0));
-    const auto ref = reference.next(Deadline(60.0));
+    const auto inc =
+        first_schedule(b.dfg, arch, TimeEngine::kIncremental).solution;
+    const auto ref =
+        first_schedule(b.dfg, arch, TimeEngine::kReference).solution;
     ASSERT_TRUE(inc.has_value()) << name;
     ASSERT_TRUE(ref.has_value()) << name;
     EXPECT_EQ(inc->ii, ref->ii) << name;
@@ -73,17 +80,17 @@ TEST(TimeEngines, DifferentialOnSuiteAt2x2) {
   // first II, and map every suite DFG at the same II.
   const CgraArch arch = CgraArch::square(2);
   for (const Benchmark& b : benchmark_suite()) {
-    TimeSolver incremental(b.dfg, arch,
-                           engine_options(TimeEngine::kIncremental));
-    TimeSolver reference(b.dfg, arch,
-                         engine_options(TimeEngine::kReference));
-    const auto inc = incremental.next(Deadline(60.0));
-    const auto ref = reference.next(Deadline(60.0));
+    const FirstSchedule incremental =
+        first_schedule(b.dfg, arch, TimeEngine::kIncremental);
+    const FirstSchedule reference =
+        first_schedule(b.dfg, arch, TimeEngine::kReference);
+    const auto& inc = incremental.solution;
+    const auto& ref = reference.solution;
     ASSERT_TRUE(inc.has_value()) << b.name;
     ASSERT_TRUE(ref.has_value()) << b.name;
     EXPECT_EQ(inc->ii, ref->ii) << b.name;
-    EXPECT_EQ(incremental.stats().capacity_refuted_horizons,
-              reference.stats().capacity_refuted_horizons)
+    EXPECT_EQ(incremental.capacity_refuted_horizons,
+              reference.capacity_refuted_horizons)
         << b.name;
     expect_time_feasible(b.dfg, arch, *inc);
     expect_time_feasible(b.dfg, arch, *ref);
@@ -111,12 +118,9 @@ TEST(TimeEngines, DifferentialOnSyntheticDfgs) {
     spec.num_nodes = 8 + static_cast<int>(seed) * 3;  // 11..26 nodes
     spec.seed = seed * 7919;
     const Dfg dfg = random_dfg(spec);
-    TimeSolver incremental(dfg, arch,
-                           engine_options(TimeEngine::kIncremental));
-    TimeSolver reference(dfg, arch,
-                         engine_options(TimeEngine::kReference));
-    const auto inc = incremental.next(Deadline(60.0));
-    const auto ref = reference.next(Deadline(60.0));
+    const auto inc =
+        first_schedule(dfg, arch, TimeEngine::kIncremental).solution;
+    const auto ref = first_schedule(dfg, arch, TimeEngine::kReference).solution;
     ASSERT_EQ(inc.has_value(), ref.has_value()) << "seed " << seed;
     if (!inc.has_value()) continue;
     EXPECT_EQ(inc->ii, ref->ii) << "seed " << seed;
@@ -128,18 +132,21 @@ TEST(TimeEngines, DifferentialOnSyntheticDfgs) {
 TEST(TimeEngines, EnumerationYieldsDistinctVectorsAtMatchingIis) {
   const Dfg dfg = running_example_dfg();
   const CgraArch arch = CgraArch::square(2);
-  TimeSolver incremental(dfg, arch,
+  const int ii = compute_mii(dfg, arch).mii();
+  TimeSolver incremental(dfg, arch, ii,
                          engine_options(TimeEngine::kIncremental));
-  TimeSolver reference(dfg, arch, engine_options(TimeEngine::kReference));
+  TimeSolver reference(dfg, arch, ii,
+                       engine_options(TimeEngine::kReference));
   std::vector<std::vector<int>> seen;
   for (int round = 0; round < 6; ++round) {
     const auto inc = incremental.next(Deadline::unlimited());
     const auto ref = reference.next(Deadline::unlimited());
+    // The engines enumerate the same label vectors at the II; the order
+    // may differ (different solver states), but they run out together.
     ASSERT_EQ(inc.has_value(), ref.has_value());
     if (!inc.has_value()) break;
-    // The engines walk the same II lattice; within an II the solution
-    // order may differ (different solver states), but the IIs must track.
-    EXPECT_EQ(inc->ii, ref->ii);
+    EXPECT_EQ(inc->ii, ii);
+    EXPECT_EQ(ref->ii, ii);
     expect_time_feasible(dfg, arch, *inc);
     std::vector<int> labels;
     for (NodeId v = 0; v < dfg.num_nodes(); ++v) {
@@ -161,26 +168,11 @@ TEST(TimeEngines, HorizonExtensionParity) {
   const CgraArch arch(1, 1);
   for (const TimeEngine engine :
        {TimeEngine::kIncremental, TimeEngine::kReference}) {
-    TimeSolver solver(dfg, arch, engine_options(engine));
+    TimeSolver solver(dfg, arch, 5, engine_options(engine));
     const auto sol = solver.next(Deadline::unlimited());
     ASSERT_TRUE(sol.has_value()) << to_string(engine);
     EXPECT_EQ(sol->ii, 5) << to_string(engine);
     EXPECT_GE(sol->horizon, 5) << to_string(engine);
-  }
-}
-
-TEST(TimeEngines, SkipToNextIiParity) {
-  const Dfg dfg = running_example_dfg();
-  const CgraArch arch = CgraArch::square(2);
-  for (const TimeEngine engine :
-       {TimeEngine::kIncremental, TimeEngine::kReference}) {
-    TimeSolver solver(dfg, arch, engine_options(engine));
-    const auto first = solver.next(Deadline::unlimited());
-    ASSERT_TRUE(first.has_value());
-    ASSERT_TRUE(solver.skip_to_next_ii());
-    const auto second = solver.next(Deadline::unlimited());
-    ASSERT_TRUE(second.has_value());
-    EXPECT_EQ(second->ii, first->ii + 1) << to_string(engine);
   }
 }
 
@@ -247,7 +239,7 @@ TEST(TimeEngines, MapperDifferentialRestrictedMode) {
       opt.timeout_s = 120.0;
       opt.time.engine = engine;
       opt.space.model = MrrgModel::kConsecutiveOnly;
-      if (!c.mappable) opt.time.max_ii = 8;  // cap the exhaustion sweep
+      if (!c.mappable) opt.max_ii = 8;  // cap the exhaustion sweep
       const MapResult r = DecoupledMapper(opt).map(*c.dfg, arch);
       EXPECT_EQ(r.success, c.mappable)
           << c.name << " " << to_string(engine) << ": " << r.failure_reason;

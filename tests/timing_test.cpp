@@ -1,7 +1,8 @@
 // Tests for the time formulation and time solver (paper Sec. IV-B):
-// constraint semantics, II sweep, horizon extension, solution enumeration.
+// constraint semantics, horizon extension, solution enumeration.
 #include <gtest/gtest.h>
 
+#include "sched/mii.hpp"
 #include "timing/time_formulation.hpp"
 #include "timing/time_session.hpp"
 #include "timing/time_solver.hpp"
@@ -271,8 +272,8 @@ TEST(TimeSession, NogoodPrunesPlacementFamily) {
 TEST(TimeSolver, StartsAtMiiAndYields) {
   const Dfg dfg = running_example_dfg();
   const CgraArch arch = CgraArch::square(2);
-  TimeSolver solver(dfg, arch);
-  EXPECT_EQ(solver.mii().mii(), 4);
+  EXPECT_EQ(compute_mii(dfg, arch).mii(), 4);
+  TimeSolver solver(dfg, arch, 4);
   const auto sol = solver.next(Deadline::unlimited());
   ASSERT_TRUE(sol.has_value());
   EXPECT_EQ(sol->ii, 4);
@@ -282,7 +283,7 @@ TEST(TimeSolver, StartsAtMiiAndYields) {
 TEST(TimeSolver, EnumerationYieldsDistinctLabelVectors) {
   const Dfg dfg = running_example_dfg();
   const CgraArch arch = CgraArch::square(2);
-  TimeSolver solver(dfg, arch);
+  TimeSolver solver(dfg, arch, 4);
   std::vector<std::vector<int>> seen;
   for (int round = 0; round < 5; ++round) {
     const auto sol = solver.next(Deadline::unlimited());
@@ -299,18 +300,6 @@ TEST(TimeSolver, EnumerationYieldsDistinctLabelVectors) {
   EXPECT_GE(seen.size(), 2u);
 }
 
-TEST(TimeSolver, SkipToNextIiRaisesIi) {
-  const Dfg dfg = running_example_dfg();
-  const CgraArch arch = CgraArch::square(2);
-  TimeSolver solver(dfg, arch);
-  const auto first = solver.next(Deadline::unlimited());
-  ASSERT_TRUE(first.has_value());
-  ASSERT_TRUE(solver.skip_to_next_ii());
-  const auto second = solver.next(Deadline::unlimited());
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->ii, first->ii + 1);
-}
-
 TEST(TimeSolver, HorizonExtensionUnlocksTightCapacity) {
   // A 4-node chain on a 1x1 grid: capacity 1/slot. At II=4 with horizon 4
   // (critical path) each node has a fixed slot — feasible. But 5 nodes with
@@ -318,10 +307,10 @@ TEST(TimeSolver, HorizonExtensionUnlocksTightCapacity) {
   const Dfg dfg = Dfg::from_edges(
       "chain5", 5, {{0, 1, 0}, {1, 2, 0}, {2, 3, 0}, {0, 4, 0}});
   const CgraArch arch(1, 1);
-  TimeSolver solver(dfg, arch);
+  TimeSolver solver(dfg, arch, 5);  // ResII = 5 on one PE
   const auto sol = solver.next(Deadline::unlimited());
   ASSERT_TRUE(sol.has_value());
-  EXPECT_EQ(sol->ii, 5);  // ResII = 5 on one PE
+  EXPECT_EQ(sol->ii, 5);
   // Node 4 must move off node 1's slot: needs horizon > critical path.
   EXPECT_GE(sol->horizon, 5);
   expect_solution_feasible(dfg, arch, *sol, false);
@@ -353,7 +342,7 @@ TEST(TimeSolver, CapacityFloorSkipsPigeonholeHorizons) {
        {TimeEngine::kIncremental, TimeEngine::kReference}) {
     TimeSolverOptions opt;
     opt.engine = engine;
-    TimeSolver solver(dfg, arch, opt);
+    TimeSolver solver(dfg, arch, 5, opt);
     const auto sol = solver.next(Deadline::unlimited());
     ASSERT_TRUE(sol.has_value()) << to_string(engine);
     EXPECT_EQ(sol->ii, 5) << to_string(engine);
@@ -367,7 +356,7 @@ TEST(TimeSolver, CapacityFloorSkipsPigeonholeHorizons) {
 
 TEST(TimeSolver, CapacityFloorExhaustsIiWithoutASolver) {
   // Six edge-free nodes on one PE share the window [0, h-1]: with at most
-  // two extensions (h <= 3) no II can seat them, so the whole range is
+  // two extensions (h <= 3) no II can seat them, so IIs 6 (mII) and 7 are
   // refuted by matching alone — no session, no formulation, no SAT call.
   const Dfg dfg = Dfg::from_edges("six", 6, {});
   const CgraArch arch(1, 1);
@@ -376,16 +365,17 @@ TEST(TimeSolver, CapacityFloorExhaustsIiWithoutASolver) {
     TimeSolverOptions opt;
     opt.engine = engine;
     opt.max_horizon_extension = 2;
-    opt.max_ii = 7;
-    TimeSolver solver(dfg, arch, opt);
-    EXPECT_FALSE(solver.next(Deadline::unlimited()).has_value());
-    EXPECT_FALSE(solver.timed_out()) << to_string(engine);
-    EXPECT_EQ(solver.stats().sat_calls, 0) << to_string(engine);
-    EXPECT_EQ(solver.stats().instances_built, 0) << to_string(engine);
-    EXPECT_EQ(solver.stats().sessions_created, 0) << to_string(engine);
-    // IIs 6 and 7, three horizons each.
-    EXPECT_EQ(solver.stats().capacity_refuted_horizons, 6)
-        << to_string(engine);
+    for (int ii = 6; ii <= 7; ++ii) {
+      TimeSolver solver(dfg, arch, ii, opt);
+      EXPECT_FALSE(solver.next(Deadline::unlimited()).has_value());
+      EXPECT_FALSE(solver.timed_out()) << to_string(engine) << " II " << ii;
+      EXPECT_EQ(solver.stats().sat_calls, 0) << to_string(engine);
+      EXPECT_EQ(solver.stats().instances_built, 0) << to_string(engine);
+      EXPECT_EQ(solver.stats().sessions_created, 0) << to_string(engine);
+      // Three horizons per II.
+      EXPECT_EQ(solver.stats().capacity_refuted_horizons, 3)
+          << to_string(engine) << " II " << ii;
+    }
   }
   // The CNF agrees: every one of those horizons is unsatisfiable.
   for (int ii = 6; ii <= 7; ++ii) {
@@ -405,7 +395,7 @@ TEST(TimeSolver, CapacityFloorIsOffWithoutCapacityConstraints) {
   const CgraArch arch(1, 1);
   TimeSolverOptions opt;
   opt.constraints.capacity = false;
-  TimeSolver solver(dfg, arch, opt);
+  TimeSolver solver(dfg, arch, 5, opt);
   const auto sol = solver.next(Deadline::unlimited());
   ASSERT_TRUE(sol.has_value());
   EXPECT_EQ(sol->horizon, 4);
@@ -414,21 +404,21 @@ TEST(TimeSolver, CapacityFloorIsOffWithoutCapacityConstraints) {
 
 TEST(TimeSolver, ReportsExhaustionOnImpossibleInstance) {
   // Zero-distance cycle would throw earlier; instead: impossible capacity
-  // with max_ii capped below requirement.
+  // at every II below the requirement.
   const Dfg dfg = Dfg::from_edges("six", 6, {});
   const CgraArch arch(1, 1);
-  TimeSolverOptions opt;
-  opt.max_ii = 3;  // needs II >= 6 on a single PE
-  TimeSolver solver(dfg, arch, opt);
-  const auto sol = solver.next(Deadline::unlimited());
-  EXPECT_FALSE(sol.has_value());
-  EXPECT_FALSE(solver.timed_out());
+  for (int ii = 1; ii <= 3; ++ii) {  // needs II >= 6 on a single PE
+    TimeSolver solver(dfg, arch, ii);
+    const auto sol = solver.next(Deadline::unlimited());
+    EXPECT_FALSE(sol.has_value()) << "II " << ii;
+    EXPECT_FALSE(solver.timed_out()) << "II " << ii;
+  }
 }
 
 TEST(TimeSolver, DeadlineShortCircuits) {
   const Dfg dfg = benchmark_by_name("hotspot3D").dfg;
   const CgraArch arch = CgraArch::square(5);
-  TimeSolver solver(dfg, arch);
+  TimeSolver solver(dfg, arch, compute_mii(dfg, arch).mii());
   const auto sol = solver.next(Deadline(0.0));
   EXPECT_FALSE(sol.has_value());
   EXPECT_TRUE(solver.timed_out());

@@ -42,9 +42,9 @@ struct CliOptions {
   std::string mapper = "decoupled";
   TimeEngine time_engine = TimeEngine::kIncremental;
   bool restricted = false;
-  int threads = 0;   // portfolio/speculative mappers: 0 = auto
+  int threads = 0;   // portfolio mapper and batch: 0 = auto
   int lookahead = 2;  // speculative mapper: IIs raced beyond the frontier
-  bool share_nogoods = false;  // speculative: cross-II cert warm start
+  bool share_nogoods = false;  // walk with a cross-II certificate store
   std::uint64_t space_budget = 0;    // valid only when space_budget_set
   bool space_budget_set = false;     // --space-budget given (0 = unlimited)
   std::uint64_t shrink_divisor = 0;  // 0 = keep the mapper default
@@ -67,8 +67,11 @@ struct CliOptions {
       "  map <bench|file.dfg> [--grid N] [--topology mesh|torus|diagonal]\n"
       "      [--timeout S]\n"
       "      [--mapper decoupled|speculative|portfolio|coupled|anneal]\n"
-      "      [--time-engine incremental|reference] [--threads N]\n"
-      "      [--lookahead N] [--share-nogoods]\n"
+      "      [--time-engine incremental|reference]\n"
+      "      [--threads N]     (portfolio workers)\n"
+      "      [--lookahead N]   (speculative: IIs raced beyond the frontier)\n"
+      "      [--share-nogoods] (decoupled/speculative: share slot-partition\n"
+      "                         certificates across the walk's IIs)\n"
       "      [--space-budget N] [--shrink-divisor N] [--no-adaptive-budget]\n"
       "      [--no-distance2] [--no-backjump] [--restricted] [--out FILE]\n"
       "      [--space-order dynamic-mrv|sparse-mrv|static]\n"
@@ -77,8 +80,9 @@ struct CliOptions {
       "                         see docs/robustness.md)\n"
       "  batch <bench|file.dfg>... [--grid N] [--topology T] [--timeout S]\n"
       "      [--threads N] [--max-schedules N] [--anytime] [--faults SPEC]\n"
-      "      (shared deadline; prints per-case results and the batch\n"
-      "       outcome_counts histogram)\n"
+      "      (shared deadline; --threads N pool workers, 1 = one case at a\n"
+      "       time; prints per-case results and the batch outcome_counts\n"
+      "       histogram)\n"
       "  check <bench|file.dfg> <mapping.txt> [--grid N] [--topology T]\n"
       "exit codes (map): 0 feasible, 3 degraded, 4 refuted, 5 deadline,\n"
       "                  6 memory, 7 fault, 8 cancelled\n";
@@ -294,17 +298,18 @@ int cmd_map(const std::string& spec, const CliOptions& opt) {
         std::cout << "portfolio winner: config #" << r.portfolio_config
                   << '\n';
       }
-    } else if (opt.mapper == "speculative") {
-      SpeculativeOptions sopt;
-      sopt.num_threads = opt.threads;
-      sopt.lookahead = opt.lookahead;
-      sopt.share_nogoods = opt.share_nogoods;
-      r = mapper.map_speculative(dfg, arch, sopt);
-      std::cout << "speculative: " << r.speculative_hits
-                << " prefilter hits, " << r.nogoods_lifted_cross_ii
-                << " cross-II nogoods lifted, " << r.steals << " steals\n";
     } else {
-      r = mapper.map(dfg, arch);
+      CrossIiNogoodStore store;
+      WalkOptions walk;
+      if (opt.mapper == "speculative") walk.lookahead = opt.lookahead;
+      if (opt.share_nogoods) walk.store = &store;
+      r = mapper.map(dfg, arch, walk);
+      if (opt.mapper == "speculative" || opt.share_nogoods) {
+        std::cout << "speculative: " << r.speculative_hits
+                  << " prefilter hits, "
+                  << r.nogoods_lifted_cross_ii << " cross-II nogoods lifted, "
+                  << r.steals << " steals\n";
+      }
     }
     if (r.success) {
       mapping = r.mapping;
