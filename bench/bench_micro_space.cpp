@@ -175,6 +175,7 @@ void emit_space_row(JsonWriter& json, const std::string& suite, int grid,
   json.field("found", last.found);
   json.field("truncated", last.truncated);
   json.field("memory_out", last.memory_out);
+  json.field("root_pinned", last.root_pinned);
   json.field("seconds", med);
   json.field("nodes_expanded", last.nodes_expanded);
   json.field("backtracks", last.backtracks);

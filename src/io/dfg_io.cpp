@@ -1,5 +1,6 @@
 #include "io/dfg_io.hpp"
 
+#include <charconv>
 #include <sstream>
 #include <vector>
 
@@ -24,10 +25,14 @@ std::vector<std::vector<std::string>> tokenize(const std::string& text) {
   return lines;
 }
 
+/// The whole token as an int; anything else (junk, trailing characters,
+/// out of range) is a loader error, never a std::stoi exception.
 int to_int(const std::string& s) {
-  std::size_t pos = 0;
-  const int v = std::stoi(s, &pos);
-  MONOMAP_ASSERT_MSG(pos == s.size(), "bad integer '" << s << "'");
+  int v = 0;
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  MONOMAP_ASSERT_MSG(ec == std::errc{} && ptr == end,
+                     "bad integer '" << s << "'");
   return v;
 }
 
@@ -62,6 +67,9 @@ Dfg dfg_from_text(const std::string& text) {
       MONOMAP_ASSERT_MSG(t.size() == 2, "nodes needs a count");
       num_nodes = to_int(t[1]);
       MONOMAP_ASSERT_MSG(num_nodes >= 0, "negative node count");
+      MONOMAP_ASSERT_MSG(num_nodes <= kMaxDfgTextNodes,
+                         "node count " << num_nodes << " exceeds "
+                                       << kMaxDfgTextNodes);
     } else if (t[0] == "edge") {
       MONOMAP_ASSERT_MSG(t.size() == 4, "edge needs <src> <dst> <distance>");
       MONOMAP_ASSERT_MSG(num_nodes >= 0, "'nodes' must precede 'edge'");

@@ -28,7 +28,13 @@ namespace monomap {
 /// problem and default to `add` on load).
 std::string dfg_to_text(const Dfg& dfg);
 
-/// Parse the `dfg` format above. Throws AssertionError on malformed input.
+/// Largest `nodes` count dfg_from_text accepts, checked before anything is
+/// allocated (the biggest DFG in the repo, placeable-38x38, has 1,444).
+inline constexpr int kMaxDfgTextNodes = 4096;
+
+/// Parse the `dfg` format above. Throws AssertionError on malformed input,
+/// including a token that is not an integer where one is expected and a
+/// `nodes` count above kMaxDfgTextNodes.
 Dfg dfg_from_text(const std::string& text);
 
 /// Serialise a mapping of `dfg`.

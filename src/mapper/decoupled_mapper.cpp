@@ -503,8 +503,11 @@ void DecoupledMapper::run_mapping_loop(const Dfg& dfg, const CgraArch& arch,
 
 std::vector<SpaceOptions> default_portfolio_configs(const SpaceOptions& base) {
   // Diverse variable orders first (they explore genuinely different trees),
-  // then a no-symmetry variant: on rare instances the canonical-octant
-  // restriction steers the first placement away from the only easy region.
+  // then a no-symmetry variant: on rare instances the first-placement
+  // restriction (the canonical octant, or the translation pin on wide
+  // meshes) steers the search away from the only easy region. Both
+  // restrictions are complete, so the variant changes effort, never
+  // found/not-found.
   std::vector<SpaceOptions> configs;
   for (const SpaceOrder order :
        {SpaceOrder::kDynamicMrv, SpaceOrder::kConnectivity,

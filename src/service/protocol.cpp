@@ -87,7 +87,8 @@ ParsedRequest parse_request(const std::string& line) {
     req.rows = grid;
     req.cols = grid;
   }
-  if (req.rows < 1 || req.cols < 1 || req.rows > 1024 || req.cols > 1024) {
+  if (req.rows < 1 || req.cols < 1 || req.rows > kMaxGridSide ||
+      req.cols > kMaxGridSide) {
     parsed.error = "grid dimensions out of range";
     return parsed;
   }

@@ -12,6 +12,7 @@
 //
 // Defaults: memo/warm follow the service configuration; the others are
 // off/0. `mapping:true` asks for the placement text in the response.
+// Grid sides are bounded by kMaxGridSide.
 // Unknown fields are ignored (forward compatibility); a missing or
 // unknown verb, unparsable JSON, or an inconsistent body is a protocol
 // error — answered with {"ok":false,"error":...}, never a dropped
@@ -24,6 +25,11 @@
 #include "arch/cgra.hpp"
 
 namespace monomap {
+
+/// Largest accepted `rows`/`cols`. CgraArch builds several per-PE tables of
+/// num_pes-bit masks, so memory grows with the fourth power of the side:
+/// 128x128 is ~100 MB of masks, 1024x1024 would be ~128 GB per table.
+inline constexpr int kMaxGridSide = 128;
 
 struct ServeRequest {
   enum class Verb { kMap, kStats, kShutdown };

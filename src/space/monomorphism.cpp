@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstring>
 #include <memory>
+#include <utility>
 
 #include "support/assert.hpp"
 #include "support/fault.hpp"
@@ -253,6 +254,9 @@ class BitsetSearcher {
       lab_prev_[static_cast<std::size_t>(n_ + l)] = prev;
     }
     count_cache_.assign(static_cast<std::size_t>(n_), -1);
+    bfs_dist_.resize(static_cast<std::size_t>(n_));
+    bfs_parent_.resize(static_cast<std::size_t>(n_));
+    bfs_queue_.resize(static_cast<std::size_t>(n_));
     domain_.reserve(static_cast<std::size_t>(n_));
     pruners_.reserve(static_cast<std::size_t>(n_));
     cs_stack_.reserve(static_cast<std::size_t>(n_));
@@ -504,7 +508,11 @@ class BitsetSearcher {
         // proof branched on or wiped out, plus every node whose placement
         // or existence pruned a domain the proof used — so the proof
         // stands on the induced subproblem of exactly these nodes (see
-        // SpaceResult::conflict_nodes).
+        // SpaceResult::conflict_nodes). A set holding the pinned root was
+        // proven with the root at the pin only, so it is widened first.
+        if (root_ != kInvalidNode && fail_set_.test(root_)) {
+          widen_certificate(result);
+        }
         fail_set_.for_each(
             [&](int u) { result.conflict_nodes.push_back(u); });
       }
@@ -745,6 +753,85 @@ class BitsetSearcher {
       }
     }
     return true;
+  }
+
+  /// Undirected BFS from `root` over the nodes `member` admits, filling
+  /// bfs_dist_ (-1 = unreached) and bfs_parent_; returns the number of
+  /// nodes reached and the largest distance among them.
+  template <typename Member>
+  std::pair<int, int> bfs_from(NodeId root, Member member) {
+    std::fill(bfs_dist_.begin(), bfs_dist_.end(), -1);
+    bfs_dist_[static_cast<std::size_t>(root)] = 0;
+    bfs_parent_[static_cast<std::size_t>(root)] = kInvalidNode;
+    bfs_queue_[0] = root;
+    int head = 0;
+    int tail = 1;
+    int farthest = 0;
+    while (head < tail) {
+      const NodeId x = bfs_queue_[static_cast<std::size_t>(head++)];
+      const int dx = bfs_dist_[static_cast<std::size_t>(x)];
+      farthest = std::max(farthest, dx);
+      for (const NodeId y : neighbors_[static_cast<std::size_t>(x)]) {
+        if (bfs_dist_[static_cast<std::size_t>(y)] >= 0 || !member(y)) {
+          continue;
+        }
+        bfs_dist_[static_cast<std::size_t>(y)] = dx + 1;
+        bfs_parent_[static_cast<std::size_t>(y)] = x;
+        bfs_queue_[static_cast<std::size_t>(tail++)] = y;
+      }
+    }
+    return {tail, farthest};
+  }
+
+  /// Translation pin for the depth-0 node v: the PE at row e, column e
+  /// (e = v's eccentricity in the undirected DFG), or -1 when the pin does
+  /// not apply. Every DFG edge lands on adjacent-or-same PEs, which on a
+  /// mesh or king mesh moves each grid coordinate by at most one, so any
+  /// placement keeps every node within e rows and e columns of phi(v).
+  /// Shifting it until v sits at (e, e) therefore keeps every node inside
+  /// rows and columns [0, 2e] — on the fabric when both sides are at least
+  /// 2e + 1 — and a shift preserves mesh adjacency and keeps same-slot
+  /// nodes on distinct PEs. So a placement exists iff one exists with v at
+  /// (e, e), a PE inside the canonical octant. Needs a connected DFG (e
+  /// finite); the torus is left to the octant.
+  PeId translation_pin(NodeId v) {
+    if (!options_.symmetry_breaking) return -1;
+    if (arch_.topology() != Topology::kMesh &&
+        arch_.topology() != Topology::kDiagonal) {
+      return -1;
+    }
+    const auto [reached, ecc] = bfs_from(v, [](NodeId) { return true; });
+    if (reached < n_) return -1;
+    if (arch_.rows() < 2 * ecc + 1 || arch_.cols() < 2 * ecc + 1) return -1;
+    root_ = v;
+    root_ecc_ = ecc;
+    return arch_.pe_at(ecc, ecc);
+  }
+
+  /// A pinned refutation with conflict set S (holding root_) proves only
+  /// that G[S] has no placement with the root at the pin. The shift
+  /// argument of translation_pin covers every placement of G[S] only when
+  /// each node of S lies within e of the root inside G[S], so each node
+  /// farther away (or cut off) pulls in the nodes of a shortest DFG path
+  /// from the root, at most e long. Every node of the widened set is then
+  /// within e of the root inside it: any placement of it shifts onto the
+  /// pin, and its restriction to S would contradict the refutation.
+  void widen_certificate(SpaceResult& result) {
+    std::vector<NodeId> far;
+    bfs_from(root_, [&](NodeId u) { return fail_set_.test(u); });
+    fail_set_.for_each([&](int u) {
+      const int d = bfs_dist_[static_cast<std::size_t>(u)];
+      if (d < 0 || d > root_ecc_) far.push_back(u);
+    });
+    if (far.empty()) return;
+    // The unrestricted tree: shortest DFG paths from the root.
+    bfs_from(root_, [](NodeId) { return true; });
+    for (NodeId u : far) {
+      for (; u != kInvalidNode; u = bfs_parent_[static_cast<std::size_t>(u)]) {
+        fail_set_.set(u);
+      }
+    }
+    result.certificate_widened = true;
   }
 
   /// Propagate the consequences of assignment v -> p into every unassigned
@@ -1019,9 +1106,13 @@ class BitsetSearcher {
     cs.clear();
     cs.set(v);
     cs |= pruners_[static_cast<std::size_t>(v)];
-    // First placement: restrict to the canonical octant unless that empties
-    // the candidate set (mirrors the reference engine exactly).
-    const bool canonical_only = depth == 0 && canonical_.capacity() > 0 &&
+    // First placement: the translation pin when it applies (one
+    // candidate), else the canonical octant unless that empties the
+    // candidate set (mirrors the reference engine exactly).
+    const PeId pin = depth == 0 ? translation_pin(v) : -1;
+    if (pin >= 0) result.root_pinned = true;
+    const bool canonical_only = pin < 0 && depth == 0 &&
+                                canonical_.capacity() > 0 &&
                                 domain_[static_cast<std::size_t>(v)]
                                     .intersects(canonical_);
     // Snapshot the domain's candidates into this depth's buffer and order
@@ -1031,10 +1122,16 @@ class BitsetSearcher {
                   static_cast<std::size_t>(depth) *
                       static_cast<std::size_t>(num_pes_);
     int num_cands = 0;
-    domain_[static_cast<std::size_t>(v)].for_each([&](int p) {
-      if (canonical_only && !canonical_.test(p)) return;
-      cands[num_cands++] = static_cast<PeId>(p);
-    });
+    if (pin >= 0) {
+      if (domain_[static_cast<std::size_t>(v)].test(pin)) {
+        cands[num_cands++] = pin;
+      }
+    } else {
+      domain_[static_cast<std::size_t>(v)].for_each([&](int p) {
+        if (canonical_only && !canonical_.test(p)) return;
+        cands[num_cands++] = static_cast<PeId>(p);
+      });
+    }
     // Sparse value ordering: once v has a placed neighbour, its domain is
     // (a subset of) that neighbour's ball — try candidates center-out by
     // grid distance to the anchor placement instead of the global
@@ -1197,6 +1294,13 @@ class BitsetSearcher {
   std::unique_ptr<PeId[]> cand_arena_;  // per-depth candidate buffers
   std::vector<NodeId> order_;       // static variable order, if any
   PeSet canonical_;                 // empty capacity == disabled
+  // Translation pin (translation_pin): the pinned depth-0 node and its
+  // eccentricity, and the BFS buffers it and widen_certificate share.
+  NodeId root_ = kInvalidNode;
+  int root_ecc_ = 0;
+  std::vector<int> bfs_dist_;
+  std::vector<NodeId> bfs_parent_;
+  std::vector<NodeId> bfs_queue_;
 };
 
 // --- reference engine ------------------------------------------------------

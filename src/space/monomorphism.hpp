@@ -75,7 +75,15 @@ struct SpaceOptions {
   /// domain propagation subsumes it and cannot be disabled.
   bool forward_check = true;
   bool interior_first = true;       // value ordering: prefer interior PEs
-  bool symmetry_breaking = true;    // restrict the very first placement
+  /// Restrict the very first placement. On a square mesh or king mesh it
+  /// goes to one symmetry octant. The bitset engine additionally pins it by
+  /// translation: when the topology is mesh or king mesh, the DFG is
+  /// connected and both sides are at least 2e+1 (e = the first node's
+  /// eccentricity in the undirected DFG), the first node's only candidate
+  /// is the PE at row e, column e, because every placement shifts there
+  /// (SpaceResult::root_pinned; docs/performance.md, "Translation pin").
+  /// Sound and complete either way; the reference engine stays unpinned.
+  bool symmetry_breaking = true;
   /// Bitset engine: supplemental distance-2 constraints, two mechanisms
   /// under one toggle: (a) paths-of-length-2 filtering — assigning a node
   /// intersects the domains of DFG nodes at distance exactly 2 with the
@@ -210,8 +218,17 @@ struct SpaceResult {
   /// budget, because the certificate does not depend on the unexplored
   /// region. The reference engine and the precheck failures report coarser
   /// but still sound sets. The decoupled mapper turns this into a
-  /// time-phase nogood clause.
+  /// time-phase nogood clause. A refutation under the translation pin is
+  /// widened first (certificate_widened) so that it holds unpinned.
   std::vector<NodeId> conflict_nodes;
+  /// Bitset engine: the translation pin fired, so the depth-0 node had the
+  /// single candidate (e, e) (SpaceOptions::symmetry_breaking).
+  bool root_pinned = false;
+  /// Bitset engine: a pinned refutation's conflict set left some of its
+  /// nodes farther than e from the pinned node inside the induced sub-DFG,
+  /// and conflict_nodes gained shortest DFG paths from the pinned node to
+  /// them, so every placement of the certificate shifts onto the pin.
+  bool certificate_widened = false;
 };
 
 /// Search for a monomorphism of `dfg` (with per-node slot `labels`, values

@@ -45,6 +45,19 @@ TEST(DfgIo, RejectsMalformedInput) {
                AssertionError);
   EXPECT_THROW(dfg_from_text("dfg x\nnodes 1\nedge 0 0 -1\nend\n"),
                AssertionError);
+  // Not an integer, and an integer out of int range: loader errors, not a
+  // std::stoi exception escaping to the caller.
+  EXPECT_THROW(dfg_from_text("dfg x\nnodes 1\nedge 0 one 0\nend\n"),
+               AssertionError);
+  EXPECT_THROW(dfg_from_text("dfg x\nnodes 99999999999\nend\n"),
+               AssertionError);
+  // A node count just above the cap is refused before anything is built.
+  EXPECT_THROW(dfg_from_text("dfg x\nnodes " +
+                             std::to_string(kMaxDfgTextNodes + 1) +
+                             "\nend\n"),
+               AssertionError);
+  EXPECT_NO_THROW((void)dfg_from_text(
+      "dfg x\nnodes " + std::to_string(kMaxDfgTextNodes) + "\nend\n"));
 }
 
 TEST(MappingIo, RoundTrip) {

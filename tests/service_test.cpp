@@ -51,6 +51,7 @@ TEST(ServeProtocolTest, MalformedInputIsAnErrorNeverACrash) {
       "{\"verb\":\"map\",\"bench\":\"fft\",\"dfg\":\"x\"}",  // both
       "{\"verb\":\"map\",\"bench\":\"fft\",\"grid\":0}",     // grid range
       "{\"verb\":\"map\",\"bench\":\"fft\",\"grid\":1.5}",   // non-integer
+      "{\"verb\":\"map\",\"bench\":\"fft\",\"grid\":129}",   // > kMaxGridSide
       "{\"verb\":\"map\",\"bench\":\"fft\",\"max_schedules\":-1}",
       "{\"verb\":\"map\",\"bench\":\"fft\",\"topology\":\"ring\"}",
       "{\"verb\":\"map\",\"bench\":\"fft\",\"deadline_s\":-2}",

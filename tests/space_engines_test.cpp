@@ -208,6 +208,74 @@ TEST(SpaceEngines, ConflictExplanationsAreSoundUnderTruncation) {
   }
   // The sweep must actually exercise the explanation path.
   EXPECT_GT(checked, 10);
+
+  // 3x3 grids never pin the first placement (no random DFG here has an
+  // eccentricity of 1), so sweep meshes and king meshes wide enough for the
+  // translation pin. A pinned refutation is proven with the root at (e, e)
+  // only; its (possibly widened) certificate must hold for every placement,
+  // so the oracle searches the induced sub-DFG without symmetry breaking.
+  // Dense DFGs keep eccentricities small enough for the pin to fire. 5x5
+  // sweeps many seeds because widening is rare (mesh, seed 183, II 3 is a
+  // hit); the wider and the non-square fabrics check the common case.
+  struct PinSweep {
+    int rows;
+    int cols;
+    std::uint64_t seeds;
+  };
+  int pinned_checked = 0;
+  int widened = 0;
+  for (const PinSweep sweep : {PinSweep{5, 5, 200}, PinSweep{8, 8, 20},
+                               PinSweep{12, 12, 10}, PinSweep{5, 9, 30}}) {
+    for (const Topology topology : {Topology::kMesh, Topology::kDiagonal}) {
+      const CgraArch arch(sweep.rows, sweep.cols, topology);
+      for (std::uint64_t seed = 1; seed <= sweep.seeds; ++seed) {
+        SyntheticSpec spec;
+        spec.num_nodes = 6 + static_cast<int>(seed % 16);  // 6..21 nodes
+        spec.extra_edge_prob = 0.6;
+        spec.max_degree = 6;
+        spec.seed = seed * 7919;
+        const Dfg dfg = random_dfg(spec);
+        for (int ii = 1; ii <= 4; ++ii) {
+          Rng rng(seed * 53 + static_cast<std::uint64_t>(ii));
+          std::vector<int> labels(static_cast<std::size_t>(dfg.num_nodes()));
+          for (int& l : labels) {
+            l = static_cast<int>(
+                rng.next_below(static_cast<std::uint32_t>(ii)));
+          }
+          for (const std::uint64_t budget : {25ull, 400ull, 0ull}) {
+            SpaceOptions opt;
+            opt.max_backtracks = budget;
+            const SpaceResult r =
+                find_monomorphism(dfg, arch, labels, ii, opt);
+            if (!r.root_pinned || r.found || r.conflict_nodes.empty()) {
+              continue;
+            }
+            EXPECT_FALSE(r.timed_out);
+            widened += r.certificate_widened ? 1 : 0;
+            std::vector<int> sub_labels;
+            const Dfg sub =
+                induced_subdfg(dfg, labels, r.conflict_nodes, sub_labels);
+            SpaceOptions oracle;
+            oracle.engine = SpaceEngine::kReference;
+            oracle.max_backtracks = 0;
+            oracle.symmetry_breaking = false;
+            EXPECT_FALSE(
+                find_monomorphism(sub, arch, sub_labels, ii, oracle).found)
+                << "unsound pinned certificate: " << sweep.rows << "x"
+                << sweep.cols
+                << " topology=" << topology_name(topology)
+                << " seed=" << seed << " ii=" << ii << " budget=" << budget
+                << " widened=" << r.certificate_widened;
+            ++pinned_checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GE(pinned_checked, 300);
+  EXPECT_GE(widened, 1) << "the sweep never reached certificate widening";
+  RecordProperty("pinned_refutations_checked", pinned_checked);
+  RecordProperty("widened_certificates", widened);
 }
 
 TEST(SpaceEngines, TogglesPreserveCompleteness) {

@@ -159,6 +159,52 @@ TEST(Monomorphism, SymmetryBreakingPreservesCompleteness) {
   without.symmetry_breaking = false;
   EXPECT_EQ(find_monomorphism(dfg, arch, labels, sol->ii, with).found,
             find_monomorphism(dfg, arch, labels, sol->ii, without).found);
+
+  // The suite's first schedules on the small grids never pin by
+  // translation: every DFG's first node has an eccentricity too large for
+  // the fabric (the default budget is enough, the pin is decided first).
+  for (const int side : {2, 4, 5}) {
+    const CgraArch small = CgraArch::square(side);
+    for (const Benchmark& b : benchmark_suite()) {
+      const auto first =
+          first_schedule(b.dfg, small, Deadline(30.0)).solution;
+      ASSERT_TRUE(first.has_value()) << b.name << " " << side;
+      const SpaceResult r = find_monomorphism(
+          b.dfg, small, labels_of(*first, b.dfg), first->ii, with);
+      EXPECT_FALSE(r.root_pinned) << b.name << " " << side;
+    }
+  }
+  // On the large grids the translation pin fires for most of the suite.
+  // Complete searches with it, without any symmetry breaking, and with the
+  // unpinned reference engine must agree on every first schedule.
+  with.max_backtracks = 0;
+  without.max_backtracks = 0;
+  SpaceOptions reference = with;
+  reference.engine = SpaceEngine::kReference;
+  int pinned = 0;
+  for (const int side : {10, 16, 20}) {
+    const CgraArch large = CgraArch::square(side);
+    for (const Benchmark& b : benchmark_suite()) {
+      const auto first =
+          first_schedule(b.dfg, large, Deadline(30.0)).solution;
+      ASSERT_TRUE(first.has_value()) << b.name << " " << side;
+      const auto first_labels = labels_of(*first, b.dfg);
+      const SpaceResult r =
+          find_monomorphism(b.dfg, large, first_labels, first->ii, with);
+      const SpaceResult off =
+          find_monomorphism(b.dfg, large, first_labels, first->ii, without);
+      const SpaceResult ref = find_monomorphism(b.dfg, large, first_labels,
+                                                first->ii, reference);
+      ASSERT_FALSE(r.timed_out || off.timed_out || ref.timed_out)
+          << b.name << " " << side;
+      EXPECT_EQ(r.found, off.found) << b.name << " " << side;
+      EXPECT_EQ(r.found, ref.found) << b.name << " " << side;
+      pinned += r.root_pinned ? 1 : 0;
+      if (r.found) expect_monomorphism(b.dfg, large, first_labels, r);
+      if (off.found) expect_monomorphism(b.dfg, large, first_labels, off);
+    }
+  }
+  EXPECT_GE(pinned, 30) << "the pin should fire on most large-grid cases";
 }
 
 TEST(Monomorphism, BacktrackBudgetReportsTimeout) {
