@@ -39,6 +39,14 @@ inline std::vector<int> parse_grids(const std::string& arg) {
   return grids;
 }
 
+/// Median of a (copied) sample vector; 0 when empty.
+inline double median(std::vector<double> xs) {
+  if (xs.empty()) return 0.0;
+  std::sort(xs.begin(), xs.end());
+  const std::size_t mid = xs.size() / 2;
+  return xs.size() % 2 == 1 ? xs[mid] : 0.5 * (xs[mid - 1] + xs[mid]);
+}
+
 /// The first schedule at the lowest II whose time search yields one: one
 /// TimeSolver per II from mII up to the automatic ceiling
 /// max(mII, #nodes), all under `deadline`. std::nullopt when no II in that

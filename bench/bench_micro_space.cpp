@@ -31,9 +31,9 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "bench_json.hpp"
 #include "mapper/decoupled_mapper.hpp"
 #include "space/monomorphism.hpp"
+#include "support/json.hpp"
 #include "support/simd.hpp"
 #include "timing/time_solver.hpp"
 #include "workloads/suite.hpp"
@@ -43,7 +43,6 @@ namespace {
 
 using namespace monomap;
 using monomap::bench::first_schedule;
-using monomap::bench::JsonWriter;
 using monomap::bench::median;
 
 struct Prepared {
@@ -164,7 +163,7 @@ BENCHMARK(BM_MonoHardestSuiteCase)->Arg(5)->Arg(10);
 
 /// One space-section row: median-of-repeats search time plus the effort
 /// counters of the last run (deterministic, so identical each run).
-void emit_space_row(JsonWriter& json, const std::string& suite, int grid,
+void emit_space_row(json::Writer& json, const std::string& suite, int grid,
                     const char* engine, int ii, double med,
                     const SpaceResult& last) {
   json.begin_object();
@@ -219,7 +218,7 @@ bool suite_selected(const std::vector<std::string>& filter,
 /// block order). Adjacent runs share clock state, so the drift cancels
 /// out of the ratios. Emits the three rows and appends this case's
 /// summary inputs.
-void run_multi_word_case(JsonWriter& json, const std::string& name, int grid,
+void run_multi_word_case(json::Writer& json, const std::string& name, int grid,
                          const Prepared& p, const CgraArch& arch, int repeats,
                          std::vector<double>& scalar_ratio,
                          std::vector<double>& untiled_ratio,
@@ -319,7 +318,7 @@ Prepared prepare_layered(const Dfg& dfg, int width, int ii) {
 
 void run_json_mode(const std::vector<int>& grids, int repeats,
                    const std::vector<std::string>& suite_filter) {
-  JsonWriter json(std::cout);
+  json::Writer json;
   json.begin_object();
   json.field("bench", "bench_micro_space");
   json.key("grids");
@@ -494,7 +493,7 @@ void run_json_mode(const std::vector<int>& grids, int repeats,
       json.field("speculative_s", median(speculative_s));
       json.field("speculative_hits", speculative.speculative_hits);
       json.field("nogoods_lifted_cross_ii",
-                 speculative.nogoods_lifted_cross_ii);
+                 speculative.time_stats.nogoods_lifted_cross_ii);
       json.field("steals", speculative.steals);
       json.field("ii", single.success ? single.ii : -1);
       json.end_object();
@@ -526,7 +525,7 @@ void run_json_mode(const std::vector<int>& grids, int repeats,
   json.end_object();
   json.end_object();
   json.end_object();
-  std::cout << '\n';
+  std::cout << json.str() << '\n';
 }
 
 std::vector<std::string> split_csv(const char* arg) {

@@ -5,22 +5,23 @@
 //    time engines on representative solves (single-shot and
 //    horizon-extension-heavy cases);
 //  * --json [--grid N] [--repeats R] — machine-readable end-to-end map()
-//    wall-clock comparison over the whole workload suite per engine, plus
-//    the per-II solver-reuse counters (sessions, horizon extensions,
-//    assumptions used, learnt clauses retained, nogoods added, horizons
-//    refuted by the capacity floor), recorded in
-//    BENCH_time.json to track the time-phase perf trajectory across PRs.
-//    The "hard" section additionally records engine="speculative" rows —
-//    the cross-II race (a lookahead-2 walk) with its certificate-traffic
-//    counters (speculative_hits, nogoods_lifted_cross_ii, steals).
+//    wall-clock comparison over the whole workload suite per engine,
+//    recorded in BENCH_time.json to track the time-phase perf trajectory
+//    across PRs. Every row is (suite, [grid,] engine, seconds) plus the
+//    last run's result as write_json writes it: outcome, II and interval,
+//    and every effort counter. The "hard" section additionally records
+//    engine="speculative" rows — the cross-II race (a lookahead-2 walk) —
+//    whose warm variant carries the certificate traffic (speculative_hits,
+//    nogoods_lifted_cross_ii, steals).
 #include <benchmark/benchmark.h>
 
 #include <cstring>
 #include <iostream>
+#include <string>
 
 #include "bench_common.hpp"
-#include "bench_json.hpp"
 #include "mapper/decoupled_mapper.hpp"
+#include "support/json.hpp"
 #include "support/stopwatch.hpp"
 #include "timing/time_solver.hpp"
 #include "workloads/suite.hpp"
@@ -29,7 +30,6 @@ namespace {
 
 using namespace monomap;
 using monomap::bench::first_schedule;
-using monomap::bench::JsonWriter;
 using monomap::bench::median;
 
 TimeSolverOptions engine_options(TimeEngine engine) {
@@ -105,11 +105,57 @@ BENCHMARK(BM_TimeHorizonExtensions)->Arg(0)->Arg(1);
 
 // --- --json mode -----------------------------------------------------------
 
-/// Per-(benchmark, engine) record: median-of-repeats end-to-end map() wall
-/// clock plus the solver-reuse counters of the last run.
+/// One way of running map(): the time engine, the lookahead (above 0 races
+/// the walk) and whether each call gets a fresh certificate store.
+struct Variant {
+  const char* engine;  // the row's engine name
+  TimeEngine time_engine;
+  int lookahead;
+  bool warm;
+};
+
+constexpr Variant kIncremental{"incremental", TimeEngine::kIncremental, 0,
+                               false};
+constexpr Variant kReference{"reference", TimeEngine::kReference, 0, false};
+
+/// Median wall clock of `repeats` map() calls run as `v`; `last` receives
+/// the last call's result.
+double timed_map(const Dfg& dfg, const CgraArch& arch, double timeout_s,
+                 const Variant& v, int repeats, MapResult& last) {
+  DecoupledMapperOptions opt;
+  opt.timeout_s = timeout_s;
+  opt.time.engine = v.time_engine;
+  const DecoupledMapper mapper(opt);
+  std::vector<double> seconds;
+  for (int r = 0; r < repeats; ++r) {
+    CrossIiNogoodStore store;
+    WalkOptions walk;
+    walk.lookahead = v.lookahead;
+    if (v.warm) walk.store = &store;
+    Stopwatch wall;
+    last = mapper.map(dfg, arch, walk);
+    seconds.push_back(wall.elapsed_s());
+  }
+  return median(seconds);
+}
+
+/// One row: suite, grid (< 0: the document's), engine, the median seconds
+/// and the last run's result.
+void write_row(json::Writer& json, const std::string& suite, int grid,
+               const char* engine, double seconds, const MapResult& last) {
+  json.begin_object();
+  json.field("suite", suite);
+  if (grid >= 0) json.field("grid", grid);
+  json.field("engine", engine);
+  json.field("seconds", seconds);
+  write_json(json, last);
+  json.end_object();
+}
+
+/// Per-(benchmark, engine) records.
 void run_json_mode(int grid, int repeats) {
   const CgraArch arch = CgraArch::square(grid);
-  JsonWriter json(std::cout);
+  json::Writer json;
   json.begin_object();
   json.field("bench", "bench_micro_time");
   json.field("grid", grid);
@@ -120,57 +166,14 @@ void run_json_mode(int grid, int repeats) {
   json.key("time");
   json.begin_array();
   for (const Benchmark& b : benchmark_suite()) {
-    double incremental_median = 0.0;
-    for (const TimeEngine engine :
-         {TimeEngine::kIncremental, TimeEngine::kReference}) {
-      DecoupledMapperOptions opt;
-      opt.timeout_s = 60.0;
-      opt.time.engine = engine;
-      const DecoupledMapper mapper(opt);
-      std::vector<double> seconds;
-      MapResult last;
-      for (int r = 0; r < repeats; ++r) {
-        Stopwatch wall;
-        last = mapper.map(b.dfg, arch);
-        seconds.push_back(wall.elapsed_s());
-      }
-      const double med = median(seconds);
-      if (engine == TimeEngine::kIncremental) {
-        incremental_median = med;
-      } else if (incremental_median > 0.0) {
-        ratios.push_back(med / incremental_median);
-      }
-      json.begin_object();
-      json.field("suite", b.name);
-      json.field("engine", to_string(engine));
-      json.field("success", last.success);
-      json.field("outcome", to_string(last.outcome));
-      json.field("degraded", last.degraded);
-      json.field("fault_retries", last.fault_retries);
-      json.field("ii", last.success ? last.ii : -1);
-      json.field("seconds", med);
-      json.field("time_phase_s", last.time_phase_s);
-      json.field("space_phase_s", last.space_phase_s);
-      json.field("schedules_tried", last.schedules_tried);
-      json.field("sat_calls", last.time_stats.sat_calls);
-      json.field("instances_built", last.time_stats.instances_built);
-      json.field("sessions_created", last.time_stats.sessions_created);
-      json.field("horizon_extensions", last.time_stats.horizon_extensions);
-      json.field("assumptions_used", last.time_stats.assumptions_used);
-      json.field("learnt_retained", last.time_stats.learnt_retained);
-      json.field("nogoods_added", last.time_stats.nogoods_added);
-      json.field("narrow_nogoods", last.time_stats.narrow_nogoods);
-      json.field("nogoods_lifted", last.time_stats.nogoods_lifted);
-      json.field("nogoods_deduped", last.time_stats.nogoods_deduped);
-      json.field("capacity_refuted_horizons",
-                 last.time_stats.capacity_refuted_horizons);
-      json.field("space_truncated", last.space_truncated);
-      json.field("space_exhausted", last.space_exhausted);
-      json.field("space_backjumps", last.space_backjumps);
-      json.field("budget_extensions", last.budget_extensions);
-      json.field("budget_shrinks", last.budget_shrinks);
-      json.end_object();
-    }
+    MapResult last;
+    const double incremental =
+        timed_map(b.dfg, arch, 60.0, kIncremental, repeats, last);
+    write_row(json, b.name, -1, kIncremental.engine, incremental, last);
+    const double reference =
+        timed_map(b.dfg, arch, 60.0, kReference, repeats, last);
+    write_row(json, b.name, -1, kReference.engine, reference, last);
+    if (incremental > 0.0) ratios.push_back(reference / incremental);
   }
   json.end_array();
 
@@ -188,91 +191,21 @@ void run_json_mode(int grid, int repeats) {
   // engine="speculative" is the cold race, which lands on the incremental
   // rows' final II bit-exactly, and engine="speculative-warm" passes a
   // certificate store (WalkOptions::store — may settle a different II on
-  // borderline cases); the certificate-traffic counters ride on the warm
-  // rows.
+  // borderline cases).
+  const Variant variants[] = {
+      kIncremental, kReference,
+      {"speculative", TimeEngine::kIncremental, 2, false},
+      {"speculative-warm", TimeEngine::kIncremental, 2, true}};
   json.key("hard");
   json.begin_array();
   for (const char* name : {"hotspot3D", "cfd", "nw"}) {
     const Benchmark& b = benchmark_by_name(name);
     for (const int side : {2, 4, 5, 8}) {
-      const CgraArch hard_arch = CgraArch::square(side);
-      for (const TimeEngine engine :
-           {TimeEngine::kIncremental, TimeEngine::kReference}) {
-        DecoupledMapperOptions opt;
-        opt.timeout_s = 120.0;
-        opt.time.engine = engine;
-        const DecoupledMapper mapper(opt);
-        std::vector<double> seconds;
+      for (const Variant& v : variants) {
         MapResult last;
-        for (int r = 0; r < repeats; ++r) {
-          Stopwatch wall;
-          last = mapper.map(b.dfg, hard_arch);
-          seconds.push_back(wall.elapsed_s());
-        }
-        json.begin_object();
-        json.field("suite", b.name);
-        json.field("grid", side);
-        json.field("engine", to_string(engine));
-        json.field("success", last.success);
-        json.field("outcome", to_string(last.outcome));
-        json.field("degraded", last.degraded);
-        json.field("fault_retries", last.fault_retries);
-        json.field("ii", last.success ? last.ii : -1);
-        json.field("seconds", median(seconds));
-        json.field("schedules_tried", last.schedules_tried);
-        json.field("sat_calls", last.time_stats.sat_calls);
-        json.field("capacity_refuted_horizons",
-                   last.time_stats.capacity_refuted_horizons);
-        json.field("nogoods_added", last.time_stats.nogoods_added);
-        json.field("space_truncated", last.space_truncated);
-        json.field("space_exhausted", last.space_exhausted);
-        json.field("space_backjumps", last.space_backjumps);
-        json.field("budget_extensions", last.budget_extensions);
-        json.field("budget_shrinks", last.budget_shrinks);
-        json.end_object();
-      }
-      for (const bool warm : {false, true}) {
-        DecoupledMapperOptions opt;
-        opt.timeout_s = 120.0;
-        const DecoupledMapper mapper(opt);
-        std::vector<double> seconds;
-        MapResult last;
-        for (int r = 0; r < repeats; ++r) {
-          CrossIiNogoodStore store;
-          WalkOptions walk;
-          walk.lookahead = 2;
-          if (warm) walk.store = &store;
-          Stopwatch wall;
-          last = mapper.map(b.dfg, hard_arch, walk);
-          seconds.push_back(wall.elapsed_s());
-        }
-        json.begin_object();
-        json.field("suite", b.name);
-        json.field("grid", side);
-        json.field("engine", warm ? "speculative-warm" : "speculative");
-        json.field("success", last.success);
-        json.field("outcome", to_string(last.outcome));
-        json.field("degraded", last.degraded);
-        json.field("fault_retries", last.fault_retries);
-        json.field("ii", last.success ? last.ii : -1);
-        json.field("seconds", median(seconds));
-        json.field("schedules_tried", last.schedules_tried);
-        json.field("sat_calls", last.time_stats.sat_calls);
-        json.field("capacity_refuted_horizons",
-                   last.time_stats.capacity_refuted_horizons);
-        json.field("nogoods_added", last.time_stats.nogoods_added);
-        if (warm) {
-          json.field("speculative_hits", last.speculative_hits);
-          json.field("nogoods_lifted_cross_ii",
-                     last.nogoods_lifted_cross_ii);
-          json.field("steals", last.steals);
-        }
-        json.field("space_truncated", last.space_truncated);
-        json.field("space_exhausted", last.space_exhausted);
-        json.field("space_backjumps", last.space_backjumps);
-        json.field("budget_extensions", last.budget_extensions);
-        json.field("budget_shrinks", last.budget_shrinks);
-        json.end_object();
+        const double med = timed_map(b.dfg, CgraArch::square(side), 120.0, v,
+                                     repeats, last);
+        write_row(json, b.name, side, v.engine, med, last);
       }
     }
   }
@@ -283,7 +216,7 @@ void run_json_mode(int grid, int repeats) {
   json.field("median_speedup_reference_over_incremental", median(ratios));
   json.end_object();
   json.end_object();
-  std::cout << '\n';
+  std::cout << json.str() << '\n';
 }
 
 }  // namespace

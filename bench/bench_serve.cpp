@@ -31,7 +31,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "bench_json.hpp"
+#include "bench_common.hpp"
 #include "service/service.hpp"
 #include "support/argparse.hpp"
 #include "support/json.hpp"
@@ -150,12 +150,17 @@ struct Harness {
   std::vector<std::string> outcome_seen;  // one outcome string per request
 
   std::string request_line(const std::string& suite, bool memo, bool warm) {
-    std::ostringstream os;
-    os << "{\"verb\":\"map\",\"id\":\"bench\",\"bench\":\"" << suite
-       << "\",\"grid\":" << grid << ",\"deadline_s\":" << deadline_s
-       << ",\"memo\":" << (memo ? "true" : "false")
-       << ",\"warm\":" << (warm ? "true" : "false") << "}";
-    return os.str();
+    json::Writer w;
+    return w.begin_object()
+        .field("verb", "map")
+        .field("id", "bench")
+        .field("bench", suite)
+        .field("grid", grid)
+        .field("deadline_s", deadline_s)
+        .field("memo", memo)
+        .field("warm", warm)
+        .end_object()
+        .take();
   }
 
   /// One round trip, parsed into a Row (seconds is the client-side wall
@@ -193,7 +198,7 @@ struct Harness {
   }
 };
 
-void write_row(bench::JsonWriter& w, const Row& row) {
+void write_row(json::Writer& w, const Row& row) {
   w.begin_object();
   w.field("suite", row.suite);
   w.field("engine", row.engine);
@@ -360,7 +365,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  bench::JsonWriter w(std::cout);
+  json::Writer w;
   w.begin_object();
   w.field("bench", "bench_serve");
   w.field("grid", grid);
@@ -391,7 +396,7 @@ int main(int argc, char** argv) {
   w.field("warm_never_more_schedules", warm_never_more);
   w.end_object();
   w.end_object();
-  std::cout << '\n';
+  std::cout << w.str() << '\n';
 
   if (send_shutdown) {
     (void)transport->round_trip("{\"verb\":\"shutdown\",\"id\":\"bench\"}");

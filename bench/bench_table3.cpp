@@ -9,15 +9,17 @@
 //
 // Averages follow the paper's convention: rows where either tool timed out
 // are excluded from the ΔT / CTR averages. --json swaps the ASCII tables
-// for machine-readable records (one object per (grid, benchmark) row).
+// for machine-readable records: one object per (grid, benchmark) row, the
+// decoupled result as write_json writes it plus the baseline's verdict and
+// the paper's values.
 #include <algorithm>
 #include <iostream>
 #include <string>
 
 #include "bench_common.hpp"
-#include "bench_json.hpp"
 #include "mapper/coupled_mapper.hpp"
 #include "mapper/decoupled_mapper.hpp"
+#include "support/json.hpp"
 #include "support/table.hpp"
 #include "workloads/suite.hpp"
 
@@ -35,7 +37,7 @@ int main(int argc, char** argv) {
     if (arg == "--json") json_mode = true;
   }
 
-  JsonWriter json(std::cout);
+  json::Writer json;
   if (json_mode) {
     json.begin_object();
     json.field("bench", "bench_table3");
@@ -109,28 +111,9 @@ int main(int argc, char** argv) {
         json.field("grid", side);
         json.field("suite", b.name);
         json.field("nodes", b.dfg.num_nodes());
-        json.field("decoupled_success", !mono_to);
-        json.field("time_phase_s", mono.time_phase_s);
-        json.field("space_phase_s", mono.space_phase_s);
-        json.field("total_s", mono.total_s);
-        json.field("schedules_tried", mono.schedules_tried);
-        json.field("space_nodes_expanded", mono.last_space.nodes_expanded);
-        json.field("space_backtracks", mono.last_space.backtracks);
-        // Per-II solver-reuse stats of the incremental time engine.
-        json.field("time_sat_calls", mono.time_stats.sat_calls);
-        json.field("time_sessions", mono.time_stats.sessions_created);
-        json.field("time_horizon_extensions",
-                   mono.time_stats.horizon_extensions);
-        json.field("time_assumptions_used", mono.time_stats.assumptions_used);
-        json.field("time_learnt_retained", mono.time_stats.learnt_retained);
-        json.field("time_nogoods_added", mono.time_stats.nogoods_added);
-        json.field("time_narrow_nogoods", mono.time_stats.narrow_nogoods);
-        json.field("time_capacity_refuted_horizons",
-                   mono.time_stats.capacity_refuted_horizons);
+        write_json(json, mono);
         json.field("baseline_success", !base_to);
         json.field("baseline_s", base.total_s);
-        json.field("ii", mono_to ? -1 : mono.ii);
-        json.field("mii", mono.mii.mii());
         if (paper_grid) {
           json.field("paper_ii", b.paper_ii[grid_index]);
           json.field("paper_mii", b.paper_mii[grid_index]);
@@ -184,7 +167,7 @@ int main(int argc, char** argv) {
   if (json_mode) {
     json.end_array();
     json.end_object();
-    std::cout << '\n';
+    std::cout << json.str() << '\n';
   }
   return 0;
 }

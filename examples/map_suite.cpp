@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
                    format_time_s(r.time_phase_s),
                    format_time_s(r.space_phase_s), format_time_s(r.total_s),
                    std::to_string(r.schedules_tried),
-                   r.success ? "ok" : (r.timed_out ? "TO" : "fail")});
+                   to_string(r.outcome)});
     if (r.success) ++solved;
   }
   table.print(std::cout);

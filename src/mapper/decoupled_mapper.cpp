@@ -14,6 +14,7 @@
 
 #include "sched/mii.hpp"
 #include "support/fault.hpp"
+#include "support/json.hpp"
 #include "support/log.hpp"
 #include "support/parallel.hpp"
 #include "support/resource.hpp"
@@ -58,60 +59,43 @@ struct DecoupledMapper::AttemptContext {
 
 namespace {
 
-/// Derive the structured verdict from the result flags (precedence:
-/// feasible > degraded > cancelled > memory > fault > deadline > refuted —
-/// cancellation never degrades) and publish the sound II interval.
-/// Idempotent; entry points re-run it after adding governor telemetry.
-void finalize_outcome(MapResult& r) {
-  if (r.success) {
-    r.outcome = r.degraded ? MapOutcome::kDegraded : MapOutcome::kFeasible;
-  } else if (r.cancelled) {
-    r.outcome = MapOutcome::kCancelled;
-  } else if (r.memory_out) {
-    r.outcome = MapOutcome::kMemory;
-  } else if (r.faulted) {
-    r.outcome = MapOutcome::kFault;
-  } else if (r.timed_out) {
-    r.outcome = MapOutcome::kDeadline;
-  } else {
-    r.outcome = MapOutcome::kRefuted;
-  }
+/// Publish the sound II interval from the refuted prefix and the mapping.
+void publish_interval(MapResult& r) {
   r.ii_lo = std::max(1, r.ii_refuted_up_to + 1);
   r.ii_hi = r.success ? r.ii : 0;
+}
+
+/// Record a stop on a result without a mapping; a cancel of `deadline`,
+/// when it fired, outranks the stop it surfaced through.
+void record_stop(MapResult& r, MapOutcome stop, const Deadline& deadline) {
+  r.outcome = escalate(r.outcome, deadline.cancel_fired()
+                                      ? MapOutcome::kCancelled
+                                      : stop);
+}
+
+template <typename T>
+T merge_sum(T into, T from) {
+  return into + from;
+}
+
+template <typename T>
+T merge_max(T into, T from) {
+  return std::max(into, from);
 }
 
 /// Fold one resolved attempt's effort counters into an aggregate. Result
 /// fields that identify the outcome (success, ii, mapping, failure_reason,
 /// last_space, learnt_retained) stay the receiver's.
 void merge_attempt_counters(MapResult& into, const MapResult& from) {
-  into.time_phase_s += from.time_phase_s;
-  into.space_phase_s += from.space_phase_s;
-  into.schedules_tried += from.schedules_tried;
-  into.space_truncated += from.space_truncated;
-  into.space_exhausted += from.space_exhausted;
-  into.space_backjumps += from.space_backjumps;
-  into.budget_extensions += from.budget_extensions;
-  into.budget_shrinks += from.budget_shrinks;
-  into.budget_probes += from.budget_probes;
-  into.speculative_hits += from.speculative_hits;
-  into.nogoods_lifted_cross_ii += from.nogoods_lifted_cross_ii;
-  into.fault_retries += from.fault_retries;
-  into.mem_sheds += from.mem_sheds;
-  into.mem_peak_bytes = std::max(into.mem_peak_bytes, from.mem_peak_bytes);
-  TimeSolverStats& t = into.time_stats;
-  const TimeSolverStats& f = from.time_stats;
-  t.instances_built += f.instances_built;
-  t.sat_calls += f.sat_calls;
-  t.solutions_yielded += f.solutions_yielded;
-  t.sessions_created += f.sessions_created;
-  t.horizon_extensions += f.horizon_extensions;
-  t.assumptions_used += f.assumptions_used;
-  t.nogoods_added += f.nogoods_added;
-  t.narrow_nogoods += f.narrow_nogoods;
-  t.nogoods_lifted += f.nogoods_lifted;
-  t.nogoods_deduped += f.nogoods_deduped;
-  t.nogoods_lifted_cross_ii += f.nogoods_lifted_cross_ii;
-  t.capacity_refuted_horizons += f.capacity_refuted_horizons;
+#define MONOMAP_MERGE(type, name, merge) \
+  into.name = merge_##merge(into.name, from.name);
+  MONOMAP_MAP_COUNTERS(MONOMAP_MERGE)
+#undef MONOMAP_MERGE
+#define MONOMAP_MERGE(type, name, merge)       \
+  into.time_stats.name =                       \
+      merge_##merge(into.time_stats.name, from.time_stats.name);
+  MONOMAP_TIME_COUNTERS(MONOMAP_MERGE)
+#undef MONOMAP_MERGE
 }
 
 /// The verdict on work an injected fault or an allocation failure killed.
@@ -119,15 +103,14 @@ void merge_attempt_counters(MapResult& into, const MapResult& from) {
 /// bug, not a fault — is rethrown.
 MapResult fault_result(const std::exception_ptr& error) {
   MapResult r;
-  r.timed_out = true;
   try {
     std::rethrow_exception(error);
   } catch (const fault::FaultInjectedError& e) {
-    r.faulted = true;
+    r.outcome = MapOutcome::kFault;
     r.failure_reason = std::string("injected fault: ") + e.what();
     r.causes.push_back({e.site(), "injected fault"});
   } catch (const std::bad_alloc&) {
-    r.memory_out = true;
+    r.outcome = MapOutcome::kMemory;
     r.failure_reason = "allocation failure";
     r.causes.push_back({"alloc", "allocation failure"});
   }
@@ -162,12 +145,30 @@ void absorb_governor(MapResult& r, const ResourceGovernor* gov) {
   r.mem_peak_bytes = std::max(r.mem_peak_bytes, gov->peak());
   r.mem_sheds += gov->sheds();
   if (gov->tripped()) {
-    if (!r.success && !r.cancelled) r.memory_out = true;
+    if (!r.success) r.outcome = escalate(r.outcome, MapOutcome::kMemory);
     r.causes.push_back({"governor", gov->trip_reason()});
   }
 }
 
 }  // namespace
+
+void write_json(json::Writer& w, const MapResult& r) {
+  w.field("outcome", to_string(r.outcome));
+  w.field("success", r.success);
+  w.field("ii", r.ii);
+  w.field("ii_lo", r.ii_lo);
+  w.field("ii_hi", r.ii_hi);
+  w.field("mii", r.mii.mii());
+  w.field("sound_refutation", r.sound_refutation);
+#define MONOMAP_WRITE(type, name, merge) w.field(#name, r.name);
+  MONOMAP_MAP_COUNTERS(MONOMAP_WRITE)
+#undef MONOMAP_WRITE
+#define MONOMAP_WRITE(type, name, merge) w.field(#name, r.time_stats.name);
+  MONOMAP_TIME_COUNTERS(MONOMAP_WRITE)
+#undef MONOMAP_WRITE
+  w.field("learnt_retained", r.time_stats.learnt_retained);
+  w.field("steals", r.steals);
+}
 
 MapResult DecoupledMapper::map_at_ii(const Dfg& dfg, const CgraArch& arch,
                                      int ii, const Deadline& deadline,
@@ -189,7 +190,7 @@ MapResult DecoupledMapper::map_at_ii(const Dfg& dfg, const CgraArch& arch,
   // sound_refutation.
   result.ii_refuted_up_to =
       (result.sound_refutation && ii == mii.mii()) ? ii : mii.mii() - 1;
-  finalize_outcome(result);
+  publish_interval(result);
   return result;
 }
 
@@ -227,11 +228,49 @@ MapResult DecoupledMapper::attempt(const Dfg& dfg, const CgraArch& arch,
     if (retries >= options_.max_fault_retries ||
         !fault::backoff_sleep(deadline, retries)) {
       failed.fault_retries = retries;
-      failed.cancelled = deadline.cancel_fired();
+      record_stop(failed, failed.outcome, deadline);
       return failed;
     }
   }
 }
+
+namespace {
+
+// The per-II policy of run_mapping_loop.
+//
+// After this many *uninformative* space failures at one II the attempt
+// gives the II up. Uninformative means the search either truncated (budget
+// ran out, nothing learned) or refuted the schedule with a conflict set
+// spanning most of the DFG (> half the nodes — the nogood prunes almost no
+// other schedules, the classic signature of a spatially dead II). Narrow
+// refutations don't count against this: each one feeds a sound
+// family-pruning nogood back into the time search, so retrying is
+// progress, not wheel-spinning. (The paper's Sec. IV-D argues failures
+// should be rare; when the DFG has high-degree hubs the counting argument
+// has gaps, and escalating II is what produces the II > mII rows of its
+// Table III.)
+constexpr int kMaxUninformativePerIi = 8;
+// Hard cap on narrow (family-pruning) refutations at one II: guards against
+// an II whose huge schedule space is spatially dead but only refutable one
+// narrow family at a time.
+constexpr int kMaxNarrowRefutationsPerIi = 64;
+// The per-schedule backtrack budget starts at SpaceOptions::max_backtracks
+// and adapts to how each failure died (keyed off
+// SpaceResult::shallowest_retreat, the minimum backjump target). These
+// bound the adaptation: its floor; the divisor after an uninformative
+// failure — 2 is cautious, keeping mid-sized probes alive for schedules
+// that are placeable but need some search, where 4+ would kill dead-II
+// mills faster at the risk of truncating a findable placement; and the
+// ceiling multiplier of a near-miss doubling (base * boost).
+constexpr std::uint64_t kMinSpaceBacktracks = 4'096;
+constexpr std::uint64_t kBudgetShrinkDivisor = 2;
+constexpr std::uint64_t kMaxBudgetBoost = 8;
+// A truncated search whose shallowest backjump target stayed at or above
+// this fraction of the nodes is a near-miss: its conflicts never implicated
+// the shallow placements.
+constexpr double kNearMissDepthFraction = 0.75;
+
+}  // namespace
 
 void DecoupledMapper::run_mapping_loop(const Dfg& dfg, const CgraArch& arch,
                                        const Deadline& deadline,
@@ -254,7 +293,7 @@ void DecoupledMapper::run_mapping_loop(const Dfg& dfg, const CgraArch& arch,
     if (!ctx.budget->take()) {
       // Deterministic work budget: unlike a wall deadline this trips at a
       // bit-reproducible point, so degraded anytime results are replayable.
-      result.timed_out = true;
+      result.outcome = MapOutcome::kDeadline;
       result.failure_reason = "schedule budget exhausted";
       result.causes.push_back({"budget", "schedule budget exhausted"});
       break;
@@ -270,9 +309,7 @@ void DecoupledMapper::run_mapping_loop(const Dfg& dfg, const CgraArch& arch,
       for (SlotPartitionCert& cert : fresh) {
         if (cert.source_ii != ctx.attempt_ii) {
           for (auto& rotation : instantiate_rotations(cert, ctx.attempt_ii)) {
-            if (time_solver.add_cross_ii_nogood(std::move(rotation))) {
-              ++result.nogoods_lifted_cross_ii;
-            }
+            time_solver.add_cross_ii_nogood(std::move(rotation));
           }
         }
         ctx.certs.push_back(std::move(cert));
@@ -283,21 +320,18 @@ void DecoupledMapper::run_mapping_loop(const Dfg& dfg, const CgraArch& arch,
     result.time_phase_s += phase.elapsed_s();
     if (!schedule.has_value()) {
       ctx.budget->give_back();
-      result.timed_out = time_solver.timed_out();
-      result.cancelled = result.timed_out && deadline.cancel_fired();
-      if (result.timed_out && time_solver.memory_out()) {
-        result.memory_out = true;
+      if (time_solver.memory_out()) {
+        record_stop(result, MapOutcome::kMemory, deadline);
         result.failure_reason = "time search exceeded the memory budget";
         result.causes.push_back({"time", "memory budget exceeded"});
+      } else if (time_solver.timed_out()) {
+        record_stop(result, MapOutcome::kDeadline, deadline);
+        result.failure_reason = "time search hit the deadline";
       } else {
-        result.failure_reason = result.timed_out
-                                    ? "time search hit the deadline"
-                                    : "time search exhausted up to max II";
-      }
-      if (!result.timed_out) {
         // Natural exhaustion refutes the II soundly when no space search
         // here was truncated: every schedule was either fully refuted in
         // space or pruned by a sound nogood/prefilter certificate.
+        result.failure_reason = "time search exhausted up to max II";
         result.sound_refutation = result.space_truncated == 0;
         result.causes.push_back({"time", "search space exhausted"});
       }
@@ -336,17 +370,7 @@ void DecoupledMapper::run_mapping_loop(const Dfg& dfg, const CgraArch& arch,
     }
     if (!prefilter_hit) {
       SpaceOptions space_options = options_.space;
-      if (options_.adaptive_space_budget) {
-        space_options.max_backtracks = budget;
-      } else if (uninformative_at_current_ii +
-                         narrow_refutations_at_current_ii >
-                     0 &&
-                 space_options.max_backtracks != 0) {
-        // Historical flat policy: the first schedule at an II gets the full
-        // search effort, retries a quarter.
-        space_options.max_backtracks =
-            std::max<std::uint64_t>(space_options.max_backtracks / 4, 4096);
-      }
+      space_options.max_backtracks = budget;
       space = find_monomorphism(dfg, arch, labels, schedule->ii,
                                 space_options, deadline);
     }
@@ -356,6 +380,7 @@ void DecoupledMapper::run_mapping_loop(const Dfg& dfg, const CgraArch& arch,
 
     if (space.found) {
       result.success = true;
+      result.outcome = MapOutcome::kFeasible;
       result.ii = schedule->ii;
       result.mapping = Mapping(schedule->ii, schedule->time, space.pe);
       // The decoupling invariant: every returned mapping is valid.
@@ -367,16 +392,13 @@ void DecoupledMapper::run_mapping_loop(const Dfg& dfg, const CgraArch& arch,
       break;
     }
     if (space.memory_out) {
-      result.timed_out = true;
-      result.memory_out = true;
-      result.cancelled = deadline.cancel_fired();
+      record_stop(result, MapOutcome::kMemory, deadline);
       result.failure_reason = "space search exceeded the memory budget";
       result.causes.push_back({"space", "memory budget exceeded"});
       break;
     }
     if (space.deadline_expired) {
-      result.timed_out = true;
-      result.cancelled = deadline.cancel_fired();
+      record_stop(result, MapOutcome::kDeadline, deadline);
       result.failure_reason = "space search hit the deadline";
       break;
     }
@@ -415,20 +437,17 @@ void DecoupledMapper::run_mapping_loop(const Dfg& dfg, const CgraArch& arch,
         ++uninformative_at_current_ii;
       }
     }
-    if (options_.adaptive_space_budget && base_budget != 0) {
+    if (base_budget != 0) {
       const double retreat_fraction =
           dfg.num_nodes() > 0
               ? static_cast<double>(space.shallowest_retreat) /
                     dfg.num_nodes()
               : 1.0;
-      if (space.truncated &&
-          retreat_fraction >= options_.near_miss_depth_fraction) {
+      if (space.truncated && retreat_fraction >= kNearMissDepthFraction) {
         // Near-miss: every conflict so far stayed confined near the
         // leaves — the shallow decisions were never implicated, so a
         // deeper look may finish the job.
-        const std::uint64_t cap =
-            base_budget *
-            std::max<std::uint64_t>(options_.max_space_budget_boost, 1);
+        const std::uint64_t cap = base_budget * kMaxBudgetBoost;
         if (budget < cap) {
           budget = std::min(budget * 2, cap);
           ++result.budget_extensions;
@@ -441,17 +460,11 @@ void DecoupledMapper::run_mapping_loop(const Dfg& dfg, const CgraArch& arch,
         // Shallow truncation or wide refutation: the failure implicates
         // the earliest placements (or all of them) — this schedule family
         // dies early and wide, so stop paying full price to re-learn
-        // that. The default divisor of 2 is deliberately cautious: it
-        // keeps mid-sized probes alive for schedules that are placeable
-        // but need some search (with 8 retries the budget reaches ~1% of
-        // base, not the floor); raise space_budget_shrink_divisor to kill
-        // dead-II mills faster.
-        const std::uint64_t floor =
-            std::min(options_.min_space_backtracks, base_budget);
-        const std::uint64_t divisor =
-            std::max<std::uint64_t>(options_.space_budget_shrink_divisor, 2);
-        if (budget / divisor >= floor) {
-          budget /= divisor;
+        // that — cautiously: with 8 retries the budget reaches ~1% of
+        // base, not the floor.
+        const std::uint64_t floor = std::min(kMinSpaceBacktracks, base_budget);
+        if (budget / kBudgetShrinkDivisor >= floor) {
+          budget /= kBudgetShrinkDivisor;
           ++result.budget_shrinks;
         } else if (budget > floor) {
           budget = floor;
@@ -469,23 +482,20 @@ void DecoupledMapper::run_mapping_loop(const Dfg& dfg, const CgraArch& arch,
                   << ", narrow " << narrow_refutations_at_current_ii
                   << ", next budget " << budget);
     const bool out_of_retries =
-        options_.max_space_retries_per_ii > 0 &&
-        uninformative_at_current_ii >= options_.max_space_retries_per_ii;
+        uninformative_at_current_ii >= kMaxUninformativePerIi;
     const bool out_of_refutations =
-        options_.max_space_refutations_per_ii > 0 &&
-        narrow_refutations_at_current_ii >=
-            options_.max_space_refutations_per_ii;
+        narrow_refutations_at_current_ii >= kMaxNarrowRefutationsPerIi;
     if (out_of_retries || out_of_refutations) {
-      if (out_of_retries && !out_of_refutations &&
-          options_.last_chance_probe && options_.adaptive_space_budget &&
-          !probed_at_current_ii && !refuted_at_current_ii &&
-          base_budget != 0 && budget < base_budget) {
-        // Every failure here was a truncation and the budget had shrunk:
-        // the II's feasibility is genuinely unknown and the last few
-        // schedules were starved. One full-budget schedule before giving
-        // the II up — this is what keeps cfd on 5x5 at II 6 instead of
-        // drifting to 8 when the shrink sequence outruns the placeable
-        // schedule.
+      if (out_of_retries && !out_of_refutations && !probed_at_current_ii &&
+          !refuted_at_current_ii && base_budget != 0 &&
+          budget < base_budget) {
+        // Last-chance probe. Every failure here was a truncation and the
+        // budget had shrunk: the II's feasibility is genuinely unknown and
+        // the last few schedules were starved. One full-budget schedule
+        // before giving the II up (at most one per II; IIs with refutation
+        // evidence escalate without it) — this is what keeps cfd on 5x5 at
+        // II 6 instead of drifting to 8 when the shrink sequence outruns
+        // the placeable schedule.
         probed_at_current_ii = true;
         budget = base_budget;
         ++result.budget_probes;
@@ -548,8 +558,8 @@ MapResult DecoupledMapper::map_portfolio(const Dfg& dfg, const CgraArch& arch,
     opt.space = configs[static_cast<std::size_t>(index)];
     MapResult r = DecoupledMapper(opt).map(dfg, arch, base);
     r.portfolio_config = index;
-    // Only a win ends the race. A failure is not definitive even with
-    // timed_out == false: the mapper truncates per-schedule space searches
+    // Only a win ends the race. A failure is not definitive even when
+    // refuted: the mapper truncates per-schedule space searches
     // with backtrack budgets (without flagging the overall result), so a
     // configuration with a different variable order may still succeed.
     if (r.success) {
@@ -569,7 +579,7 @@ MapResult DecoupledMapper::map_portfolio(const Dfg& dfg, const CgraArch& arch,
   // All failed: prefer a definitive exhaustion over a cancelled/timed-out
   // racer, else fall back to the first configuration's result.
   for (MapResult& r : results) {
-    if (r.portfolio_config >= 0 && !r.timed_out &&
+    if (r.portfolio_config >= 0 && r.outcome == MapOutcome::kRefuted &&
         !r.failure_reason.empty()) {
       return std::move(r);
     }
@@ -579,7 +589,7 @@ MapResult DecoupledMapper::map_portfolio(const Dfg& dfg, const CgraArch& arch,
   }
   MapResult none;
   none.failure_reason = "portfolio: no configuration ran before the deadline";
-  none.timed_out = true;
+  none.outcome = MapOutcome::kDeadline;
   return none;
 }
 
@@ -683,8 +693,7 @@ class DecoupledMapper::Walk {
     const std::lock_guard<std::mutex> lock(m_);
     if (!done_) {
       MapResult aborted;
-      aborted.faulted = true;
-      aborted.timed_out = true;
+      aborted.outcome = MapOutcome::kFault;
       aborted.failure_reason = "II walk aborted by a worker failure";
       aborted.causes.push_back(
           {"walk", "worker failed before the walk committed"});
@@ -696,10 +705,9 @@ class DecoupledMapper::Walk {
  private:
   struct Attempt {
     explicit Attempt(const CancelToken* parent) : token(parent) {}
-    enum class State { kRunning, kFeasible, kRefuted, kTimedOut };
     CancelToken token;  // parented to the caller's token, if any
-    MapResult result;
-    State state = State::kRunning;
+    MapResult result;   // valid once resolved
+    bool resolved = false;
   };
 
   // Fill the window [frontier, min(frontier + lookahead, ceiling)] with
@@ -731,8 +739,7 @@ class DecoupledMapper::Walk {
     if (a->token.cancelled()) {
       // Cancelled while still queued (a smaller II already won, or the
       // caller pulled the plug) — don't even build the solver.
-      r.timed_out = true;
-      r.cancelled = true;
+      r.outcome = MapOutcome::kCancelled;
       r.failure_reason = "cancelled before start";
     } else {
       // The attempt shares the walk's wall budget (what remains of it, so
@@ -744,16 +751,13 @@ class DecoupledMapper::Walk {
 
     const std::lock_guard<std::mutex> lock(m_);
     a->result = std::move(r);
-    a->state = a->result.success     ? Attempt::State::kFeasible
-               : a->result.timed_out ? Attempt::State::kTimedOut
-                                     : Attempt::State::kRefuted;
-    if (a->state == Attempt::State::kFeasible &&
-        (best_feasible_ < 0 || ii < best_feasible_)) {
+    a->resolved = true;
+    if (a->result.success && (best_feasible_ < 0 || ii < best_feasible_)) {
       best_feasible_ = ii;
       // Larger IIs can no longer win — cancel them; smaller ones keep
       // running, the commit rule still needs their refutations.
       for (auto& [other_ii, other] : attempts_) {
-        if (other_ii > ii && other->state == Attempt::State::kRunning) {
+        if (other_ii > ii && !other->resolved) {
           other->token.cancel();
         }
       }
@@ -766,18 +770,15 @@ class DecoupledMapper::Walk {
   void advance_locked() {
     while (!done_) {
       const auto it = attempts_.find(frontier_);
-      if (it == attempts_.end() ||
-          it->second->state == Attempt::State::kRunning) {
-        break;
-      }
+      if (it == attempts_.end() || !it->second->resolved) break;
       Attempt& a = *it->second;
-      if (a.state == Attempt::State::kFeasible) {
+      if (a.result.success) {
         // Every II below the frontier was refuted — this is THE minimal
         // feasible II of the walk.
         commit_locked(std::move(a.result), frontier_);
         return;
       }
-      if (a.state == Attempt::State::kTimedOut) {
+      if (a.result.outcome != MapOutcome::kRefuted) {
         // The walk never cancels its frontier (only IIs above a feasible
         // one), so this is the wall clock, the schedule budget, a fault,
         // the governor or the caller's token. Optimality below a held
@@ -791,10 +792,7 @@ class DecoupledMapper::Walk {
           const int held_ii = best_feasible_;
           MapResult held = std::move(attempts_.at(held_ii)->result);
           merge_attempt_counters(held, a.result);
-          held.degraded = true;
-          held.timed_out = a.result.timed_out;
-          held.memory_out = a.result.memory_out;
-          held.faulted = a.result.faulted;
+          held.outcome = MapOutcome::kDegraded;
           held.failure_reason = a.result.failure_reason;
           held.causes = a.result.causes;
           std::ostringstream note;
@@ -840,21 +838,20 @@ class DecoupledMapper::Walk {
       // The probe's effort is the walk's too (the schedule budget already
       // counted it), unless it was cancelled while still running.
       const auto probe = attempts_.find(ceiling_);
-      if (probe != attempts_.end() &&
-          probe->second->state != Attempt::State::kRunning) {
+      if (probe != attempts_.end() && probe->second->resolved) {
         merge_attempt_counters(final_result, probe->second->result);
       }
     }
     final_result.mii = mii_;
     final_result.ii_refuted_up_to = refuted_up_to_;
-    final_result.sound_refutation = !final_result.success &&
-                                    !final_result.timed_out &&
-                                    refuted_up_to_ >= ceiling_;
+    final_result.sound_refutation =
+        final_result.outcome == MapOutcome::kRefuted &&
+        refuted_up_to_ >= ceiling_;
     final_result.total_s =
         final_result.time_phase_s + final_result.space_phase_s;
-    finalize_outcome(final_result);
+    publish_interval(final_result);
     for (auto& [ii, attempt] : attempts_) {
-      if (attempt->state == Attempt::State::kRunning) attempt->token.cancel();
+      if (!attempt->resolved) attempt->token.cancel();
     }
     final_ = std::move(final_result);
     done_ = true;
@@ -924,14 +921,13 @@ MapResult DecoupledMapper::map(const Dfg& dfg, const CgraArch& arch,
     // counters); anything else propagates out of fault_result.
     const MapResult fault = fault_result(error);
     if (!result.success) {
-      result.faulted = result.faulted || fault.faulted;
-      result.memory_out = result.memory_out || fault.memory_out;
+      result.outcome = escalate(result.outcome, fault.outcome);
       result.causes.insert(result.causes.end(), fault.causes.begin(),
                            fault.causes.end());
     }
   }
   absorb_governor(result, gov);
-  finalize_outcome(result);
+  publish_interval(result);
   return result;
 }
 

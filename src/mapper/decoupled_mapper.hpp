@@ -34,6 +34,10 @@
 
 namespace monomap {
 
+namespace json {
+class Writer;
+}  // namespace json
+
 struct DecoupledMapperOptions {
   TimeSolverOptions time;
   SpaceOptions space;
@@ -43,59 +47,6 @@ struct DecoupledMapperOptions {
   /// II = #nodes a fully sequential schedule always satisfies capacity and
   /// connectivity).
   int max_ii = 0;
-  /// After this many *uninformative* space failures at one II, escalate to
-  /// II+1. Uninformative means the search either truncated (budget ran
-  /// out, nothing learned) or refuted the schedule with a conflict set
-  /// spanning most of the DFG (> half the nodes — the nogood prunes almost
-  /// no other schedules, the classic signature of a spatially dead II).
-  /// Narrow refutations don't count against this: each one feeds a sound
-  /// family-pruning nogood back into the time search, so retrying is
-  /// progress, not wheel-spinning (they are bounded separately by
-  /// max_space_refutations_per_ii).
-  /// (The paper's Sec. IV-D argues failures should be rare; when the DFG
-  /// has high-degree hubs the counting argument has gaps, and escalating
-  /// II is what produces the II > mII rows seen in the paper's Table III.)
-  int max_space_retries_per_ii = 8;
-  /// Hard cap on narrow (family-pruning) space refutations at one II
-  /// before the mapper escalates anyway (guards against an II whose huge
-  /// schedule space is spatially dead but only refutable one narrow family
-  /// at a time). 0 = unlimited.
-  int max_space_refutations_per_ii = 64;
-  /// Conflict-driven space budget adaptation. The per-schedule backtrack
-  /// budget starts at space.max_backtracks and then tracks what the
-  /// conflicts say, keyed off SpaceResult::shallowest_retreat (the
-  /// minimum backjump target — how shallow the failure's conflicts
-  /// reached, not how deep the dive got): a truncated search whose
-  /// conflicts implicated shallow decisions marks a hopeless schedule
-  /// family — shrink the budget and move on; one whose retreats all
-  /// stayed confined near the leaves is a near-miss — double the budget
-  /// (up to base * max_space_budget_boost); a complete refutation with a
-  /// narrow conflict set resets to the base budget (the nogood channel is
-  /// doing the pruning). Disable to get the historical flat behaviour
-  /// (full budget on the first schedule of an II, a quarter on retries).
-  bool adaptive_space_budget = true;
-  /// Floor for the adapted budget.
-  std::uint64_t min_space_backtracks = 4'096;
-  /// Divisor applied to the budget after an uninformative failure
-  /// (shallow truncation or wide refutation). 2 is cautious — it keeps
-  /// mid-sized probes alive for schedules that are placeable but need
-  /// some search; 4+ kills dead-II mills faster at the risk of truncating
-  /// a findable placement.
-  std::uint64_t space_budget_shrink_divisor = 2;
-  /// Ceiling multiplier for the adapted budget (base * boost).
-  std::uint64_t max_space_budget_boost = 8;
-  /// A truncated search whose shallowest backjump target stayed at or
-  /// above fraction * num_nodes counts as a near-miss (its conflicts never
-  /// implicated the shallow placements).
-  double near_miss_depth_fraction = 0.75;
-  /// Last-chance probe: when an II is about to be abandoned on truncations
-  /// alone — the engine never completed a single search there, so its
-  /// feasibility is genuinely unknown and the later, budget-starved
-  /// schedules may have been placeable — grant one more schedule at the
-  /// full base budget before escalating. IIs with refutation evidence (the
-  /// engine proved schedules dead there within budget) escalate without
-  /// the probe. Bounded: one probe per II.
-  bool last_chance_probe = true;
   /// Anytime mode: the walk launches its first attempt at the II ceiling
   /// (max_ii, or max(mII, #nodes) — where a fully sequential schedule
   /// always places) and holds a mapping found there as its best feasible
@@ -106,7 +57,7 @@ struct DecoupledMapperOptions {
   /// it would without anytime. Default off: the probe costs one extra
   /// mapping attempt.
   bool anytime = false;
-  /// Deterministic work budget: give up (timed_out, or degraded under
+  /// Deterministic work budget: give up (kDeadline, or kDegraded under
   /// anytime) after this many schedules, counted over the whole walk,
   /// anytime probe included. Unlike the wall clock this is
   /// bit-reproducible across machines and runs at lookahead 0 — the
@@ -183,35 +134,40 @@ struct BatchStats {
   std::array<std::uint64_t, kMapOutcomeCount> outcome_counts{};
 };
 
+/// A walk's effort counters, declared once as X(type, name, merge) like
+/// MONOMAP_TIME_COUNTERS: MapResult holds them, and merge_attempt_counters
+/// and write_json are generated from the list. `merge` says how the
+/// attempts of one walk fold (sum or max).
+#define MONOMAP_MAP_COUNTERS(X)                                           \
+  X(double, time_phase_s, sum)   /* Table III "Time" column */            \
+  X(double, space_phase_s, sum)  /* Table III "Space" column */           \
+  X(int, schedules_tried, sum)                                            \
+  X(int, space_truncated, sum)   /* cut by the backtrack budget */        \
+  X(int, space_exhausted, sum)   /* complete refutations (a nogood) */    \
+  X(std::uint64_t, space_backjumps, sum)                                  \
+  /* run_mapping_loop's budget actions: doublings, shrinks and           \
+     last-chance full-budget searches. */                                 \
+  X(int, budget_extensions, sum)                                          \
+  X(int, budget_shrinks, sum)                                             \
+  X(int, budget_probes, sum)                                              \
+  /* Certificate-sharing walks: schedules the cross-II prefilter          \
+     discarded without a space search. */                                 \
+  X(int, speculative_hits, sum)                                           \
+  X(int, fault_retries, sum)     /* see max_fault_retries */              \
+  X(int, mem_sheds, sum)         /* governor telemetry */                 \
+  X(std::size_t, mem_peak_bytes, max)
+
 struct MapResult {
+  /// A mapping is returned: outcome is kFeasible or kDegraded.
   bool success = false;
-  bool timed_out = false;
-  /// The deadline's CancelToken fired (subset of timed_out): the run was
-  /// cut short by a caller — a portfolio first-win or an explicit batch
-  /// cancel — not by the wall clock. Batch telemetry uses
-  /// this to tell a cancelled case from one that genuinely ran out of
-  /// budget.
-  bool cancelled = false;
-  /// Structured verdict derived from the flags below (precedence:
-  /// feasible > degraded > cancelled > memory > fault > deadline >
-  /// refuted). The flags stay authoritative for callers that predate the
-  /// taxonomy; `outcome` is what the CLI exit code and batch telemetry
-  /// key on.
+  /// How the request ended — the result's only status. Set where the stop
+  /// happens; several stops meeting resolve through escalate()
+  /// (support/outcome.hpp). kDegraded (anytime mode) means `mapping` is
+  /// the held fallback, not a proven optimum: the walk below ii was cut
+  /// short, and the true minimal II lies in [ii_lo, ii_hi].
   MapOutcome outcome = MapOutcome::kRefuted;
   /// Machine-readable cause chain (site, detail), outermost first.
   std::vector<OutcomeCause> causes;
-  /// Anytime mode: `mapping` is the held fallback, not a proven optimum —
-  /// the walk below ii was cut short. The true minimal II lies in
-  /// [ii_lo, ii_hi] (see below). Implies success.
-  bool degraded = false;
-  /// The request's memory governor tripped (subset of timed_out on
-  /// non-degraded results).
-  bool memory_out = false;
-  /// An injected fault (or allocation failure) survived every retry.
-  bool faulted = false;
-  /// Fault-retry attempts consumed (see
-  /// DecoupledMapperOptions::max_fault_retries).
-  int fault_retries = 0;
   /// Sound interval for the optimal II. ii_lo = deepest soundly refuted
   /// II + 1 — an II counts as refuted only via natural time-phase
   /// exhaustion with zero truncated space searches at that II (heuristic
@@ -228,34 +184,13 @@ struct MapResult {
   /// map_at_ii run this means exactly "this II is soundly refuted" — the
   /// walk's interval tracking keys on it.
   bool sound_refutation = false;
-  /// Memory-governor telemetry (zero when ungoverned).
-  std::size_t mem_peak_bytes = 0;
-  int mem_sheds = 0;
   Mapping mapping;
   int ii = 0;
   MiiBreakdown mii;
-  double time_phase_s = 0.0;   // Table III "Time" column
-  double space_phase_s = 0.0;  // Table III "Space" column
-  double total_s = 0.0;
-  int schedules_tried = 0;
-  /// Space searches cut off by the backtrack budget (learned nothing).
-  int space_truncated = 0;
-  /// Space searches that ran to a complete refutation (each fed a nogood).
-  int space_exhausted = 0;
-  /// Non-chronological retreats summed over all space searches.
-  std::uint64_t space_backjumps = 0;
-  /// Adaptive-budget policy actions (see
-  /// DecoupledMapperOptions::adaptive_space_budget).
-  int budget_extensions = 0;
-  int budget_shrinks = 0;
-  int budget_probes = 0;  // last-chance full-budget searches granted
-  /// Certificate-sharing walks: schedules discarded by the cross-II
-  /// certificate prefilter without running a space search (each one is a
-  /// space search another II already paid for).
-  int speculative_hits = 0;
-  /// Certificate-sharing walks: label-nogood clauses instantiated from
-  /// other IIs' slot-partition certificates (warm-start volume).
-  int nogoods_lifted_cross_ii = 0;
+  double total_s = 0.0;  // time_phase_s + space_phase_s
+#define MONOMAP_DECLARE_COUNTER(type, name, merge) type name = 0;
+  MONOMAP_MAP_COUNTERS(MONOMAP_DECLARE_COUNTER)
+#undef MONOMAP_DECLARE_COUNTER
   /// Work-stealing pool steals observed by a racing walk (lookahead > 0;
   /// map_batch reports pool-level steals via BatchStats).
   std::uint64_t steals = 0;
@@ -266,6 +201,12 @@ struct MapResult {
   /// did not come from map_portfolio).
   int portfolio_config = -1;
 };
+
+/// Write `r` as members of the object `w` has open: outcome, success, the
+/// II and its interval, mII, sound_refutation, every MONOMAP_MAP_COUNTERS
+/// and MONOMAP_TIME_COUNTERS counter by its field name, learnt_retained and
+/// steals. Every bench row and the CLI's `result:` line use it.
+void write_json(json::Writer& w, const MapResult& r);
 
 class DecoupledMapper {
  public:
@@ -287,8 +228,8 @@ class DecoupledMapper {
   /// own fault retries (DecoupledMapperOptions::max_fault_retries) — the
   /// unit every walk is made of. The per-II policy (nogood feedback,
   /// adaptive budgets, last-chance probe) gives the II up on its retry
-  /// caps, so "!success && !timed_out" here means precisely "the walk
-  /// moves past ii". `store` is used as in WalkOptions (register-
+  /// caps, so an outcome of kRefuted here means precisely "the walk moves
+  /// past ii". `store` is used as in WalkOptions (register-
   /// persistence model only). An ii below mII comes back soundly refuted.
   MapResult map_at_ii(const Dfg& dfg, const CgraArch& arch, int ii,
                       const Deadline& deadline,

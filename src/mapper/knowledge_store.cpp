@@ -21,10 +21,6 @@ std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
   return mix64(h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2)));
 }
 
-std::uint64_t fold_d(std::uint64_t h, double v) {
-  return fold(h, static_cast<std::uint64_t>(v * 4096.0));
-}
-
 }  // namespace
 
 std::uint64_t soundness_fingerprint(const DecoupledMapperOptions& options) {
@@ -51,21 +47,11 @@ std::uint64_t options_fingerprint(const DecoupledMapperOptions& options) {
   h = fold(h, static_cast<std::uint64_t>(s.engine));
   h = fold(h, static_cast<std::uint64_t>(s.order));
   h = fold(h, (static_cast<std::uint64_t>(s.forward_check) << 0) |
-                  (static_cast<std::uint64_t>(s.interior_first) << 1) |
-                  (static_cast<std::uint64_t>(s.symmetry_breaking) << 2) |
-                  (static_cast<std::uint64_t>(s.distance2_filter) << 3) |
-                  (static_cast<std::uint64_t>(s.distance2_multiplicity) << 4) |
-                  (static_cast<std::uint64_t>(s.backjumping) << 5));
+                  (static_cast<std::uint64_t>(s.symmetry_breaking) << 1) |
+                  (static_cast<std::uint64_t>(s.distance2_filter) << 2) |
+                  (static_cast<std::uint64_t>(s.distance2_multiplicity) << 3) |
+                  (static_cast<std::uint64_t>(s.backjumping) << 4));
   h = fold(h, s.max_backtracks);
-  h = fold(h, static_cast<std::uint64_t>(options.max_space_retries_per_ii));
-  h = fold(h,
-           static_cast<std::uint64_t>(options.max_space_refutations_per_ii));
-  h = fold(h, static_cast<std::uint64_t>(options.adaptive_space_budget));
-  h = fold(h, options.min_space_backtracks);
-  h = fold(h, options.space_budget_shrink_divisor);
-  h = fold(h, options.max_space_budget_boost);
-  h = fold_d(h, options.near_miss_depth_fraction);
-  h = fold(h, static_cast<std::uint64_t>(options.last_chance_probe));
   h = fold(h, static_cast<std::uint64_t>(options.anytime));
   h = fold(h, static_cast<std::uint64_t>(options.max_schedules));
   h = fold(h, static_cast<std::uint64_t>(options.memory_budget_mb));
@@ -178,8 +164,7 @@ void KnowledgeStore::store(const Dfg& dfg, const DfgFingerprint& fp,
                            std::uint64_t arch_fp,
                            const DecoupledMapperOptions& options,
                            const MapResult& result, std::uint64_t salt) {
-  if (!result.success || result.degraded ||
-      result.outcome != MapOutcome::kFeasible || result.mapping.empty() ||
+  if (result.outcome != MapOutcome::kFeasible || result.mapping.empty() ||
       result.mapping.num_nodes() != dfg.num_nodes()) {
     return;
   }

@@ -1,9 +1,7 @@
 #include "service/service.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <condition_variable>
-#include <cstdio>
 #include <exception>
 #include <utility>
 
@@ -20,21 +18,27 @@ namespace {
 
 constexpr std::size_t kLatencyWindow = 4096;
 
-std::string num_field(const char* key, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "\"%s\":%.6f", key, v);
-  return buf;
-}
-
-std::string int_field(const char* key, long long v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "\"%s\":%lld", key, v);
-  return buf;
+/// A response opened with its id and ok members.
+json::Writer response(const std::string& id, bool ok) {
+  json::Writer w;
+  w.begin_object().field("id", id).field("ok", ok);
+  return w;
 }
 
 std::string error_response(const std::string& id, const std::string& what) {
-  return "{\"id\":\"" + json::escape(id) + "\",\"ok\":false,\"error\":\"" +
-         json::escape(what) + "\"}";
+  return response(id, false).field("error", what).end_object().take();
+}
+
+/// A request that ended in `outcome` before reaching the mapper.
+std::string stop_response(const std::string& id, MapOutcome outcome,
+                          const std::string& causes, const std::string& what) {
+  return response(id, false)
+      .field("outcome", to_string(outcome))
+      .field("exit_code", exit_code(outcome))
+      .field("causes", causes)
+      .field("error", what)
+      .end_object()
+      .take();
 }
 
 }  // namespace
@@ -73,8 +77,10 @@ std::string MappingService::handle_line(const std::string& line) {
       return render_stats(req.id);
     case ServeRequest::Verb::kShutdown:
       shutdown_.store(true, std::memory_order_release);
-      return "{\"id\":\"" + json::escape(req.id) +
-             "\",\"ok\":true,\"verb\":\"shutdown\"}";
+      return response(req.id, true)
+          .field("verb", "shutdown")
+          .end_object()
+          .take();
     case ServeRequest::Verb::kMap:
       return handle_map(req);
   }
@@ -94,12 +100,8 @@ std::string MappingService::handle_map(const ServeRequest& req) {
     in_flight_.fetch_sub(1, std::memory_order_acq_rel);
     rejected_.fetch_add(1, std::memory_order_relaxed);
     record_latency(watch.elapsed_s());
-    return "{\"id\":\"" + json::escape(req.id) +
-           "\",\"ok\":false,\"outcome\":\"" +
-           to_string(MapOutcome::kDeadline) +
-           "\"," + int_field("exit_code", exit_code(MapOutcome::kDeadline)) +
-           ",\"causes\":\"admission: queue full\",\"error\":\"admission "
-           "queue full\"}";
+    return stop_response(req.id, MapOutcome::kDeadline,
+                         "admission: queue full", "admission queue full");
   }
   if (limit <= 0) {
     in_flight_.fetch_add(1, std::memory_order_acq_rel);
@@ -150,12 +152,8 @@ std::string MappingService::run_map_job(const ServeRequest& req) {
     fault::maybe_inject("serve.request");
   } catch (const fault::FaultInjectedError& e) {
     faults_.fetch_add(1, std::memory_order_relaxed);
-    return "{\"id\":\"" + json::escape(req.id) +
-           "\",\"ok\":false,\"outcome\":\"" +
-           to_string(MapOutcome::kFault) + "\"," +
-           int_field("exit_code", exit_code(MapOutcome::kFault)) +
-           ",\"causes\":\"" + json::escape(e.site()) +
-           ": injected fault\",\"error\":\"" + json::escape(e.what()) + "\"}";
+    return stop_response(req.id, MapOutcome::kFault,
+                         e.site() + ": injected fault", e.what());
   }
 
   // Materialise the problem. Malformed DFG text / unknown bench names
@@ -227,88 +225,58 @@ std::string MappingService::run_map_job(const ServeRequest& req) {
     faults_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  std::string out = "{\"id\":\"" + json::escape(req.id) + "\",\"ok\":" +
-                    (result.success ? "true" : "false") + ",\"outcome\":\"" +
-                    to_string(result.outcome) + "\"," +
-                    int_field("exit_code", exit_code(result.outcome)) + "," +
-                    int_field("ii", result.ii) + "," +
-                    int_field("mii", result.mii.mii()) + "," +
-                    int_field("ii_lo", result.ii_lo) + "," +
-                    int_field("ii_hi", result.ii_hi) + "," +
-                    int_field("schedules_tried", result.schedules_tried) +
-                    "," +
-                    int_field("nogoods_lifted_cross_ii",
-                              result.nogoods_lifted_cross_ii) +
-                    "," +
-                    int_field("speculative_hits", result.speculative_hits) +
-                    ",\"degraded\":" + (result.degraded ? "true" : "false") +
-                    ",\"memo_hit\":" + (memo_hit ? "true" : "false") +
-                    ",\"warm\":" + (use_warm ? "true" : "false") + "," +
-                    int_field("certs_seeded",
-                              static_cast<long long>(seeded)) +
-                    "," + int_field("floor", floor) + "," +
-                    num_field("seconds", watch.elapsed_s());
+  json::Writer w = response(req.id, result.success);
+  w.field("outcome", to_string(result.outcome))
+      .field("exit_code", exit_code(result.outcome))
+      .field("ii", result.ii)
+      .field("mii", result.mii.mii())
+      .field("ii_lo", result.ii_lo)
+      .field("ii_hi", result.ii_hi)
+      .field("schedules_tried", result.schedules_tried)
+      .field("nogoods_lifted_cross_ii",
+             result.time_stats.nogoods_lifted_cross_ii)
+      .field("speculative_hits", result.speculative_hits)
+      .field("memo_hit", memo_hit)
+      .field("warm", use_warm)
+      .field("certs_seeded", seeded)
+      .field("floor", floor)
+      .field("seconds", watch.elapsed_s());
   if (!result.causes.empty()) {
-    out += ",\"causes\":\"" + json::escape(format_causes(result.causes)) +
-           "\"";
+    w.field("causes", format_causes(result.causes));
   }
   if (!result.success && !result.failure_reason.empty()) {
-    out += ",\"error\":\"" + json::escape(result.failure_reason) + "\"";
+    w.field("error", result.failure_reason);
   }
   if (req.want_mapping && result.success) {
-    out += ",\"mapping\":\"" +
-           json::escape(mapping_to_text(*dfg, result.mapping)) + "\"";
+    w.field("mapping", mapping_to_text(*dfg, result.mapping));
   }
-  out += "}";
-  return out;
+  return w.end_object().take();
 }
 
 std::string MappingService::render_stats(const std::string& id) const {
   const StatsSnapshot s = stats();
-  std::string out = "{\"id\":\"" + json::escape(id) +
-                    "\",\"ok\":true,\"verb\":\"stats\"," +
-                    int_field("requests", static_cast<long long>(s.requests)) +
-                    "," +
-                    int_field("rejected", static_cast<long long>(s.rejected)) +
-                    "," +
-                    int_field("errors", static_cast<long long>(s.errors)) +
-                    "," +
-                    int_field("faults", static_cast<long long>(s.faults)) +
-                    "," +
-                    int_field("warm_starts",
-                              static_cast<long long>(s.warm_starts)) +
-                    "," + num_field("p50_ms", s.p50_ms) + "," +
-                    num_field("p99_ms", s.p99_ms) + "," +
-                    int_field("memo_hits",
-                              static_cast<long long>(s.store.memo_hits)) +
-                    "," +
-                    int_field("memo_misses",
-                              static_cast<long long>(s.store.memo_misses)) +
-                    "," +
-                    int_field("memo_stores",
-                              static_cast<long long>(s.store.memo_stores)) +
-                    "," +
-                    int_field("memo_evictions",
-                              static_cast<long long>(s.store.memo_evictions)) +
-                    "," +
-                    int_field("certs_seeded",
-                              static_cast<long long>(s.store.certs_seeded)) +
-                    "," +
-                    int_field(
-                        "certs_published",
-                        static_cast<long long>(s.store.certs_published)) +
-                    "," +
-                    int_field("floor_hits",
-                              static_cast<long long>(s.store.floor_hits)) +
-                    "," +
-                    int_field("mem_bytes",
-                              static_cast<long long>(s.store.bytes_used)) +
-                    "," +
-                    int_field("mem_peak_bytes",
-                              static_cast<long long>(s.store.bytes_peak)) +
-                    "," + int_field("threads", pool_->num_threads()) + "," +
-                    int_field("queue_limit", options_.queue_limit) + "}";
-  return out;
+  return response(id, true)
+      .field("verb", "stats")
+      .field("requests", s.requests)
+      .field("rejected", s.rejected)
+      .field("errors", s.errors)
+      .field("faults", s.faults)
+      .field("warm_starts", s.warm_starts)
+      .field("p50_ms", s.p50_ms)
+      .field("p99_ms", s.p99_ms)
+      .field("memo_hits", s.store.memo_hits)
+      .field("memo_misses", s.store.memo_misses)
+      .field("memo_stores", s.store.memo_stores)
+      .field("memo_evictions", s.store.memo_evictions)
+      .field("certs_seeded", s.store.certs_seeded)
+      .field("certs_published", s.store.certs_published)
+      .field("floor_hits", s.store.floor_hits)
+      .field("mem_bytes", s.store.bytes_used)
+      .field("mem_peak_bytes", s.store.bytes_peak)
+      .field("threads", pool_->num_threads())
+      .field("queue_limit", options_.queue_limit)
+      .end_object()
+      .take();
 }
 
 MappingService::StatsSnapshot MappingService::stats() const {

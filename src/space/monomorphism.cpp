@@ -285,17 +285,8 @@ class BitsetSearcher {
     // Global value order: interior-first rank memoised on the arch (same
     // key and stability as the reference engine's candidate sort, so both
     // engines expand values in the same order; the per-searcher
-    // stable_sort over num_pes was measurable on a 64x64 fabric). Without
-    // interior_first the rank is the identity.
-    if (options_.interior_first) {
-      value_rank_ = arch_.interior_first_rank().data();
-    } else {
-      identity_rank_.resize(static_cast<std::size_t>(num_pes_));
-      for (int i = 0; i < num_pes_; ++i) {
-        identity_rank_[static_cast<std::size_t>(i)] = i;
-      }
-      value_rank_ = identity_rank_.data();
-    }
+    // stable_sort over num_pes was measurable on a 64x64 fabric).
+    value_rank_ = arch_.interior_first_rank().data();
     // One candidate buffer per depth: enumeration happens via the domain's
     // set bits (O(words + candidates)), not a scan over all PEs. The
     // storage is deliberately left uninitialised — search() always writes
@@ -1287,10 +1278,9 @@ class BitsetSearcher {
   ResourceGovernor* gov_ = nullptr;  // bound scope at construction time
   std::size_t gov_charged_ = 0;      // trail reservation bytes charged
   bool gov_denied_ = false;          // reservation refused: run() aborts
-  // Rank of each PE in the global value order (interior-first: the arch's
-  // memoised table; otherwise identity_rank_, built per searcher).
+  // Rank of each PE in the global value order (interior-first, the arch's
+  // memoised table).
   const int* value_rank_ = nullptr;
-  std::vector<int> identity_rank_;
   std::unique_ptr<PeId[]> cand_arena_;  // per-depth candidate buffers
   std::vector<NodeId> order_;       // static variable order, if any
   PeSet canonical_;                 // empty capacity == disabled
@@ -1443,12 +1433,11 @@ class ReferenceSearcher {
         if (pe_compatible(v, p, label)) out.push_back(p);
       }
     }
-    if (options_.interior_first) {
-      std::stable_sort(out.begin(), out.end(), [&](PeId a, PeId b) {
-        return arch_.closed_neighbors(a).size() >
-               arch_.closed_neighbors(b).size();
-      });
-    }
+    // Interior-first value order.
+    std::stable_sort(out.begin(), out.end(), [&](PeId a, PeId b) {
+      return arch_.closed_neighbors(a).size() >
+             arch_.closed_neighbors(b).size();
+    });
   }
 
   /// Cheap forward check: every unmapped neighbour of v must retain at least

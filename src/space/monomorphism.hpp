@@ -74,7 +74,6 @@ struct SpaceOptions {
   /// Reference engine only: cheap one-step lookahead. The bitset engine's
   /// domain propagation subsumes it and cannot be disabled.
   bool forward_check = true;
-  bool interior_first = true;       // value ordering: prefer interior PEs
   /// Restrict the very first placement. On a square mesh or king mesh it
   /// goes to one symmetry octant. The bitset engine additionally pins it by
   /// translation: when the topology is mesh or king mesh, the DFG is
@@ -131,7 +130,7 @@ struct SpaceOptions {
   /// the remaining space, so no conflict explanation is emitted. The
   /// decoupled mapper adapts this budget per schedule — shrinking it for
   /// schedule families that keep dying shallow and extending it for
-  /// near-misses (DecoupledMapperOptions::adaptive_space_budget) — rather
+  /// near-misses (the policy constants beside run_mapping_loop) — rather
   /// than treating exhaustion as a verdict on the schedule. (300k: with
   /// conflict-directed backjumping and distance-2 filtering the engine
   /// refutes or places every realistic suite schedule that completes at

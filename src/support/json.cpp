@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 
 namespace monomap::json {
@@ -220,6 +221,33 @@ std::string escape(std::string_view s) {
     }
   }
   return out;
+}
+
+Writer& Writer::value(double v) {
+  if (!std::isfinite(v)) return raw("null");
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.9g", v);
+  return raw(buf);
+}
+
+std::string Writer::take() {
+  std::string doc = std::move(out_);
+  doc.shrink_to_fit();
+  out_.clear();
+  first_done_.clear();
+  after_key_ = false;
+  return doc;
+}
+
+Writer& Writer::raw(std::string_view text) {
+  if (after_key_) {
+    after_key_ = false;
+  } else if (!first_done_.empty()) {
+    if (first_done_.back()) out_.push_back(',');
+    first_done_.back() = true;
+  }
+  out_ += text;
+  return *this;
 }
 
 }  // namespace monomap::json

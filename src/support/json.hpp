@@ -1,18 +1,20 @@
-// Minimal JSON value parser + string escaping for the serving layer.
+// The project's one JSON reader and one JSON writer.
 //
-// The daemon's wire format is newline-delimited JSON objects; requests are
-// small and flat, so this is a straightforward recursive-descent parser
-// into a variant tree — no external dependency, no streaming. Responses
-// are assembled with ordinary string concatenation plus json_escape()
-// (bench/bench_json.hpp remains the writer for the bench emitters).
+// parse() is a recursive-descent parser into a variant tree: the daemon's
+// wire format is newline-delimited JSON objects, small and flat, so there
+// is no external dependency and no streaming. Numbers are held as double
+// (the protocol's integers are all well inside the 2^53 exact range).
+// Parse errors return std::nullopt rather than throwing: a malformed
+// request line is an expected input, not an exceptional state.
 //
-// Numbers are held as double (the protocol's integers are all well inside
-// the 2^53 exact range). Parse errors return std::nullopt rather than
-// throwing: a malformed request line is an expected input, not an
-// exceptional state.
+// Writer builds a document into a string: every service response, every
+// bench row and the CLI's `result:` line go through it, and every string
+// it writes goes through escape().
 #ifndef MONOMAP_SUPPORT_JSON_HPP
 #define MONOMAP_SUPPORT_JSON_HPP
 
+#include <charconv>
+#include <concepts>
 #include <map>
 #include <memory>
 #include <optional>
@@ -91,6 +93,70 @@ std::optional<Value> parse(std::string_view text);
 /// Escape `s` for embedding inside a JSON string literal (quotes not
 /// included).
 std::string escape(std::string_view s);
+
+/// Streaming writer: objects, arrays, keys and scalars, with the commas
+/// placed by a nesting stack. Doubles are written with 9 significant
+/// digits, and as null when not finite (JSON has no inf or nan).
+class Writer {
+ public:
+  Writer& begin_object() { return open("{"); }
+  Writer& end_object() { return close('}'); }
+  Writer& begin_array() { return open("["); }
+  Writer& end_array() { return close(']'); }
+
+  /// A member name; the next value is its value.
+  Writer& key(std::string_view name) {
+    value(name);
+    out_.push_back(':');
+    after_key_ = true;
+    return *this;
+  }
+
+  Writer& value(std::string_view v) {
+    raw("\"");
+    out_ += escape(v);
+    out_.push_back('"');
+    return *this;
+  }
+  Writer& value(const char* v) { return value(std::string_view(v)); }
+  Writer& value(bool v) { return raw(v ? "true" : "false"); }
+  Writer& value(double v);
+  template <std::integral T>
+  Writer& value(T v) {
+    char buf[24];
+    const char* end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
+    return raw(std::string_view(buf, static_cast<std::size_t>(end - buf)));
+  }
+
+  /// key(name) then value(v).
+  template <typename T>
+  Writer& field(std::string_view name, T v) {
+    key(name);
+    return value(v);
+  }
+
+  [[nodiscard]] const std::string& str() const { return out_; }
+  /// The document at its exact size; the writer starts over empty.
+  std::string take();
+
+ private:
+  /// Append one element, after a comma when it is not its level's first.
+  Writer& raw(std::string_view text);
+  Writer& open(std::string_view bracket) {
+    raw(bracket);
+    first_done_.push_back(false);
+    return *this;
+  }
+  Writer& close(char bracket) {
+    first_done_.pop_back();
+    out_.push_back(bracket);
+    return *this;
+  }
+
+  std::string out_;
+  std::vector<bool> first_done_;  // per open level: an element was written
+  bool after_key_ = false;        // the next element is a member's value
+};
 
 }  // namespace monomap::json
 

@@ -17,7 +17,7 @@ LogLevel initial_level() {
   return LogLevel::kWarn;
 }
 
-LogLevel g_level = initial_level();
+const LogLevel g_level = initial_level();
 
 const char* level_tag(LogLevel level) {
   switch (level) {
@@ -34,8 +34,6 @@ const char* level_tag(LogLevel level) {
 
 LogLevel log_level() { return g_level; }
 
-void set_log_level(LogLevel level) { g_level = level; }
-
 LogLevel parse_log_level(const std::string& text) {
   std::string lower(text.size(), '\0');
   std::transform(text.begin(), text.end(), lower.begin(),
@@ -51,7 +49,8 @@ LogLevel parse_log_level(const std::string& text) {
 namespace detail {
 
 void log_emit(LogLevel level, const std::string& message) {
-  std::cerr << "[monomap " << level_tag(level) << "] " << message << '\n';
+  std::cerr << "[monomap " + std::string(level_tag(level)) + "] " + message +
+                   '\n';
 }
 
 }  // namespace detail

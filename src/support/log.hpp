@@ -1,8 +1,11 @@
 // Minimal levelled logger writing to stderr.
 //
-// Not thread-safe by design: the mapper is single-threaded (like the paper's
-// toolchain) and benches measure wall-clock of the solving path, so logging
-// must stay out of the way when disabled.
+// The threshold is read once, at start-up, from MONOMAP_LOG_LEVEL
+// (debug|info|warn|error|off; default warn) and never changes, so any
+// thread may check it, and a disabled message costs no formatting — the
+// benches time the solving path with logging off. Each message reaches
+// stderr in one write, so lines from concurrent walks and service workers
+// do not interleave mid-line.
 #ifndef MONOMAP_SUPPORT_LOG_HPP
 #define MONOMAP_SUPPORT_LOG_HPP
 
@@ -15,7 +18,6 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 
 /// Global log threshold; messages below it are discarded.
 LogLevel log_level();
-void set_log_level(LogLevel level);
 
 /// Parse "debug"/"info"/"warn"/"error"/"off" (case-insensitive).
 LogLevel parse_log_level(const std::string& text);

@@ -17,6 +17,27 @@ const char* to_string(MapOutcome outcome) {
   return "?";
 }
 
+namespace {
+
+int stop_rank(MapOutcome outcome) {
+  switch (outcome) {
+    case MapOutcome::kRefuted: return 0;
+    case MapOutcome::kDeadline: return 1;
+    case MapOutcome::kFault: return 2;
+    case MapOutcome::kMemory: return 3;
+    case MapOutcome::kCancelled: return 4;
+    case MapOutcome::kFeasible:
+    case MapOutcome::kDegraded: break;
+  }
+  return -1;
+}
+
+}  // namespace
+
+MapOutcome escalate(MapOutcome current, MapOutcome stop) {
+  return stop_rank(stop) > stop_rank(current) ? stop : current;
+}
+
 int exit_code(MapOutcome outcome) {
   switch (outcome) {
     case MapOutcome::kFeasible: return 0;

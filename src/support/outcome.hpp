@@ -2,14 +2,12 @@
 // vocabulary).
 //
 // Every mapper entry point classifies how the request ended into one
-// MapOutcome, replacing ad-hoc inspection of scattered bools
-// (success/timed_out/cancelled/...) in scripted callers. The bools remain
-// as the low-level evidence; the outcome is derived from them in one place
-// (finalize_outcome in decoupled_mapper.cpp) so the precedence rules —
-// e.g. a cancellation is never reported as a degradation — are stated once.
-// The cause chain carries the machine-readable "why": one entry per
-// subsystem that contributed to the verdict, in the order the evidence
-// appeared.
+// MapOutcome, the result's only status. The mapper sets it where the stop
+// happens; when several stops meet (a fault retry running into a cancel, a
+// governor trip behind a deadline), escalate() picks the one reported, so
+// the precedence is stated once. The cause chain carries the
+// machine-readable "why": one entry per subsystem that contributed to the
+// verdict, in the order the evidence appeared.
 #ifndef MONOMAP_SUPPORT_OUTCOME_HPP
 #define MONOMAP_SUPPORT_OUTCOME_HPP
 
@@ -46,6 +44,14 @@ enum class MapOutcome {
 inline constexpr int kMapOutcomeCount = 7;
 
 const char* to_string(MapOutcome outcome);
+
+/// The outcome reported once `stop` meets a result already ending in
+/// `current`: the higher-ranked of the two, by cancelled > memory > fault >
+/// deadline > refuted. A caller's cancel outranks everything (an abandoned
+/// request is not answered), and a tripped memory budget outranks the fault
+/// or deadline it surfaced through. Both arguments are stop outcomes; a
+/// result holding a mapping (feasible, degraded) is never escalated.
+MapOutcome escalate(MapOutcome current, MapOutcome stop);
 
 /// Process exit code for scripted callers: 0 feasible, a distinct small
 /// non-zero per failure class (1 and 2 are reserved for generic I/O errors

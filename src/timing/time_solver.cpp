@@ -163,9 +163,9 @@ bool TimeSolver::add_space_nogood(const TimeSolution& solution,
   return true;
 }
 
-bool TimeSolver::add_cross_ii_nogood(
+void TimeSolver::add_cross_ii_nogood(
     std::vector<std::pair<NodeId, int>> placements) {
-  if (placements.empty()) return false;
+  if (placements.empty()) return;
   for (const auto& [v, slot] : placements) {
     MONOMAP_ASSERT(v >= 0 && v < dfg_.num_nodes());
     MONOMAP_ASSERT(slot >= 0 && slot < ii_);
@@ -173,21 +173,20 @@ bool TimeSolver::add_cross_ii_nogood(
   // Canonical node order so identical instantiations from different
   // certificates (or repeated drains) dedupe against each other.
   std::sort(placements.begin(), placements.end());
-  if (!seen_nogoods_.insert(placements).second) return false;
+  if (!seen_nogoods_.insert(placements).second) return;
   ++stats_.nogoods_lifted_cross_ii;
   if (options_.engine == TimeEngine::kIncremental) {
     if (session_) session_->add_label_nogood(placements);
     // Queue for replay in case the II's session is created later (or not
     // yet).
     ii_nogoods_.push_back(std::move(placements));
-    return true;
+    return;
   }
   if (formulation_ && instance_ok_ &&
       !formulation_->add_label_nogood(placements)) {
     instance_ok_ = false;  // every schedule left here is pruned
   }
   ii_nogoods_.push_back(std::move(placements));
-  return true;
 }
 
 std::optional<TimeSolution> TimeSolver::next(const Deadline& deadline) {

@@ -60,26 +60,34 @@ struct TimeSolverOptions {
   int max_horizon_extension = 8;
 };
 
+/// The time search's effort counters, declared once as X(type, name,
+/// merge): TimeSolverStats holds them, and a walk's merge_attempt_counters
+/// and write_json (mapper/decoupled_mapper.hpp) are generated from the
+/// list. `merge` says how the attempts of one walk fold (sum or max). The
+/// incremental-reuse counters stay zero on the kReference path where noted.
+#define MONOMAP_TIME_COUNTERS(X)                                           \
+  X(int, instances_built, sum)  /* (II, extension) instances activated */ \
+  X(int, sat_calls, sum)                                                   \
+  X(int, solutions_yielded, sum)                                           \
+  X(int, sessions_created, sum)   /* warm solvers built (kIncremental) */  \
+  X(int, horizon_extensions, sum) /* in-place window growths */            \
+  X(int, assumptions_used, sum)   /* assumption literals passed */         \
+  X(int, nogoods_added, sum)      /* distinct space conflicts recorded */  \
+  X(int, narrow_nogoods, sum)     /* over a strict subset of nodes */      \
+  X(int, nogoods_lifted, sum)     /* extra rotation clauses from them */   \
+  X(int, nogoods_deduped, sum)    /* covered by a recorded nogood */       \
+  X(int, nogoods_lifted_cross_ii, sum) /* clauses from other IIs */        \
+  /* Horizons never handed to SAT because they lie below their II's      \
+     capacity floor (capacity_horizon_floor), whole IIs included. */       \
+  X(int, capacity_refuted_horizons, sum)
+
 struct TimeSolverStats {
-  int instances_built = 0;  // (II, extension) instances activated
-  int sat_calls = 0;
-  int solutions_yielded = 0;
-  // Incremental-engine reuse counters (zero on the reference path where
-  // noted).
-  int sessions_created = 0;      // warm solvers built (one per II reached)
-  int horizon_extensions = 0;    // in-place window growths (kIncremental)
-  int assumptions_used = 0;      // assumption literals passed to solves
-  int learnt_retained = 0;       // learnt clauses alive after the last call
-  // Space-conflict feedback (both engines).
-  int nogoods_added = 0;         // distinct space conflicts recorded
-  int narrow_nogoods = 0;        // nogoods over a strict subset of nodes
-  int nogoods_lifted = 0;        // extra rotation clauses derived from them
-  int nogoods_deduped = 0;       // conflicts already covered by a recorded one
-  int nogoods_lifted_cross_ii = 0;  // clauses instantiated from other IIs
-  // Horizons never handed to SAT because they lie below their II's
-  // capacity floor (capacity_horizon_floor), whole IIs included (both
-  // engines).
-  int capacity_refuted_horizons = 0;
+#define MONOMAP_DECLARE_COUNTER(type, name, merge) type name = 0;
+  MONOMAP_TIME_COUNTERS(MONOMAP_DECLARE_COUNTER)
+#undef MONOMAP_DECLARE_COUNTER
+  /// Learnt clauses alive after the last call (kIncremental) — a gauge of
+  /// the final attempt, not summed over a walk.
+  int learnt_retained = 0;
   TimeFormulationStats last_formulation;
 };
 
@@ -121,8 +129,9 @@ class TimeSolver {
   /// infeasible here too. Unlike add_space_nogood no further rotation
   /// lifting happens (the caller instantiates every rotation itself).
   /// Safe to call before the first next(): the clause is queued and armed
-  /// when the II's solver comes up. Returns true when the nogood was new.
-  bool add_cross_ii_nogood(std::vector<std::pair<NodeId, int>> placements);
+  /// when the II's solver comes up. A nogood already recorded here is
+  /// skipped; stats().nogoods_lifted_cross_ii counts the new ones.
+  void add_cross_ii_nogood(std::vector<std::pair<NodeId, int>> placements);
 
   [[nodiscard]] bool timed_out() const { return timed_out_; }
   /// Subset of timed_out(): the stop came from the memory governor

@@ -1,9 +1,15 @@
 // End-to-end tests for the decoupled mapper (the paper's contribution) and
 // the coupled SAT baseline.
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "mapper/coupled_mapper.hpp"
 #include "mapper/decoupled_mapper.hpp"
+#include "support/json.hpp"
 #include "workloads/running_example.hpp"
 #include "workloads/suite.hpp"
 #include "workloads/synthetic.hpp"
@@ -135,7 +141,7 @@ TEST(DecoupledMapper, ImpossibleBudgetReportsTimeout) {
   opt.timeout_s = 1e-6;  // expire immediately
   const MapResult r = DecoupledMapper(opt).map(b.dfg, CgraArch::square(5));
   EXPECT_FALSE(r.success);
-  EXPECT_TRUE(r.timed_out);
+  EXPECT_EQ(r.outcome, MapOutcome::kDeadline);
 }
 
 TEST(DecoupledMapper, SingleNodeDfgOnSinglePe) {
@@ -215,9 +221,8 @@ TEST(DecoupledMapper, MapBatchHonoursSharedDeadline) {
   ASSERT_EQ(results.size(), dfgs.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_FALSE(results[i].success) << i;
-    EXPECT_TRUE(results[i].timed_out) << i;
     // The wall clock ran out; nobody fired a cancel token.
-    EXPECT_FALSE(results[i].cancelled) << i;
+    EXPECT_EQ(results[i].outcome, MapOutcome::kDeadline) << i;
   }
 }
 
@@ -234,9 +239,8 @@ TEST(DecoupledMapper, MapBatchObservesCancelToken) {
       DecoupledMapper(fast_options()).map_batch(dfgs, arch, deadline, 1);
   for (const MapResult& r : results) {
     EXPECT_FALSE(r.success);
-    EXPECT_TRUE(r.timed_out);
     // Cut short by the token, not the wall clock: reported distinctly.
-    EXPECT_TRUE(r.cancelled);
+    EXPECT_EQ(r.outcome, MapOutcome::kCancelled);
   }
 }
 
@@ -255,8 +259,41 @@ TEST(DecoupledMapper, MapBatchPooledPathReportsCancelDistinctly) {
   ASSERT_EQ(results.size(), dfgs.size());
   for (const MapResult& r : results) {
     EXPECT_FALSE(r.success);
-    EXPECT_TRUE(r.timed_out);
-    EXPECT_TRUE(r.cancelled);
+    EXPECT_EQ(r.outcome, MapOutcome::kCancelled);
+  }
+}
+
+TEST(MapResultSchema, WriteJsonCarriesEveryCounterOnce) {
+  // A distinct value per counter, assigned through the lists themselves
+  // (the doubles get a fraction, so their formatting is checked too).
+  MapResult r;
+  std::vector<std::pair<std::string, double>> expected;
+  int next = 1;
+#define MONOMAP_FILL(type, name, merge)                         \
+  r.name = static_cast<type>(next++) + static_cast<type>(0.5);  \
+  expected.emplace_back(#name, static_cast<double>(r.name));
+  MONOMAP_MAP_COUNTERS(MONOMAP_FILL)
+#undef MONOMAP_FILL
+#define MONOMAP_FILL(type, name, merge)                                   \
+  r.time_stats.name = static_cast<type>(next++) + static_cast<type>(0.5); \
+  expected.emplace_back(#name, static_cast<double>(r.time_stats.name));
+  MONOMAP_TIME_COUNTERS(MONOMAP_FILL)
+#undef MONOMAP_FILL
+
+  json::Writer w;
+  w.begin_object();
+  write_json(w, r);
+  w.end_object();
+  const std::string text = w.take();
+  const std::optional<json::Value> doc = json::parse(text);
+  ASSERT_TRUE(doc.has_value()) << text;
+  for (const auto& [name, value] : expected) {
+    const std::string key = "\"" + name + "\":";
+    const std::size_t at = text.find(key);
+    ASSERT_NE(at, std::string::npos) << name << " missing from " << text;
+    EXPECT_EQ(text.find(key, at + 1), std::string::npos)
+        << name << " written twice";
+    EXPECT_EQ(doc->number_or(name, -1.0), value) << name;
   }
 }
 

@@ -187,7 +187,6 @@ TEST(KnowledgeStoreTest, DifferentOptionsOrSaltNeverShareMemoSlots) {
                    .has_value());
   // Soundness gate: only completed feasible results are ever stored.
   MapResult degraded = result;
-  degraded.degraded = true;
   degraded.outcome = MapOutcome::kDegraded;
   KnowledgeStore fresh;
   fresh.store(dfg, fp, arch_fp, options, degraded);
@@ -244,7 +243,7 @@ TEST(ServiceTest, WarmWalkMatchesSequentialAnswerWithEmptyStore) {
   const MapResult warm = mapper.map(dfg, arch, deadline, walk);
   expect_same("hotspot3D", MrrgModel::kConsecutiveOnly, cold, warm);
   EXPECT_EQ(scratch.size(), 0u);
-  EXPECT_EQ(warm.nogoods_lifted_cross_ii, 0);
+  EXPECT_EQ(warm.time_stats.nogoods_lifted_cross_ii, 0);
 }
 
 TEST(ServiceTest, WarmSecondRequestSameAnswerNoMoreSchedules) {

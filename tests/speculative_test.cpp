@@ -115,8 +115,8 @@ TEST(SpeculativeMapper, MapAtIiMirrorsSequentialDecisions) {
   for (int ii = seq.mii.mii(); ii < seq.ii; ++ii) {
     const MapResult r = mapper.map_at_ii(b.dfg, arch, ii, Deadline(120.0));
     EXPECT_FALSE(r.success) << "II " << ii;
-    EXPECT_FALSE(r.timed_out) << "II " << ii << ": must be a refutation, "
-                              << r.failure_reason;
+    EXPECT_EQ(r.outcome, MapOutcome::kRefuted)
+        << "II " << ii << ": must be a refutation, " << r.failure_reason;
   }
   const MapResult r =
       mapper.map_at_ii(b.dfg, arch, seq.ii, Deadline(120.0));
@@ -145,7 +145,7 @@ TEST(SpeculativeMapper, CrossIiCertificatesAreSoundOnBothEngines) {
     const MapResult r =
         mapper.map_at_ii(b.dfg, arch, ii, Deadline(120.0), &store);
     EXPECT_FALSE(r.success) << "II " << ii;
-    EXPECT_FALSE(r.timed_out) << "II " << ii;
+    EXPECT_EQ(r.outcome, MapOutcome::kRefuted) << "II " << ii;
   }
   ASSERT_GT(store.size(), 0u)
       << "the refuted IIs produced no certificates — the lifting channel "
@@ -160,7 +160,7 @@ TEST(SpeculativeMapper, CrossIiCertificatesAreSoundOnBothEngines) {
     ASSERT_TRUE(r.success)
         << to_string(engine) << ": " << r.failure_reason;
     EXPECT_EQ(r.ii, seq.ii) << to_string(engine);
-    EXPECT_GT(r.nogoods_lifted_cross_ii, 0) << to_string(engine);
+    EXPECT_GT(r.time_stats.nogoods_lifted_cross_ii, 0) << to_string(engine);
     EXPECT_TRUE(mapping_is_valid(b.dfg, arch, r.mapping))
         << to_string(engine);
   }
@@ -274,14 +274,14 @@ TEST(SpeculativeMapper, CancellationStress) {
       // The race beat the axe; the mapping must still be a real one.
       EXPECT_TRUE(mapping_is_valid(b.dfg, arch, r.mapping)) << delay_ms;
     } else {
-      EXPECT_TRUE(r.timed_out) << delay_ms << ": " << r.failure_reason;
-      EXPECT_TRUE(r.cancelled) << delay_ms << ": " << r.failure_reason;
+      EXPECT_EQ(r.outcome, MapOutcome::kCancelled)
+          << delay_ms << ": " << r.failure_reason;
     }
   }
 }
 
-/// An expired wall clock without a fired token is a timeout, NOT a cancel
-/// — the two telemetry bits must stay distinguishable.
+/// An expired wall clock without a fired token is a deadline, NOT a cancel
+/// — the two outcomes must stay distinguishable.
 TEST(SpeculativeMapper, ExpiredDeadlineIsNotReportedAsCancelled) {
   const DecoupledMapper mapper(fast_options());
   const Benchmark& b = benchmark_by_name("fft");
@@ -289,8 +289,7 @@ TEST(SpeculativeMapper, ExpiredDeadlineIsNotReportedAsCancelled) {
   const MapResult r =
       mapper.map(b.dfg, arch, Deadline(0.0), race_options());
   EXPECT_FALSE(r.success);
-  EXPECT_TRUE(r.timed_out);
-  EXPECT_FALSE(r.cancelled);
+  EXPECT_EQ(r.outcome, MapOutcome::kDeadline);
 }
 
 }  // namespace

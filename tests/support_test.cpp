@@ -1,16 +1,23 @@
 // Tests for the support utilities: assertions, RNG, stopwatch/deadline,
-// tables and CSV.
+// tables, CSV, the JSON writer and outcome escalation.
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "support/assert.hpp"
+#include "support/json.hpp"
 #include "support/log.hpp"
+#include "support/outcome.hpp"
 #include "support/parallel.hpp"
 #include "support/pe_set.hpp"
 #include "support/rng.hpp"
@@ -565,6 +572,82 @@ TEST(Csv, QuotesOnlyWhenNeeded) {
   CsvWriter csv(os);
   csv.write_row({"plain", "with,comma", "with\"quote"});
   EXPECT_EQ(os.str(), "plain,\"with,comma\",\"with\"\"quote\"\n");
+}
+
+TEST(Outcome, EscalateKeepsTheHigherRankedStop) {
+  // Lowest to highest: refuted < deadline < fault < memory < cancelled.
+  const std::array<MapOutcome, 5> ranked{
+      MapOutcome::kRefuted, MapOutcome::kDeadline, MapOutcome::kFault,
+      MapOutcome::kMemory, MapOutcome::kCancelled};
+  for (std::size_t i = 0; i < ranked.size(); ++i) {
+    for (std::size_t j = 0; j < ranked.size(); ++j) {
+      EXPECT_EQ(escalate(ranked[i], ranked[j]), ranked[std::max(i, j)])
+          << to_string(ranked[i]) << " then " << to_string(ranked[j]);
+    }
+  }
+}
+
+TEST(JsonWriter, RoundTripsThroughParse) {
+  const std::string tricky = std::string("q\"b\\n\nc") + '\x01';
+  json::Writer w;
+  w.begin_object();
+  w.field("text", tricky);
+  w.field("int64_min", std::numeric_limits<std::int64_t>::min());
+  w.field("int64_max", std::numeric_limits<std::int64_t>::max());
+  w.field("uint64_max", std::numeric_limits<std::uint64_t>::max());
+  w.field("nan", std::nan(""));
+  w.field("inf", std::numeric_limits<double>::infinity());
+  w.field("half", 0.5);
+  w.field("flag", true);
+  w.key("nested").begin_object();
+  w.key("list").begin_array();
+  w.value(1).value("two");
+  w.begin_object().field("three", 3).end_object();
+  w.begin_array().end_array();
+  w.end_array();
+  w.key("empty").begin_object().end_object();
+  w.end_object();
+  w.end_object();
+  const std::string text = w.take();
+  EXPECT_TRUE(w.str().empty());
+
+  // Integers are written exactly, whatever a double can hold.
+  EXPECT_NE(text.find("\"int64_min\":-9223372036854775808"), std::string::npos);
+  EXPECT_NE(text.find("\"int64_max\":9223372036854775807"), std::string::npos);
+  EXPECT_NE(text.find("\"uint64_max\":18446744073709551615"),
+            std::string::npos);
+  EXPECT_NE(text.find("\\u0001"), std::string::npos);
+
+  const std::optional<json::Value> doc = json::parse(text);
+  ASSERT_TRUE(doc.has_value()) << text;
+  EXPECT_EQ(doc->string_or("text", ""), tricky);
+  EXPECT_EQ(doc->number_or("int64_min", 0.0),
+            static_cast<double>(std::numeric_limits<std::int64_t>::min()));
+  EXPECT_EQ(doc->number_or("int64_max", 0.0),
+            static_cast<double>(std::numeric_limits<std::int64_t>::max()));
+  EXPECT_EQ(doc->number_or("uint64_max", 0.0),
+            static_cast<double>(std::numeric_limits<std::uint64_t>::max()));
+  ASSERT_NE(doc->find("nan"), nullptr);
+  EXPECT_TRUE(doc->find("nan")->is_null());
+  ASSERT_NE(doc->find("inf"), nullptr);
+  EXPECT_TRUE(doc->find("inf")->is_null());
+  EXPECT_EQ(doc->number_or("half", 0.0), 0.5);
+  EXPECT_TRUE(doc->bool_or("flag", false));
+
+  const json::Value* nested = doc->find("nested");
+  ASSERT_NE(nested, nullptr);
+  const json::Value* list = nested->find("list");
+  ASSERT_NE(list, nullptr);
+  ASSERT_TRUE(list->is_array());
+  const json::Array& items = list->as_array();
+  ASSERT_EQ(items.size(), 4u);
+  EXPECT_EQ(items[0].as_number(), 1.0);
+  EXPECT_EQ(items[1].as_string(), "two");
+  EXPECT_EQ(items[2].number_or("three", 0.0), 3.0);
+  EXPECT_TRUE(items[3].is_array());
+  EXPECT_TRUE(items[3].as_array().empty());
+  ASSERT_NE(nested->find("empty"), nullptr);
+  EXPECT_TRUE(nested->find("empty")->as_object().empty());
 }
 
 }  // namespace

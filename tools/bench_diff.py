@@ -26,6 +26,13 @@ only *noted*: both legitimately go to zero on a machine with fewer cores
 (no overlap, no steals). Rows or whole baselines predating a counter are
 tolerated (the counter is simply absent there).
 
+II quality gate, on every key: a row that is feasible in both runs fails
+when the fresh run lands at a higher ii, or, where both rows carry
+ii_lo/ii_hi, at a wider sound interval [ii_lo, ii_hi] — an II regression
+fails even when the effort counters shrink. Rows without an outcome (space
+records) are skipped, as are speculative-warm rows, whose II depends on
+when certificates arrive.
+
 Row-set drift: a baseline row missing from the fresh run fails the gate
 (exit 1) when the fresh run covers that row's grid section — a case
 silently stopped being benchmarked. Baseline grid sections the fresh run
@@ -83,9 +90,32 @@ def check_metric(fresh, base, metric, max_ratio):
     return median(ratios), worst[0], worst[1], len(ratios)
 
 
+def check_ii_quality(fresh, base):
+    """Return (compared, failures) for the II quality gate: paired rows
+    feasible on both sides, speculative-warm rows excluded; a failure is a
+    higher fresh ii or, where both rows carry the interval, a wider
+    ii_hi - ii_lo."""
+    compared, failures = 0, []
+    for label, row in sorted(fresh.items()):
+        was = base.get(label)
+        if (was is None or label[2] == "speculative-warm"
+                or row.get("outcome") != "feasible"
+                or was.get("outcome") != "feasible"):
+            continue
+        compared += 1
+        if row["ii"] > was["ii"]:
+            failures.append(f"{label}: ii {was['ii']} -> {row['ii']}")
+        if ("ii_hi" in row and "ii_hi" in was
+                and row["ii_hi"] - row["ii_lo"] > was["ii_hi"] - was["ii_lo"]):
+            failures.append(f"{label}: interval [{was['ii_lo']}, "
+                            f"{was['ii_hi']}] -> [{row['ii_lo']}, "
+                            f"{row['ii_hi']}]")
+    return compared, failures
+
+
 def note_outcome_counters(fresh, base):
-    """Robustness telemetry riding on bench rows: outcome/degraded/
-    fault_retries (time records), memory_out and the tiled-layout locality
+    """Robustness telemetry riding on bench rows: outcome/fault_retries
+    (time records), memory_out and the tiled-layout locality
     counters tiles_skipped/domain_bytes_touched (space records). Tolerated
     when the baseline predates them (first recording), but noted; a fresh
     row that did not end clean/feasible is also noted loudly, since its
@@ -98,14 +128,13 @@ def note_outcome_counters(fresh, base):
         # tiles_skipped / domain_bytes_touched are locality telemetry from
         # the tiled domain layout: note-only, never gated — their magnitude
         # tracks layout policy (and MONOMAP_TILES), not search behaviour.
-        for field in ("outcome", "degraded", "fault_retries", "memory_out",
+        for field in ("outcome", "fault_retries", "memory_out",
                       "tiles_skipped", "domain_bytes_touched"):
             if field in row and (base_row is None or field not in base_row):
                 if field not in new_fields:
                     new_fields.append(field)
         if (row.get("outcome") not in (None, "feasible")
-                or row.get("degraded") or row.get("fault_retries")
-                or row.get("memory_out")):
+                or row.get("fault_retries") or row.get("memory_out")):
             unclean.append(label)
     if new_fields:
         print(f"note: fresh rows carry outcome counter(s) {new_fields} "
@@ -209,6 +238,14 @@ def main():
         failed = True
         print(f"FAIL: {counter}: baseline recorded activity but the fresh "
               f"run sums to 0 — the counter (or its subsystem) went dead")
+    compared, ii_failures = check_ii_quality(fresh, base)
+    if ii_failures:
+        failed = True
+        print(f"FAIL: ii: {len(ii_failures)} feasible row(s) regressed: "
+              f"{ii_failures[:5]}{'...' if len(ii_failures) > 5 else ''}")
+    elif compared:
+        print(f"ok: ii: no II increase or interval widening over "
+              f"{compared} feasible rows")
     for counter in quiet:
         print(f"note: {counter}: active in the baseline, 0 in this run "
               f"(expected on a smaller machine; not gated)")
@@ -220,8 +257,7 @@ def main():
               f"'{args.key}' — the gate checked nothing")
         return 1
     if failed:
-        print("regression detected: fresh run is more than "
-              f"{args.max_ratio:.2f}x the baseline at the median")
+        print("regression detected: see the FAIL lines above")
     return 1 if failed else 0
 
 

@@ -27,6 +27,7 @@
 #include "sched/mobility.hpp"
 #include "support/argparse.hpp"
 #include "support/fault.hpp"
+#include "support/json.hpp"
 #include "support/outcome.hpp"
 #include "support/table.hpp"
 #include "workloads/suite.hpp"
@@ -47,8 +48,6 @@ struct CliOptions {
   bool share_nogoods = false;  // walk with a cross-II certificate store
   std::uint64_t space_budget = 0;    // valid only when space_budget_set
   bool space_budget_set = false;     // --space-budget given (0 = unlimited)
-  std::uint64_t shrink_divisor = 0;  // 0 = keep the mapper default
-  bool adaptive_budget = true;
   bool distance2 = true;
   bool backjump = true;
   bool anytime = false;         // degrade to the best feasible mapping
@@ -72,8 +71,8 @@ struct CliOptions {
       "      [--lookahead N]   (speculative: IIs raced beyond the frontier)\n"
       "      [--share-nogoods] (decoupled/speculative: share slot-partition\n"
       "                         certificates across the walk's IIs)\n"
-      "      [--space-budget N] [--shrink-divisor N] [--no-adaptive-budget]\n"
-      "      [--no-distance2] [--no-backjump] [--restricted] [--out FILE]\n"
+      "      [--space-budget N] [--no-distance2] [--no-backjump]\n"
+      "      [--restricted] [--out FILE]\n"
       "      [--space-order dynamic-mrv|sparse-mrv|static]\n"
       "      [--anytime] [--max-schedules N] [--mem-budget-mb N]\n"
       "      [--faults SPEC]   (SPEC: site=kind@period[,...][:seed],\n"
@@ -169,10 +168,6 @@ CliOptions parse_flags(int argc, char** argv, int first) {
     } else if (arg == "--space-budget") {
       opt.space_budget = parse_u64(value(), "--space-budget");
       opt.space_budget_set = true;
-    } else if (arg == "--shrink-divisor") {
-      opt.shrink_divisor = parse_u64(value(), "--shrink-divisor");
-    } else if (arg == "--no-adaptive-budget") {
-      opt.adaptive_budget = false;
     } else if (arg == "--no-distance2") {
       opt.distance2 = false;
     } else if (arg == "--no-backjump") {
@@ -262,7 +257,6 @@ int cmd_map(const std::string& spec, const CliOptions& opt) {
     DecoupledMapperOptions mopt;
     mopt.timeout_s = opt.timeout_s;
     mopt.time.engine = opt.time_engine;
-    mopt.adaptive_space_budget = opt.adaptive_budget;
     mopt.space.distance2_filter = opt.distance2;
     mopt.space.backjumping = opt.backjump;
     // "auto" leaves the engine defaults (dynamic MRV with the size-based
@@ -281,9 +275,6 @@ int cmd_map(const std::string& spec, const CliOptions& opt) {
     mopt.memory_budget_mb = opt.mem_budget_mb;
     if (opt.space_budget_set) {
       mopt.space.max_backtracks = opt.space_budget;  // 0 = unlimited
-    }
-    if (opt.shrink_divisor != 0) {
-      mopt.space_budget_shrink_divisor = opt.shrink_divisor;
     }
     if (opt.restricted) {
       mopt.space.model = MrrgModel::kConsecutiveOnly;
@@ -304,12 +295,6 @@ int cmd_map(const std::string& spec, const CliOptions& opt) {
       if (opt.mapper == "speculative") walk.lookahead = opt.lookahead;
       if (opt.share_nogoods) walk.store = &store;
       r = mapper.map(dfg, arch, walk);
-      if (opt.mapper == "speculative" || opt.share_nogoods) {
-        std::cout << "speculative: " << r.speculative_hits
-                  << " prefilter hits, "
-                  << r.nogoods_lifted_cross_ii << " cross-II nogoods lifted, "
-                  << r.steals << " steals\n";
-      }
     }
     if (r.success) {
       mapping = r.mapping;
@@ -317,27 +302,10 @@ int cmd_map(const std::string& spec, const CliOptions& opt) {
     } else {
       std::cerr << "failed: " << r.failure_reason << '\n';
     }
-    std::cout << "space: " << r.schedules_tried << " schedules, "
-              << r.space_truncated << " truncated, " << r.space_exhausted
-              << " refuted, " << r.space_backjumps << " backjumps, budget +"
-              << r.budget_extensions << "/-" << r.budget_shrinks
-              << " (time " << format_time_s(r.time_phase_s) << " s, space "
-              << format_time_s(r.space_phase_s) << " s)\n";
-    std::cout << "time: " << r.time_stats.sat_calls << " SAT calls, "
-              << r.time_stats.capacity_refuted_horizons
-              << " horizons refuted by the capacity floor\n";
-    std::cout << "outcome: " << to_string(r.outcome) << ", sound II interval ["
-              << r.ii_lo << ", "
-              << (r.ii_hi > 0 ? std::to_string(r.ii_hi) : std::string("inf"))
-              << "]";
-    if (r.fault_retries > 0) {
-      std::cout << ", " << r.fault_retries << " fault retries";
-    }
-    if (r.mem_peak_bytes > 0) {
-      std::cout << ", mem peak " << (r.mem_peak_bytes >> 10) << " KiB, "
-                << r.mem_sheds << " sheds";
-    }
-    std::cout << '\n';
+    json::Writer result;
+    result.begin_object();
+    write_json(result, r);
+    std::cout << "result: " << result.end_object().str() << '\n';
     if (!r.causes.empty()) {
       std::cout << "causes: " << format_causes(r.causes) << '\n';
     }
