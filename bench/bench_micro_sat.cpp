@@ -4,7 +4,6 @@
 #include <benchmark/benchmark.h>
 
 #include "encode/cnf_builder.hpp"
-#include "sat/dimacs.hpp"
 #include "sat/solver.hpp"
 #include "support/rng.hpp"
 

@@ -9,7 +9,7 @@
 //    machine-readable engine comparison per grid section (suite, grid, II,
 //    seconds, effort counters per engine), recorded in BENCH_space.json to
 //    track the perf trajectory across PRs. Grid 8 compares the bitset
-//    engine against the scan-based reference and carries the portfolio
+//    engine against the scan-based reference and carries the walk
 //    section; larger grids (multi-word domains) compare the dispatched
 //    SIMD bitset engine against the same engine pinned to the scalar
 //    kernels ("bitset-scalar") and against the untiled domain layout
@@ -438,10 +438,10 @@ void run_json_mode(const std::vector<int>& grids, int repeats,
   }
   json.end_array();
 
-  // Portfolio and the speculative cross-II race vs the single sequential
-  // configuration, full decoupled solves. Grid 8 only: the section tracks
-  // the small-fabric mapper end to end.
-  json.key("portfolio");
+  // The speculative cross-II race vs the single sequential walk, full
+  // decoupled solves. Grid 8 only: the section tracks the small-fabric
+  // mapper end to end.
+  json.key("walk");
   json.begin_array();
   for (const int grid : grids) {
     if (grid != 8) continue;
@@ -452,20 +452,15 @@ void run_json_mode(const std::vector<int>& grids, int repeats,
       opt.timeout_s = 30.0;
       const DecoupledMapper mapper(opt);
       std::vector<double> single_s;
-      std::vector<double> racing_s;
       std::vector<double> speculative_s;
       MapResult single;
-      MapResult racing;
       MapResult speculative;
       for (int r = 0; r < repeats; ++r) {
-        // All sides on the same basis: full wall-clock around the call
+        // Both sides on the same basis: full wall-clock around the call
         // (thread spawn/join and validation included).
         Stopwatch single_wall;
         single = mapper.map(b.dfg, arch);
         single_s.push_back(single_wall.elapsed_s());
-        Stopwatch racing_wall;
-        racing = mapper.map_portfolio(b.dfg, arch);
-        racing_s.push_back(racing_wall.elapsed_s());
         Stopwatch speculative_wall;
         // The throughput flavour: a lookahead-2 race sharing certificates
         // (counters active).
@@ -476,19 +471,16 @@ void run_json_mode(const std::vector<int>& grids, int repeats,
         speculative = mapper.map(b.dfg, arch, walk);
         speculative_s.push_back(speculative_wall.elapsed_s());
       }
-      // No winner_config field, and ii comes from the deterministic single
-      // solve: the threaded portfolio's winner (and thus its II) is
-      // scheduling-dependent, and this record is diffed across PRs — as
-      // is the warm speculative race's II (certificate arrival order can
-      // move the policy's give-up points), so only its wall clock and
-      // certificate-traffic counters ride along.
+      // ii comes from the deterministic single walk: this record is diffed
+      // across PRs, and the warm speculative race's II depends on thread
+      // timing (certificate arrival order can move the policy's give-up
+      // points), so only its wall clock and certificate-traffic counters
+      // ride along.
       json.begin_object();
       json.field("suite", b.name);
       json.field("grid", grid);
       json.field("single_success", single.success);
       json.field("single_s", median(single_s));
-      json.field("portfolio_success", racing.success);
-      json.field("portfolio_s", median(racing_s));
       json.field("speculative_success", speculative.success);
       json.field("speculative_s", median(speculative_s));
       json.field("speculative_hits", speculative.speculative_hits);

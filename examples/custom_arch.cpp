@@ -5,7 +5,6 @@
 // Usage: custom_arch [benchmark] (default: crc32)
 #include <iostream>
 
-#include "arch/mrrg.hpp"
 #include "mapper/decoupled_mapper.hpp"
 #include "support/table.hpp"
 #include "workloads/suite.hpp"
@@ -19,8 +18,7 @@ int main(int argc, char** argv) {
             << b.dfg.num_nodes() << " nodes, RecII=" << b.paper_rec_ii
             << ")\n\n";
 
-  AsciiTable table({"Topology", "Grid", "D_M", "MRRG |V|", "MRRG |E|", "mII",
-                    "II", "Total[s]"});
+  AsciiTable table({"Topology", "Grid", "D_M", "mII", "II", "Total[s]"});
   for (const Topology topo :
        {Topology::kMesh, Topology::kTorus, Topology::kDiagonal}) {
     for (const int side : {3, 4, 6}) {
@@ -28,13 +26,9 @@ int main(int argc, char** argv) {
       DecoupledMapperOptions opt;
       opt.timeout_s = 30.0;
       const MapResult r = DecoupledMapper(opt).map(b.dfg, arch);
-      const int ii_for_mrrg = r.success ? r.ii : r.mii.mii();
-      const Mrrg mrrg(arch, ii_for_mrrg);
       table.add_row({topology_name(topo),
                      std::to_string(side) + "x" + std::to_string(side),
                      std::to_string(arch.connectivity_degree()),
-                     std::to_string(mrrg.num_vertices()),
-                     std::to_string(mrrg.count_edges()),
                      std::to_string(r.mii.mii()),
                      r.success ? std::to_string(r.ii) : "-",
                      format_time_s(r.total_s)});

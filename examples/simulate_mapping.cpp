@@ -1,11 +1,10 @@
-// Map a kernel, generate its per-PE configuration, execute it on the
-// functional CGRA simulator and check the results against the sequential
-// interpreter — the full compile-and-run flow a CGRA user cares about.
+// Map a kernel, execute it on the functional CGRA simulator and check the
+// results against the sequential interpreter — the full compile-and-run
+// flow a CGRA user cares about.
 //
 // Usage: simulate_mapping [benchmark] [grid_side] (default: gsm 4)
 #include <iostream>
 
-#include "mapper/config_gen.hpp"
 #include "mapper/decoupled_mapper.hpp"
 #include "mapper/reg_pressure.hpp"
 #include "sim/simulator.hpp"
@@ -34,11 +33,6 @@ int main(int argc, char** argv) {
   const RegPressureReport pressure =
       analyze_register_pressure(b.dfg, arch, r.mapping);
   std::cout << pressure.to_string() << "\n\n";
-
-  const ConfigImage image(b.kernel, b.dfg, arch, r.mapping);
-  std::cout << "PE utilization: " << image.utilization() * 100.0 << "%\n"
-            << "configuration image:\n"
-            << image.to_string() << '\n';
 
   SimOptions sopt;
   sopt.iterations = r.mapping.num_stages() + 6;

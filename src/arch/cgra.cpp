@@ -81,9 +81,7 @@ CgraArch::CgraArch(int rows, int cols, Topology topology)
     for (const PeId q : neighbors_[static_cast<std::size_t>(pe)]) {
       ball |= closed_neighbor_masks_[static_cast<std::size_t>(q)];
     }
-    const int size = ball.count();
-    d2_ball_min_ = pe == 0 ? size : std::min(d2_ball_min_, size);
-    d2_ball_max_ = std::max(d2_ball_max_, size);
+    d2_ball_max_ = std::max(d2_ball_max_, ball.count());
     distance2_masks_.push_back(std::move(ball));
   }
 

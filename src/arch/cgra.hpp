@@ -166,13 +166,11 @@ class CgraArch {
     return topology_ == Topology::kDiagonal ? std::max(dr, dc) : dr + dc;
   }
 
-  /// Smallest / largest distance-2 ball size (|distance2_mask(pe)|) over
-  /// all PEs: the corner-PE and interior-PE capacities (13 and 7 on a big
-  /// enough plain mesh). Workload generators size satisfiable instances
-  /// against these — any same-label cluster a DFG forces into one ball
-  /// must fit the *interior* capacity to be placeable everywhere, and
-  /// refutation-heavy instances push past the corner capacity.
-  [[nodiscard]] int distance2_ball_min() const { return d2_ball_min_; }
+  /// Largest distance-2 ball size (|distance2_mask(pe)|) over all PEs: the
+  /// interior-PE capacity (13 on a big enough plain mesh). Workload
+  /// generators size satisfiable instances against it — any same-label
+  /// cluster a DFG forces into one ball must fit the interior capacity to
+  /// be placeable everywhere.
   [[nodiscard]] int distance2_ball_max() const { return d2_ball_max_; }
 
   [[nodiscard]] std::string description() const;
@@ -182,7 +180,6 @@ class CgraArch {
   int cols_;
   Topology topology_;
   int degree_ = 0;
-  int d2_ball_min_ = 0;
   int d2_ball_max_ = 0;
   std::vector<std::vector<PeId>> neighbors_;
   std::vector<std::vector<PeId>> closed_neighbors_;

@@ -11,71 +11,17 @@
 //   intra-slot mesh edges — the literal reading of the paper's E_M formula.
 //   Used by ablation A2/A3 to show why persistence is the coherent model.
 //
-// Adjacency is answered implicitly from grid coordinates (no materialised
-// edge list): a 20x20 CGRA at II=16 has 6400 vertices and ~120k edges, and
-// the monomorphism search only ever asks point queries and neighbourhood
-// enumerations.
+// The graph is never materialised: a 20x20 CGRA at II=16 has 6400 vertices
+// and ~120k edges, and the space search and validate_mapping answer
+// adjacency from grid coordinates and slots directly.
 #ifndef MONOMAP_ARCH_MRRG_HPP
 #define MONOMAP_ARCH_MRRG_HPP
 
-#include <cstdint>
-#include <vector>
-
-#include "arch/cgra.hpp"
-
 namespace monomap {
-
-using MrrgVertexId = std::int32_t;
 
 enum class MrrgModel {
   kRegisterPersistence,
   kConsecutiveOnly,
-};
-
-class Mrrg {
- public:
-  Mrrg(const CgraArch& arch, int ii,
-       MrrgModel model = MrrgModel::kRegisterPersistence);
-
-  [[nodiscard]] const CgraArch& arch() const { return *arch_; }
-  [[nodiscard]] int ii() const { return ii_; }
-  [[nodiscard]] MrrgModel model() const { return model_; }
-
-  [[nodiscard]] int num_vertices() const { return arch_->num_pes() * ii_; }
-
-  /// Vertices are numbered slot-major: id = slot * num_pes + pe.
-  [[nodiscard]] MrrgVertexId vertex(PeId pe, int slot) const {
-    MONOMAP_ASSERT(arch_->has_pe(pe) && slot >= 0 && slot < ii_);
-    return slot * arch_->num_pes() + pe;
-  }
-  [[nodiscard]] PeId pe_of(MrrgVertexId v) const {
-    MONOMAP_ASSERT(v >= 0 && v < num_vertices());
-    return v % arch_->num_pes();
-  }
-  [[nodiscard]] int slot_of(MrrgVertexId v) const {
-    MONOMAP_ASSERT(v >= 0 && v < num_vertices());
-    return v / arch_->num_pes();
-  }
-
-  /// The paper's labelling function l_M: vertex -> its time step.
-  [[nodiscard]] int label(MrrgVertexId v) const { return slot_of(v); }
-
-  /// Undirected adjacency (self-loops excluded; every vertex additionally
-  /// has an implicit self-loop per the paper's Fig. 3 caption).
-  [[nodiscard]] bool adjacent(MrrgVertexId a, MrrgVertexId b) const;
-
-  /// All vertices adjacent to v (excluding v itself).
-  [[nodiscard]] std::vector<MrrgVertexId> neighbors(MrrgVertexId v) const;
-
-  /// Number of edges of the explicit undirected graph (for tests/stats).
-  [[nodiscard]] std::int64_t count_edges() const;
-
- private:
-  [[nodiscard]] bool slots_adjacent(int si, int sj) const;
-
-  const CgraArch* arch_;
-  int ii_;
-  MrrgModel model_;
 };
 
 }  // namespace monomap

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <limits>
 
 namespace monomap {
 
@@ -49,79 +48,6 @@ std::optional<std::vector<NodeId>> topological_sort(
     return std::nullopt;  // cycle in the selected subgraph
   }
   return order;
-}
-
-std::vector<int> strongly_connected_components(const Graph& g, int* count) {
-  // Iterative Tarjan.
-  const int n = g.num_nodes();
-  std::vector<int> index(static_cast<std::size_t>(n), -1);
-  std::vector<int> lowlink(static_cast<std::size_t>(n), 0);
-  std::vector<bool> on_stack(static_cast<std::size_t>(n), false);
-  std::vector<int> comp(static_cast<std::size_t>(n), -1);
-  std::vector<NodeId> stack;
-  int next_index = 0;
-  int next_comp = 0;
-
-  struct Frame {
-    NodeId v;
-    std::size_t edge_pos;
-  };
-  std::vector<Frame> call;
-
-  for (NodeId root = 0; root < n; ++root) {
-    if (index[static_cast<std::size_t>(root)] != -1) continue;
-    call.push_back({root, 0});
-    while (!call.empty()) {
-      Frame& frame = call.back();
-      const NodeId v = frame.v;
-      if (frame.edge_pos == 0) {
-        index[static_cast<std::size_t>(v)] = next_index;
-        lowlink[static_cast<std::size_t>(v)] = next_index;
-        ++next_index;
-        stack.push_back(v);
-        on_stack[static_cast<std::size_t>(v)] = true;
-      }
-      bool descended = false;
-      const auto& outs = g.out_edges(v);
-      while (frame.edge_pos < outs.size()) {
-        const NodeId w = g.edge(outs[frame.edge_pos]).dst;
-        ++frame.edge_pos;
-        if (index[static_cast<std::size_t>(w)] == -1) {
-          call.push_back({w, 0});
-          descended = true;
-          break;
-        }
-        if (on_stack[static_cast<std::size_t>(w)]) {
-          lowlink[static_cast<std::size_t>(v)] =
-              std::min(lowlink[static_cast<std::size_t>(v)],
-                       index[static_cast<std::size_t>(w)]);
-        }
-      }
-      if (descended) continue;
-      if (lowlink[static_cast<std::size_t>(v)] ==
-          index[static_cast<std::size_t>(v)]) {
-        for (;;) {
-          const NodeId w = stack.back();
-          stack.pop_back();
-          on_stack[static_cast<std::size_t>(w)] = false;
-          comp[static_cast<std::size_t>(w)] = next_comp;
-          if (w == v) break;
-        }
-        ++next_comp;
-      }
-      call.pop_back();
-      if (!call.empty()) {
-        const NodeId parent = call.back().v;
-        lowlink[static_cast<std::size_t>(parent)] =
-            std::min(lowlink[static_cast<std::size_t>(parent)],
-                     lowlink[static_cast<std::size_t>(v)]);
-      }
-    }
-  }
-  if (count != nullptr) {
-    *count = next_comp;
-  }
-  return comp;
 }
 
 std::vector<int> longest_path_from_sources(const Graph& g,
@@ -289,26 +215,6 @@ std::vector<int> undirected_components(const Graph& g, int* count) {
   }
   if (count != nullptr) *count = next;
   return comp;
-}
-
-std::vector<NodeId> undirected_bfs_order(const Graph& g, NodeId start) {
-  MONOMAP_ASSERT(g.has_node(start));
-  std::vector<bool> seen(static_cast<std::size_t>(g.num_nodes()), false);
-  std::deque<NodeId> queue{start};
-  seen[static_cast<std::size_t>(start)] = true;
-  std::vector<NodeId> order;
-  while (!queue.empty()) {
-    const NodeId v = queue.front();
-    queue.pop_front();
-    order.push_back(v);
-    for (const NodeId w : g.undirected_neighbors(v)) {
-      if (!seen[static_cast<std::size_t>(w)]) {
-        seen[static_cast<std::size_t>(w)] = true;
-        queue.push_back(w);
-      }
-    }
-  }
-  return order;
 }
 
 }  // namespace monomap

@@ -26,12 +26,6 @@ EdgePredicate edges_with_attr(int attr);
 std::optional<std::vector<NodeId>> topological_sort(
     const Graph& g, const EdgePredicate& include = all_edges());
 
-/// Tarjan strongly connected components (iterative). Returns one component
-/// id per node, components numbered in reverse topological order; the number
-/// of components is written to *count if non-null.
-std::vector<int> strongly_connected_components(const Graph& g,
-                                               int* count = nullptr);
-
 /// Longest path length (in edges) from any source, over selected edges,
 /// which must form a DAG. Result[v] = length of the longest selected path
 /// ending at v. Throws AssertionError if the selected subgraph is cyclic.
@@ -54,10 +48,6 @@ int recurrence_mii(const Graph& g);
 
 /// Undirected connected components: one id per node plus component count.
 std::vector<int> undirected_components(const Graph& g, int* count = nullptr);
-
-/// BFS order over the undirected graph starting from `start`, visiting only
-/// the component of `start`.
-std::vector<NodeId> undirected_bfs_order(const Graph& g, NodeId start);
 
 }  // namespace monomap
 

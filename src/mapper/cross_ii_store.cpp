@@ -5,6 +5,22 @@
 
 namespace monomap {
 
+void canonicalize(SlotPartitionCert& cert) {
+  std::vector<std::pair<std::vector<NodeId>, int>> blocks;
+  blocks.reserve(cert.blocks.size());
+  for (std::size_t b = 0; b < cert.blocks.size(); ++b) {
+    std::sort(cert.blocks[b].begin(), cert.blocks[b].end());
+    blocks.emplace_back(std::move(cert.blocks[b]), cert.block_slots[b]);
+  }
+  std::sort(blocks.begin(), blocks.end(), [](const auto& a, const auto& b) {
+    return a.first.front() < b.first.front();
+  });
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    cert.blocks[b] = std::move(blocks[b].first);
+    cert.block_slots[b] = blocks[b].second;
+  }
+}
+
 bool cert_hits_labels(const SlotPartitionCert& cert,
                       const std::vector<int>& labels) {
   for (const std::vector<NodeId>& block : cert.blocks) {
@@ -39,53 +55,20 @@ std::vector<std::vector<std::pair<NodeId, int>>> instantiate_rotations(
 
 bool CrossIiNogoodStore::add(int source_ii, const std::vector<NodeId>& nodes,
                              const std::vector<int>& labels) {
-  if (nodes.empty()) return false;
-  // Group the conflict nodes by their slot, canonically: std::map orders
-  // blocks by slot, then re-sorting by first node makes the partition key
-  // independent of which slots happened to carry it.
+  // Group the conflict nodes by their slot; the canonical form makes the
+  // partition key independent of which slots happened to carry it.
   std::map<int, std::vector<NodeId>> by_slot;
   for (const NodeId v : nodes) {
     by_slot[labels[static_cast<std::size_t>(v)]].push_back(v);
   }
   SlotPartitionCert cert;
   cert.source_ii = source_ii;
-  cert.blocks.reserve(by_slot.size());
-  cert.block_slots.reserve(by_slot.size());
   for (auto& [slot, block] : by_slot) {
-    std::sort(block.begin(), block.end());
     cert.blocks.push_back(std::move(block));
     cert.block_slots.push_back(slot);
   }
-  std::vector<std::size_t> order(cert.blocks.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return cert.blocks[a].front() < cert.blocks[b].front();
-  });
-  SlotPartitionCert canon;
-  canon.source_ii = cert.source_ii;
-  canon.blocks.reserve(order.size());
-  canon.block_slots.reserve(order.size());
-  for (const std::size_t i : order) {
-    canon.blocks.push_back(std::move(cert.blocks[i]));
-    canon.block_slots.push_back(cert.block_slots[i]);
-  }
-
-  const std::lock_guard<std::mutex> lock(m_);
-  if (!seen_.insert(canon.blocks).second) return false;
-  if (gov_ != nullptr) {
-    // Charge the certificate; under pressure evict oldest-first — stale
-    // source-II knowledge goes before fresh — and only drop the new
-    // certificate when the store is empty and the budget still refuses.
-    const std::size_t bytes = cert_bytes(canon);
-    while (!gov_->try_charge(bytes)) {
-      if (certs_.empty()) return false;
-      gov_->note_shed();
-      evict_front_locked();
-    }
-    gov_charged_ += bytes;
-  }
-  certs_.push_back(std::move(canon));
-  return true;
+  canonicalize(cert);
+  return add_cert(std::move(cert));
 }
 
 bool CrossIiNogoodStore::add_cert(SlotPartitionCert cert) {
@@ -95,6 +78,9 @@ bool CrossIiNogoodStore::add_cert(SlotPartitionCert cert) {
   const std::lock_guard<std::mutex> lock(m_);
   if (!seen_.insert(cert.blocks).second) return false;
   if (gov_ != nullptr) {
+    // Charge the certificate; under pressure evict oldest-first — stale
+    // source-II knowledge goes before fresh — and only drop the new
+    // certificate when the store is empty and the budget still refuses.
     const std::size_t bytes = cert_bytes(cert);
     while (!gov_->try_charge(bytes)) {
       if (certs_.empty()) return false;

@@ -58,6 +58,10 @@ struct SlotPartitionCert {
   std::vector<int> block_slots;
 };
 
+/// Put `cert` in canonical form: nodes ascending within each block, blocks
+/// ascending by first node, block_slots kept aligned with the blocks.
+void canonicalize(SlotPartitionCert& cert);
+
 /// True when `labels` (full per-node label vector) realises the
 /// certificate's partition or a coarsening of it — i.e. every block is
 /// monochromatic. Such a schedule is spatially infeasible; the space

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <deque>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -127,8 +126,8 @@ CrossIiNogoodStore* sharing_store(const DecoupledMapperOptions& options,
 }
 
 /// Create this request's governor when a budget is configured and no outer
-/// scope already bound one (nested calls — portfolio racers on the
-/// caller's thread — inherit the outer request's budget).
+/// scope already bound one (a nested call — a batch case's map() — inherits
+/// the outer request's budget).
 std::unique_ptr<ResourceGovernor> make_request_governor(
     std::size_t memory_budget_mb) {
   if (GovernorScope::current() != nullptr || memory_budget_mb == 0) {
@@ -511,88 +510,6 @@ void DecoupledMapper::run_mapping_loop(const Dfg& dfg, const CgraArch& arch,
   }
 }
 
-std::vector<SpaceOptions> default_portfolio_configs(const SpaceOptions& base) {
-  // Diverse variable orders first (they explore genuinely different trees),
-  // then a no-symmetry variant: on rare instances the first-placement
-  // restriction (the canonical octant, or the translation pin on wide
-  // meshes) steers the search away from the only easy region. Both
-  // restrictions are complete, so the variant changes effort, never
-  // found/not-found.
-  std::vector<SpaceOptions> configs;
-  for (const SpaceOrder order :
-       {SpaceOrder::kDynamicMrv, SpaceOrder::kConnectivity,
-        SpaceOrder::kDegree}) {
-    SpaceOptions c = base;
-    c.order = order;
-    configs.push_back(c);
-  }
-  SpaceOptions no_sym = base;
-  no_sym.order = SpaceOrder::kDynamicMrv;
-  no_sym.symmetry_breaking = false;
-  configs.push_back(no_sym);
-  return configs;
-}
-
-MapResult DecoupledMapper::map_portfolio(const Dfg& dfg, const CgraArch& arch,
-                                         const PortfolioOptions& portfolio) const {
-  const std::vector<SpaceOptions> configs =
-      portfolio.configs.empty() ? default_portfolio_configs(options_.space)
-                                : portfolio.configs;
-  const int num_configs = static_cast<int>(configs.size());
-  MONOMAP_ASSERT(num_configs > 0);
-
-  CancelToken winner_found;
-  // One shared budget for the whole race: copies of `base` share the same
-  // start instant and all observe the first-win token.
-  const Deadline base(options_.timeout_s > 0
-                          ? options_.timeout_s
-                          : std::numeric_limits<double>::infinity(),
-                      &winner_found);
-
-  std::vector<MapResult> results(static_cast<std::size_t>(num_configs));
-  auto run_config = [&](int index) {
-    // A win (or expiry) skips the configurations still waiting for a
-    // thread; in sequential mode this is the early exit.
-    if (base.expired()) return;
-    DecoupledMapperOptions opt = options_;
-    opt.space = configs[static_cast<std::size_t>(index)];
-    MapResult r = DecoupledMapper(opt).map(dfg, arch, base);
-    r.portfolio_config = index;
-    // Only a win ends the race. A failure is not definitive even when
-    // refuted: the mapper truncates per-schedule space searches
-    // with backtrack budgets (without flagging the overall result), so a
-    // configuration with a different variable order may still succeed.
-    if (r.success) {
-      winner_found.cancel();
-    }
-    results[static_cast<std::size_t>(index)] = std::move(r);
-  };
-  parallel_for_indices(num_configs, portfolio.num_threads, run_config);
-
-  // First-win: lowest-index success (in the threaded race every loser was
-  // cancelled moments after the winner finished, so any success is "the"
-  // winner up to scheduling noise; picking the lowest index keeps the
-  // reduction deterministic given the same set of successes).
-  for (MapResult& r : results) {
-    if (r.success) return std::move(r);
-  }
-  // All failed: prefer a definitive exhaustion over a cancelled/timed-out
-  // racer, else fall back to the first configuration's result.
-  for (MapResult& r : results) {
-    if (r.portfolio_config >= 0 && r.outcome == MapOutcome::kRefuted &&
-        !r.failure_reason.empty()) {
-      return std::move(r);
-    }
-  }
-  for (MapResult& r : results) {
-    if (r.portfolio_config >= 0) return std::move(r);
-  }
-  MapResult none;
-  none.failure_reason = "portfolio: no configuration ran before the deadline";
-  none.outcome = MapOutcome::kDeadline;
-  return none;
-}
-
 namespace {
 
 // The II attempts are CPU-bound SAT/search work: workers beyond the
@@ -948,6 +865,12 @@ std::vector<MapResult> DecoupledMapper::map_batch(
   std::vector<MapResult> results(dfgs.size());
   if (stats != nullptr) *stats = BatchStats{};
   if (dfgs.empty()) return results;
+  // One memory budget for the whole batch, as one deadline: every case
+  // charges (and reports) the batch's governor.
+  std::unique_ptr<ResourceGovernor> owned_gov =
+      make_request_governor(options_.memory_budget_mb);
+  const GovernorScope scope(owned_gov.get());
+  ResourceGovernor* gov = GovernorScope::current();
   if (num_threads == 1) {
     // Sequential reference path: every case runs the plain map() in order.
     for (std::size_t i = 0; i < dfgs.size(); ++i) {
@@ -963,11 +886,6 @@ std::vector<MapResult> DecoupledMapper::map_batch(
   // are the pool's tasks. A hard case decomposes into subtasks the other
   // workers steal, instead of pinning one thread for the whole batch. No
   // certificate sharing: each case commits what its own map() would.
-  std::unique_ptr<ResourceGovernor> owned_gov =
-      make_request_governor(options_.memory_budget_mb);
-  const GovernorScope scope(owned_gov.get());
-  ResourceGovernor* gov = GovernorScope::current();
-
   WalkOptions walk;
   walk.lookahead = 1;
   std::vector<std::unique_ptr<Walk>> walks;
@@ -986,6 +904,7 @@ std::vector<MapResult> DecoupledMapper::map_batch(
   }
   for (std::size_t i = 0; i < walks.size(); ++i) {
     results[i] = walks[i]->take();
+    absorb_governor(results[i], gov);
     if (stats != nullptr) {
       ++stats->outcome_counts[static_cast<std::size_t>(results[i].outcome)];
     }

@@ -75,23 +75,6 @@ struct DecoupledMapperOptions {
   std::size_t memory_budget_mb = 0;
 };
 
-/// Parallel-portfolio configuration: race several space-search
-/// configurations for the same DFG and take the first valid mapping.
-struct PortfolioOptions {
-  /// Space configurations to race. Empty = a built-in diverse set
-  /// (dynamic-MRV / connectivity / degree orders, symmetry on/off); see
-  /// default_portfolio_configs().
-  std::vector<SpaceOptions> configs;
-  /// Worker threads: 0 = one per configuration (capped at hardware
-  /// concurrency), 1 = run configurations sequentially in order — fully
-  /// deterministic, used by tests.
-  int num_threads = 0;
-};
-
-/// The built-in portfolio: diverse variable orders and symmetry settings
-/// seeded from `base` (engine/model/budget are inherited from it).
-std::vector<SpaceOptions> default_portfolio_configs(const SpaceOptions& base);
-
 /// Settings of one II walk (DecoupledMapper::map). The defaults are the
 /// plain sequential walk from mII.
 struct WalkOptions {
@@ -197,9 +180,6 @@ struct MapResult {
   std::string failure_reason;
   TimeSolverStats time_stats;
   SpaceResult last_space;
-  /// Which portfolio configuration produced this result (-1 when the result
-  /// did not come from map_portfolio).
-  int portfolio_config = -1;
 };
 
 /// Write `r` as members of the object `w` has open: outcome, success, the
@@ -235,17 +215,11 @@ class DecoupledMapper {
                       const Deadline& deadline,
                       CrossIiNogoodStore* store = nullptr) const;
 
-  /// Race several space configurations for the same DFG across threads;
-  /// the first valid mapping wins and cancels the rest (atomic first-win
-  /// token observed through each racer's Deadline). With
-  /// portfolio.num_threads == 1 the configurations run sequentially in
-  /// order, which makes the result deterministic.
-  MapResult map_portfolio(const Dfg& dfg, const CgraArch& arch,
-                          const PortfolioOptions& portfolio = {}) const;
-
   /// Map a whole batch of DFGs across `num_threads` worker threads
   /// (0 = hardware concurrency). Results are positionally aligned with
-  /// `dfgs`. The whole batch shares ONE options_.timeout_s budget.
+  /// `dfgs`. The whole batch shares ONE options_.timeout_s budget and ONE
+  /// options_.memory_budget_mb governor, whose telemetry every case
+  /// reports.
   std::vector<MapResult> map_batch(const std::vector<const Dfg*>& dfgs,
                                    const CgraArch& arch,
                                    int num_threads = 0) const;

@@ -21,6 +21,23 @@ std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
   return mix64(h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2)));
 }
 
+/// `cert` with every node v renamed to to[v], in canonical form.
+SlotPartitionCert relabel(const SlotPartitionCert& cert,
+                          const std::vector<NodeId>& to) {
+  SlotPartitionCert out;
+  out.source_ii = cert.source_ii;
+  out.block_slots = cert.block_slots;
+  for (const std::vector<NodeId>& block : cert.blocks) {
+    std::vector<NodeId>& mapped = out.blocks.emplace_back();
+    mapped.reserve(block.size());
+    for (const NodeId v : block) {
+      mapped.push_back(to[static_cast<std::size_t>(v)]);
+    }
+  }
+  canonicalize(out);
+  return out;
+}
+
 }  // namespace
 
 std::uint64_t soundness_fingerprint(const DecoupledMapperOptions& options) {
@@ -90,6 +107,12 @@ KnowledgeStore::Key KnowledgeStore::memo_key(const DfgFingerprint& fp,
     key.dfg_lo = ~std::uint64_t{0};
   }
   return key;
+}
+
+KnowledgeStore::Key KnowledgeStore::knowledge_key(
+    const DfgFingerprint& fp, std::uint64_t arch_fp,
+    const DecoupledMapperOptions& options) {
+  return Key{arch_fp, fp.iso_hi, fp.iso_lo, soundness_fingerprint(options)};
 }
 
 bool KnowledgeStore::knowledge_applicable(
@@ -235,11 +258,7 @@ int KnowledgeStore::refuted_floor(const DfgFingerprint& fp,
   if (!knowledge_applicable(fp, options)) {
     return 0;
   }
-  Key key;
-  key.arch_fp = arch_fp;
-  key.dfg_hi = fp.iso_hi;
-  key.dfg_lo = fp.iso_lo;
-  key.scope_fp = soundness_fingerprint(options);
+  const Key key = knowledge_key(fp, arch_fp, options);
   Stripe& stripe = stripe_for(key);
   const std::lock_guard<std::mutex> lock(stripe.m);
   auto it = stripe.knowledge.find(key);
@@ -260,11 +279,7 @@ std::size_t KnowledgeStore::seed(const DfgFingerprint& fp,
   if (!knowledge_applicable(fp, options) || out == nullptr) {
     return 0;
   }
-  Key key;
-  key.arch_fp = arch_fp;
-  key.dfg_hi = fp.iso_hi;
-  key.dfg_lo = fp.iso_lo;
-  key.scope_fp = soundness_fingerprint(options);
+  const Key key = knowledge_key(fp, arch_fp, options);
   Stripe& stripe = stripe_for(key);
   std::vector<SlotPartitionCert> canonical;
   {
@@ -283,34 +298,9 @@ std::size_t KnowledgeStore::seed(const DfgFingerprint& fp,
   }
   std::size_t seeded = 0;
   for (const SlotPartitionCert& cert : canonical) {
-    SlotPartitionCert local;
+    SlotPartitionCert local = relabel(cert, inverse);
     local.source_ii = 0;  // foreign: every attempt must lift its rotations
-    local.blocks.reserve(cert.blocks.size());
-    local.block_slots = cert.block_slots;
-    for (const auto& block : cert.blocks) {
-      std::vector<NodeId> mapped;
-      mapped.reserve(block.size());
-      for (const NodeId ci : block) {
-        mapped.push_back(inverse[static_cast<std::size_t>(ci)]);
-      }
-      std::sort(mapped.begin(), mapped.end());
-      local.blocks.push_back(std::move(mapped));
-    }
-    // Restore canonical block order (by first node) after translation.
-    std::vector<std::size_t> order(local.blocks.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return local.blocks[a].front() < local.blocks[b].front();
-    });
-    SlotPartitionCert sorted;
-    sorted.source_ii = 0;
-    sorted.blocks.reserve(order.size());
-    sorted.block_slots.reserve(order.size());
-    for (const std::size_t i : order) {
-      sorted.blocks.push_back(std::move(local.blocks[i]));
-      sorted.block_slots.push_back(local.block_slots[i]);
-    }
-    if (out->add_cert(std::move(sorted))) {
+    if (out->add_cert(std::move(local))) {
       ++seeded;
     }
   }
@@ -326,11 +316,7 @@ std::size_t KnowledgeStore::publish(const DfgFingerprint& fp,
   if (!knowledge_applicable(fp, options)) {
     return 0;
   }
-  Key key;
-  key.arch_fp = arch_fp;
-  key.dfg_hi = fp.iso_hi;
-  key.dfg_lo = fp.iso_lo;
-  key.scope_fp = soundness_fingerprint(options);
+  const Key key = knowledge_key(fp, arch_fp, options);
   std::vector<SlotPartitionCert> fresh;
   std::size_t cursor = 0;
   scratch.drain(&cursor, &fresh);
@@ -341,48 +327,23 @@ std::size_t KnowledgeStore::publish(const DfgFingerprint& fp,
   // from MapResult::ii_refuted_up_to.
   entry.refuted_floor = std::max(entry.refuted_floor, refuted_up_to);
   std::size_t stored = 0;
-  for (SlotPartitionCert& cert : fresh) {
-    SlotPartitionCert canon;
-    canon.source_ii = cert.source_ii;
-    canon.blocks.reserve(cert.blocks.size());
-    canon.block_slots = cert.block_slots;
-    for (const auto& block : cert.blocks) {
-      std::vector<NodeId> mapped;
-      mapped.reserve(block.size());
-      for (const NodeId v : block) {
-        mapped.push_back(fp.canon[static_cast<std::size_t>(v)]);
-      }
-      std::sort(mapped.begin(), mapped.end());
-      canon.blocks.push_back(std::move(mapped));
-    }
-    std::vector<std::size_t> order(canon.blocks.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return canon.blocks[a].front() < canon.blocks[b].front();
-    });
-    SlotPartitionCert sorted;
-    sorted.source_ii = canon.source_ii;
-    sorted.blocks.reserve(order.size());
-    sorted.block_slots.reserve(order.size());
-    for (const std::size_t i : order) {
-      sorted.blocks.push_back(std::move(canon.blocks[i]));
-      sorted.block_slots.push_back(canon.block_slots[i]);
-    }
-    if (!entry.seen.insert(sorted.blocks).second) {
+  for (const SlotPartitionCert& cert : fresh) {
+    SlotPartitionCert canon = relabel(cert, fp.canon);
+    if (!entry.seen.insert(canon.blocks).second) {
       continue;
     }
     std::size_t bytes = sizeof(SlotPartitionCert) + 64;
-    for (const auto& block : sorted.blocks) {
+    for (const auto& block : canon.blocks) {
       bytes += sizeof(std::vector<NodeId>) + block.size() * sizeof(NodeId);
     }
     if (!governor_.try_charge(bytes)) {
       // Knowledge overflow: drop the new certificate (memo LRU pressure is
       // handled on the memo path; losing a nogood costs effort, not
       // soundness).
-      entry.seen.erase(sorted.blocks);
+      entry.seen.erase(canon.blocks);
       break;
     }
-    entry.certs.push_back(std::move(sorted));
+    entry.certs.push_back(std::move(canon));
     ++stored;
   }
   certs_published_.fetch_add(stored, std::memory_order_relaxed);

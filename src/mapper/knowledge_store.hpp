@@ -191,6 +191,10 @@ class KnowledgeStore {
                                    const DecoupledMapperOptions& options);
   static Key memo_key(const DfgFingerprint& fp, std::uint64_t arch_fp,
                       std::uint64_t options_fp);
+  /// The knowledge side's key: the canonical DFG under the soundness
+  /// fingerprint.
+  static Key knowledge_key(const DfgFingerprint& fp, std::uint64_t arch_fp,
+                           const DecoupledMapperOptions& options);
   void evict_lru_locked(Stripe& stripe, std::size_t* counter);
 
   Options options_;

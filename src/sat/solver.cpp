@@ -765,4 +765,23 @@ bool SatSolver::model_value(SatVar v) const {
 
 const SatStats& SatSolver::stats() const { return impl_->stats; }
 
+bool load_into_solver(const CnfFormula& formula, SatSolver& solver) {
+  while (solver.num_vars() < formula.num_vars) {
+    solver.new_var();
+  }
+  for (const auto& clause : formula.clauses) {
+    std::vector<Lit> lits;
+    lits.reserve(clause.size());
+    for (const int l : clause) {
+      MONOMAP_ASSERT(l != 0);
+      const SatVar v = (l > 0 ? l : -l) - 1;
+      lits.push_back(Lit(v, l < 0));
+    }
+    if (!solver.add_clause(std::move(lits))) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace monomap

@@ -112,6 +112,16 @@ class SatSolver {
   std::unique_ptr<Impl> impl_;
 };
 
+/// A CNF formula in portable form: clauses of signed 1-based literals.
+struct CnfFormula {
+  int num_vars = 0;
+  std::vector<std::vector<int>> clauses;
+};
+
+/// Load a formula into `solver`, creating variables 0..num_vars-1.
+/// Returns false if the formula is trivially unsatisfiable.
+bool load_into_solver(const CnfFormula& formula, SatSolver& solver);
+
 }  // namespace monomap
 
 #endif  // MONOMAP_SAT_SOLVER_HPP

@@ -37,7 +37,6 @@ struct ActivePlan {
   std::vector<FaultRule> rules;
   std::vector<std::uint64_t> phases;  // seeded firing phase per rule
   std::unique_ptr<std::atomic<std::uint64_t>[]> counters;
-  std::atomic<std::uint64_t> fired{0};
 
   explicit ActivePlan(const FaultPlan& plan) : rules(plan.rules) {
     phases.reserve(rules.size());
@@ -60,8 +59,8 @@ void install_locked(ActivePlan* next) {
   g_env_resolved.store(true, std::memory_order_release);
 }
 
-/// First maybe_inject/faults_active call with no explicit install: arm
-/// whatever MONOMAP_FAULTS says (nothing when unset or malformed).
+/// First maybe_inject call with no explicit install: arm whatever
+/// MONOMAP_FAULTS says (nothing when unset or malformed).
 void resolve_env() {
   const std::lock_guard<std::mutex> lock(g_install_m);
   if (g_env_resolved.load(std::memory_order_acquire)) return;
@@ -156,8 +155,6 @@ void clear_faults() {
   install_locked(nullptr);
 }
 
-bool faults_active() { return current_plan() != nullptr; }
-
 void maybe_inject(const char* site) {
   ActivePlan* plan = current_plan();
   if (plan == nullptr) return;
@@ -167,7 +164,6 @@ void maybe_inject(const char* site) {
     const std::uint64_t n =
         plan->counters[i].fetch_add(1, std::memory_order_relaxed) + 1;
     if (n % rule.period != plan->phases[i]) continue;
-    plan->fired.fetch_add(1, std::memory_order_relaxed);
     switch (rule.kind) {
       case FaultKind::kThrow:
         throw FaultInjectedError(rule.site);
@@ -178,11 +174,6 @@ void maybe_inject(const char* site) {
         throw std::bad_alloc();
     }
   }
-}
-
-std::uint64_t injected_count() {
-  ActivePlan* plan = g_plan.load(std::memory_order_acquire);
-  return plan == nullptr ? 0 : plan->fired.load(std::memory_order_relaxed);
 }
 
 bool backoff_sleep(const Deadline& deadline, int retry, double base_ms) {

@@ -83,15 +83,9 @@ void install_faults(const FaultPlan& plan);
 /// Disarm all injection and suppress the MONOMAP_FAULTS fallback.
 void clear_faults();
 
-/// True when any rule is armed (forces the lazy env read).
-bool faults_active();
-
 /// The injection point. Fires the matching rule's fault when its site
 /// counter crosses the seeded phase; otherwise returns immediately.
 void maybe_inject(const char* site);
-
-/// Total faults fired since the current plan was installed.
-std::uint64_t injected_count();
 
 /// Bounded exponential backoff between fault retries: sleeps roughly
 /// base * 2^retry milliseconds (capped), in small slices so a deadline

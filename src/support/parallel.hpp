@@ -1,12 +1,10 @@
-// Parallel building blocks shared by the portfolio, batch and speculative
-// mappers: an index-space parallel-for and a work-stealing task pool.
+// The work-stealing task pool behind the racing II walk and map_batch.
 //
 // Exceptions matter here: MONOMAP_ASSERT throws a catchable AssertionError
 // by design, but an exception escaping a std::thread body calls
 // std::terminate. Workers therefore capture the first exception and it is
-// rethrown on the calling thread after every worker joined (parallel_for)
-// or from wait_idle() (WorkStealingPool) — the threaded paths fail the
-// same way the sequential path does.
+// rethrown on the calling thread from wait_idle() — the threaded paths fail
+// the same way the sequential path does.
 #ifndef MONOMAP_SUPPORT_PARALLEL_HPP
 #define MONOMAP_SUPPORT_PARALLEL_HPP
 
@@ -26,44 +24,6 @@
 #include "support/fault.hpp"
 
 namespace monomap {
-
-/// Run fn(i) for every i in [0, count) across up to `num_threads` worker
-/// threads (<= 0 = hardware concurrency, capped at count). num_threads == 1
-/// runs inline in ascending index order — fully deterministic; callers rely
-/// on that for reproducible portfolio runs.
-template <typename Fn>
-void parallel_for_indices(int count, int num_threads, Fn&& fn) {
-  if (count <= 0) return;
-  if (num_threads <= 0) {
-    num_threads =
-        std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-  }
-  num_threads = std::min(num_threads, count);
-  if (num_threads == 1) {
-    for (int i = 0; i < count; ++i) fn(i);
-    return;
-  }
-  std::atomic<int> next{0};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  auto worker = [&]() {
-    for (;;) {
-      const int i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) return;
-      try {
-        fn(i);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-  };
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(num_threads));
-  for (int t = 0; t < num_threads; ++t) workers.emplace_back(worker);
-  for (std::thread& w : workers) w.join();
-  if (first_error) std::rethrow_exception(first_error);
-}
 
 /// A work-stealing task pool. Each worker owns a deque: tasks submitted
 /// from inside a worker go to that worker's own deque, tasks submitted

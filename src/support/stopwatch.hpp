@@ -20,20 +20,17 @@ class Stopwatch {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  [[nodiscard]] double elapsed_ms() const { return elapsed_s() * 1e3; }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
 };
 
-/// Cooperative cancellation flag shared between solver threads. The
-/// portfolio mapper hands one token to every racing configuration; the
-/// first winner cancels the rest, which observe it through their Deadline
-/// at the next periodic expiry check. A token may be chained to a parent:
-/// the speculative mapper gives every II attempt its own token parented to
-/// the caller's, so one attempt can be cancelled individually (a smaller II
-/// won) while a caller-level cancel still reaches every attempt.
+/// Cooperative cancellation flag shared between solver threads, observed
+/// through a Deadline at the next periodic expiry check. A token may be
+/// chained to a parent: the II walk gives every attempt its own token
+/// parented to the caller's, so one attempt can be cancelled individually
+/// (a smaller II won) while a caller-level cancel still reaches every
+/// attempt.
 class CancelToken {
  public:
   CancelToken() = default;
@@ -79,13 +76,6 @@ class Deadline {
     return watch_.elapsed_s() >= limit_s_;
   }
 
-  /// The wall-clock component alone (ignores the cancel token). Lets a
-  /// caller that observed expired() report *why*: a fired token with the
-  /// wall clock still inside the budget is a cancellation, not a timeout.
-  [[nodiscard]] bool wall_expired() const {
-    return watch_.elapsed_s() >= limit_s_;
-  }
-
   /// True when the attached cancel token (if any) has fired.
   [[nodiscard]] bool cancel_fired() const {
     return cancel_ != nullptr && cancel_->cancelled();
@@ -102,8 +92,6 @@ class Deadline {
   }
 
   [[nodiscard]] double elapsed_s() const { return watch_.elapsed_s(); }
-
-  [[nodiscard]] double budget_s() const { return limit_s_; }
 
  private:
   Stopwatch watch_;

@@ -1,11 +1,10 @@
-// Tests for the CGRA architecture model and the MRRG (paper Fig. 1/Fig. 3).
+// Tests for the CGRA architecture model (paper Fig. 1).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <vector>
 
 #include "arch/cgra.hpp"
-#include "arch/mrrg.hpp"
 
 namespace monomap {
 namespace {
@@ -232,81 +231,6 @@ TEST(Cgra, MinClosedDegreeMaskThresholds) {
 
 TEST(Cgra, InvalidSizeThrows) {
   EXPECT_THROW(CgraArch(0, 3), AssertionError);
-}
-
-TEST(Mrrg, Fig3Shape) {
-  // Fig. 3: MRRG of a 2x2 CGRA at II=4 — 16 vertices, label = time step.
-  const CgraArch arch = CgraArch::square(2);
-  const Mrrg mrrg(arch, 4);
-  EXPECT_EQ(mrrg.num_vertices(), 16);
-  for (MrrgVertexId v = 0; v < mrrg.num_vertices(); ++v) {
-    EXPECT_EQ(mrrg.label(v), mrrg.slot_of(v));
-    EXPECT_EQ(mrrg.vertex(mrrg.pe_of(v), mrrg.slot_of(v)), v);
-  }
-}
-
-TEST(Mrrg, RegisterPersistenceAdjacency) {
-  const CgraArch arch = CgraArch::square(2);
-  const Mrrg mrrg(arch, 4);
-  const MrrgVertexId a = mrrg.vertex(0, 0);
-  // Same PE, different slot: adjacent (value persists in own RF).
-  EXPECT_TRUE(mrrg.adjacent(a, mrrg.vertex(0, 2)));
-  // Neighbour PE, any slot: adjacent.
-  EXPECT_TRUE(mrrg.adjacent(a, mrrg.vertex(1, 0)));
-  EXPECT_TRUE(mrrg.adjacent(a, mrrg.vertex(1, 3)));
-  // PE3 is diagonal from PE0 in a 2x2 mesh: never adjacent.
-  EXPECT_FALSE(mrrg.adjacent(a, mrrg.vertex(3, 0)));
-  EXPECT_FALSE(mrrg.adjacent(a, mrrg.vertex(3, 2)));
-  // No self adjacency.
-  EXPECT_FALSE(mrrg.adjacent(a, a));
-}
-
-TEST(Mrrg, ConsecutiveOnlyRestrictsTimeDistance) {
-  const CgraArch arch = CgraArch::square(2);
-  const Mrrg mrrg(arch, 4, MrrgModel::kConsecutiveOnly);
-  const MrrgVertexId a = mrrg.vertex(0, 0);
-  EXPECT_TRUE(mrrg.adjacent(a, mrrg.vertex(1, 0)));   // same slot
-  EXPECT_TRUE(mrrg.adjacent(a, mrrg.vertex(0, 1)));   // next slot
-  EXPECT_TRUE(mrrg.adjacent(a, mrrg.vertex(0, 3)));   // cyclic previous
-  EXPECT_FALSE(mrrg.adjacent(a, mrrg.vertex(0, 2)));  // two steps away
-}
-
-TEST(Mrrg, NeighborEnumerationMatchesAdjacency) {
-  const CgraArch arch = CgraArch::square(3);
-  for (const MrrgModel model :
-       {MrrgModel::kRegisterPersistence, MrrgModel::kConsecutiveOnly}) {
-    const Mrrg mrrg(arch, 3, model);
-    for (MrrgVertexId v = 0; v < mrrg.num_vertices(); ++v) {
-      const auto neigh = mrrg.neighbors(v);
-      int count = 0;
-      for (MrrgVertexId w = 0; w < mrrg.num_vertices(); ++w) {
-        if (mrrg.adjacent(v, w)) {
-          ++count;
-          EXPECT_NE(std::find(neigh.begin(), neigh.end(), w), neigh.end());
-        }
-      }
-      EXPECT_EQ(count, static_cast<int>(neigh.size()));
-    }
-  }
-}
-
-TEST(Mrrg, EdgeCountGrowsWithIi) {
-  const CgraArch arch = CgraArch::square(2);
-  const Mrrg m1(arch, 1);
-  const Mrrg m2(arch, 2);
-  const Mrrg m4(arch, 4);
-  EXPECT_LT(m1.count_edges(), m2.count_edges());
-  EXPECT_LT(m2.count_edges(), m4.count_edges());
-  // II=1, 2x2 persistence model: only the 4 mesh edges.
-  EXPECT_EQ(m1.count_edges(), 4);
-}
-
-TEST(Mrrg, InvalidConstructionThrows) {
-  const CgraArch arch = CgraArch::square(2);
-  EXPECT_THROW(Mrrg(arch, 0), AssertionError);
-  const Mrrg mrrg(arch, 2);
-  EXPECT_THROW((void)mrrg.vertex(0, 2), AssertionError);
-  EXPECT_THROW((void)mrrg.vertex(9, 0), AssertionError);
 }
 
 TEST(Cgra, DescriptionMentionsShape) {

@@ -87,31 +87,6 @@ TEST(TopologicalSort, EdgeFilterIgnoresBackEdges) {
   EXPECT_TRUE(topological_sort(g, edges_with_attr(0)).has_value());
 }
 
-TEST(Scc, TwoComponents) {
-  Graph g(5);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 0);  // {0,1,2}
-  g.add_edge(2, 3);
-  g.add_edge(3, 4);
-  int count = 0;
-  const auto comp = strongly_connected_components(g, &count);
-  EXPECT_EQ(count, 3);
-  EXPECT_EQ(comp[0], comp[1]);
-  EXPECT_EQ(comp[1], comp[2]);
-  EXPECT_NE(comp[2], comp[3]);
-  EXPECT_NE(comp[3], comp[4]);
-}
-
-TEST(Scc, SelfLoopIsItsOwnComponent) {
-  Graph g(2);
-  g.add_edge(0, 0);
-  int count = 0;
-  const auto comp = strongly_connected_components(g, &count);
-  EXPECT_EQ(count, 2);
-  EXPECT_NE(comp[0], comp[1]);
-}
-
 TEST(LongestPath, DiamondDepths) {
   const Graph g = diamond();
   const auto depth = longest_path_from_sources(g, all_edges());
@@ -217,14 +192,6 @@ TEST(UndirectedComponents, CountsIslands) {
   EXPECT_EQ(comp[0], comp[1]);
   EXPECT_EQ(comp[3], comp[4]);
   EXPECT_NE(comp[0], comp[2]);
-}
-
-TEST(UndirectedBfs, VisitsComponentInBreadthOrder) {
-  const Graph g = diamond();
-  const auto order = undirected_bfs_order(g, 0);
-  ASSERT_EQ(order.size(), 4u);
-  EXPECT_EQ(order[0], 0);
-  EXPECT_EQ(order[3], 3);
 }
 
 TEST(Dot, ContainsNodesAndLoopCarriedStyling) {

@@ -263,6 +263,39 @@ TEST(DecoupledMapper, MapBatchPooledPathReportsCancelDistinctly) {
   }
 }
 
+TEST(MapBatch, MatchesIndividual) {
+  // Each case of a batch is the walk its own map() runs: a case must not
+  // see its siblings, whether the cases take turns (1 thread) or share one
+  // work-stealing pool (3 threads).
+  std::vector<const Dfg*> dfgs;
+  for (const char* name :
+       {"gsm", "fft", "susan", "nw", "lud", "sha1", "hotspot3D"}) {
+    dfgs.push_back(&benchmark_by_name(name).dfg);
+  }
+  const CgraArch arch = CgraArch::square(4);
+  const DecoupledMapper mapper(fast_options());
+  std::vector<MapResult> solo;
+  for (const Dfg* dfg : dfgs) solo.push_back(mapper.map(*dfg, arch));
+  for (const int threads : {1, 3}) {
+    const std::vector<MapResult> batch = mapper.map_batch(dfgs, arch, threads);
+    ASSERT_EQ(batch.size(), dfgs.size());
+    for (std::size_t i = 0; i < dfgs.size(); ++i) {
+      SCOPED_TRACE(std::to_string(threads) + " threads, case " +
+                   std::to_string(i));
+      const MapResult& b = batch[i];
+      ASSERT_TRUE(b.success) << b.failure_reason;
+      EXPECT_TRUE(mapping_is_valid(*dfgs[i], arch, b.mapping));
+      EXPECT_EQ(b.ii, solo[i].ii);
+      EXPECT_EQ(b.ii_lo, solo[i].ii_lo);
+      EXPECT_EQ(b.ii_hi, solo[i].ii_hi);
+      EXPECT_EQ(b.schedules_tried, solo[i].schedules_tried);
+      EXPECT_EQ(b.time_stats.sat_calls, solo[i].time_stats.sat_calls);
+      EXPECT_EQ(b.space_exhausted, solo[i].space_exhausted);
+      EXPECT_EQ(b.space_truncated, solo[i].space_truncated);
+    }
+  }
+}
+
 TEST(MapResultSchema, WriteJsonCarriesEveryCounterOnce) {
   // A distinct value per counter, assigned through the lists themselves
   // (the doubles get a fraction, so their formatting is checked too).

@@ -371,6 +371,30 @@ TEST(Governor, GenerousBudgetMatchesUngoverned) {
   EXPECT_EQ(plain.mem_peak_bytes, 0u);     // ...and only when asked for
 }
 
+TEST(Governor, BatchReportsTelemetryAtEveryThreadCount) {
+  // The batch's governor reports into every case, whether the cases take
+  // turns on the caller's thread or share a pool.
+  std::vector<const Dfg*> dfgs;
+  for (const char* name :
+       {"gsm", "fft", "susan", "nw", "lud", "sha1", "hotspot3D"}) {
+    dfgs.push_back(&benchmark_by_name(name).dfg);
+  }
+  const CgraArch arch = CgraArch::square(4);
+  DecoupledMapperOptions opt = base_options();
+  opt.memory_budget_mb = 512;
+  for (const int threads : {1, 3}) {
+    const std::vector<MapResult> batch =
+        DecoupledMapper(opt).map_batch(dfgs, arch, threads);
+    ASSERT_EQ(batch.size(), dfgs.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_EQ(batch[i].outcome, MapOutcome::kFeasible)
+          << threads << " threads, case " << i;
+      EXPECT_GT(batch[i].mem_peak_bytes, 0u)
+          << threads << " threads, case " << i;
+    }
+  }
+}
+
 TEST(Governor, CrossIiStoreShedsOldestFirst) {
   ResourceGovernor gov(400);
   CrossIiNogoodStore store;

@@ -1,11 +1,9 @@
-// Tests for the CDCL SAT solver and DIMACS I/O.
+// Tests for the CDCL SAT solver.
 #include <algorithm>
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "sat/dimacs.hpp"
 #include "sat/solver.hpp"
 #include "support/rng.hpp"
 
@@ -369,27 +367,6 @@ TEST(SatSolver, StatsAccumulate) {
   EXPECT_GT(s.stats().conflicts, 0u);
   EXPECT_GT(s.stats().decisions, 0u);
   EXPECT_GT(s.stats().propagations, 0u);
-}
-
-TEST(Dimacs, RoundTrip) {
-  const std::string text = "c comment\np cnf 3 2\n1 -2 0\n2 3 0\n";
-  const CnfFormula f = parse_dimacs(text);
-  EXPECT_EQ(f.num_vars, 3);
-  ASSERT_EQ(f.clauses.size(), 2u);
-  EXPECT_EQ(f.clauses[0], (std::vector<int>{1, -2}));
-  const CnfFormula g = parse_dimacs(to_dimacs(f));
-  EXPECT_EQ(g.clauses, f.clauses);
-  EXPECT_EQ(g.num_vars, f.num_vars);
-}
-
-TEST(Dimacs, HeaderlessInputInfersVarCount) {
-  const CnfFormula f = parse_dimacs("1 2 0 -2 3 0");
-  EXPECT_EQ(f.num_vars, 3);
-  EXPECT_EQ(f.clauses.size(), 2u);
-}
-
-TEST(Dimacs, MissingTerminatorThrows) {
-  EXPECT_THROW(parse_dimacs("1 2"), AssertionError);
 }
 
 }  // namespace

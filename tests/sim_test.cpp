@@ -1,10 +1,9 @@
 // Integration tests: mapped kernels must compute exactly what the
 // sequential interpreter computes, for every benchmark in the suite.
-// Also covers modulo expansion, configuration generation and register
-// pressure, which the simulator builds upon.
+// Also covers modulo expansion and register pressure, which the simulator
+// builds upon.
 #include <gtest/gtest.h>
 
-#include "mapper/config_gen.hpp"
 #include "mapper/decoupled_mapper.hpp"
 #include "mapper/modulo_expansion.hpp"
 #include "mapper/reg_pressure.hpp"
@@ -121,39 +120,6 @@ TEST(Simulator, RfSizeCheckTriggersWhenTiny) {
   if (rep.max_per_pe > 1) {
     EXPECT_FALSE(sim.errors.empty());
   }
-}
-
-TEST(ConfigGen, EveryMappedNodeGetsASlot) {
-  const Benchmark& b = benchmark_by_name("fft");
-  const CgraArch arch = CgraArch::square(4);
-  const MapResult r = map_on(b.dfg, arch);
-  ASSERT_TRUE(r.success);
-  const ConfigImage image(b.kernel, b.dfg, arch, r.mapping);
-  int active = 0;
-  for (PeId pe = 0; pe < arch.num_pes(); ++pe) {
-    for (int slot = 0; slot < image.ii(); ++slot) {
-      const PeSlotConfig& cfg = image.at(pe, slot);
-      if (!cfg.active) continue;
-      ++active;
-      EXPECT_EQ(r.mapping.pe(cfg.node), pe);
-      EXPECT_EQ(r.mapping.slot(cfg.node), slot);
-      // Routing directions must be resolvable (mesh: no kOther).
-      for (const OperandRoute& route : cfg.routes) {
-        EXPECT_NE(route.dir, RouteDir::kOther);
-      }
-    }
-  }
-  EXPECT_EQ(active, b.dfg.num_nodes());
-  EXPECT_GT(image.utilization(), 0.0);
-  EXPECT_LE(image.utilization(), 1.0);
-  EXPECT_FALSE(image.to_string().empty());
-}
-
-TEST(ConfigGen, RejectsInvalidMapping) {
-  const Benchmark& b = benchmark_by_name("bitcount");
-  const CgraArch arch = CgraArch::square(2);
-  const Mapping bad(1, std::vector<int>(7, 0), std::vector<PeId>(7, 0));
-  EXPECT_THROW(ConfigImage(b.kernel, b.dfg, arch, bad), AssertionError);
 }
 
 TEST(ModuloExpansion, RunningBitcountStageStructure) {

@@ -1,5 +1,5 @@
 // Differential tests: the bitset space-search engine against the reference
-// scan engine, plus the parallel portfolio mapper built on top of it.
+// scan engine.
 //
 // Both engines are complete searches over the same space, so on any
 // instance they must agree on found/not-found (given unlimited budgets),
@@ -17,7 +17,6 @@
 #include "space/monomorphism.hpp"
 #include "support/rng.hpp"
 #include "timing/time_solver.hpp"
-#include "workloads/running_example.hpp"
 #include "workloads/suite.hpp"
 #include "workloads/synthetic.hpp"
 
@@ -659,76 +658,6 @@ TEST(SpaceEngines, CancelTokenStopsTheSearch) {
   EXPECT_TRUE(cancelled.expired());
   token.reset();
   EXPECT_FALSE(cancelled.expired());
-}
-
-TEST(Portfolio, FindsValidMappingThreaded) {
-  const Benchmark& b = benchmark_by_name("gsm");
-  const CgraArch arch = CgraArch::square(4);
-  DecoupledMapperOptions opt;
-  opt.timeout_s = 60.0;
-  PortfolioOptions popt;
-  popt.num_threads = 4;
-  const MapResult r = DecoupledMapper(opt).map_portfolio(b.dfg, arch, popt);
-  ASSERT_TRUE(r.success) << r.failure_reason;
-  EXPECT_GE(r.portfolio_config, 0);
-  EXPECT_TRUE(mapping_is_valid(b.dfg, arch, r.mapping));
-}
-
-TEST(Portfolio, SequentialModeIsDeterministic) {
-  const Dfg dfg = running_example_dfg();
-  const CgraArch arch = CgraArch::square(2);
-  DecoupledMapperOptions opt;
-  opt.timeout_s = 60.0;
-  PortfolioOptions popt;
-  popt.num_threads = 1;
-  const DecoupledMapper mapper(opt);
-  const MapResult a = mapper.map_portfolio(dfg, arch, popt);
-  const MapResult b = mapper.map_portfolio(dfg, arch, popt);
-  ASSERT_TRUE(a.success);
-  ASSERT_TRUE(b.success);
-  EXPECT_EQ(a.portfolio_config, b.portfolio_config);
-  EXPECT_EQ(a.ii, b.ii);
-  ASSERT_EQ(a.mapping.num_nodes(), b.mapping.num_nodes());
-  for (NodeId v = 0; v < a.mapping.num_nodes(); ++v) {
-    EXPECT_EQ(a.mapping.pe(v), b.mapping.pe(v));
-    EXPECT_EQ(a.mapping.time(v), b.mapping.time(v));
-  }
-}
-
-TEST(Portfolio, ExplicitConfigListIsHonoured) {
-  const Dfg dfg = running_example_dfg();
-  const CgraArch arch = CgraArch::square(2);
-  DecoupledMapperOptions opt;
-  opt.timeout_s = 60.0;
-  PortfolioOptions popt;
-  popt.num_threads = 1;
-  SpaceOptions only;
-  only.order = SpaceOrder::kDegree;
-  popt.configs.push_back(only);
-  const MapResult r = DecoupledMapper(opt).map_portfolio(dfg, arch, popt);
-  ASSERT_TRUE(r.success);
-  EXPECT_EQ(r.portfolio_config, 0);
-}
-
-TEST(Portfolio, BatchMappingMatchesIndividual) {
-  std::vector<const Dfg*> dfgs;
-  for (const char* name : {"gsm", "fft", "susan"}) {
-    dfgs.push_back(&benchmark_by_name(name).dfg);
-  }
-  const CgraArch arch = CgraArch::square(4);
-  DecoupledMapperOptions opt;
-  opt.timeout_s = 60.0;
-  const DecoupledMapper mapper(opt);
-  const std::vector<MapResult> batch = mapper.map_batch(dfgs, arch, 3);
-  ASSERT_EQ(batch.size(), dfgs.size());
-  for (std::size_t i = 0; i < dfgs.size(); ++i) {
-    const MapResult solo = mapper.map(*dfgs[i], arch);
-    EXPECT_EQ(batch[i].success, solo.success);
-    if (batch[i].success && solo.success) {
-      EXPECT_EQ(batch[i].ii, solo.ii);
-      EXPECT_TRUE(mapping_is_valid(*dfgs[i], arch, batch[i].mapping));
-    }
-  }
 }
 
 }  // namespace

@@ -43,7 +43,7 @@ struct CliOptions {
   std::string mapper = "decoupled";
   TimeEngine time_engine = TimeEngine::kIncremental;
   bool restricted = false;
-  int threads = 0;   // portfolio mapper and batch: 0 = auto
+  int threads = 0;   // batch pool workers: 0 = auto
   int lookahead = 2;  // speculative mapper: IIs raced beyond the frontier
   bool share_nogoods = false;  // walk with a cross-II certificate store
   std::uint64_t space_budget = 0;    // valid only when space_budget_set
@@ -65,9 +65,8 @@ struct CliOptions {
       "  show <bench|file.dfg>\n"
       "  map <bench|file.dfg> [--grid N] [--topology mesh|torus|diagonal]\n"
       "      [--timeout S]\n"
-      "      [--mapper decoupled|speculative|portfolio|coupled|anneal]\n"
+      "      [--mapper decoupled|speculative|coupled|anneal]\n"
       "      [--time-engine incremental|reference]\n"
-      "      [--threads N]     (portfolio workers)\n"
       "      [--lookahead N]   (speculative: IIs raced beyond the frontier)\n"
       "      [--share-nogoods] (decoupled/speculative: share slot-partition\n"
       "                         certificates across the walk's IIs)\n"
@@ -252,8 +251,7 @@ int cmd_map(const std::string& spec, const CliOptions& opt) {
   // Outcome-taxonomy exit code (decoupled-family mappers); the legacy
   // coupled/anneal paths keep the historical 0/1.
   std::optional<int> exit_override;
-  if (opt.mapper == "decoupled" || opt.mapper == "portfolio" ||
-      opt.mapper == "speculative") {
+  if (opt.mapper == "decoupled" || opt.mapper == "speculative") {
     DecoupledMapperOptions mopt;
     mopt.timeout_s = opt.timeout_s;
     mopt.time.engine = opt.time_engine;
@@ -279,23 +277,11 @@ int cmd_map(const std::string& spec, const CliOptions& opt) {
     if (opt.restricted) {
       mopt.space.model = MrrgModel::kConsecutiveOnly;
     }
-    const DecoupledMapper mapper(mopt);
-    MapResult r;
-    if (opt.mapper == "portfolio") {
-      PortfolioOptions popt;
-      popt.num_threads = opt.threads;
-      r = mapper.map_portfolio(dfg, arch, popt);
-      if (r.success) {
-        std::cout << "portfolio winner: config #" << r.portfolio_config
-                  << '\n';
-      }
-    } else {
-      CrossIiNogoodStore store;
-      WalkOptions walk;
-      if (opt.mapper == "speculative") walk.lookahead = opt.lookahead;
-      if (opt.share_nogoods) walk.store = &store;
-      r = mapper.map(dfg, arch, walk);
-    }
+    CrossIiNogoodStore store;
+    WalkOptions walk;
+    if (opt.mapper == "speculative") walk.lookahead = opt.lookahead;
+    if (opt.share_nogoods) walk.store = &store;
+    const MapResult r = DecoupledMapper(mopt).map(dfg, arch, walk);
     if (r.success) {
       mapping = r.mapping;
       ii = r.ii;
