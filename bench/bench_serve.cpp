@@ -325,7 +325,7 @@ int main(int argc, char** argv) {
 
   // The rows whose comparison IS the acceptance claim: memo >= 10x faster
   // than cold, warm never trying more schedules than cold. A memo hit has
-  // a fixed floor (fingerprint + JSON + transport, ~0.1 ms), so the ratio
+  // a floor (fingerprint + JSON + transport, tens of µs), so the ratio
   // is only a statement about the cache on requests whose cold mapping
   // does nontrivial work — the headline median takes cold >= 1 ms rows;
   // memo_speedup_median_all keeps the unfiltered number alongside.

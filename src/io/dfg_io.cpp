@@ -1,33 +1,76 @@
 #include "io/dfg_io.hpp"
 
+#include <array>
 #include <charconv>
 #include <sstream>
+#include <string_view>
+#include <utility>
 #include <vector>
+
+#include "graph/algorithms.hpp"
 
 namespace monomap {
 
 namespace {
 
-/// Strip comments and return significant lines as token vectors.
-std::vector<std::vector<std::string>> tokenize(const std::string& text) {
-  std::vector<std::vector<std::string>> lines;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    std::istringstream ls(line);
-    std::vector<std::string> tokens;
-    std::string tok;
-    while (ls >> tok) tokens.push_back(tok);
-    if (!tokens.empty()) lines.push_back(std::move(tokens));
-  }
-  return lines;
+/// One significant line of the text format: its first tokens, viewing into
+/// the text, and how many tokens it had in all.
+struct Line {
+  /// A directive and its three arguments; longer lines are errors whose
+  /// messages only need the count.
+  static constexpr std::size_t kKept = 4;
+  std::array<std::string_view, kKept> tok;
+  std::size_t size = 0;
+
+  std::string_view operator[](std::size_t i) const { return tok[i]; }
+};
+
+/// Whitespace as `operator>>` splits it in the C locale.
+bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
 }
+
+/// Reads the significant lines of a text in one pass, without copying it:
+/// '#' starts a comment that runs to the end of the line, and lines with no
+/// tokens are skipped.
+class LineScanner {
+ public:
+  explicit LineScanner(std::string_view text) : text_(text) {}
+
+  /// The next significant line into *line; false at the end of the text.
+  bool next(Line* line) {
+    while (pos_ < text_.size()) {
+      std::size_t end = text_.find('\n', pos_);
+      if (end == std::string_view::npos) end = text_.size();
+      std::string_view body = text_.substr(pos_, end - pos_);
+      pos_ = end + 1;
+      body = body.substr(0, body.find('#'));
+      line->size = 0;
+      for (std::size_t i = 0;;) {
+        while (i < body.size() && is_space(body[i])) ++i;
+        if (i == body.size()) break;
+        std::size_t j = i;
+        while (j < body.size() && !is_space(body[j])) ++j;
+        if (line->size < Line::kKept) {
+          line->tok[line->size] = body.substr(i, j - i);
+        }
+        ++line->size;
+        i = j;
+      }
+      if (line->size > 0) return true;
+    }
+    return false;
+  }
+
+ private:
+  std::string_view text_;
+  std::size_t pos_ = 0;
+};
 
 /// The whole token as an int; anything else (junk, trailing characters,
 /// out of range) is a loader error, never a std::stoi exception.
-int to_int(const std::string& s) {
+int to_int(std::string_view s) {
   int v = 0;
   const char* end = s.data() + s.size();
   const auto [ptr, ec] = std::from_chars(s.data(), end, v);
@@ -52,26 +95,27 @@ std::string dfg_to_text(const Dfg& dfg) {
 }
 
 Dfg dfg_from_text(const std::string& text) {
-  const auto lines = tokenize(text);
-  MONOMAP_ASSERT_MSG(!lines.empty() && lines[0][0] == "dfg",
+  LineScanner lines(text);
+  Line t;
+  MONOMAP_ASSERT_MSG(lines.next(&t) && t[0] == "dfg",
                      "expected 'dfg <name>' header");
-  MONOMAP_ASSERT_MSG(lines[0].size() == 2, "dfg header needs a name");
-  const std::string name = lines[0][1];
+  MONOMAP_ASSERT_MSG(t.size == 2, "dfg header needs a name");
+  std::string name(t[1]);
   int num_nodes = -1;
   std::vector<Edge> edges;
   bool ended = false;
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    const auto& t = lines[i];
+  while (lines.next(&t)) {
     MONOMAP_ASSERT_MSG(!ended, "content after 'end'");
     if (t[0] == "nodes") {
-      MONOMAP_ASSERT_MSG(t.size() == 2, "nodes needs a count");
+      MONOMAP_ASSERT_MSG(t.size == 2, "nodes needs a count");
       num_nodes = to_int(t[1]);
       MONOMAP_ASSERT_MSG(num_nodes >= 0, "negative node count");
+      MONOMAP_ASSERT_MSG(num_nodes > 0, "a DFG needs at least one node");
       MONOMAP_ASSERT_MSG(num_nodes <= kMaxDfgTextNodes,
                          "node count " << num_nodes << " exceeds "
                                        << kMaxDfgTextNodes);
     } else if (t[0] == "edge") {
-      MONOMAP_ASSERT_MSG(t.size() == 4, "edge needs <src> <dst> <distance>");
+      MONOMAP_ASSERT_MSG(t.size == 4, "edge needs <src> <dst> <distance>");
       MONOMAP_ASSERT_MSG(num_nodes >= 0, "'nodes' must precede 'edge'");
       const int src = to_int(t[1]);
       const int dst = to_int(t[2]);
@@ -89,7 +133,13 @@ Dfg dfg_from_text(const std::string& text) {
   }
   MONOMAP_ASSERT_MSG(ended, "missing 'end'");
   MONOMAP_ASSERT_MSG(num_nodes >= 0, "missing 'nodes'");
-  return Dfg::from_edges(name, num_nodes, edges);
+  Dfg dfg = Dfg::from_edges(std::move(name), num_nodes, edges);
+  // A cycle of distance-0 edges asks a value to be ready before it is
+  // computed: no II schedules it.
+  MONOMAP_ASSERT_MSG(
+      topological_sort(dfg.graph(), edges_with_attr(0)).has_value(),
+      "the distance-0 edges form a cycle, which no II can schedule");
+  return dfg;
 }
 
 std::string mapping_to_text(const Dfg& dfg, const Mapping& mapping) {
@@ -105,19 +155,19 @@ std::string mapping_to_text(const Dfg& dfg, const Mapping& mapping) {
 }
 
 Mapping mapping_from_text(const std::string& text, int num_nodes) {
-  const auto lines = tokenize(text);
-  MONOMAP_ASSERT_MSG(!lines.empty() && lines[0][0] == "mapping",
+  LineScanner lines(text);
+  Line t;
+  MONOMAP_ASSERT_MSG(lines.next(&t) && t[0] == "mapping",
                      "expected 'mapping <name>' header");
   int ii = -1;
   std::vector<int> time(static_cast<std::size_t>(num_nodes), -1);
   std::vector<PeId> pe(static_cast<std::size_t>(num_nodes), -1);
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    const auto& t = lines[i];
+  while (lines.next(&t)) {
     if (t[0] == "ii") {
-      MONOMAP_ASSERT_MSG(t.size() == 2, "ii needs a value");
+      MONOMAP_ASSERT_MSG(t.size == 2, "ii needs a value");
       ii = to_int(t[1]);
     } else if (t[0] == "place") {
-      MONOMAP_ASSERT_MSG(t.size() == 4, "place needs <node> <pe> <time>");
+      MONOMAP_ASSERT_MSG(t.size == 4, "place needs <node> <pe> <time>");
       const int v = to_int(t[1]);
       MONOMAP_ASSERT_MSG(v >= 0 && v < num_nodes, "node out of range");
       pe[static_cast<std::size_t>(v)] = to_int(t[2]);

@@ -33,8 +33,9 @@ std::string dfg_to_text(const Dfg& dfg);
 inline constexpr int kMaxDfgTextNodes = 4096;
 
 /// Parse the `dfg` format above. Throws AssertionError on malformed input,
-/// including a token that is not an integer where one is expected and a
-/// `nodes` count above kMaxDfgTextNodes.
+/// including a token that is not an integer where one is expected, a
+/// `nodes` count of 0 or above kMaxDfgTextNodes, and distance-0 edges that
+/// form a cycle (no II can schedule such a DFG).
 Dfg dfg_from_text(const std::string& text);
 
 /// Serialise a mapping of `dfg`.

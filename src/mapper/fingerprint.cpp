@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
-#include <map>
 #include <utility>
 
 namespace monomap {
@@ -31,10 +30,45 @@ std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
 /// that steers it (colours, cell choice, budget spend) is a function of the
 /// graph's structure only, so isomorphic copies take identical paths —
 /// including the abort path.
+///
+/// The search allocates only while it warms up: the adjacency is flattened
+/// once, with each edge's (role, distance) seed folded up front, and the
+/// round, cell and per-depth colouring buffers are reused across refinement
+/// rounds and tree nodes.
 class CanonSearch {
  public:
   CanonSearch(const Dfg& dfg, std::uint64_t budget)
-      : dfg_(dfg), n_(dfg.num_nodes()), budget_(budget) {}
+      : dfg_(dfg), n_(dfg.num_nodes()), budget_(budget) {
+    const Graph& g = dfg.graph();
+    arc_begin_.reserve(static_cast<std::size_t>(n_) + 1);
+    out_begin_.reserve(static_cast<std::size_t>(n_) + 1);
+    arcs_.reserve(2 * static_cast<std::size_t>(dfg.num_edges()));
+    outs_.reserve(static_cast<std::size_t>(dfg.num_edges()));
+    for (NodeId v = 0; v < n_; ++v) {
+      arc_begin_.push_back(arcs_.size());
+      out_begin_.push_back(outs_.size());
+      for (EdgeId e : g.out_edges(v)) {
+        const Edge& edge = g.edge(e);
+        arcs_.push_back({fold(0x0f0f0f0f0f0f0f0fULL,
+                              static_cast<std::uint64_t>(edge.attr) + 1),
+                         edge.dst});
+        outs_.push_back({edge.dst, edge.attr});
+      }
+      for (EdgeId e : g.in_edges(v)) {
+        const Edge& edge = g.edge(e);
+        arcs_.push_back({fold(0xf0f0f0f0f0f0f0f0ULL,
+                              static_cast<std::uint64_t>(edge.attr) + 1),
+                         edge.src});
+      }
+    }
+    arc_begin_.push_back(arcs_.size());
+    out_begin_.push_back(outs_.size());
+    next_.resize(static_cast<std::size_t>(n_));
+    sorted_.resize(static_cast<std::size_t>(n_));
+    prev_rep_.resize(static_cast<std::size_t>(n_));
+    rep_.resize(static_cast<std::size_t>(n_));
+    perm_.resize(static_cast<std::size_t>(n_));
+  }
 
   bool exhausted() const { return exhausted_; }
   bool have_best() const { return have_best_; }
@@ -42,85 +76,96 @@ class CanonSearch {
   std::vector<NodeId> take_best_perm() { return std::move(best_perm_); }
 
   /// Refine `color` to a fixpoint of WL splitting. Returns false when the
-  /// budget ran out (exhausted_ is then latched).
+  /// budget ran out (exhausted_ is then latched). On success sorted_ holds
+  /// the (colour, node) pairs of the fixpoint in ascending order.
   bool refine(std::vector<std::uint64_t>& color) {
-    std::vector<int> prev = cells(color);
-    std::vector<std::uint64_t> parts;
-    std::vector<std::uint64_t> next(static_cast<std::size_t>(n_));
+    cell_reps(color, prev_rep_);
     for (;;) {
       if (!spend(static_cast<std::uint64_t>(n_))) {
         return false;
       }
       for (NodeId v = 0; v < n_; ++v) {
-        parts.clear();
-        for (EdgeId e : dfg_.graph().out_edges(v)) {
-          const Edge& edge = dfg_.graph().edge(e);
-          parts.push_back(fold(
-              fold(0x0f0f0f0f0f0f0f0fULL,
-                   static_cast<std::uint64_t>(edge.attr) + 1),
-              color[static_cast<std::size_t>(edge.dst)]));
+        parts_.clear();
+        for (std::size_t i = arc_begin_[static_cast<std::size_t>(v)];
+             i < arc_begin_[static_cast<std::size_t>(v) + 1]; ++i) {
+          parts_.push_back(fold(
+              arcs_[i].seed, color[static_cast<std::size_t>(arcs_[i].nbr)]));
         }
-        for (EdgeId e : dfg_.graph().in_edges(v)) {
-          const Edge& edge = dfg_.graph().edge(e);
-          parts.push_back(fold(
-              fold(0xf0f0f0f0f0f0f0f0ULL,
-                   static_cast<std::uint64_t>(edge.attr) + 1),
-              color[static_cast<std::size_t>(edge.src)]));
-        }
-        std::sort(parts.begin(), parts.end());
+        std::sort(parts_.begin(), parts_.end());
         std::uint64_t h = color[static_cast<std::size_t>(v)];
-        for (std::uint64_t p : parts) {
+        for (std::uint64_t p : parts_) {
           h = fold(h, p);
         }
-        next[static_cast<std::size_t>(v)] = h;
+        next_[static_cast<std::size_t>(v)] = h;
       }
-      color.swap(next);
-      std::vector<int> cur = cells(color);
-      if (cur == prev) {
+      color.swap(next_);
+      cell_reps(color, rep_);
+      if (rep_ == prev_rep_) {
         return true;  // partition stable: refinement is at its fixpoint
       }
-      prev = std::move(cur);
+      prev_rep_.swap(rep_);
     }
   }
 
-  void search(std::vector<std::uint64_t> color) {
+  /// Run the tree search from `root` (a copy is refined, never `root`).
+  void search(const std::vector<std::uint64_t>& root) {
+    levels_.resize(1);
+    levels_[0] = root;
+    search_at(0);
+  }
+
+ private:
+  /// A WL arc of a node: `seed` folds the edge's direction role and
+  /// distance; the neighbour's colour is folded in every round.
+  struct Arc {
+    std::uint64_t seed;
+    NodeId nbr;
+  };
+
+  /// The search node at `depth` owns levels_[depth]; its children are
+  /// built one at a time in levels_[depth + 1].
+  void search_at(std::size_t depth) {
     if (exhausted_) {
       return;
     }
-    if (!refine(color)) {
+    if (!refine(levels_[depth])) {
       return;
     }
     // Pick the target cell: smallest non-singleton cell, ties broken by
     // smallest colour value. Colour values are equal on corresponding
     // nodes of isomorphic copies, so the choice is iso-invariant.
-    std::map<std::uint64_t, int> count;
-    for (std::uint64_t c : color) {
-      ++count[c];
-    }
     std::uint64_t target = 0;
     int target_size = n_ + 1;
-    for (const auto& [c, k] : count) {
+    for (std::size_t i = 0; i < sorted_.size();) {
+      std::size_t j = i + 1;
+      while (j < sorted_.size() && sorted_[j].first == sorted_[i].first) ++j;
+      const int k = static_cast<int>(j - i);
       if (k > 1 && k < target_size) {
-        target = c;
+        target = sorted_[i].first;
         target_size = k;
       }
+      i = j;
     }
     if (target_size > n_) {
-      leaf(color);
+      leaf();
       return;
     }
+    if (levels_.size() == depth + 1) {
+      levels_.emplace_back();
+    }
+    // Index levels_ afresh after each child: a deeper child may grow it.
     for (NodeId v = 0; v < n_ && !exhausted_; ++v) {
-      if (color[static_cast<std::size_t>(v)] != target) {
+      if (levels_[depth][static_cast<std::size_t>(v)] != target) {
         continue;
       }
-      std::vector<std::uint64_t> child = color;
+      std::vector<std::uint64_t>& child = levels_[depth + 1];
+      child = levels_[depth];
       child[static_cast<std::size_t>(v)] =
           mix64(child[static_cast<std::size_t>(v)] ^ kIndividualize);
-      search(std::move(child));
+      search_at(depth + 1);
     }
   }
 
- private:
   bool spend(std::uint64_t steps) {
     if (exhausted_ || budget_ < steps) {
       exhausted_ = true;
@@ -130,38 +175,35 @@ class CanonSearch {
     return true;
   }
 
-  /// Cell labels in first-occurrence order — equal vectors iff the two
-  /// colourings induce the same partition (value-independent, so the
-  /// refinement fixpoint test ignores the hash churn per round).
-  std::vector<int> cells(const std::vector<std::uint64_t>& color) const {
-    std::vector<int> part(static_cast<std::size_t>(n_));
-    std::map<std::uint64_t, int> id;
+  /// rep[v] = the smallest node sharing v's colour — equal vectors iff the
+  /// two colourings induce the same partition (value-independent, so the
+  /// refinement fixpoint test ignores the hash churn per round). Leaves
+  /// the colouring's (colour, node) pairs sorted in sorted_.
+  void cell_reps(const std::vector<std::uint64_t>& color,
+                 std::vector<NodeId>& rep) {
     for (NodeId v = 0; v < n_; ++v) {
-      auto [it, inserted] =
-          id.try_emplace(color[static_cast<std::size_t>(v)],
-                         static_cast<int>(id.size()));
-      part[static_cast<std::size_t>(v)] = it->second;
+      sorted_[static_cast<std::size_t>(v)] = {
+          color[static_cast<std::size_t>(v)], v};
     }
-    return part;
+    std::sort(sorted_.begin(), sorted_.end());
+    for (std::size_t i = 0; i < sorted_.size(); ++i) {
+      const bool opens = i == 0 || sorted_[i].first != sorted_[i - 1].first;
+      rep[static_cast<std::size_t>(sorted_[i].second)] =
+          opens ? sorted_[i].second
+                : rep[static_cast<std::size_t>(sorted_[i - 1].second)];
+    }
   }
 
-  /// Discrete colouring: hash the induced canonical form, keep the minimum.
-  void leaf(const std::vector<std::uint64_t>& color) {
+  /// Discrete colouring (the one refine() left in sorted_, where every
+  /// colour is distinct, so sorted_ is the node order): hash the induced
+  /// canonical form, keep the minimum.
+  void leaf() {
     if (!spend(static_cast<std::uint64_t>(n_))) {
       return;
     }
-    std::vector<NodeId> order(static_cast<std::size_t>(n_));
-    for (NodeId v = 0; v < n_; ++v) {
-      order[static_cast<std::size_t>(v)] = v;
-    }
-    std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-      return color[static_cast<std::size_t>(a)] <
-             color[static_cast<std::size_t>(b)];
-    });
-    std::vector<NodeId> perm(static_cast<std::size_t>(n_));
     for (int pos = 0; pos < n_; ++pos) {
-      perm[static_cast<std::size_t>(order[static_cast<std::size_t>(pos)])] =
-          pos;
+      perm_[static_cast<std::size_t>(
+          sorted_[static_cast<std::size_t>(pos)].second)] = pos;
     }
     std::array<std::uint64_t, 2> sig{kSeedA, kSeedB};
     auto fold2 = [&sig](std::uint64_t v) {
@@ -170,19 +212,18 @@ class CanonSearch {
     };
     fold2(static_cast<std::uint64_t>(n_));
     fold2(static_cast<std::uint64_t>(dfg_.num_edges()));
-    std::vector<std::pair<int, int>> outs;
     for (int pos = 0; pos < n_; ++pos) {
-      const NodeId v = order[static_cast<std::size_t>(pos)];
+      const NodeId v = sorted_[static_cast<std::size_t>(pos)].second;
       fold2(static_cast<std::uint64_t>(dfg_.opcode(v)));
-      outs.clear();
-      for (EdgeId e : dfg_.graph().out_edges(v)) {
-        const Edge& edge = dfg_.graph().edge(e);
-        outs.emplace_back(perm[static_cast<std::size_t>(edge.dst)],
-                          edge.attr);
+      leaf_outs_.clear();
+      for (std::size_t i = out_begin_[static_cast<std::size_t>(v)];
+           i < out_begin_[static_cast<std::size_t>(v) + 1]; ++i) {
+        leaf_outs_.emplace_back(perm_[static_cast<std::size_t>(outs_[i].first)],
+                                outs_[i].second);
       }
-      std::sort(outs.begin(), outs.end());
-      fold2(0x5e5e5e5e'00000000ULL + outs.size());
-      for (const auto& [dst, attr] : outs) {
+      std::sort(leaf_outs_.begin(), leaf_outs_.end());
+      fold2(0x5e5e5e5e'00000000ULL + leaf_outs_.size());
+      for (const auto& [dst, attr] : leaf_outs_) {
         fold2((static_cast<std::uint64_t>(dst) << 20) ^
               static_cast<std::uint64_t>(attr));
       }
@@ -190,7 +231,7 @@ class CanonSearch {
     if (!have_best_ || sig < best_sig_) {
       have_best_ = true;
       best_sig_ = sig;
-      best_perm_ = std::move(perm);
+      best_perm_ = perm_;
     }
   }
 
@@ -201,6 +242,24 @@ class CanonSearch {
   bool have_best_ = false;
   std::array<std::uint64_t, 2> best_sig_{};
   std::vector<NodeId> best_perm_;
+
+  // Flat adjacency: node v's WL arcs (out-edges, then in-edges, in the
+  // graph's edge order) are arcs_[arc_begin_[v], arc_begin_[v + 1]); its
+  // out-edges as (dst, distance) are outs_[out_begin_[v], out_begin_[v + 1]).
+  std::vector<std::size_t> arc_begin_;
+  std::vector<Arc> arcs_;
+  std::vector<std::size_t> out_begin_;
+  std::vector<std::pair<NodeId, int>> outs_;
+
+  // Work buffers, reused across rounds and tree nodes.
+  std::vector<std::uint64_t> next_;
+  std::vector<std::uint64_t> parts_;
+  std::vector<std::pair<std::uint64_t, NodeId>> sorted_;
+  std::vector<NodeId> prev_rep_;
+  std::vector<NodeId> rep_;
+  std::vector<NodeId> perm_;
+  std::vector<std::pair<int, int>> leaf_outs_;
+  std::vector<std::vector<std::uint64_t>> levels_;  // colouring per depth
 };
 
 std::vector<std::uint64_t> initial_colors(const Dfg& dfg) {

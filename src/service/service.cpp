@@ -170,7 +170,10 @@ std::string MappingService::run_map_job(const ServeRequest& req) {
     errors_.fetch_add(1, std::memory_order_relaxed);
     return error_response(req.id, std::string("bad request: ") + e.what());
   }
-  const CgraArch arch(req.rows, req.cols, req.topology);
+  // `held` keeps the fabric alive to the end of the job, evicted or not.
+  const std::shared_ptr<const CgraArch> held =
+      fabric(req.rows, req.cols, req.topology);
+  const CgraArch& arch = *held;
 
   DecoupledMapperOptions opts = options_.mapper;
   opts.anytime = req.anytime;
@@ -253,6 +256,29 @@ std::string MappingService::run_map_job(const ServeRequest& req) {
   return w.end_object().take();
 }
 
+std::shared_ptr<const CgraArch> MappingService::fabric(int rows, int cols,
+                                                       Topology topology) {
+  if (rows > kMaxCachedFabricSide || cols > kMaxCachedFabricSide) {
+    return std::make_shared<const CgraArch>(rows, cols, topology);
+  }
+  const std::lock_guard<std::mutex> lock(fabrics_m_);
+  auto it = std::find_if(fabrics_.begin(), fabrics_.end(),
+                         [&](const std::shared_ptr<const CgraArch>& a) {
+                           return a->rows() == rows && a->cols() == cols &&
+                                  a->topology() == topology;
+                         });
+  if (it != fabrics_.end()) {
+    std::rotate(fabrics_.begin(), it, it + 1);
+  } else {
+    auto built = std::make_shared<const CgraArch>(rows, cols, topology);
+    if (fabrics_.size() == kFabricCacheEntries) {
+      fabrics_.pop_back();
+    }
+    fabrics_.insert(fabrics_.begin(), std::move(built));
+  }
+  return fabrics_.front();
+}
+
 std::string MappingService::render_stats(const std::string& id) const {
   const StatsSnapshot s = stats();
   return response(id, true)
@@ -273,6 +299,7 @@ std::string MappingService::render_stats(const std::string& id) const {
       .field("floor_hits", s.store.floor_hits)
       .field("mem_bytes", s.store.bytes_used)
       .field("mem_peak_bytes", s.store.bytes_peak)
+      .field("fabrics_cached", s.fabrics_cached)
       .field("threads", pool_->num_threads())
       .field("queue_limit", options_.queue_limit)
       .end_object()
@@ -303,6 +330,10 @@ MappingService::StatsSnapshot MappingService::stats() const {
     };
     s.p50_ms = pick(0.50);
     s.p99_ms = pick(0.99);
+  }
+  {
+    const std::lock_guard<std::mutex> lock(fabrics_m_);
+    s.fabrics_cached = fabrics_.size();
   }
   s.store = store_.stats();
   return s;

@@ -9,7 +9,10 @@
 // Request lifecycle: parse -> admission (a bounded in-flight count; an
 // overloaded service answers immediately with a `deadline` outcome and an
 // "admission" cause instead of queueing unboundedly) -> a pool worker runs
-// the mapper under the request's Deadline -> response. Reuse:
+// the mapper under the request's Deadline -> response. The fabrics
+// (CgraArch) requests name are kept in a small LRU cache, with the tables
+// each builds on first use, so a repeat request does not rebuild them.
+// Reuse:
 //
 //   memo  — exact/isomorphic repeat with the same options fingerprint is
 //           answered from the KnowledgeStore without any search;
@@ -73,8 +76,17 @@ class MappingService {
     std::uint64_t warm_starts = 0;
     double p50_ms = 0.0;
     double p99_ms = 0.0;
+    /// Fabrics held by the fabric cache (at most kFabricCacheEntries).
+    std::size_t fabrics_cached = 0;
     KnowledgeStore::StatsSnapshot store;
   };
+
+  /// Fabrics with both sides up to kMaxCachedFabricSide are kept between
+  /// requests, the kFabricCacheEntries most recently used of them. A
+  /// 32x32 fabric holds about 384 KiB of masks, a kMaxGridSide one about
+  /// 96 MiB, so larger fabrics are built per request.
+  static constexpr int kMaxCachedFabricSide = 32;
+  static constexpr std::size_t kFabricCacheEntries = 4;
 
   MappingService();  // default Options
   explicit MappingService(Options options);
@@ -100,6 +112,10 @@ class MappingService {
   std::string run_map_job(const ServeRequest& req);
   std::string render_stats(const std::string& id) const;
   void record_latency(double seconds);
+  /// The fabric a request maps onto. A job holds its own reference, so
+  /// evicting a fabric from the cache never frees it under a running job.
+  std::shared_ptr<const CgraArch> fabric(int rows, int cols,
+                                         Topology topology);
 
   Options options_;
   KnowledgeStore store_;
@@ -111,6 +127,11 @@ class MappingService {
   std::atomic<std::uint64_t> errors_{0};
   std::atomic<std::uint64_t> faults_{0};
   std::atomic<std::uint64_t> warm_starts_{0};
+
+  mutable std::mutex fabrics_m_;
+  /// Cached fabrics, most recently used first; each also keeps the tables
+  /// CgraArch builds on first use (common_target_masks and the like).
+  std::vector<std::shared_ptr<const CgraArch>> fabrics_;
 
   mutable std::mutex latency_m_;
   std::vector<double> latencies_s_;  // ring buffer

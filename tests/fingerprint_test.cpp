@@ -1,5 +1,6 @@
 // Canonical DFG fingerprinting: isomorphism invariance, perturbation
-// sensitivity, and collision sanity over the benchmark suite.
+// sensitivity, collision sanity over the benchmark suite, and a pinned
+// digest of the whole output on a seeded corpus.
 #include "mapper/fingerprint.hpp"
 
 #include <algorithm>
@@ -12,7 +13,9 @@
 
 #include "arch/cgra.hpp"
 #include "io/dfg_io.hpp"
+#include "support/rng.hpp"
 #include "workloads/suite.hpp"
+#include "workloads/synthetic.hpp"
 
 namespace monomap {
 namespace {
@@ -181,6 +184,75 @@ TEST(FingerprintTest, ExhaustedBudgetStillIsomorphismInvariant) {
     EXPECT_EQ(a.iso_hi, b.iso_hi) << bench.name;
     EXPECT_EQ(a.iso_lo, b.iso_lo) << bench.name;
   }
+}
+
+/// A uniform relabelling drawn from `rng` (Fisher-Yates on the repo's
+/// portable generator, so the corpus below is the same on every platform).
+std::vector<NodeId> seeded_perm(int n, Rng& rng) {
+  std::vector<NodeId> perm(static_cast<std::size_t>(n));
+  for (int v = 0; v < n; ++v) perm[static_cast<std::size_t>(v)] = v;
+  for (int i = n - 1; i > 0; --i) {
+    const auto j = rng.next_below(static_cast<std::uint64_t>(i) + 1);
+    std::swap(perm[static_cast<std::size_t>(i)], perm[j]);
+  }
+  return perm;
+}
+
+TEST(FingerprintTest, CorpusDigestIsPinned) {
+  // Every field of fingerprint_dfg, bit for bit, over a seeded corpus: the
+  // 17 suite DFGs from their kernels and through DFG text, 5 relabellings
+  // of each, and 2,000 random DFGs of 4-43 nodes through text. Every 7th
+  // graph is also fingerprinted under budgets 50, 300 and 2,000, which
+  // take the abort path. The memo and the certificate store are keyed on
+  // these values, so a change that moves the hash, the step budget or the
+  // tree order must say so by updating the constants.
+  std::vector<Dfg> corpus;
+  for (const Benchmark& bench : benchmark_suite()) {
+    corpus.push_back(bench.dfg);
+    corpus.push_back(dfg_from_text(dfg_to_text(bench.dfg)));
+  }
+  Rng rng(0xf1a9e7);
+  const std::size_t bases = corpus.size();
+  for (std::size_t i = 0; i < bases; ++i) {
+    for (int k = 0; k < 5; ++k) {
+      const Dfg base = corpus[i];
+      corpus.push_back(permuted_copy(base, seeded_perm(base.num_nodes(), rng)));
+    }
+  }
+  for (int i = 0; i < 2000; ++i) {
+    SyntheticSpec spec;
+    spec.num_nodes = 4 + static_cast<int>(rng.next_below(40));
+    spec.seed = rng.next_u64();
+    corpus.push_back(dfg_from_text(dfg_to_text(random_dfg(spec))));
+  }
+
+  std::uint64_t digest = 0;
+  int count = 0;
+  int aborts = 0;
+  const auto absorb = [&](const DfgFingerprint& fp) {
+    ++count;
+    aborts += fp.canonical ? 0 : 1;
+    for (const std::uint64_t v :
+         {fp.iso_hi, fp.iso_lo, fp.exact,
+          static_cast<std::uint64_t>(fp.canonical),
+          static_cast<std::uint64_t>(fp.canon.size())}) {
+      digest = mix64(digest ^ v);
+    }
+    for (const NodeId c : fp.canon) {
+      digest = mix64(digest ^ static_cast<std::uint64_t>(c));
+    }
+  };
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    absorb(fingerprint_dfg(corpus[i]));
+    if (i % 7 == 0) {
+      for (const std::uint64_t budget : {50, 300, 2000}) {
+        absorb(fingerprint_dfg(corpus[i], budget));
+      }
+    }
+  }
+  EXPECT_EQ(count, 3149);
+  EXPECT_EQ(aborts, 376);
+  EXPECT_EQ(digest, 0xd125362ea7aa3d4aULL);
 }
 
 TEST(FingerprintTest, ArchFingerprintSeparatesShapes) {

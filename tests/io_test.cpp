@@ -58,6 +58,16 @@ TEST(DfgIo, RejectsMalformedInput) {
                AssertionError);
   EXPECT_NO_THROW((void)dfg_from_text(
       "dfg x\nnodes " + std::to_string(kMaxDfgTextNodes) + "\nend\n"));
+  // DFGs no II can map: no nodes, and cycles of distance-0 edges (a
+  // self-loop, a two-node cycle). A distance-1 cycle is a recurrence.
+  EXPECT_THROW(dfg_from_text("dfg x\nnodes 0\nend\n"), AssertionError);
+  EXPECT_THROW(dfg_from_text("dfg x\nnodes 1\nedge 0 0 0\nend\n"),
+               AssertionError);
+  EXPECT_THROW(
+      dfg_from_text("dfg x\nnodes 2\nedge 0 1 0\nedge 1 0 0\nend\n"),
+      AssertionError);
+  EXPECT_NO_THROW((void)dfg_from_text(
+      "dfg x\nnodes 2\nedge 0 1 0\nedge 1 0 1\nedge 1 1 1\nend\n"));
 }
 
 TEST(MappingIo, RoundTrip) {

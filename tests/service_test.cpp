@@ -1,6 +1,7 @@
 // MappingService + KnowledgeStore: protocol robustness, memo soundness
 // (identical and isomorphic repeats), warm-start differentials against the
-// sequential mapper, admission control, fault containment, shutdown.
+// sequential mapper, the fabric cache under concurrency, admission
+// control, fault containment, shutdown.
 #include "service/service.hpp"
 
 #include <algorithm>
@@ -92,6 +93,27 @@ TEST(ServiceTest, MalformedLineGetsErrorResponseAndServiceSurvives) {
       parse_response(service.handle_line(map_request("fft", false, false)));
   EXPECT_TRUE(ok.bool_or("ok", false));
   EXPECT_EQ(service.stats().errors, 1u);
+}
+
+TEST(ServiceTest, UnmappableDfgTextIsABadRequest) {
+  // DFG text the mapper cannot take (no nodes, a distance-0 self-loop, a
+  // distance-0 cycle) is refused by the loader as a bad request, not by an
+  // invariant check deep in the mapper.
+  MappingService service;
+  for (const char* text : {"dfg e\nnodes 0\nend\n",
+                           "dfg s\nnodes 1\nedge 0 0 0\nend\n",
+                           "dfg c\nnodes 2\nedge 0 1 0\nedge 1 0 0\nend\n"}) {
+    const json::Value r = parse_response(service.handle_line(
+        "{\"verb\":\"map\",\"id\":\"t\",\"grid\":4,\"dfg\":\"" +
+        json::escape(text) + "\"}"));
+    EXPECT_FALSE(r.bool_or("ok", true)) << text;
+    const std::string error = r.string_or("error", "");
+    EXPECT_EQ(error.rfind("bad request:", 0), 0u) << error;
+  }
+  const json::Value ok =
+      parse_response(service.handle_line(map_request("fft", false, false)));
+  EXPECT_TRUE(ok.bool_or("ok", false));
+  EXPECT_EQ(service.stats().errors, 3u);
 }
 
 // ---- memo ----------------------------------------------------------------
@@ -270,6 +292,80 @@ TEST(ServiceTest, WarmSecondRequestSameAnswerNoMoreSchedules) {
       benchmark_by_name("nw").dfg, CgraArch(4, 4, Topology::kMesh));
   ASSERT_TRUE(cold.success);
   EXPECT_EQ(static_cast<double>(cold.ii), warm.number_or("ii", -1.0));
+}
+
+// ---- fabric cache --------------------------------------------------------
+
+TEST(ServiceTest, FabricCacheHoldsUnderConcurrentHitsAndMisses) {
+  // Four clients send memo hits and misses on six fabrics (grids 4, 5 and
+  // 8, mesh and torus), more than the cache keeps, so fabrics are evicted
+  // while other jobs may still map on them. Every mapping must validate on
+  // a fabric built fresh from its own request: a cache key without the
+  // topology would hand a mesh request a torus fabric, whose wrap-around
+  // links the mesh does not have.
+  MappingService::Options options;
+  options.threads = 2;
+  options.queue_limit = 0;
+  MappingService service(options);
+  const std::vector<std::string> benches = {"fft", "gsm", "susan", "sha1"};
+  const std::vector<int> grids = {4, 5, 8};
+  const std::vector<Topology> topologies = {Topology::kMesh, Topology::kTorus};
+  const std::size_t combos = benches.size() * grids.size() * topologies.size();
+  constexpr int kClients = 4;
+  std::vector<std::vector<std::string>> failures(kClients);
+  std::atomic<int> hits{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      // 5 is coprime with the 24 combinations: each client sends every one
+      // of them once, each from its own starting point.
+      for (std::size_t i = 0; i < combos; ++i) {
+        const std::size_t k =
+            (i * 5 + static_cast<std::size_t>(c) * 7) % combos;
+        const std::string& bench = benches[k % benches.size()];
+        const int grid = grids[k / benches.size() % grids.size()];
+        const Topology topology =
+            topologies[k / (benches.size() * grids.size())];
+        const std::string line =
+            "{\"verb\":\"map\",\"id\":\"t\",\"bench\":\"" + bench +
+            "\",\"grid\":" + std::to_string(grid) + ",\"topology\":\"" +
+            topology_name(topology) + "\",\"memo\":" +
+            (i % 3 == 2 ? "false" : "true") + ",\"mapping\":true}";
+        const std::string where = line + " -> ";
+        const std::optional<json::Value> r =
+            json::parse(service.handle_line(line));
+        if (!r.has_value() || !r->bool_or("ok", false)) {
+          failures[c].push_back(where + "no mapping");
+          continue;
+        }
+        hits += r->bool_or("memo_hit", false) ? 1 : 0;
+        const Dfg& dfg = benchmark_by_name(bench).dfg;
+        try {
+          const Mapping mapping =
+              mapping_from_text(r->string_or("mapping", ""), dfg.num_nodes());
+          if (!validate_mapping(dfg, CgraArch(grid, grid, topology), mapping,
+                                MrrgModel::kRegisterPersistence)
+                   .empty()) {
+            failures[c].push_back(where + "invalid on its own fabric");
+          }
+        } catch (const AssertionError& e) {
+          failures[c].push_back(where + e.what());
+        }
+        if (service.stats().fabrics_cached >
+            MappingService::kFabricCacheEntries) {
+          failures[c].push_back(where + "fabric cache over its bound");
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  for (int c = 0; c < kClients; ++c) {
+    EXPECT_TRUE(failures[c].empty())
+        << failures[c].size() << " failures, first: " << failures[c].front();
+  }
+  EXPECT_GT(hits.load(), 0);
+  EXPECT_EQ(service.stats().fabrics_cached,
+            MappingService::kFabricCacheEntries);
 }
 
 // ---- admission control ---------------------------------------------------
