@@ -462,20 +462,11 @@ void run_json_mode(const std::vector<int>& grids, int repeats,
         single = mapper.map(b.dfg, arch);
         single_s.push_back(single_wall.elapsed_s());
         Stopwatch speculative_wall;
-        // The throughput flavour: a lookahead-2 race sharing certificates
-        // (counters active).
-        CrossIiNogoodStore store;
-        WalkOptions walk;
-        walk.lookahead = 2;
-        walk.store = &store;
-        speculative = mapper.map(b.dfg, arch, walk);
+        speculative = mapper.map(b.dfg, arch, /*lookahead=*/2);
         speculative_s.push_back(speculative_wall.elapsed_s());
       }
-      // ii comes from the deterministic single walk: this record is diffed
-      // across PRs, and the warm speculative race's II depends on thread
-      // timing (certificate arrival order can move the policy's give-up
-      // points), so only its wall clock and certificate-traffic counters
-      // ride along.
+      // The race commits the single walk's II, so only its wall clock and
+      // pool steals ride along.
       json.begin_object();
       json.field("suite", b.name);
       json.field("grid", grid);
@@ -483,9 +474,6 @@ void run_json_mode(const std::vector<int>& grids, int repeats,
       json.field("single_s", median(single_s));
       json.field("speculative_success", speculative.success);
       json.field("speculative_s", median(speculative_s));
-      json.field("speculative_hits", speculative.speculative_hits);
-      json.field("nogoods_lifted_cross_ii",
-                 speculative.time_stats.nogoods_lifted_cross_ii);
       json.field("steals", speculative.steals);
       json.field("ii", single.success ? single.ii : -1);
       json.end_object();

@@ -10,9 +10,9 @@
 //    across PRs. Every row is (suite, [grid,] engine, seconds) plus the
 //    last run's result as write_json writes it: outcome, II and interval,
 //    and every effort counter. The "hard" section additionally records
-//    engine="speculative" rows — the cross-II race (a lookahead-2 walk) —
-//    whose warm variant carries the certificate traffic (speculative_hits,
-//    nogoods_lifted_cross_ii, steals).
+//    engine="speculative" rows — the cross-II race (a lookahead-2 walk),
+//    which lands on the incremental rows' answer and effort and adds the
+//    pool's steals.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -105,18 +105,16 @@ BENCHMARK(BM_TimeHorizonExtensions)->Arg(0)->Arg(1);
 
 // --- --json mode -----------------------------------------------------------
 
-/// One way of running map(): the time engine, the lookahead (above 0 races
-/// the walk) and whether each call gets a fresh certificate store.
+/// One way of running map(): the time engine and the lookahead (above 0
+/// races the walk).
 struct Variant {
   const char* engine;  // the row's engine name
   TimeEngine time_engine;
   int lookahead;
-  bool warm;
 };
 
-constexpr Variant kIncremental{"incremental", TimeEngine::kIncremental, 0,
-                               false};
-constexpr Variant kReference{"reference", TimeEngine::kReference, 0, false};
+constexpr Variant kIncremental{"incremental", TimeEngine::kIncremental, 0};
+constexpr Variant kReference{"reference", TimeEngine::kReference, 0};
 
 /// Median wall clock of `repeats` map() calls run as `v`; `last` receives
 /// the last call's result.
@@ -128,12 +126,8 @@ double timed_map(const Dfg& dfg, const CgraArch& arch, double timeout_s,
   const DecoupledMapper mapper(opt);
   std::vector<double> seconds;
   for (int r = 0; r < repeats; ++r) {
-    CrossIiNogoodStore store;
-    WalkOptions walk;
-    walk.lookahead = v.lookahead;
-    if (v.warm) walk.store = &store;
     Stopwatch wall;
-    last = mapper.map(dfg, arch, walk);
+    last = mapper.map(dfg, arch, v.lookahead);
     seconds.push_back(wall.elapsed_s());
   }
   return median(seconds);
@@ -184,18 +178,12 @@ void run_json_mode(int grid, int repeats) {
   // refutation-patience rule). Grid 2 is the paper's 2x2 mesh, where the
   // time phase itself is the hard part: pigeonhole horizons that the
   // capacity floor skips (capacity_refuted_horizons) used to cost SAT
-  // seconds there. Grid 8 rides along for the cross-II
-  // certificate channel: its mII refutations are where the warm rows
-  // harvest certificates. Each case also records the cross-II race, a
-  // lookahead-2 walk (3 workers, clamped to the machine's cores):
-  // engine="speculative" is the cold race, which lands on the incremental
-  // rows' final II bit-exactly, and engine="speculative-warm" passes a
-  // certificate store (WalkOptions::store — may settle a different II on
-  // borderline cases).
+  // seconds there. Each case also records the cross-II race, a lookahead-2
+  // walk (3 workers, clamped to the machine's cores): engine="speculative"
+  // lands on the incremental rows' final II and effort bit-exactly.
   const Variant variants[] = {
       kIncremental, kReference,
-      {"speculative", TimeEngine::kIncremental, 2, false},
-      {"speculative-warm", TimeEngine::kIncremental, 2, true}};
+      {"speculative", TimeEngine::kIncremental, 2}};
   json.key("hard");
   json.begin_array();
   for (const char* name : {"hotspot3D", "cfd", "nw"}) {

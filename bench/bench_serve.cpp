@@ -2,22 +2,19 @@
 //
 // Drives the newline-delimited JSON protocol either against an in-process
 // MappingService (default; no sockets, deterministic single-box numbers)
-// or against a live monomap_serve daemon (--unix PATH). Three sections,
+// or against a live monomap_serve daemon (--unix PATH). Two sections,
 // emitted as rows keyed (suite, grid, engine) for tools/bench_diff.py:
 //
-//   cold — per-request memo and warm starts disabled: the raw mapper path,
-//          the denominator every reuse claim is measured against.
-//   memo — the same request twice; the first populates the fingerprint
-//          memo, the timed repeats must come back memo_hit with zero
-//          schedules tried.
-//   warm — hard suites twice with the memo disabled: the first run
-//          publishes certificates and refuted-II floors into the knowledge
-//          store, the timed second run starts warm and must not try more
-//          schedules than the cold row.
+//   cold — per-request memo disabled: the raw mapper path, the
+//          denominator every reuse claim is measured against; each row is
+//          the median of --repeats requests.
+//   memo — one request populates the fingerprint memo, then kMemoSamples
+//          back-to-back repeats must come back memo_hit with zero
+//          schedules tried; each row is their median, enough samples to
+//          resolve a 2x change in a hit's cost.
 //
 // Output: one JSON document (BENCH_serve.json schema) with per-row outcome
 // fields and an aggregate outcome_counts histogram.
-#include <algorithm>
 #include <array>
 #include <cstring>
 #include <iostream>
@@ -43,14 +40,20 @@ namespace {
 
 using namespace monomap;
 
+/// Memo hits per memo row: a hit costs tens of µs, and host noise moves
+/// single samples by 2x or more, so each row is the median of this many
+/// back-to-back hits.
+constexpr int kMemoSamples = 25;
+
 [[noreturn]] void usage() {
   std::cerr <<
       "usage: bench_serve [--grid N] [--repeats N] [--deadline S]\n"
-      "  [--suites a,b,c]  cold/memo section suites (default: full suite)\n"
-      "  [--hard a,b,c]    warm section suites (default: cfd,hotspot3D,nw)\n"
+      "  [--suites a,b,c]  suites to send (default: full suite)\n"
       "  [--unix PATH]     drive a live monomap_serve instead of in-process\n"
       "  [--shutdown]      send a shutdown verb when done (--unix mode)\n"
-      "prints one BENCH_serve.json document to stdout\n";
+      "--repeats N samples each cold row; each memo row is the median of\n"
+      << kMemoSamples << " hits. Prints one BENCH_serve.json document to "
+      "stdout\n";
   std::exit(2);
 }
 
@@ -130,17 +133,13 @@ class UnixTransport : public Transport {
 
 struct Row {
   std::string suite;
-  std::string engine;  // cold | memo | warm
+  std::string engine;  // cold | memo
   bool success = false;
   std::string outcome;
   int ii = 0;
   double seconds = 0.0;
   std::int64_t schedules_tried = 0;
   bool memo_hit = false;
-  std::int64_t certs_seeded = 0;
-  std::int64_t floor = 0;
-  std::int64_t nogoods_lifted_cross_ii = 0;
-  std::int64_t speculative_hits = 0;
 };
 
 struct Harness {
@@ -149,7 +148,7 @@ struct Harness {
   double deadline_s = 30.0;
   std::vector<std::string> outcome_seen;  // one outcome string per request
 
-  std::string request_line(const std::string& suite, bool memo, bool warm) {
+  std::string request_line(const std::string& suite, bool memo) {
     json::Writer w;
     return w.begin_object()
         .field("verb", "map")
@@ -158,16 +157,14 @@ struct Harness {
         .field("grid", grid)
         .field("deadline_s", deadline_s)
         .field("memo", memo)
-        .field("warm", warm)
         .end_object()
         .take();
   }
 
   /// One round trip, parsed into a Row (seconds is the client-side wall
   /// time — the number a caller of the service actually experiences).
-  Row send(const std::string& suite, const std::string& engine, bool memo,
-           bool warm) {
-    const std::string line = request_line(suite, memo, warm);
+  Row send(const std::string& suite, const std::string& engine, bool memo) {
+    const std::string line = request_line(suite, memo);
     Stopwatch watch;
     const std::string response = transport->round_trip(line);
     const double wall = watch.elapsed_s();
@@ -186,13 +183,6 @@ struct Harness {
     row.schedules_tried =
         static_cast<std::int64_t>(doc->number_or("schedules_tried", 0.0));
     row.memo_hit = doc->bool_or("memo_hit", false);
-    row.certs_seeded =
-        static_cast<std::int64_t>(doc->number_or("certs_seeded", 0.0));
-    row.floor = static_cast<std::int64_t>(doc->number_or("floor", 0.0));
-    row.nogoods_lifted_cross_ii = static_cast<std::int64_t>(
-        doc->number_or("nogoods_lifted_cross_ii", 0.0));
-    row.speculative_hits =
-        static_cast<std::int64_t>(doc->number_or("speculative_hits", 0.0));
     outcome_seen.push_back(row.outcome);
     return row;
   }
@@ -208,10 +198,6 @@ void write_row(json::Writer& w, const Row& row) {
   w.field("seconds", row.seconds);
   w.field("schedules_tried", row.schedules_tried);
   w.field("memo_hit", row.memo_hit);
-  w.field("certs_seeded", row.certs_seeded);
-  w.field("floor", row.floor);
-  w.field("nogoods_lifted_cross_ii", row.nogoods_lifted_cross_ii);
-  w.field("speculative_hits", row.speculative_hits);
   w.end_object();
 }
 
@@ -232,7 +218,6 @@ int main(int argc, char** argv) {
   int repeats = 3;
   double deadline_s = 30.0;
   std::vector<std::string> suites;
-  std::vector<std::string> hard = {"cfd", "hotspot3D", "nw"};
   std::string unix_path;
   bool send_shutdown = false;
 
@@ -252,8 +237,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--suites") {
       suites = split_csv(value());
-    } else if (arg == "--hard") {
-      hard = split_csv(value());
     } else if (arg == "--unix") {
       unix_path = value();
     } else if (arg == "--shutdown") {
@@ -279,18 +262,11 @@ int main(int argc, char** argv) {
 
   // --- cold: raw mapper path, reuse off -----------------------------------
   std::vector<Row> rows;
-  std::vector<std::string> cold_suites = suites;
-  for (const std::string& h : hard) {
-    if (std::find(cold_suites.begin(), cold_suites.end(), h) ==
-        cold_suites.end()) {
-      cold_suites.push_back(h);
-    }
-  }
-  for (const std::string& suite : cold_suites) {
+  for (const std::string& suite : suites) {
     std::vector<Row> samples;
     std::vector<double> times;
     for (int r = 0; r < repeats; ++r) {
-      samples.push_back(harness.send(suite, "cold", false, false));
+      samples.push_back(harness.send(suite, "cold", false));
       times.push_back(samples.back().seconds);
     }
     Row row = samples.front();
@@ -301,56 +277,40 @@ int main(int argc, char** argv) {
   // --- memo: duplicate requests must be O(1) cache hits -------------------
   std::uint64_t memo_hits = 0;
   for (const std::string& suite : suites) {
-    (void)harness.send(suite, "memo_populate", true, false);  // not recorded
-    std::vector<Row> samples;
+    (void)harness.send(suite, "memo_populate", true);  // not recorded
     std::vector<double> times;
-    for (int r = 0; r < repeats; ++r) {
-      samples.push_back(harness.send(suite, "memo", true, false));
-      times.push_back(samples.back().seconds);
+    Row row;
+    bool every_hit = true;
+    for (int r = 0; r < kMemoSamples; ++r) {
+      row = harness.send(suite, "memo", true);
+      times.push_back(row.seconds);
+      every_hit = every_hit && row.memo_hit;
     }
-    Row row = samples.front();
     row.seconds = bench::median(times);
+    row.memo_hit = every_hit;
     if (row.memo_hit) ++memo_hits;
     rows.push_back(row);
   }
 
-  // --- warm: certificate/floor warm starts on the hard cases --------------
-  std::uint64_t warm_starts = 0;
-  for (const std::string& suite : hard) {
-    (void)harness.send(suite, "warm_donor", false, true);  // publishes
-    const Row row = harness.send(suite, "warm", false, true);
-    if (row.certs_seeded > 0 || row.floor > 0) ++warm_starts;
-    rows.push_back(row);
-  }
-
   // The rows whose comparison IS the acceptance claim: memo >= 10x faster
-  // than cold, warm never trying more schedules than cold. A memo hit has
-  // a floor (fingerprint + JSON + transport, tens of µs), so the ratio
-  // is only a statement about the cache on requests whose cold mapping
-  // does nontrivial work — the headline median takes cold >= 1 ms rows;
-  // memo_speedup_median_all keeps the unfiltered number alongside.
+  // than cold. A memo hit has a floor (fingerprint + JSON + transport, tens
+  // of µs), so the ratio is only a statement about the cache on requests
+  // whose cold mapping does nontrivial work — the headline median takes
+  // cold >= 1 ms rows; memo_speedup_median_all keeps the unfiltered number
+  // alongside.
   constexpr double kNontrivialColdSeconds = 1e-3;
   std::vector<double> memo_speedups;
   std::vector<double> memo_speedups_all;
-  std::uint64_t warm_strictly_fewer = 0;
-  bool warm_never_more = true;
   for (const Row& row : rows) {
     if (row.engine != "cold") continue;
     for (const Row& other : rows) {
-      if (other.suite != row.suite) continue;
-      if (other.engine == "memo" && other.seconds > 0.0) {
-        memo_speedups_all.push_back(row.seconds / other.seconds);
-        if (row.seconds >= kNontrivialColdSeconds) {
-          memo_speedups.push_back(row.seconds / other.seconds);
-        }
+      if (other.suite != row.suite || other.engine != "memo" ||
+          other.seconds <= 0.0) {
+        continue;
       }
-      if (other.engine == "warm") {
-        if (other.schedules_tried < row.schedules_tried) {
-          ++warm_strictly_fewer;
-        }
-        if (other.schedules_tried > row.schedules_tried) {
-          warm_never_more = false;
-        }
+      memo_speedups_all.push_back(row.seconds / other.seconds);
+      if (row.seconds >= kNontrivialColdSeconds) {
+        memo_speedups.push_back(row.seconds / other.seconds);
       }
     }
   }
@@ -371,6 +331,7 @@ int main(int argc, char** argv) {
   w.field("grid", grid);
   w.field("topology", "mesh");
   w.field("repeats", repeats);
+  w.field("memo_samples", kMemoSamples);
   w.field("transport", unix_path.empty() ? "in-process" : "unix");
   w.key("serve");
   w.begin_array();
@@ -387,13 +348,10 @@ int main(int argc, char** argv) {
   w.key("summary");
   w.begin_object();
   w.field("memo_hit_sections", memo_hits);
-  w.field("warm_start_sections", warm_starts);
   w.field("memo_speedup_median", bench::median(memo_speedups));
   w.field("memo_speedup_median_all", bench::median(memo_speedups_all));
   w.field("memo_nontrivial_sections",
           static_cast<std::uint64_t>(memo_speedups.size()));
-  w.field("warm_strictly_fewer_cases", warm_strictly_fewer);
-  w.field("warm_never_more_schedules", warm_never_more);
   w.end_object();
   w.end_object();
   std::cout << w.str() << '\n';

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "graph/algorithms.hpp"
+#include "support/assert.hpp"
 
 namespace monomap {
 
@@ -69,13 +70,13 @@ class LineScanner {
 };
 
 /// The whole token as an int; anything else (junk, trailing characters,
-/// out of range) is a loader error, never a std::stoi exception.
+/// out of range) is an InputError, never a std::stoi exception.
 int to_int(std::string_view s) {
   int v = 0;
   const char* end = s.data() + s.size();
   const auto [ptr, ec] = std::from_chars(s.data(), end, v);
-  MONOMAP_ASSERT_MSG(ec == std::errc{} && ptr == end,
-                     "bad integer '" << s << "'");
+  MONOMAP_CHECK_INPUT(ec == std::errc{} && ptr == end,
+                      "bad integer '" << s << "'");
   return v;
 }
 
@@ -97,46 +98,46 @@ std::string dfg_to_text(const Dfg& dfg) {
 Dfg dfg_from_text(const std::string& text) {
   LineScanner lines(text);
   Line t;
-  MONOMAP_ASSERT_MSG(lines.next(&t) && t[0] == "dfg",
-                     "expected 'dfg <name>' header");
-  MONOMAP_ASSERT_MSG(t.size == 2, "dfg header needs a name");
+  MONOMAP_CHECK_INPUT(lines.next(&t) && t[0] == "dfg",
+                      "expected 'dfg <name>' header");
+  MONOMAP_CHECK_INPUT(t.size == 2, "dfg header needs a name");
   std::string name(t[1]);
   int num_nodes = -1;
   std::vector<Edge> edges;
   bool ended = false;
   while (lines.next(&t)) {
-    MONOMAP_ASSERT_MSG(!ended, "content after 'end'");
+    MONOMAP_CHECK_INPUT(!ended, "content after 'end'");
     if (t[0] == "nodes") {
-      MONOMAP_ASSERT_MSG(t.size == 2, "nodes needs a count");
+      MONOMAP_CHECK_INPUT(t.size == 2, "nodes needs a count");
       num_nodes = to_int(t[1]);
-      MONOMAP_ASSERT_MSG(num_nodes >= 0, "negative node count");
-      MONOMAP_ASSERT_MSG(num_nodes > 0, "a DFG needs at least one node");
-      MONOMAP_ASSERT_MSG(num_nodes <= kMaxDfgTextNodes,
-                         "node count " << num_nodes << " exceeds "
-                                       << kMaxDfgTextNodes);
+      MONOMAP_CHECK_INPUT(num_nodes >= 0, "negative node count");
+      MONOMAP_CHECK_INPUT(num_nodes > 0, "a DFG needs at least one node");
+      MONOMAP_CHECK_INPUT(num_nodes <= kMaxDfgTextNodes,
+                          "node count " << num_nodes << " exceeds "
+                                        << kMaxDfgTextNodes);
     } else if (t[0] == "edge") {
-      MONOMAP_ASSERT_MSG(t.size == 4, "edge needs <src> <dst> <distance>");
-      MONOMAP_ASSERT_MSG(num_nodes >= 0, "'nodes' must precede 'edge'");
+      MONOMAP_CHECK_INPUT(t.size == 4, "edge needs <src> <dst> <distance>");
+      MONOMAP_CHECK_INPUT(num_nodes >= 0, "'nodes' must precede 'edge'");
       const int src = to_int(t[1]);
       const int dst = to_int(t[2]);
       const int dist = to_int(t[3]);
-      MONOMAP_ASSERT_MSG(src >= 0 && src < num_nodes && dst >= 0 &&
-                             dst < num_nodes,
-                         "edge endpoint out of range");
-      MONOMAP_ASSERT_MSG(dist >= 0, "negative loop-carried distance");
+      MONOMAP_CHECK_INPUT(src >= 0 && src < num_nodes && dst >= 0 &&
+                              dst < num_nodes,
+                          "edge endpoint out of range");
+      MONOMAP_CHECK_INPUT(dist >= 0, "negative loop-carried distance");
       edges.push_back(Edge{src, dst, dist});
     } else if (t[0] == "end") {
       ended = true;
     } else {
-      MONOMAP_ASSERT_MSG(false, "unknown directive '" << t[0] << "'");
+      MONOMAP_CHECK_INPUT(false, "unknown directive '" << t[0] << "'");
     }
   }
-  MONOMAP_ASSERT_MSG(ended, "missing 'end'");
-  MONOMAP_ASSERT_MSG(num_nodes >= 0, "missing 'nodes'");
+  MONOMAP_CHECK_INPUT(ended, "missing 'end'");
+  MONOMAP_CHECK_INPUT(num_nodes >= 0, "missing 'nodes'");
   Dfg dfg = Dfg::from_edges(std::move(name), num_nodes, edges);
   // A cycle of distance-0 edges asks a value to be ready before it is
   // computed: no II schedules it.
-  MONOMAP_ASSERT_MSG(
+  MONOMAP_CHECK_INPUT(
       topological_sort(dfg.graph(), edges_with_attr(0)).has_value(),
       "the distance-0 edges form a cycle, which no II can schedule");
   return dfg;
@@ -157,32 +158,32 @@ std::string mapping_to_text(const Dfg& dfg, const Mapping& mapping) {
 Mapping mapping_from_text(const std::string& text, int num_nodes) {
   LineScanner lines(text);
   Line t;
-  MONOMAP_ASSERT_MSG(lines.next(&t) && t[0] == "mapping",
-                     "expected 'mapping <name>' header");
+  MONOMAP_CHECK_INPUT(lines.next(&t) && t[0] == "mapping",
+                      "expected 'mapping <name>' header");
   int ii = -1;
   std::vector<int> time(static_cast<std::size_t>(num_nodes), -1);
   std::vector<PeId> pe(static_cast<std::size_t>(num_nodes), -1);
   while (lines.next(&t)) {
     if (t[0] == "ii") {
-      MONOMAP_ASSERT_MSG(t.size == 2, "ii needs a value");
+      MONOMAP_CHECK_INPUT(t.size == 2, "ii needs a value");
       ii = to_int(t[1]);
     } else if (t[0] == "place") {
-      MONOMAP_ASSERT_MSG(t.size == 4, "place needs <node> <pe> <time>");
+      MONOMAP_CHECK_INPUT(t.size == 4, "place needs <node> <pe> <time>");
       const int v = to_int(t[1]);
-      MONOMAP_ASSERT_MSG(v >= 0 && v < num_nodes, "node out of range");
+      MONOMAP_CHECK_INPUT(v >= 0 && v < num_nodes, "node out of range");
       pe[static_cast<std::size_t>(v)] = to_int(t[2]);
       time[static_cast<std::size_t>(v)] = to_int(t[3]);
     } else if (t[0] == "end") {
       break;
     } else {
-      MONOMAP_ASSERT_MSG(false, "unknown directive '" << t[0] << "'");
+      MONOMAP_CHECK_INPUT(false, "unknown directive '" << t[0] << "'");
     }
   }
-  MONOMAP_ASSERT_MSG(ii >= 1, "missing or invalid ii");
+  MONOMAP_CHECK_INPUT(ii >= 1, "missing or invalid ii");
   for (int v = 0; v < num_nodes; ++v) {
-    MONOMAP_ASSERT_MSG(time[static_cast<std::size_t>(v)] >= 0 &&
-                           pe[static_cast<std::size_t>(v)] >= 0,
-                       "node " << v << " not placed");
+    MONOMAP_CHECK_INPUT(time[static_cast<std::size_t>(v)] >= 0 &&
+                            pe[static_cast<std::size_t>(v)] >= 0,
+                        "node " << v << " not placed");
   }
   return Mapping(ii, std::move(time), std::move(pe));
 }

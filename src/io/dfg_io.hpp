@@ -32,7 +32,7 @@ std::string dfg_to_text(const Dfg& dfg);
 /// allocated (the biggest DFG in the repo, placeable-38x38, has 1,444).
 inline constexpr int kMaxDfgTextNodes = 4096;
 
-/// Parse the `dfg` format above. Throws AssertionError on malformed input,
+/// Parse the `dfg` format above. Throws InputError on malformed input,
 /// including a token that is not an integer where one is expected, a
 /// `nodes` count of 0 or above kMaxDfgTextNodes, and distance-0 edges that
 /// form a cycle (no II can schedule such a DFG).
@@ -41,7 +41,8 @@ Dfg dfg_from_text(const std::string& text);
 /// Serialise a mapping of `dfg`.
 std::string mapping_to_text(const Dfg& dfg, const Mapping& mapping);
 
-/// Parse a mapping for a DFG with `num_nodes` nodes.
+/// Parse a mapping for a DFG with `num_nodes` nodes. Throws InputError on
+/// malformed input or a node left unplaced.
 Mapping mapping_from_text(const std::string& text, int num_nodes);
 
 }  // namespace monomap

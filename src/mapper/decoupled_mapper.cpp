@@ -45,17 +45,6 @@ class DecoupledMapper::ScheduleBudget {
   std::atomic<int> used_{0};
 };
 
-/// State threaded through one attempt's mapping loop: the walk's schedule
-/// budget and, with certificate sharing, the store, this attempt's II and
-/// the local certificate snapshot the schedule prefilter scans.
-struct DecoupledMapper::AttemptContext {
-  ScheduleBudget* budget = nullptr;
-  CrossIiNogoodStore* store = nullptr;  // null = no certificate sharing
-  int attempt_ii = 0;
-  std::size_t cursor = 0;                // drain position in the store
-  std::vector<SlotPartitionCert> certs;  // local snapshot for the prefilter
-};
-
 namespace {
 
 /// Publish the sound II interval from the refuted prefix and the mapping.
@@ -116,15 +105,6 @@ MapResult fault_result(const std::exception_ptr& error) {
   return r;
 }
 
-/// Certificates carry across IIs only under register persistence: with
-/// kConsecutiveOnly cyclic label distances change with II, so the store is
-/// not used there.
-CrossIiNogoodStore* sharing_store(const DecoupledMapperOptions& options,
-                                  CrossIiNogoodStore* store) {
-  return options.space.model == MrrgModel::kRegisterPersistence ? store
-                                                                 : nullptr;
-}
-
 /// Create this request's governor when a budget is configured and no outer
 /// scope already bound one (a nested call — a batch case's map() — inherits
 /// the outer request's budget).
@@ -170,8 +150,7 @@ void write_json(json::Writer& w, const MapResult& r) {
 }
 
 MapResult DecoupledMapper::map_at_ii(const Dfg& dfg, const CgraArch& arch,
-                                     int ii, const Deadline& deadline,
-                                     CrossIiNogoodStore* store) const {
+                                     int ii, const Deadline& deadline) const {
   const MiiBreakdown mii = compute_mii(dfg, arch);
   MapResult result;
   if (ii < mii.mii()) {
@@ -180,8 +159,7 @@ MapResult DecoupledMapper::map_at_ii(const Dfg& dfg, const CgraArch& arch,
     result.sound_refutation = true;
   } else {
     ScheduleBudget budget(options_.max_schedules);
-    result = attempt(dfg, arch, ii, deadline, sharing_store(options_, store),
-                     budget);
+    result = attempt(dfg, arch, ii, deadline, budget);
   }
   result.mii = mii;
   // An attempt above mII never looked at the IIs below it, so it reports
@@ -195,7 +173,6 @@ MapResult DecoupledMapper::map_at_ii(const Dfg& dfg, const CgraArch& arch,
 
 MapResult DecoupledMapper::attempt(const Dfg& dfg, const CgraArch& arch,
                                    int ii, const Deadline& deadline,
-                                   CrossIiNogoodStore* store,
                                    ScheduleBudget& budget) const {
   TimeSolverOptions time_options = options_.time;
   if (options_.space.model == MrrgModel::kConsecutiveOnly) {
@@ -208,12 +185,8 @@ MapResult DecoupledMapper::attempt(const Dfg& dfg, const CgraArch& arch,
     MapResult failed;
     try {
       TimeSolver time_solver(dfg, arch, ii, time_options);
-      AttemptContext ctx;
-      ctx.budget = &budget;
-      ctx.store = store;
-      ctx.attempt_ii = ii;
       MapResult result;
-      run_mapping_loop(dfg, arch, deadline, time_solver, ctx, result);
+      run_mapping_loop(dfg, arch, deadline, time_solver, budget, result);
       result.time_stats = time_solver.stats();
       result.total_s = result.time_phase_s + result.space_phase_s;
       result.fault_retries = retries;
@@ -274,7 +247,7 @@ constexpr double kNearMissDepthFraction = 0.75;
 void DecoupledMapper::run_mapping_loop(const Dfg& dfg, const CgraArch& arch,
                                        const Deadline& deadline,
                                        TimeSolver& time_solver,
-                                       AttemptContext& ctx,
+                                       ScheduleBudget& schedules,
                                        MapResult& result) const {
   Stopwatch phase;
   const std::uint64_t base_budget = options_.space.max_backtracks;
@@ -289,7 +262,7 @@ void DecoupledMapper::run_mapping_loop(const Dfg& dfg, const CgraArch& arch,
   bool refuted_at_current_ii = false;  // any complete refutation at this II
   bool probed_at_current_ii = false;   // last-chance probe already granted
   for (;;) {
-    if (!ctx.budget->take()) {
+    if (!schedules.take()) {
       // Deterministic work budget: unlike a wall deadline this trips at a
       // bit-reproducible point, so degraded anytime results are replayable.
       result.outcome = MapOutcome::kDeadline;
@@ -297,28 +270,11 @@ void DecoupledMapper::run_mapping_loop(const Dfg& dfg, const CgraArch& arch,
       result.causes.push_back({"budget", "schedule budget exhausted"});
       break;
     }
-    if (ctx.store != nullptr) {
-      // Pull certificates the walk's other attempts learned since the last
-      // look: instantiate their cyclic-rotation clauses into this II's
-      // solver (warm start — see CrossIiNogoodStore) and extend the local
-      // snapshot the prefilter below scans. Own-II certificates skip the
-      // clause step: add_space_nogood already lifted their rotations here.
-      std::vector<SlotPartitionCert> fresh;
-      ctx.store->drain(&ctx.cursor, &fresh);
-      for (SlotPartitionCert& cert : fresh) {
-        if (cert.source_ii != ctx.attempt_ii) {
-          for (auto& rotation : instantiate_rotations(cert, ctx.attempt_ii)) {
-            time_solver.add_cross_ii_nogood(std::move(rotation));
-          }
-        }
-        ctx.certs.push_back(std::move(cert));
-      }
-    }
     phase.restart();
     const std::optional<TimeSolution> schedule = time_solver.next(deadline);
     result.time_phase_s += phase.elapsed_s();
     if (!schedule.has_value()) {
-      ctx.budget->give_back();
+      schedules.give_back();
       if (time_solver.memory_out()) {
         record_stop(result, MapOutcome::kMemory, deadline);
         result.failure_reason = "time search exceeded the memory budget";
@@ -329,7 +285,7 @@ void DecoupledMapper::run_mapping_loop(const Dfg& dfg, const CgraArch& arch,
       } else {
         // Natural exhaustion refutes the II soundly when no space search
         // here was truncated: every schedule was either fully refuted in
-        // space or pruned by a sound nogood/prefilter certificate.
+        // space or pruned by a sound nogood.
         result.failure_reason = "time search exhausted up to max II";
         result.sound_refutation = result.space_truncated == 0;
         result.causes.push_back({"time", "search space exhausted"});
@@ -343,36 +299,10 @@ void DecoupledMapper::run_mapping_loop(const Dfg& dfg, const CgraArch& arch,
       labels[static_cast<std::size_t>(v)] = schedule->label(v);
     }
     phase.restart();
-    // Cross-II certificate prefilter: a schedule realising (or coarsening)
-    // a stored refutation partition is spatially infeasible — synthesise
-    // the refutation another II already paid for instead of searching.
-    // The synthetic SpaceResult then flows through the exact policy path a
-    // real refutation takes (nogood feedback, narrow/wide classification,
-    // budget adaptation, retry caps).
-    bool prefilter_hit = false;
-    SpaceResult space;
-    if (ctx.store != nullptr) {
-      for (const SlotPartitionCert& cert : ctx.certs) {
-        if (cert_hits_labels(cert, labels)) {
-          prefilter_hit = true;
-          ++result.speculative_hits;
-          space.found = false;
-          space.failure_reason = "cross-II certificate prefilter";
-          space.shallowest_retreat = 0;
-          for (const auto& block : cert.blocks) {
-            space.conflict_nodes.insert(space.conflict_nodes.end(),
-                                        block.begin(), block.end());
-          }
-          break;
-        }
-      }
-    }
-    if (!prefilter_hit) {
-      SpaceOptions space_options = options_.space;
-      space_options.max_backtracks = budget;
-      space = find_monomorphism(dfg, arch, labels, schedule->ii,
-                                space_options, deadline);
-    }
+    SpaceOptions space_options = options_.space;
+    space_options.max_backtracks = budget;
+    const SpaceResult space = find_monomorphism(dfg, arch, labels, schedule->ii,
+                                                space_options, deadline);
     result.space_phase_s += phase.elapsed_s();
     result.space_backjumps += space.backjumps;
     result.last_space = space;
@@ -411,12 +341,6 @@ void DecoupledMapper::run_mapping_loop(const Dfg& dfg, const CgraArch& arch,
     // to spend on the next one from how this one died.
     if (!space.timed_out && !space.conflict_nodes.empty()) {
       time_solver.add_space_nogood(*schedule, space.conflict_nodes);
-      if (ctx.store != nullptr && !prefilter_hit) {
-        // Publish the refutation for the walk's other attempts (the
-        // prefilter's own hits are already in the store — they came from
-        // it).
-        ctx.store->add(ctx.attempt_ii, space.conflict_nodes, labels);
-      }
     }
     const bool narrow_conflict =
         !space.timed_out &&
@@ -545,14 +469,12 @@ int clamp_pool_threads(int requested) {
 class DecoupledMapper::Walk {
  public:
   Walk(const DecoupledMapper& mapper, const Dfg& dfg, const CgraArch& arch,
-       const Deadline& deadline, const WalkOptions& options,
-       ResourceGovernor* gov)
+       const Deadline& deadline, int lookahead, ResourceGovernor* gov)
       : mapper_(mapper),
         dfg_(dfg),
         arch_(arch),
         deadline_(deadline),
-        store_(sharing_store(mapper.options_, options.store)),
-        lookahead_(std::max(options.lookahead, 0)),
+        lookahead_(std::max(lookahead, 0)),
         anytime_(mapper.options_.anytime),
         gov_(gov),
         mii_(compute_mii(dfg, arch)),
@@ -560,7 +482,7 @@ class DecoupledMapper::Walk {
                      ? mapper.options_.max_ii
                      : std::max(mii_.mii(), std::max(1, dfg.num_nodes()))),
         budget_(mapper.options_.max_schedules),
-        frontier_(std::max(options.floor + 1, mii_.mii())),
+        frontier_(mii_.mii()),
         refuted_up_to_(frontier_ - 1) {}
   Walk(const Walk&) = delete;
   Walk& operator=(const Walk&) = delete;
@@ -663,7 +585,7 @@ class DecoupledMapper::Walk {
       // both deadlines end at the same instant) and carries its own cancel
       // token so a smaller feasible II can cut it individually.
       const Deadline deadline(deadline_.remaining_s(), &a->token);
-      r = mapper_.attempt(dfg_, arch_, ii, deadline, store_, budget_);
+      r = mapper_.attempt(dfg_, arch_, ii, deadline, budget_);
     }
 
     const std::lock_guard<std::mutex> lock(m_);
@@ -778,7 +700,6 @@ class DecoupledMapper::Walk {
   const Dfg& dfg_;
   const CgraArch& arch_;
   const Deadline& deadline_;
-  CrossIiNogoodStore* const store_;  // null = no certificate sharing
   const int lookahead_;
   const bool anytime_;
   WorkStealingPool* pool_ = nullptr;  // null = run_queued() on the caller
@@ -792,8 +713,8 @@ class DecoupledMapper::Walk {
   std::deque<std::pair<int, Attempt*>> queue_;  // pool-less launches
   int frontier_;            // lowest unresolved II
   int best_feasible_ = -1;  // smallest II with a held feasible mapping
-  // Largest II such that every II up to it is soundly refuted (the floor
-  // and IIs below mII included); heuristic give-ups do not extend it.
+  // Largest II such that every II up to it is soundly refuted (IIs below
+  // mII included); heuristic give-ups do not extend it.
   int refuted_up_to_;
   // Effort counters of the refuted IIs the frontier walked over, merged in
   // ascending II order (cancelled racers above the final II are
@@ -805,27 +726,26 @@ class DecoupledMapper::Walk {
 };
 
 MapResult DecoupledMapper::map(const Dfg& dfg, const CgraArch& arch,
-                               const WalkOptions& walk) const {
+                               int lookahead) const {
   const Deadline deadline = options_.timeout_s > 0
                                 ? Deadline(options_.timeout_s)
                                 : Deadline::unlimited();
-  return map(dfg, arch, deadline, walk);
+  return map(dfg, arch, deadline, lookahead);
 }
 
 MapResult DecoupledMapper::map(const Dfg& dfg, const CgraArch& arch,
-                               const Deadline& deadline,
-                               const WalkOptions& walk) const {
+                               const Deadline& deadline, int lookahead) const {
   std::unique_ptr<ResourceGovernor> owned_gov =
       make_request_governor(options_.memory_budget_mb);
   const GovernorScope scope(owned_gov.get());
   ResourceGovernor* gov = GovernorScope::current();
 
-  Walk run(*this, dfg, arch, deadline, walk, gov);
+  Walk run(*this, dfg, arch, deadline, lookahead, gov);
   // The frontier plus the IIs raced beyond it: min(lookahead + 1, cores)
   // workers.
   std::optional<WorkStealingPool> pool;
-  if (walk.lookahead > 0) {
-    pool.emplace(std::min(walk.lookahead, hardware_cores() - 1) + 1);
+  if (lookahead > 0) {
+    pool.emplace(std::min(lookahead, hardware_cores() - 1) + 1);
   }
   run.start(pool ? &*pool : nullptr);
   const std::exception_ptr error =
@@ -884,15 +804,13 @@ std::vector<MapResult> DecoupledMapper::map_batch(
   }
   // Pooled path: every case is a lookahead-1 walk whose per-II attempts
   // are the pool's tasks. A hard case decomposes into subtasks the other
-  // workers steal, instead of pinning one thread for the whole batch. No
-  // certificate sharing: each case commits what its own map() would.
-  WalkOptions walk;
-  walk.lookahead = 1;
+  // workers steal, instead of pinning one thread for the whole batch.
+  // Each case commits what its own map() would.
   std::vector<std::unique_ptr<Walk>> walks;
   walks.reserve(dfgs.size());
   for (const Dfg* dfg : dfgs) {
-    walks.push_back(
-        std::make_unique<Walk>(*this, *dfg, arch, deadline, walk, gov));
+    walks.push_back(std::make_unique<Walk>(*this, *dfg, arch, deadline,
+                                           /*lookahead=*/1, gov));
   }
   WorkStealingPool pool(clamp_pool_threads(num_threads));
   for (auto& w : walks) w->start(&pool);

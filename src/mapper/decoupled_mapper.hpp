@@ -8,12 +8,12 @@
 //      constraints), block that label vector and ask for the next schedule.
 //   4. When the per-II policy gives the II up, move on to II+1.
 //
-// Every entry point runs one II walk, set up by WalkOptions. Each II is
-// one attempt (map_at_ii — a TimeSolver pinned to that II plus the per-II
-// policy, with its own fault retries); a frontier walks upward over
-// refuted attempts and commits a feasible II only once every smaller II
-// is refuted, so without a certificate store the committed II is the same
-// whether attempts run one at a time or race ahead on a pool.
+// Every entry point runs one II walk. Each II is one attempt (map_at_ii —
+// a TimeSolver pinned to that II plus the per-II policy, with its own
+// fault retries); a frontier walks upward over refuted attempts and
+// commits a feasible II only once every smaller II is refuted, so the
+// committed II is the same whether attempts run one at a time or race
+// ahead on a pool.
 //
 // The result records the two phase times separately — Table III's
 // "Time"/"Space" columns.
@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <string>
 
-#include "mapper/cross_ii_store.hpp"
 #include "mapper/mapping.hpp"
 #include "sched/mii.hpp"
 #include "space/monomorphism.hpp"
@@ -68,43 +67,10 @@ struct DecoupledMapperOptions {
   /// failure before the attempt is classified kFault/kMemory (bounded
   /// exponential backoff between tries; see support/fault.hpp).
   int max_fault_retries = 3;
-  /// Per-request memory budget in MiB, accounted by the SAT learnt DB, the
-  /// bitset searcher's trail reservations, and the cross-II nogood store
-  /// (see support/resource.hpp). 0 = unlimited — and bit-identical to the
-  /// ungoverned build.
+  /// Per-request memory budget in MiB, accounted by the SAT learnt DB and
+  /// the bitset searcher's trail reservations (see support/resource.hpp).
+  /// 0 = unlimited — and bit-identical to the ungoverned build.
   std::size_t memory_budget_mb = 0;
-};
-
-/// Settings of one II walk (DecoupledMapper::map). The defaults are the
-/// plain sequential walk from mII.
-struct WalkOptions {
-  /// Highest II already known to be soundly refuted (every II <= floor
-  /// refuted by natural exhaustion — a KnowledgeStore floor, say). The walk
-  /// starts at max(floor + 1, mII) and reports the floor in ii_lo.
-  int floor = 0;
-  /// Slot-partition certificates shared by every attempt of the walk (see
-  /// CrossIiNogoodStore): certificates already in the store warm-start the
-  /// time search as rotation clauses plus a schedule prefilter, and every
-  /// refutation the walk proves is published back for the caller to
-  /// harvest. Sound — only schedules whose slot partition is proved
-  /// spatially dead are pruned, so every mapping validates — but the
-  /// injected clauses change the SAT enumeration order, which moves the
-  /// per-II retry policy's give-up points: on borderline cases a
-  /// certificate-sharing walk can settle one II away from the plain walk
-  /// (either direction), and under a race which certificates arrive in
-  /// time depends on thread timing. Used only under
-  /// MrrgModel::kRegisterPersistence: with kConsecutiveOnly cyclic label
-  /// distances change with II and the partition argument does not carry,
-  /// so the walk leaves the store untouched.
-  CrossIiNogoodStore* store = nullptr;
-  /// IIs kept in flight beyond the unresolved frontier. 0 runs one attempt
-  /// at a time on the caller's thread. Above 0 the attempts race on a
-  /// work-stealing pool of min(lookahead + 1, cores) workers: while II is
-  /// still being refuted, II+1..II+lookahead already run. Without a store
-  /// or a schedule budget each attempt is a pure function of its II, so
-  /// the committed II is exactly the lookahead-0 answer — the race buys
-  /// wall clock only.
-  int lookahead = 0;
 };
 
 /// Aggregate telemetry for one map_batch call (the per-case MapResults
@@ -133,9 +99,6 @@ struct BatchStats {
   X(int, budget_extensions, sum)                                          \
   X(int, budget_shrinks, sum)                                             \
   X(int, budget_probes, sum)                                              \
-  /* Certificate-sharing walks: schedules the cross-II prefilter          \
-     discarded without a space search. */                                 \
-  X(int, speculative_hits, sum)                                           \
   X(int, fault_retries, sum)     /* see max_fault_retries */              \
   X(int, mem_sheds, sum)         /* governor telemetry */                 \
   X(std::size_t, mem_peak_bytes, max)
@@ -193,27 +156,34 @@ class DecoupledMapper {
   explicit DecoupledMapper(DecoupledMapperOptions options = {})
       : options_(options) {}
 
-  /// Map `dfg` onto `arch` by walking IIs upward (see WalkOptions). The
-  /// returned mapping (on success) always passes validate_mapping — this
-  /// is asserted internally.
+  /// Map `dfg` onto `arch` by walking IIs upward from mII. The returned
+  /// mapping (on success) always passes validate_mapping — this is
+  /// asserted internally.
+  ///
+  /// `lookahead` is the number of IIs kept in flight beyond the unresolved
+  /// frontier. 0 runs one attempt at a time on the caller's thread. Above
+  /// 0 the attempts race on a work-stealing pool of min(lookahead + 1,
+  /// cores) workers: while II is still being refuted, II+1..II+lookahead
+  /// already run. Each attempt is a pure function of its II, so the
+  /// committed II, its interval and the effort counters are exactly the
+  /// lookahead-0 answer — the race buys wall clock only — unless a
+  /// max_schedules budget is set, which racing attempts share.
   MapResult map(const Dfg& dfg, const CgraArch& arch,
-                const WalkOptions& walk = {}) const;
+                int lookahead = 0) const;
 
   /// Like the above under an externally supplied deadline (which may carry
   /// a CancelToken). options_.timeout_s is ignored.
   MapResult map(const Dfg& dfg, const CgraArch& arch, const Deadline& deadline,
-                const WalkOptions& walk = {}) const;
+                int lookahead = 0) const;
 
   /// One II attempt: the space/time loop pinned to exactly `ii`, with its
   /// own fault retries (DecoupledMapperOptions::max_fault_retries) — the
   /// unit every walk is made of. The per-II policy (nogood feedback,
   /// adaptive budgets, last-chance probe) gives the II up on its retry
   /// caps, so an outcome of kRefuted here means precisely "the walk moves
-  /// past ii". `store` is used as in WalkOptions (register-
-  /// persistence model only). An ii below mII comes back soundly refuted.
+  /// past ii". An ii below mII comes back soundly refuted.
   MapResult map_at_ii(const Dfg& dfg, const CgraArch& arch, int ii,
-                      const Deadline& deadline,
-                      CrossIiNogoodStore* store = nullptr) const;
+                      const Deadline& deadline) const;
 
   /// Map a whole batch of DFGs across `num_threads` worker threads
   /// (0 = hardware concurrency). Results are positionally aligned with
@@ -242,19 +212,17 @@ class DecoupledMapper {
  private:
   class Walk;            // the II walk behind map() and map_batch()
   class ScheduleBudget;  // max_schedules, shared by one walk's attempts
-  struct AttemptContext;
 
   /// map_at_ii for a walk that computed mII once and shares `budget`.
   MapResult attempt(const Dfg& dfg, const CgraArch& arch, int ii,
-                    const Deadline& deadline, CrossIiNogoodStore* store,
-                    ScheduleBudget& budget) const;
+                    const Deadline& deadline, ScheduleBudget& budget) const;
 
-  /// The per-schedule space/time loop at one II: pull schedules, run (or
-  /// prefilter) the space search, feed conflicts back, adapt budgets, give
-  /// the II up when the policy says so.
+  /// The per-schedule space/time loop at one II: pull schedules, run the
+  /// space search, feed conflicts back, adapt budgets, give the II up when
+  /// the policy says so.
   void run_mapping_loop(const Dfg& dfg, const CgraArch& arch,
                         const Deadline& deadline, TimeSolver& time_solver,
-                        AttemptContext& ctx, MapResult& result) const;
+                        ScheduleBudget& schedules, MapResult& result) const;
 
   DecoupledMapperOptions options_;
 };

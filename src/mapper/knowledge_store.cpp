@@ -21,26 +21,9 @@ std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
   return mix64(h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2)));
 }
 
-/// `cert` with every node v renamed to to[v], in canonical form.
-SlotPartitionCert relabel(const SlotPartitionCert& cert,
-                          const std::vector<NodeId>& to) {
-  SlotPartitionCert out;
-  out.source_ii = cert.source_ii;
-  out.block_slots = cert.block_slots;
-  for (const std::vector<NodeId>& block : cert.blocks) {
-    std::vector<NodeId>& mapped = out.blocks.emplace_back();
-    mapped.reserve(block.size());
-    for (const NodeId v : block) {
-      mapped.push_back(to[static_cast<std::size_t>(v)]);
-    }
-  }
-  canonicalize(out);
-  return out;
-}
-
 }  // namespace
 
-std::uint64_t soundness_fingerprint(const DecoupledMapperOptions& options) {
+std::uint64_t options_fingerprint(const DecoupledMapperOptions& options) {
   std::uint64_t h = 0x5049'4e4e'4544'2121ULL;
   h = fold(h, static_cast<std::uint64_t>(options.space.model));
   const TimeConstraintOptions& c = options.time.constraints;
@@ -49,15 +32,7 @@ std::uint64_t soundness_fingerprint(const DecoupledMapperOptions& options) {
                   (static_cast<std::uint64_t>(c.connectivity) << 2) |
                   (static_cast<std::uint64_t>(c.strict_connectivity) << 3) |
                   (static_cast<std::uint64_t>(c.consecutive_slots) << 4));
-  // A refuted-II floor additionally depends on how far the time search is
-  // allowed to fold the horizon: "no schedule exists at this II" is a claim
-  // within that extension budget.
   h = fold(h, static_cast<std::uint64_t>(options.time.max_horizon_extension));
-  return h;
-}
-
-std::uint64_t options_fingerprint(const DecoupledMapperOptions& options) {
-  std::uint64_t h = soundness_fingerprint(options);
   h = fold(h, static_cast<std::uint64_t>(options.time.engine));
   h = fold(h, static_cast<std::uint64_t>(options.max_ii));
   const SpaceOptions& s = options.space;
@@ -78,7 +53,7 @@ std::uint64_t options_fingerprint(const DecoupledMapperOptions& options) {
 std::size_t KnowledgeStore::KeyHash::operator()(const Key& k) const {
   std::uint64_t h = fold(k.arch_fp, k.dfg_hi);
   h = fold(h, k.dfg_lo);
-  h = fold(h, k.scope_fp);
+  h = fold(h, k.options_fp);
   return static_cast<std::size_t>(h);
 }
 
@@ -91,12 +66,12 @@ KnowledgeStore::Stripe& KnowledgeStore::stripe_for(const Key& key) {
   return stripes_[KeyHash{}(key) % kStripes];
 }
 
-KnowledgeStore::Key KnowledgeStore::memo_key(const DfgFingerprint& fp,
-                                             std::uint64_t arch_fp,
-                                             std::uint64_t options_fp) {
+KnowledgeStore::Key KnowledgeStore::memo_key(
+    const DfgFingerprint& fp, std::uint64_t arch_fp,
+    const DecoupledMapperOptions& options) {
   Key key;
   key.arch_fp = arch_fp;
-  key.scope_fp = options_fp;
+  key.options_fp = options_fingerprint(options);
   if (fp.canonical) {
     key.dfg_hi = fp.iso_hi;
     key.dfg_lo = fp.iso_lo;
@@ -109,26 +84,10 @@ KnowledgeStore::Key KnowledgeStore::memo_key(const DfgFingerprint& fp,
   return key;
 }
 
-KnowledgeStore::Key KnowledgeStore::knowledge_key(
-    const DfgFingerprint& fp, std::uint64_t arch_fp,
-    const DecoupledMapperOptions& options) {
-  return Key{arch_fp, fp.iso_hi, fp.iso_lo, soundness_fingerprint(options)};
-}
-
-bool KnowledgeStore::knowledge_applicable(
-    const DfgFingerprint& fp, const DecoupledMapperOptions& options) {
-  // Certificate transfer needs a canonical permutation, and the partition
-  // argument only holds under register persistence (cross_ii_store.hpp).
-  return fp.canonical &&
-         options.space.model == MrrgModel::kRegisterPersistence;
-}
-
 std::optional<MapResult> KnowledgeStore::lookup(
     const Dfg& dfg, const CgraArch& arch, const DfgFingerprint& fp,
-    std::uint64_t arch_fp, const DecoupledMapperOptions& options,
-    std::uint64_t salt) {
-  const Key key =
-      memo_key(fp, arch_fp, fold(options_fingerprint(options), salt));
+    std::uint64_t arch_fp, const DecoupledMapperOptions& options) {
+  const Key key = memo_key(fp, arch_fp, options);
   Stripe& stripe = stripe_for(key);
   MemoEntry snapshot;
   {
@@ -186,13 +145,12 @@ std::optional<MapResult> KnowledgeStore::lookup(
 void KnowledgeStore::store(const Dfg& dfg, const DfgFingerprint& fp,
                            std::uint64_t arch_fp,
                            const DecoupledMapperOptions& options,
-                           const MapResult& result, std::uint64_t salt) {
+                           const MapResult& result) {
   if (result.outcome != MapOutcome::kFeasible || result.mapping.empty() ||
       result.mapping.num_nodes() != dfg.num_nodes()) {
     return;
   }
-  const Key key =
-      memo_key(fp, arch_fp, fold(options_fingerprint(options), salt));
+  const Key key = memo_key(fp, arch_fp, options);
   MemoEntry entry;
   entry.ii = result.ii;
   entry.ii_refuted_up_to = result.ii_refuted_up_to;
@@ -252,104 +210,6 @@ void KnowledgeStore::evict_lru_locked(Stripe& stripe, std::size_t* counter) {
   stripe.lru.pop_back();
 }
 
-int KnowledgeStore::refuted_floor(const DfgFingerprint& fp,
-                                  std::uint64_t arch_fp,
-                                  const DecoupledMapperOptions& options) {
-  if (!knowledge_applicable(fp, options)) {
-    return 0;
-  }
-  const Key key = knowledge_key(fp, arch_fp, options);
-  Stripe& stripe = stripe_for(key);
-  const std::lock_guard<std::mutex> lock(stripe.m);
-  auto it = stripe.knowledge.find(key);
-  if (it == stripe.knowledge.end()) {
-    return 0;
-  }
-  if (it->second.refuted_floor > 0) {
-    floor_hits_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return it->second.refuted_floor;
-}
-
-std::size_t KnowledgeStore::seed(const DfgFingerprint& fp,
-                                 std::uint64_t arch_fp,
-                                 const DecoupledMapperOptions& options,
-                                 CrossIiNogoodStore* out) {
-  warm_requests_.fetch_add(1, std::memory_order_relaxed);
-  if (!knowledge_applicable(fp, options) || out == nullptr) {
-    return 0;
-  }
-  const Key key = knowledge_key(fp, arch_fp, options);
-  Stripe& stripe = stripe_for(key);
-  std::vector<SlotPartitionCert> canonical;
-  {
-    const std::lock_guard<std::mutex> lock(stripe.m);
-    auto it = stripe.knowledge.find(key);
-    if (it == stripe.knowledge.end()) {
-      return 0;
-    }
-    canonical = it->second.certs;
-  }
-  // canonical index -> this request's node id.
-  std::vector<NodeId> inverse(fp.canon.size());
-  for (std::size_t v = 0; v < fp.canon.size(); ++v) {
-    inverse[static_cast<std::size_t>(fp.canon[v])] =
-        static_cast<NodeId>(v);
-  }
-  std::size_t seeded = 0;
-  for (const SlotPartitionCert& cert : canonical) {
-    SlotPartitionCert local = relabel(cert, inverse);
-    local.source_ii = 0;  // foreign: every attempt must lift its rotations
-    if (out->add_cert(std::move(local))) {
-      ++seeded;
-    }
-  }
-  certs_seeded_.fetch_add(seeded, std::memory_order_relaxed);
-  return seeded;
-}
-
-std::size_t KnowledgeStore::publish(const DfgFingerprint& fp,
-                                    std::uint64_t arch_fp,
-                                    const DecoupledMapperOptions& options,
-                                    const CrossIiNogoodStore& scratch,
-                                    int refuted_up_to) {
-  if (!knowledge_applicable(fp, options)) {
-    return 0;
-  }
-  const Key key = knowledge_key(fp, arch_fp, options);
-  std::vector<SlotPartitionCert> fresh;
-  std::size_t cursor = 0;
-  scratch.drain(&cursor, &fresh);
-  Stripe& stripe = stripe_for(key);
-  const std::lock_guard<std::mutex> lock(stripe.m);
-  KnowledgeEntry& entry = stripe.knowledge[key];
-  // Floors only advance, and only with the sound value the caller derived
-  // from MapResult::ii_refuted_up_to.
-  entry.refuted_floor = std::max(entry.refuted_floor, refuted_up_to);
-  std::size_t stored = 0;
-  for (const SlotPartitionCert& cert : fresh) {
-    SlotPartitionCert canon = relabel(cert, fp.canon);
-    if (!entry.seen.insert(canon.blocks).second) {
-      continue;
-    }
-    std::size_t bytes = sizeof(SlotPartitionCert) + 64;
-    for (const auto& block : canon.blocks) {
-      bytes += sizeof(std::vector<NodeId>) + block.size() * sizeof(NodeId);
-    }
-    if (!governor_.try_charge(bytes)) {
-      // Knowledge overflow: drop the new certificate (memo LRU pressure is
-      // handled on the memo path; losing a nogood costs effort, not
-      // soundness).
-      entry.seen.erase(canon.blocks);
-      break;
-    }
-    entry.certs.push_back(std::move(canon));
-    ++stored;
-  }
-  certs_published_.fetch_add(stored, std::memory_order_relaxed);
-  return stored;
-}
-
 KnowledgeStore::StatsSnapshot KnowledgeStore::stats() const {
   StatsSnapshot s;
   s.memo_hits = memo_hits_.load(std::memory_order_relaxed);
@@ -357,10 +217,6 @@ KnowledgeStore::StatsSnapshot KnowledgeStore::stats() const {
   s.memo_stores = memo_stores_.load(std::memory_order_relaxed);
   s.memo_evictions = memo_evictions_.load(std::memory_order_relaxed);
   s.memo_invalid = memo_invalid_.load(std::memory_order_relaxed);
-  s.warm_requests = warm_requests_.load(std::memory_order_relaxed);
-  s.certs_seeded = certs_seeded_.load(std::memory_order_relaxed);
-  s.certs_published = certs_published_.load(std::memory_order_relaxed);
-  s.floor_hits = floor_hits_.load(std::memory_order_relaxed);
   s.bytes_used = governor_.used();
   s.bytes_peak = governor_.peak();
   return s;

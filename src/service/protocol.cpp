@@ -112,14 +112,6 @@ ParsedRequest parse_request(const std::string& line) {
     parsed.error = "malformed deadline_s";
     return parsed;
   }
-  const json::Value* warm = doc->find("warm");
-  if (warm != nullptr) {
-    if (!warm->is_bool()) {
-      parsed.error = "'warm' must be a bool";
-      return parsed;
-    }
-    req.warm = warm->as_bool() ? 1 : 0;
-  }
   const json::Value* memo = doc->find("memo");
   if (memo != nullptr) {
     if (!memo->is_bool()) {

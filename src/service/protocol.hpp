@@ -5,12 +5,12 @@
 //
 //   {"verb":"map", "id":..., "bench":"fft"|"dfg":"dfg ...\n...",
 //    "grid":4|"rows":R,"cols":C, "topology":"mesh|torus|diagonal",
-//    "deadline_s":S, "warm":bool, "memo":bool, "anytime":bool,
+//    "deadline_s":S, "memo":bool, "anytime":bool,
 //    "max_schedules":N, "max_ii":N, "mapping":bool}
 //   {"verb":"stats", "id":...}
 //   {"verb":"shutdown", "id":...}
 //
-// Defaults: memo/warm follow the service configuration; the others are
+// Defaults: memo follows the service configuration; the others are
 // off/0. `mapping:true` asks for the placement text in the response.
 // Grid sides are bounded by kMaxGridSide.
 // Unknown fields are ignored (forward compatibility); a missing or
@@ -41,8 +41,7 @@ struct ServeRequest {
   int cols = 4;
   Topology topology = Topology::kMesh;
   double deadline_s = 0.0;  // <= 0: the service default
-  /// Tri-state toggles: -1 = service default, 0 = off, 1 = on.
-  int warm = -1;
+  /// Tri-state toggle: -1 = service default, 0 = off, 1 = on.
   int memo = -1;
   bool anytime = false;
   int max_schedules = 0;

@@ -156,9 +156,8 @@ std::string MappingService::run_map_job(const ServeRequest& req) {
                          e.site() + ": injected fault", e.what());
   }
 
-  // Materialise the problem. Malformed DFG text / unknown bench names
-  // surface as AssertionError from the loaders — protocol errors, not
-  // crashes.
+  // Materialise the problem. The loaders refuse malformed DFG text and
+  // unknown bench names with an InputError — a bad request, not a crash.
   std::optional<Dfg> dfg;
   try {
     if (!req.bench.empty()) {
@@ -166,7 +165,7 @@ std::string MappingService::run_map_job(const ServeRequest& req) {
     } else {
       dfg = dfg_from_text(req.dfg_text);
     }
-  } catch (const AssertionError& e) {
+  } catch (const InputError& e) {
     errors_.fetch_add(1, std::memory_order_relaxed);
     return error_response(req.id, std::string("bad request: ") + e.what());
   }
@@ -180,49 +179,24 @@ std::string MappingService::run_map_job(const ServeRequest& req) {
   if (req.max_schedules > 0) opts.max_schedules = req.max_schedules;
   if (req.max_ii > 0) opts.max_ii = req.max_ii;
   const bool use_memo = req.memo == -1 ? options_.memo : req.memo != 0;
-  const bool use_warm = req.warm == -1 ? options_.warm : req.warm != 0;
   const double deadline_s =
       req.deadline_s > 0.0 ? req.deadline_s : options_.default_deadline_s;
 
-  const DfgFingerprint fp = fingerprint_dfg(*dfg);
-  const std::uint64_t arch_fp = fingerprint_arch(arch);
-  // Warm and cold walks may legitimately settle on different (equally
-  // valid) answers, so they never share a memo slot.
-  const std::uint64_t mode_salt = use_warm ? 0xbadc0ffee0ddf00dULL : 0;
-
-  bool memo_hit = false;
-  std::size_t seeded = 0;
-  int floor = 0;
-  MapResult result;
+  std::optional<DfgFingerprint> fp;
+  std::uint64_t arch_fp = 0;
   std::optional<MapResult> cached;
   if (use_memo) {
-    cached = store_.lookup(*dfg, arch, fp, arch_fp, opts, mode_salt);
+    fp = fingerprint_dfg(*dfg);
+    arch_fp = fingerprint_arch(arch);
+    cached = store_.lookup(*dfg, arch, *fp, arch_fp, opts);
   }
-  if (cached.has_value()) {
-    memo_hit = true;
+  const bool memo_hit = cached.has_value();
+  MapResult result;
+  if (memo_hit) {
     result = std::move(*cached);
-  } else if (use_warm) {
-    CrossIiNogoodStore scratch;
-    floor = store_.refuted_floor(fp, arch_fp, opts);
-    seeded = store_.seed(fp, arch_fp, opts, &scratch);
-    if (seeded > 0 || floor > 0) {
-      warm_starts_.fetch_add(1, std::memory_order_relaxed);
-    }
-    const Deadline deadline(deadline_s);
-    WalkOptions walk;
-    walk.floor = floor;
-    walk.store = &scratch;
-    result = DecoupledMapper(opts).map(*dfg, arch, deadline, walk);
-    store_.publish(fp, arch_fp, opts, scratch, result.ii_refuted_up_to);
-    if (use_memo) {
-      store_.store(*dfg, fp, arch_fp, opts, result, mode_salt);
-    }
   } else {
-    const Deadline deadline(deadline_s);
-    result = DecoupledMapper(opts).map(*dfg, arch, deadline);
-    if (use_memo) {
-      store_.store(*dfg, fp, arch_fp, opts, result, mode_salt);
-    }
+    result = DecoupledMapper(opts).map(*dfg, arch, Deadline(deadline_s));
+    if (use_memo) store_.store(*dfg, *fp, arch_fp, opts, result);
   }
   if (result.outcome == MapOutcome::kFault) {
     faults_.fetch_add(1, std::memory_order_relaxed);
@@ -236,13 +210,7 @@ std::string MappingService::run_map_job(const ServeRequest& req) {
       .field("ii_lo", result.ii_lo)
       .field("ii_hi", result.ii_hi)
       .field("schedules_tried", result.schedules_tried)
-      .field("nogoods_lifted_cross_ii",
-             result.time_stats.nogoods_lifted_cross_ii)
-      .field("speculative_hits", result.speculative_hits)
       .field("memo_hit", memo_hit)
-      .field("warm", use_warm)
-      .field("certs_seeded", seeded)
-      .field("floor", floor)
       .field("seconds", watch.elapsed_s());
   if (!result.causes.empty()) {
     w.field("causes", format_causes(result.causes));
@@ -287,16 +255,12 @@ std::string MappingService::render_stats(const std::string& id) const {
       .field("rejected", s.rejected)
       .field("errors", s.errors)
       .field("faults", s.faults)
-      .field("warm_starts", s.warm_starts)
       .field("p50_ms", s.p50_ms)
       .field("p99_ms", s.p99_ms)
       .field("memo_hits", s.store.memo_hits)
       .field("memo_misses", s.store.memo_misses)
       .field("memo_stores", s.store.memo_stores)
       .field("memo_evictions", s.store.memo_evictions)
-      .field("certs_seeded", s.store.certs_seeded)
-      .field("certs_published", s.store.certs_published)
-      .field("floor_hits", s.store.floor_hits)
       .field("mem_bytes", s.store.bytes_used)
       .field("mem_peak_bytes", s.store.bytes_peak)
       .field("fabrics_cached", s.fabrics_cached)
@@ -312,7 +276,6 @@ MappingService::StatsSnapshot MappingService::stats() const {
   s.rejected = rejected_.load(std::memory_order_relaxed);
   s.errors = errors_.load(std::memory_order_relaxed);
   s.faults = faults_.load(std::memory_order_relaxed);
-  s.warm_starts = warm_starts_.load(std::memory_order_relaxed);
   std::vector<double> window;
   {
     const std::lock_guard<std::mutex> lock(latency_m_);

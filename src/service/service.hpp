@@ -12,20 +12,17 @@
 // the mapper under the request's Deadline -> response. The fabrics
 // (CgraArch) requests name are kept in a small LRU cache, with the tables
 // each builds on first use, so a repeat request does not rebuild them.
-// Reuse:
-//
-//   memo  — exact/isomorphic repeat with the same options fingerprint is
-//           answered from the KnowledgeStore without any search;
-//   warm  — the worker runs DecoupledMapper::map with a WalkOptions
-//           floor and a scratch CrossIiNogoodStore seeded from the
-//           KnowledgeStore (sound refuted-II floor + certificates) and
-//           publishes what the walk learned back for the next request.
+// The one reuse path is the memo: an exact or isomorphic repeat with the
+// same options fingerprint is answered from the KnowledgeStore without any
+// search, and every miss is a plain DecoupledMapper::map whose feasible
+// answer is memoised for the next request.
 //
 // Failure containment: the `serve.request` fault-injection site fires at
 // the top of every worker job; an injected fault (or any exception the
 // mapper's own retries could not absorb) is classified onto the wire as a
-// `fault` outcome and the service keeps serving. Malformed input is a
-// protocol error response, never a crash.
+// `fault` outcome and the service keeps serving. Malformed input — a
+// protocol error, DFG text the loader refuses, an unknown bench name — is
+// an error response, never a crash.
 #ifndef MONOMAP_SERVICE_SERVICE_HPP
 #define MONOMAP_SERVICE_SERVICE_HPP
 
@@ -55,9 +52,8 @@ class MappingService {
     int queue_limit = 16;
     /// Deadline for requests that do not carry their own.
     double default_deadline_s = 30.0;
-    /// Serve memo hits / warm-start walks unless the request opts out.
+    /// Serve memo hits unless the request opts out.
     bool memo = true;
-    bool warm = true;
     /// KnowledgeStore sizing.
     std::size_t store_budget_mb = 64;
     std::size_t max_memo_entries = 4096;
@@ -71,9 +67,6 @@ class MappingService {
     std::uint64_t rejected = 0;
     std::uint64_t errors = 0;
     std::uint64_t faults = 0;
-    /// Requests that began their walk warm (seeded certificates and/or a
-    /// stored refuted-II floor).
-    std::uint64_t warm_starts = 0;
     double p50_ms = 0.0;
     double p99_ms = 0.0;
     /// Fabrics held by the fabric cache (at most kFabricCacheEntries).
@@ -126,7 +119,6 @@ class MappingService {
   std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::uint64_t> errors_{0};
   std::atomic<std::uint64_t> faults_{0};
-  std::atomic<std::uint64_t> warm_starts_{0};
 
   mutable std::mutex fabrics_m_;
   /// Cached fabrics, most recently used first; each also keeps the tables

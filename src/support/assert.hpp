@@ -3,7 +3,8 @@
 // Mapping code is full of invariants whose violation indicates a logic bug
 // (not bad user input), so checks stay enabled in every build type. Failures
 // throw AssertionError rather than aborting, which lets tests exercise the
-// failure paths.
+// failure paths. Bad user input is refused with an InputError instead: its
+// message is meant for the user, without source locations.
 #ifndef MONOMAP_SUPPORT_ASSERT_HPP
 #define MONOMAP_SUPPORT_ASSERT_HPP
 
@@ -17,6 +18,13 @@ namespace monomap {
 class AssertionError : public std::logic_error {
  public:
   explicit AssertionError(const std::string& what) : std::logic_error(what) {}
+};
+
+/// Thrown when user input (DFG or mapping text, a benchmark name) is
+/// refused; what() is the message alone.
+class InputError : public std::runtime_error {
+ public:
+  explicit InputError(const std::string& what) : std::runtime_error(what) {}
 };
 
 namespace detail {
@@ -51,6 +59,17 @@ namespace detail {
       ::monomap::detail::assertion_failure(#expr, __FILE__, __LINE__, \
                                            monomap_assert_os.str()); \
     }                                                               \
+  } while (false)
+
+/// Refuse user input: throws monomap::InputError carrying the streamed
+/// message alone unless `expr` holds.
+#define MONOMAP_CHECK_INPUT(expr, stream_expr)                \
+  do {                                                        \
+    if (!(expr)) {                                            \
+      std::ostringstream monomap_input_os;                    \
+      monomap_input_os << stream_expr;                        \
+      throw ::monomap::InputError(monomap_input_os.str());    \
+    }                                                         \
   } while (false)
 
 #endif  // MONOMAP_SUPPORT_ASSERT_HPP

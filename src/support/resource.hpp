@@ -1,14 +1,12 @@
 // Per-request resource governor: a memory budget shared by the subsystems
 // whose footprints actually grow with search effort — the SAT learnt-clause
-// database, the bitset searcher's preallocated domain trails, and the
-// speculative race's CrossIiNogoodStore.
+// database and the bitset searcher's preallocated domain trails.
 //
 // Subsystems charge their allocations with try_charge() and give the bytes
 // back with uncharge(). A denied charge is the shed signal: the subsystem
-// first frees what it can (the SAT solver reduces its learnt DB, the
-// nogood store evicts its oldest certificates) and retries; only when
-// shedding cannot make room does it trip() the governor and abort into a
-// clean `memory` outcome. Once tripped, every subsystem observes tripped()
+// first frees what it can (the SAT solver reduces its learnt DB) and
+// retries; only when shedding cannot make room does it trip() the governor
+// and abort into a clean `memory` outcome. Once tripped, every subsystem observes tripped()
 // at its next periodic check — the watchdog that converts runaway
 // propagation anywhere in the request into the same classified outcome
 // instead of an OOM kill.
@@ -16,9 +14,9 @@
 // Plumbing is a thread-local scope rather than threaded parameters:
 // DecoupledMapper binds the request's governor with a GovernorScope around
 // each entry point (including the per-II attempt tasks on pool workers),
-// and SatSolver / the searchers / the store consult GovernorScope::current()
-// — zero signature churn, and code outside a scope (unit tests, the
-// reference oracles) pays one thread-local read.
+// and SatSolver and the searchers consult GovernorScope::current() — zero
+// signature churn, and code outside a scope (unit tests, the reference
+// oracles) pays one thread-local read.
 //
 // With a zero budget every operation is a no-op that always grants, so the
 // governed build behaves bit-identically to the ungoverned one until a

@@ -64,11 +64,6 @@ bool TimeSolver::advance_instance() {
             dfg_, arch_, ii_, options_.constraints,
             critical_path_ + extension_);
         ++stats_.sessions_created;
-        // Arm cross-II nogoods that were injected before the session
-        // existed (empty outside certificate-sharing walks).
-        for (const auto& nogood : ii_nogoods_) {
-          session_->add_label_nogood(nogood);
-        }
       } else {
         ++stats_.horizon_extensions;
         session_->extend_horizon();
@@ -161,32 +156,6 @@ bool TimeSolver::add_space_nogood(const TimeSolution& solution,
     if (covers) last_blocked_by_nogood_ = true;
   }
   return true;
-}
-
-void TimeSolver::add_cross_ii_nogood(
-    std::vector<std::pair<NodeId, int>> placements) {
-  if (placements.empty()) return;
-  for (const auto& [v, slot] : placements) {
-    MONOMAP_ASSERT(v >= 0 && v < dfg_.num_nodes());
-    MONOMAP_ASSERT(slot >= 0 && slot < ii_);
-  }
-  // Canonical node order so identical instantiations from different
-  // certificates (or repeated drains) dedupe against each other.
-  std::sort(placements.begin(), placements.end());
-  if (!seen_nogoods_.insert(placements).second) return;
-  ++stats_.nogoods_lifted_cross_ii;
-  if (options_.engine == TimeEngine::kIncremental) {
-    if (session_) session_->add_label_nogood(placements);
-    // Queue for replay in case the II's session is created later (or not
-    // yet).
-    ii_nogoods_.push_back(std::move(placements));
-    return;
-  }
-  if (formulation_ && instance_ok_ &&
-      !formulation_->add_label_nogood(placements)) {
-    instance_ok_ = false;  // every schedule left here is pruned
-  }
-  ii_nogoods_.push_back(std::move(placements));
 }
 
 std::optional<TimeSolution> TimeSolver::next(const Deadline& deadline) {

@@ -76,7 +76,6 @@ struct TimeSolverOptions {
   X(int, narrow_nogoods, sum)     /* over a strict subset of nodes */      \
   X(int, nogoods_lifted, sum)     /* extra rotation clauses from them */   \
   X(int, nogoods_deduped, sum)    /* covered by a recorded nogood */       \
-  X(int, nogoods_lifted_cross_ii, sum) /* clauses from other IIs */        \
   /* Horizons never handed to SAT because they lie below their II's      \
      capacity floor (capacity_horizon_floor), whole IIs included. */       \
   X(int, capacity_refuted_horizons, sum)
@@ -109,29 +108,30 @@ class TimeSolver {
 
   /// Record a space-conflict nogood against the current II: the subset
   /// `nodes` of `solution`'s nodes cannot jointly take their labelled
-  /// slots, so prune every schedule that repeats those placements. Because
-  /// spatial feasibility depends only on the slot *partition* (mono1 wants
-  /// distinct PEs per layer and mono3 never reads label values; under the
-  /// consecutive-only model cyclic label distances are rotation-invariant
-  /// too), the conflict is lifted to all ii cyclic rotations — one clause
-  /// each — so a refuted schedule family takes its rotated twins down with
-  /// it. Conflicts already covered by a recorded nogood are skipped
+  /// slots, so prune every schedule that repeats those placements, and
+  /// every cyclic rotation of them.
+  ///
+  /// Why rotations are sound: the spatial sub-problem restricted to the
+  /// conflict nodes depends only on the slot *partition* their labels
+  /// induce. Under MrrgModel::kRegisterPersistence capacity wants distinct
+  /// PEs per same-label group (mono1) and the MRRG adjacency never reads
+  /// label values (mono3), and *merging* partition blocks only adds
+  /// same-slot constraints, i.e. only tightens. So any schedule whose
+  /// labels restricted to the conflict nodes induce the same partition, or
+  /// a coarser one, is spatially infeasible too — a cyclic rotation
+  /// preserves the partition exactly. Under kConsecutiveOnly cyclic label
+  /// distances matter as well, and those are rotation-invariant at a fixed
+  /// II (they change with II, so the argument stops at the II boundary).
+  ///
+  /// The conflict is lifted to all ii rotations — one clause each — so a
+  /// refuted schedule family takes its rotated twins down with it.
+  /// Conflicts already covered by a recorded nogood are skipped
   /// (stats().nogoods_deduped). Nogoods persist across horizon extensions
   /// of the II (and rebuilds on the reference path) and subsume blocking
   /// `solution` itself. Returns false if `solution` is not from the
   /// current II.
   bool add_space_nogood(const TimeSolution& solution,
                         const std::vector<NodeId>& nodes);
-
-  /// Inject a placement nogood instantiated from *another* II's refutation
-  /// certificate (see CrossIiNogoodStore): the given (node, slot) pairs —
-  /// slots already reduced mod the current II — are jointly spatially
-  /// infeasible here too. Unlike add_space_nogood no further rotation
-  /// lifting happens (the caller instantiates every rotation itself).
-  /// Safe to call before the first next(): the clause is queued and armed
-  /// when the II's solver comes up. A nogood already recorded here is
-  /// skipped; stats().nogoods_lifted_cross_ii counts the new ones.
-  void add_cross_ii_nogood(std::vector<std::pair<NodeId, int>> placements);
 
   [[nodiscard]] bool timed_out() const { return timed_out_; }
   /// Subset of timed_out(): the stop came from the memory governor
@@ -157,8 +157,7 @@ class TimeSolver {
   bool exhausted_ = false;  // no horizon left to try at the II
   // kReference engine state: one formulation per (ii, extension), plus the
   // nogoods recorded at this II (rotations included) for re-application
-  // after each rebuild. The incremental engine also queues cross-II
-  // nogoods here when they arrive before the II's session exists.
+  // after each rebuild.
   std::unique_ptr<TimeFormulation> formulation_;
   std::vector<std::vector<std::pair<NodeId, int>>> ii_nogoods_;
   // Conflicts recorded at this II, every rotation of each — the dedupe set.

@@ -738,9 +738,8 @@ const Benchmark& benchmark_by_name(const std::string& name) {
   for (const Benchmark& b : benchmark_suite()) {
     if (b.name == name) return b;
   }
-  MONOMAP_ASSERT_MSG(false, "unknown benchmark '" << name << "'");
-  // Unreachable; assertion throws.
-  return benchmark_suite().front();
+  MONOMAP_CHECK_INPUT(false, "unknown benchmark '" << name << "'");
+  return benchmark_suite().front();  // unreachable: the check throws
 }
 
 }  // namespace monomap

@@ -41,7 +41,7 @@ struct Benchmark {
 /// All 17 benchmarks, in the paper's (alphabetical) order.
 const std::vector<Benchmark>& benchmark_suite();
 
-/// Lookup by name; throws AssertionError if unknown.
+/// Lookup by name; throws InputError if unknown.
 const Benchmark& benchmark_by_name(const std::string& name);
 
 }  // namespace monomap

@@ -36,36 +36,36 @@ TEST(DfgIo, ParsesCommentsAndWhitespace) {
 }
 
 TEST(DfgIo, RejectsMalformedInput) {
-  EXPECT_THROW(dfg_from_text(""), AssertionError);
-  EXPECT_THROW(dfg_from_text("dfg x\nedge 0 1 0\nend\n"), AssertionError);
+  EXPECT_THROW(dfg_from_text(""), InputError);
+  EXPECT_THROW(dfg_from_text("dfg x\nedge 0 1 0\nend\n"), InputError);
   EXPECT_THROW(dfg_from_text("dfg x\nnodes 1\nedge 0 5 0\nend\n"),
-               AssertionError);
-  EXPECT_THROW(dfg_from_text("dfg x\nnodes 1\n"), AssertionError);
+               InputError);
+  EXPECT_THROW(dfg_from_text("dfg x\nnodes 1\n"), InputError);
   EXPECT_THROW(dfg_from_text("dfg x\nnodes 1\nbogus\nend\n"),
-               AssertionError);
+               InputError);
   EXPECT_THROW(dfg_from_text("dfg x\nnodes 1\nedge 0 0 -1\nend\n"),
-               AssertionError);
-  // Not an integer, and an integer out of int range: loader errors, not a
+               InputError);
+  // Not an integer, and an integer out of int range: input errors, not a
   // std::stoi exception escaping to the caller.
   EXPECT_THROW(dfg_from_text("dfg x\nnodes 1\nedge 0 one 0\nend\n"),
-               AssertionError);
+               InputError);
   EXPECT_THROW(dfg_from_text("dfg x\nnodes 99999999999\nend\n"),
-               AssertionError);
+               InputError);
   // A node count just above the cap is refused before anything is built.
   EXPECT_THROW(dfg_from_text("dfg x\nnodes " +
                              std::to_string(kMaxDfgTextNodes + 1) +
                              "\nend\n"),
-               AssertionError);
+               InputError);
   EXPECT_NO_THROW((void)dfg_from_text(
       "dfg x\nnodes " + std::to_string(kMaxDfgTextNodes) + "\nend\n"));
   // DFGs no II can map: no nodes, and cycles of distance-0 edges (a
   // self-loop, a two-node cycle). A distance-1 cycle is a recurrence.
-  EXPECT_THROW(dfg_from_text("dfg x\nnodes 0\nend\n"), AssertionError);
+  EXPECT_THROW(dfg_from_text("dfg x\nnodes 0\nend\n"), InputError);
   EXPECT_THROW(dfg_from_text("dfg x\nnodes 1\nedge 0 0 0\nend\n"),
-               AssertionError);
+               InputError);
   EXPECT_THROW(
       dfg_from_text("dfg x\nnodes 2\nedge 0 1 0\nedge 1 0 0\nend\n"),
-      AssertionError);
+      InputError);
   EXPECT_NO_THROW((void)dfg_from_text(
       "dfg x\nnodes 2\nedge 0 1 0\nedge 1 0 1\nedge 1 1 1\nend\n"));
 }
@@ -84,9 +84,9 @@ TEST(MappingIo, RoundTrip) {
 
 TEST(MappingIo, RejectsIncompleteMapping) {
   EXPECT_THROW(mapping_from_text("mapping x\nii 2\nplace 0 0 0\nend\n", 2),
-               AssertionError);
+               InputError);
   EXPECT_THROW(mapping_from_text("mapping x\nplace 0 0 0\nend\n", 1),
-               AssertionError);
+               InputError);
 }
 
 }  // namespace

@@ -19,7 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include "mapper/cross_ii_store.hpp"
 #include "mapper/decoupled_mapper.hpp"
 #include "support/fault.hpp"
 #include "support/outcome.hpp"
@@ -395,29 +394,6 @@ TEST(Governor, BatchReportsTelemetryAtEveryThreadCount) {
   }
 }
 
-TEST(Governor, CrossIiStoreShedsOldestFirst) {
-  ResourceGovernor gov(400);
-  CrossIiNogoodStore store;
-  store.set_governor(&gov);
-  // Distinct two-node partitions; each certificate costs ~150+ bytes so a
-  // 400-byte budget holds only the latest couple.
-  std::vector<int> labels(10, 0);
-  int added = 0;
-  for (NodeId v = 0; v + 1 < 10; ++v) {
-    if (store.add(3, {v, static_cast<NodeId>(v + 1)}, labels)) ++added;
-  }
-  EXPECT_GT(added, 2);
-  EXPECT_GT(store.evicted(), 0u);
-  EXPECT_LT(store.size(), static_cast<std::size_t>(added));
-  EXPECT_GT(gov.sheds(), 0);
-  EXPECT_FALSE(gov.tripped());  // shedding kept the store within budget
-  // A reader whose cursor predates the evictions drains only survivors.
-  std::size_t cursor = 0;
-  std::vector<SlotPartitionCert> out;
-  store.drain(&cursor, &out);
-  EXPECT_EQ(out.size(), store.size());
-}
-
 // ---------------------------------------------------------------------------
 // Worker pool under faults
 // ---------------------------------------------------------------------------
@@ -525,9 +501,7 @@ TEST(FaultSweep, SpeculativeSurvivesPermanentFaults) {
   const CgraArch arch = CgraArch::square(4);
   DecoupledMapperOptions opt = base_options();
   opt.timeout_s = 20.0;
-  WalkOptions walk;
-  walk.lookahead = 1;
-  const MapResult r = DecoupledMapper(opt).map(b.dfg, arch, walk);
+  const MapResult r = DecoupledMapper(opt).map(b.dfg, arch, /*lookahead=*/1);
   EXPECT_FALSE(r.success);
   EXPECT_EQ(r.outcome, MapOutcome::kFault);
 }

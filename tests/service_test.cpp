@@ -1,7 +1,7 @@
 // MappingService + KnowledgeStore: protocol robustness, memo soundness
-// (identical and isomorphic repeats), warm-start differentials against the
-// sequential mapper, the fabric cache under concurrency, admission
-// control, fault containment, shutdown.
+// (identical and isomorphic repeats), the memo-miss differential against
+// map(), the fabric cache under concurrency, admission control, fault
+// containment, shutdown.
 #include "service/service.hpp"
 
 #include <algorithm>
@@ -32,12 +32,10 @@ json::Value parse_response(const std::string& response) {
   return doc.has_value() ? *doc : json::Value();
 }
 
-std::string map_request(const std::string& bench, bool memo, bool warm,
-                        const std::string& extra = "") {
+std::string map_request(const std::string& bench, bool memo) {
   return "{\"verb\":\"map\",\"id\":\"t\",\"bench\":\"" + bench +
          "\",\"grid\":4,\"deadline_s\":30,\"memo\":" +
-         (memo ? "true" : "false") +
-         ",\"warm\":" + (warm ? "true" : "false") + extra + "}";
+         (memo ? "true" : "false") + "}";
 }
 
 // ---- protocol ------------------------------------------------------------
@@ -56,7 +54,6 @@ TEST(ServeProtocolTest, MalformedInputIsAnErrorNeverACrash) {
       "{\"verb\":\"map\",\"bench\":\"fft\",\"max_schedules\":-1}",
       "{\"verb\":\"map\",\"bench\":\"fft\",\"topology\":\"ring\"}",
       "{\"verb\":\"map\",\"bench\":\"fft\",\"deadline_s\":-2}",
-      "{\"verb\":\"map\",\"bench\":\"fft\",\"warm\":\"yes\"}",
       "{\"verb\":\"map\",\"bench\":\"fft\",\"memo\":1}",
   };
   for (const char* line : bad) {
@@ -79,7 +76,6 @@ TEST(ServeProtocolTest, DefaultsAndOverrides) {
   EXPECT_EQ(req.topology, Topology::kTorus);
   EXPECT_DOUBLE_EQ(req.deadline_s, 2.5);
   EXPECT_EQ(req.memo, 0);
-  EXPECT_EQ(req.warm, -1);  // untouched tri-state
   EXPECT_TRUE(req.anytime);
   EXPECT_EQ(req.max_schedules, 9);
   EXPECT_TRUE(req.want_mapping);
@@ -90,30 +86,38 @@ TEST(ServiceTest, MalformedLineGetsErrorResponseAndServiceSurvives) {
   const json::Value err = parse_response(service.handle_line("garbage"));
   EXPECT_FALSE(err.bool_or("ok", true));
   const json::Value ok =
-      parse_response(service.handle_line(map_request("fft", false, false)));
+      parse_response(service.handle_line(map_request("fft", false)));
   EXPECT_TRUE(ok.bool_or("ok", false));
   EXPECT_EQ(service.stats().errors, 1u);
 }
 
 TEST(ServiceTest, UnmappableDfgTextIsABadRequest) {
   // DFG text the mapper cannot take (no nodes, a distance-0 self-loop, a
-  // distance-0 cycle) is refused by the loader as a bad request, not by an
-  // invariant check deep in the mapper.
+  // distance-0 cycle) and an unknown bench name are refused by the loaders
+  // as a bad request, not by an invariant check deep in the mapper. The
+  // error carries the loader's message alone: no source location, no
+  // assertion text.
   MappingService service;
+  std::vector<std::string> lines;
   for (const char* text : {"dfg e\nnodes 0\nend\n",
                            "dfg s\nnodes 1\nedge 0 0 0\nend\n",
                            "dfg c\nnodes 2\nedge 0 1 0\nedge 1 0 0\nend\n"}) {
-    const json::Value r = parse_response(service.handle_line(
-        "{\"verb\":\"map\",\"id\":\"t\",\"grid\":4,\"dfg\":\"" +
-        json::escape(text) + "\"}"));
-    EXPECT_FALSE(r.bool_or("ok", true)) << text;
+    lines.push_back("{\"verb\":\"map\",\"id\":\"t\",\"grid\":4,\"dfg\":\"" +
+                    json::escape(text) + "\"}");
+  }
+  lines.push_back(map_request("no-such-bench", false));
+  for (const std::string& line : lines) {
+    const json::Value r = parse_response(service.handle_line(line));
+    EXPECT_FALSE(r.bool_or("ok", true)) << line;
     const std::string error = r.string_or("error", "");
     EXPECT_EQ(error.rfind("bad request:", 0), 0u) << error;
+    EXPECT_EQ(error.find(".cpp:"), std::string::npos) << error;
+    EXPECT_EQ(error.find("assertion failed"), std::string::npos) << error;
   }
   const json::Value ok =
-      parse_response(service.handle_line(map_request("fft", false, false)));
+      parse_response(service.handle_line(map_request("fft", false)));
   EXPECT_TRUE(ok.bool_or("ok", false));
-  EXPECT_EQ(service.stats().errors, 3u);
+  EXPECT_EQ(service.stats().errors, 4u);
 }
 
 // ---- memo ----------------------------------------------------------------
@@ -121,9 +125,9 @@ TEST(ServiceTest, UnmappableDfgTextIsABadRequest) {
 TEST(ServiceTest, ExactRepeatIsMemoHitWithSameAnswer) {
   MappingService service;
   const json::Value cold =
-      parse_response(service.handle_line(map_request("fft", true, false)));
+      parse_response(service.handle_line(map_request("fft", true)));
   const json::Value hit =
-      parse_response(service.handle_line(map_request("fft", true, false)));
+      parse_response(service.handle_line(map_request("fft", true)));
   ASSERT_TRUE(cold.bool_or("ok", false));
   ASSERT_TRUE(hit.bool_or("ok", false));
   EXPECT_FALSE(cold.bool_or("memo_hit", true));
@@ -151,8 +155,7 @@ TEST(ServiceTest, IsomorphicRepeatIsMemoHitWithValidMapping) {
   auto dfg_request = [](const Dfg& dfg) {
     return "{\"verb\":\"map\",\"id\":\"t\",\"dfg\":\"" +
            json::escape(dfg_to_text(dfg)) +
-           "\",\"grid\":4,\"deadline_s\":30,\"memo\":true,\"warm\":false,"
-           "\"mapping\":true}";
+           "\",\"grid\":4,\"deadline_s\":30,\"memo\":true,\"mapping\":true}";
   };
   const json::Value first =
       parse_response(service.handle_line(dfg_request(original)));
@@ -174,15 +177,15 @@ TEST(ServiceTest, IsomorphicRepeatIsMemoHitWithValidMapping) {
 
 TEST(ServiceTest, MemoOptOutNeverHits) {
   MappingService service;
-  (void)service.handle_line(map_request("fft", true, false));
+  (void)service.handle_line(map_request("fft", true));
   const json::Value repeat =
-      parse_response(service.handle_line(map_request("fft", false, false)));
+      parse_response(service.handle_line(map_request("fft", false)));
   ASSERT_TRUE(repeat.bool_or("ok", false));
   EXPECT_FALSE(repeat.bool_or("memo_hit", true));
   EXPECT_GT(repeat.number_or("schedules_tried", 0.0), 0.0);
 }
 
-TEST(KnowledgeStoreTest, DifferentOptionsOrSaltNeverShareMemoSlots) {
+TEST(KnowledgeStoreTest, DifferentOptionsNeverShareMemoSlots) {
   const Dfg dfg = benchmark_by_name("fft").dfg;
   const CgraArch arch(4, 4, Topology::kMesh);
   const DfgFingerprint fp = fingerprint_dfg(dfg);
@@ -195,9 +198,6 @@ TEST(KnowledgeStoreTest, DifferentOptionsOrSaltNeverShareMemoSlots) {
   KnowledgeStore store;
   store.store(dfg, fp, arch_fp, options, result);
   EXPECT_TRUE(store.lookup(dfg, arch, fp, arch_fp, options).has_value());
-  // A different salt (the service's warm/cold split) misses.
-  EXPECT_FALSE(
-      store.lookup(dfg, arch, fp, arch_fp, options, 1).has_value());
   // A different answer-shaping option misses.
   DecoupledMapperOptions other = options;
   other.anytime = true;
@@ -215,83 +215,38 @@ TEST(KnowledgeStoreTest, DifferentOptionsOrSaltNeverShareMemoSlots) {
   EXPECT_FALSE(fresh.lookup(dfg, arch, fp, arch_fp, options).has_value());
 }
 
-// ---- warm starts ---------------------------------------------------------
+// ---- memo miss -----------------------------------------------------------
 
-TEST(ServiceTest, WarmWalkMatchesSequentialAnswerWithEmptyStore) {
-  // A warm walk seeded with nothing must agree with map() on the answer
-  // and on the effort behind it — the warm path is the same walk, only
-  // the starting knowledge differs.
-  const Deadline deadline(30.0);
+TEST(ServiceTest, MemoMissMatchesMap) {
+  // A memo miss is a plain map() of the DFG the service parsed: the answer
+  // and the effort behind it equal a direct call with the service's mapper
+  // options, under either MRRG model.
   const CgraArch arch(4, 4, Topology::kMesh);
-  const auto expect_same = [&](const char* name, MrrgModel model,
-                               const MapResult& cold, const MapResult& warm) {
-    EXPECT_EQ(cold.success, warm.success) << name;
-    EXPECT_EQ(cold.ii, warm.ii) << name;
-    EXPECT_EQ(cold.ii_lo, warm.ii_lo) << name;
-    EXPECT_EQ(cold.schedules_tried, warm.schedules_tried) << name;
-    EXPECT_EQ(cold.time_stats.sat_calls, warm.time_stats.sat_calls) << name;
-    if (warm.success) {
-      EXPECT_TRUE(
-          validate_mapping(benchmark_by_name(name).dfg, arch, warm.mapping,
-                           model)
-              .empty())
-          << name;
-    }
+  const auto expect_miss_is_map = [&arch](MappingService& service,
+                                          const char* name) {
+    const std::string text = dfg_to_text(benchmark_by_name(name).dfg);
+    const json::Value r = parse_response(service.handle_line(
+        "{\"verb\":\"map\",\"id\":\"t\",\"grid\":4,\"deadline_s\":30,"
+        "\"dfg\":\"" + json::escape(text) + "\"}"));
+    ASSERT_TRUE(r.bool_or("ok", false)) << name;
+    EXPECT_FALSE(r.bool_or("memo_hit", true)) << name;
+    const MapResult m =
+        DecoupledMapper(service.options().mapper).map(dfg_from_text(text), arch);
+    ASSERT_TRUE(m.success) << name << ": " << m.failure_reason;
+    EXPECT_EQ(r.number_or("ii", -1.0), m.ii) << name;
+    EXPECT_EQ(r.number_or("ii_lo", -1.0), m.ii_lo) << name;
+    EXPECT_EQ(r.number_or("ii_hi", -1.0), m.ii_hi) << name;
+    EXPECT_EQ(r.number_or("schedules_tried", -1.0), m.schedules_tried)
+        << name;
   };
-  for (const char* name : {"fft", "gsm", "nw", "susan"}) {
-    const Dfg dfg = benchmark_by_name(name).dfg;
-    const DecoupledMapper mapper{DecoupledMapperOptions{}};
-    const MapResult cold = mapper.map(dfg, arch);
-    CrossIiNogoodStore scratch;
-    WalkOptions walk;
-    walk.store = &scratch;
-    const MapResult warm = mapper.map(dfg, arch, deadline, walk);
-    expect_same(name, MrrgModel::kRegisterPersistence, cold, warm);
-  }
-  // Under the consecutive-only model certificates do not carry across
-  // IIs, so the walk must leave the store alone: hotspot3D then lands
-  // where map() does (II 5), not one II higher on certificate-pruned
-  // schedules.
-  DecoupledMapperOptions restricted;
-  restricted.space.model = MrrgModel::kConsecutiveOnly;
-  const DecoupledMapper mapper(restricted);
-  const Dfg dfg = benchmark_by_name("hotspot3D").dfg;
-  const MapResult cold = mapper.map(dfg, arch);
-  ASSERT_TRUE(cold.success) << cold.failure_reason;
-  EXPECT_EQ(cold.ii, 5);
-  CrossIiNogoodStore scratch;
-  WalkOptions walk;
-  walk.store = &scratch;
-  const MapResult warm = mapper.map(dfg, arch, deadline, walk);
-  expect_same("hotspot3D", MrrgModel::kConsecutiveOnly, cold, warm);
-  EXPECT_EQ(scratch.size(), 0u);
-  EXPECT_EQ(warm.time_stats.nogoods_lifted_cross_ii, 0);
-}
-
-TEST(ServiceTest, WarmSecondRequestSameAnswerNoMoreSchedules) {
-  // nw on a 4x4 refutes low IIs by exhaustion before landing; the second
-  // warm request inherits that knowledge: identical final II, and the
-  // walk must not get hungrier (floor soundness differential).
   MappingService service;
-  const json::Value donor =
-      parse_response(service.handle_line(map_request("nw", false, true)));
-  const json::Value warm =
-      parse_response(service.handle_line(map_request("nw", false, true)));
-  ASSERT_TRUE(donor.bool_or("ok", false));
-  ASSERT_TRUE(warm.bool_or("ok", false));
-  EXPECT_EQ(donor.number_or("ii", -1.0), warm.number_or("ii", -2.0));
-  EXPECT_LE(warm.number_or("schedules_tried", 1e9),
-            donor.number_or("schedules_tried", 0.0));
-  // The warm request must actually have started warm.
-  EXPECT_TRUE(warm.number_or("certs_seeded", 0.0) > 0.0 ||
-              warm.number_or("floor", 0.0) > 0.0);
-  EXPECT_GE(service.stats().warm_starts, 1u);
-
-  // Differential: the sequential mapper agrees with both.
-  const MapResult cold = DecoupledMapper{DecoupledMapperOptions{}}.map(
-      benchmark_by_name("nw").dfg, CgraArch(4, 4, Topology::kMesh));
-  ASSERT_TRUE(cold.success);
-  EXPECT_EQ(static_cast<double>(cold.ii), warm.number_or("ii", -1.0));
+  for (const char* name : {"fft", "gsm", "nw", "susan"}) {
+    expect_miss_is_map(service, name);
+  }
+  MappingService::Options restricted;
+  restricted.mapper.space.model = MrrgModel::kConsecutiveOnly;
+  MappingService restricted_service(restricted);
+  expect_miss_is_map(restricted_service, "hotspot3D");
 }
 
 // ---- fabric cache --------------------------------------------------------
@@ -348,7 +303,7 @@ TEST(ServiceTest, FabricCacheHoldsUnderConcurrentHitsAndMisses) {
                    .empty()) {
             failures[c].push_back(where + "invalid on its own fabric");
           }
-        } catch (const AssertionError& e) {
+        } catch (const InputError& e) {
           failures[c].push_back(where + e.what());
         }
         if (service.stats().fabrics_cached >
@@ -381,12 +336,12 @@ TEST(ServiceTest, AdmissionBoundRejectsWithDeadlineOutcome) {
   std::thread occupant([&] {
     // cfd at 4x4 runs ~1s: long enough that the probes below overlap it.
     const json::Value r =
-        parse_response(service.handle_line(map_request("cfd", false, false)));
+        parse_response(service.handle_line(map_request("cfd", false)));
     if (r.bool_or("ok", false)) served.fetch_add(1);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
   const json::Value probe =
-      parse_response(service.handle_line(map_request("fft", false, false)));
+      parse_response(service.handle_line(map_request("fft", false)));
   if (probe.bool_or("ok", false)) {
     served.fetch_add(1);
   } else {
@@ -400,7 +355,7 @@ TEST(ServiceTest, AdmissionBoundRejectsWithDeadlineOutcome) {
             static_cast<std::uint64_t>(rejected.load()));
   // The service keeps serving after shedding load.
   const json::Value after =
-      parse_response(service.handle_line(map_request("fft", false, false)));
+      parse_response(service.handle_line(map_request("fft", false)));
   EXPECT_TRUE(after.bool_or("ok", false));
 }
 
@@ -415,7 +370,7 @@ TEST(ServiceTest, ServeRequestFaultSiteIsClassifiedAndContained) {
   int feasible = 0;
   for (int i = 0; i < 4; ++i) {
     const json::Value r =
-        parse_response(service.handle_line(map_request("fft", false, false)));
+        parse_response(service.handle_line(map_request("fft", false)));
     const std::string outcome = r.string_or("outcome", "");
     if (outcome == "fault") {
       EXPECT_FALSE(r.bool_or("ok", true));
@@ -431,7 +386,7 @@ TEST(ServiceTest, ServeRequestFaultSiteIsClassifiedAndContained) {
   EXPECT_EQ(feasible, 2);
   EXPECT_EQ(service.stats().faults, 2u);
   const json::Value after =
-      parse_response(service.handle_line(map_request("fft", false, false)));
+      parse_response(service.handle_line(map_request("fft", false)));
   EXPECT_TRUE(after.bool_or("ok", false));
 }
 
@@ -439,8 +394,8 @@ TEST(ServiceTest, ServeRequestFaultSiteIsClassifiedAndContained) {
 
 TEST(ServiceTest, StatsVerbReportsCountersAndLatency) {
   MappingService service;
-  (void)service.handle_line(map_request("fft", true, false));
-  (void)service.handle_line(map_request("fft", true, false));
+  (void)service.handle_line(map_request("fft", true));
+  (void)service.handle_line(map_request("fft", true));
   const json::Value stats = parse_response(
       service.handle_line("{\"verb\":\"stats\",\"id\":\"s\"}"));
   EXPECT_TRUE(stats.bool_or("ok", false));

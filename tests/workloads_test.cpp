@@ -67,7 +67,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Suite, LookupByName) {
   EXPECT_EQ(benchmark_by_name("aes").paper_nodes, 23);
   EXPECT_EQ(benchmark_by_name("hotspot3D").paper_nodes, 57);
-  EXPECT_THROW(benchmark_by_name("nope"), AssertionError);
+  EXPECT_THROW(benchmark_by_name("nope"), InputError);
 }
 
 TEST(Suite, DeterministicConstruction) {

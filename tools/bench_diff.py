@@ -16,22 +16,16 @@ schedules_tried for time records) are checked with the same threshold when
 present — they catch search-behaviour regressions independently of machine
 speed.
 
-The speculative-race telemetry counters get a non-vanishing gate instead
-of a ratio (their magnitudes are scheduling-dependent): once a baseline
-recorded nogoods_lifted_cross_ii as active (sum > 0 over the paired rows)
-a fresh run summing to exactly 0 fails — certificate lifting follows
-deterministically from lower-II refutations, so its disappearance means
-the channel's wiring went dead. speculative_hits and steals vanishing is
-only *noted*: both legitimately go to zero on a machine with fewer cores
-(no overlap, no steals). Rows or whole baselines predating a counter are
-tolerated (the counter is simply absent there).
+The speculative race's pool steals are only *noted* when a baseline
+recorded them (sum > 0 over the paired rows) and the fresh run sums to
+exactly 0: they legitimately vanish on a machine with fewer cores (no
+overlap, no steals).
 
 II quality gate, on every key: a row that is feasible in both runs fails
 when the fresh run lands at a higher ii, or, where both rows carry
 ii_lo/ii_hi, at a wider sound interval [ii_lo, ii_hi] — an II regression
 fails even when the effort counters shrink. Rows without an outcome (space
-records) are skipped, as are speculative-warm rows, whose II depends on
-when certificates arrive.
+records) are skipped.
 
 Row-set drift: a baseline row missing from the fresh run fails the gate
 (exit 1) when the fresh run covers that row's grid section — a case
@@ -92,14 +86,12 @@ def check_metric(fresh, base, metric, max_ratio):
 
 def check_ii_quality(fresh, base):
     """Return (compared, failures) for the II quality gate: paired rows
-    feasible on both sides, speculative-warm rows excluded; a failure is a
-    higher fresh ii or, where both rows carry the interval, a wider
-    ii_hi - ii_lo."""
+    feasible on both sides; a failure is a higher fresh ii or, where both
+    rows carry the interval, a wider ii_hi - ii_lo."""
     compared, failures = 0, []
     for label, row in sorted(fresh.items()):
         was = base.get(label)
-        if (was is None or label[2] == "speculative-warm"
-                or row.get("outcome") != "feasible"
+        if (was is None or row.get("outcome") != "feasible"
                 or was.get("outcome") != "feasible"):
             continue
         compared += 1
@@ -193,32 +185,16 @@ def main():
         if counter != args.metric:
             metrics.append(counter)
 
-    # Activity telemetry is gated on vanishing, not magnitude: the counts
-    # depend on thread scheduling, but a cert-lifting channel that was
-    # active in the baseline (sum > 0 over paired rows) going to exactly
-    # zero means its wiring — or the subsystem it observes — silently
-    # died; lifting follows deterministically from lower-II refutations,
-    # unlike prefilter hits and steals, which legitimately vanish on a
-    # machine with fewer cores (no overlap, no steals) and only warrant a
-    # note. Rows predating a counter simply lack the key and are skipped.
-    vanished = []
-    quiet = []
-    for counter in ("nogoods_lifted_cross_ii", "speculative_hits", "steals"):
-        base_sum = fresh_sum = 0.0
-        paired = False
-        for label, fresh_row in fresh.items():
-            base_row = base.get(label)
-            if (base_row is None or counter not in fresh_row
-                    or counter not in base_row):
-                continue
-            paired = True
-            base_sum += float(base_row[counter])
-            fresh_sum += float(fresh_row[counter])
-        if paired and base_sum > 0 and fresh_sum == 0:
-            if counter == "nogoods_lifted_cross_ii":
-                vanished.append(counter)
-            else:
-                quiet.append(counter)
+    # Pool steals depend on thread scheduling and legitimately vanish on a
+    # machine with fewer cores, so their going quiet is only noted. Rows
+    # predating the counter simply lack the key and are skipped.
+    base_steals = fresh_steals = 0.0
+    for label, fresh_row in fresh.items():
+        base_row = base.get(label)
+        if (base_row is not None and "steals" in fresh_row
+                and "steals" in base_row):
+            base_steals += float(base_row["steals"])
+            fresh_steals += float(fresh_row["steals"])
 
     failed = False
     checked = 0
@@ -234,10 +210,6 @@ def main():
         print(f"{verdict}: {metric}: median ratio {med:.3f} over {compared} "
               f"rows (limit {args.max_ratio:.2f}); worst {worst_ratio:.3f} "
               f"at {worst_label}")
-    for counter in vanished:
-        failed = True
-        print(f"FAIL: {counter}: baseline recorded activity but the fresh "
-              f"run sums to 0 — the counter (or its subsystem) went dead")
     compared, ii_failures = check_ii_quality(fresh, base)
     if ii_failures:
         failed = True
@@ -246,9 +218,9 @@ def main():
     elif compared:
         print(f"ok: ii: no II increase or interval widening over "
               f"{compared} feasible rows")
-    for counter in quiet:
-        print(f"note: {counter}: active in the baseline, 0 in this run "
-              f"(expected on a smaller machine; not gated)")
+    if base_steals > 0 and fresh_steals == 0:
+        print("note: steals: active in the baseline, 0 in this run "
+              "(expected on a smaller machine; not gated)")
     if checked == 0:
         # A gate that compared nothing (metric missing from this record
         # family, or no paired rows) must not pass silently — that is how

@@ -45,7 +45,6 @@ struct CliOptions {
   bool restricted = false;
   int threads = 0;   // batch pool workers: 0 = auto
   int lookahead = 2;  // speculative mapper: IIs raced beyond the frontier
-  bool share_nogoods = false;  // walk with a cross-II certificate store
   std::uint64_t space_budget = 0;    // valid only when space_budget_set
   bool space_budget_set = false;     // --space-budget given (0 = unlimited)
   bool distance2 = true;
@@ -68,8 +67,6 @@ struct CliOptions {
       "      [--mapper decoupled|speculative|coupled|anneal]\n"
       "      [--time-engine incremental|reference]\n"
       "      [--lookahead N]   (speculative: IIs raced beyond the frontier)\n"
-      "      [--share-nogoods] (decoupled/speculative: share slot-partition\n"
-      "                         certificates across the walk's IIs)\n"
       "      [--space-budget N] [--no-distance2] [--no-backjump]\n"
       "      [--restricted] [--out FILE]\n"
       "      [--space-order dynamic-mrv|sparse-mrv|static]\n"
@@ -162,8 +159,6 @@ CliOptions parse_flags(int argc, char** argv, int first) {
       opt.threads = parse_pos_int(value(), "--threads", 0);
     } else if (arg == "--lookahead") {
       opt.lookahead = parse_pos_int(value(), "--lookahead", 1);
-    } else if (arg == "--share-nogoods") {
-      opt.share_nogoods = true;
     } else if (arg == "--space-budget") {
       opt.space_budget = parse_u64(value(), "--space-budget");
       opt.space_budget_set = true;
@@ -277,11 +272,8 @@ int cmd_map(const std::string& spec, const CliOptions& opt) {
     if (opt.restricted) {
       mopt.space.model = MrrgModel::kConsecutiveOnly;
     }
-    CrossIiNogoodStore store;
-    WalkOptions walk;
-    if (opt.mapper == "speculative") walk.lookahead = opt.lookahead;
-    if (opt.share_nogoods) walk.store = &store;
-    const MapResult r = DecoupledMapper(mopt).map(dfg, arch, walk);
+    const MapResult r = DecoupledMapper(mopt).map(
+        dfg, arch, opt.mapper == "speculative" ? opt.lookahead : 0);
     if (r.success) {
       mapping = r.mapping;
       ii = r.ii;
@@ -443,6 +435,10 @@ int main(int argc, char** argv) {
     if (cmd == "check" && argc >= 4) {
       return cmd_check(argv[2], argv[3], parse_flags(argc, argv, 4));
     }
+  } catch (const monomap::InputError& e) {
+    // A refused DFG, mapping or benchmark name: the message alone.
+    std::cerr << "error: " << e.what() << '\n';
+    return 1;
   } catch (const monomap::AssertionError& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 1;

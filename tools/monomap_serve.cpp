@@ -8,7 +8,7 @@
 //   monomap_serve --stdio [flags]            (one client; tests, pipes)
 //
 // One MappingService instance backs every connection, so all clients share
-// the fingerprint memo cache and the certificate knowledge store. A
+// the fingerprint memo cache. A
 // `shutdown` verb (or SIGINT/SIGTERM) drains in-flight requests and exits 0.
 #include <atomic>
 #include <csignal>
@@ -45,8 +45,7 @@ void on_signal(int) { g_stop.store(true, std::memory_order_release); }
       "  [--queue-limit N]      admission bound, 0 = unbounded (default 16)\n"
       "  [--deadline S]         default per-request deadline (default 30)\n"
       "  [--no-memo]            disable the fingerprint memo cache\n"
-      "  [--no-warm]            disable certificate/floor warm starts\n"
-      "  [--store-budget-mb N]  knowledge-store byte budget (default 64)\n"
+      "  [--store-budget-mb N]  memo cache byte budget (default 64)\n"
       "  [--max-memo-entries N] memo LRU capacity (default 4096)\n"
       "  [--faults SPEC]        arm fault injection (docs/robustness.md)\n"
       "protocol: one JSON request per line, one JSON response per line\n"
@@ -166,8 +165,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--no-memo") {
       options.memo = false;
-    } else if (arg == "--no-warm") {
-      options.warm = false;
     } else if (arg == "--store-budget-mb") {
       std::uint64_t mb = 0;
       if (!argparse::parse_u64(value(), &mb)) usage();
