@@ -5,15 +5,15 @@
 //    DFG size on schedule-realistic inputs (the paper's space phase stays
 //    cheap as the grid grows because candidate neighbourhoods are
 //    constant-size);
-//  * --json [--grids 8,16,32,64] [--suites a,b] [--repeats R] —
+//  * --json [--grids 8,10,16,32,64] [--suites a,b] [--repeats R] —
 //    machine-readable engine comparison per grid section (suite, grid, II,
 //    seconds, effort counters per engine), recorded in BENCH_space.json to
-//    track the perf trajectory across PRs. Grid 8 compares the bitset
-//    engine against the scan-based reference and carries the walk
-//    section; larger grids (multi-word domains) compare the dispatched
-//    SIMD bitset engine against the same engine pinned to the scalar
-//    kernels ("bitset-scalar") and against the untiled domain layout
-//    ("bitset-untiled", occupancy skipping off), on suite DFGs plus a
+//    track the perf trajectory across PRs. Grids of up to 128 PEs (8, 10)
+//    compare the bitset engine against the scan-based reference, and grid
+//    8 carries the walk section; larger grids (multi-word domains) compare
+//    the dispatched SIMD bitset engine against the same engine pinned to
+//    the scalar kernels ("bitset-scalar") and against the untiled domain
+//    layout ("bitset-untiled", occupancy skipping off), on suite DFGs plus a
 //    scaled synthetic layered DFG whose schedule is computed directly
 //    (layer mod II) and satisfiable placeable-grid instances (one sized
 //    against each fabric, plus the 64x64 32x32-patch suite at II 4-6), so

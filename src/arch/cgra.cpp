@@ -140,6 +140,17 @@ const std::vector<int>& CgraArch::interior_first_rank() const {
   return interior_rank_;
 }
 
+const CgraArch& CgraArch::pin_fabric() const {
+  MONOMAP_ASSERT(topology_ != Topology::kTorus);
+  std::lock_guard<std::mutex> lock(common_target_mutex_);
+  if (pin_fabric_ == nullptr) {
+    pin_fabric_ =
+        std::make_unique<const CgraArch>(2 * rows_ - 1, 2 * cols_ - 1,
+                                         topology_);
+  }
+  return *pin_fabric_;
+}
+
 PeSet CgraArch::common_target_mask(PeId pe, int min_common) const {
   MONOMAP_ASSERT(has_pe(pe) && min_common >= 1);
   PeSet mask(num_pes());

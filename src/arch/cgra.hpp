@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -124,6 +125,15 @@ class CgraArch {
   /// The searchers order candidate lists by rank lookups.
   [[nodiscard]] const std::vector<int>& interior_first_rank() const;
 
+  /// The (2 rows - 1) x (2 cols - 1) fabric of the same topology. A mesh
+  /// or king-mesh placement shifted so any one node sits at the centre
+  /// (rows - 1, cols - 1) stays on it, which is what lets the space search
+  /// pin its first placement there when the fabric is too narrow to pin
+  /// in place (space/monomorphism.cpp, BitsetSearcher::plan_pin_fabric).
+  /// Built on first request and memoised like common_target_masks, with
+  /// its own memos; thread-safe. Not defined for the torus.
+  [[nodiscard]] const CgraArch& pin_fabric() const;
+
   /// PEs whose closed neighbourhood holds at least `need` members. The
   /// space search intersects candidate domains with this instead of probing
   /// closed_neighbors(p).size() per PE (the root degree filter). `need`
@@ -193,6 +203,7 @@ class CgraArch {
   mutable std::map<int, std::vector<PeSet>> common_target_cache_;
   mutable std::vector<PeId> interior_order_;  // same lock; empty = unbuilt
   mutable std::vector<int> interior_rank_;
+  mutable std::unique_ptr<const CgraArch> pin_fabric_;  // same lock
 };
 
 }  // namespace monomap

@@ -32,10 +32,16 @@ std::string dfg_to_text(const Dfg& dfg);
 /// allocated (the biggest DFG in the repo, placeable-38x38, has 1,444).
 inline constexpr int kMaxDfgTextNodes = 4096;
 
+/// Largest number of `edge` lines dfg_from_text accepts: four per node at
+/// the node cap. The densest DFGs in the repo stay far below it (the
+/// placeable grids about two per node, the suite under two).
+inline constexpr int kMaxDfgTextEdges = 4 * kMaxDfgTextNodes;
+
 /// Parse the `dfg` format above. Throws InputError on malformed input,
 /// including a token that is not an integer where one is expected, a
-/// `nodes` count of 0 or above kMaxDfgTextNodes, and distance-0 edges that
-/// form a cycle (no II can schedule such a DFG).
+/// `nodes` count of 0 or above kMaxDfgTextNodes, more than
+/// kMaxDfgTextEdges edges (refused before the excess is stored), and
+/// distance-0 edges that form a cycle (no II can schedule such a DFG).
 Dfg dfg_from_text(const std::string& text);
 
 /// Serialise a mapping of `dfg`.

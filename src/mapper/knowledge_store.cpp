@@ -133,6 +133,7 @@ std::optional<MapResult> KnowledgeStore::lookup(
   result.success = true;
   result.outcome = MapOutcome::kFeasible;
   result.ii = snapshot.ii;
+  result.mii = snapshot.mii;
   result.ii_refuted_up_to = snapshot.ii_refuted_up_to;
   result.ii_lo = std::max(1, snapshot.ii_refuted_up_to + 1);
   result.ii_hi = snapshot.ii;
@@ -153,6 +154,7 @@ void KnowledgeStore::store(const Dfg& dfg, const DfgFingerprint& fp,
   const Key key = memo_key(fp, arch_fp, options);
   MemoEntry entry;
   entry.ii = result.ii;
+  entry.mii = result.mii;
   entry.ii_refuted_up_to = result.ii_refuted_up_to;
   entry.schedules_tried = result.schedules_tried;
   entry.num_nodes = dfg.num_nodes();

@@ -104,6 +104,7 @@ class KnowledgeStore {
   /// A completed feasible mapping in canonical node space.
   struct MemoEntry {
     int ii = 0;
+    MiiBreakdown mii;  // a hit reports the bounds the stored walk started at
     int ii_refuted_up_to = 0;
     int schedules_tried = 0;
     int num_nodes = 0;

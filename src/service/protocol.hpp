@@ -12,7 +12,7 @@
 //
 // Defaults: memo follows the service configuration; the others are
 // off/0. `mapping:true` asks for the placement text in the response.
-// Grid sides are bounded by kMaxGridSide.
+// Grid sides are bounded by kMaxGridSide, and a line by kMaxRequestLineBytes.
 // Unknown fields are ignored (forward compatibility); a missing or
 // unknown verb, unparsable JSON, or an inconsistent body is a protocol
 // error — answered with {"ok":false,"error":...}, never a dropped
@@ -20,9 +20,11 @@
 #ifndef MONOMAP_SERVICE_PROTOCOL_HPP
 #define MONOMAP_SERVICE_PROTOCOL_HPP
 
+#include <cstddef>
 #include <string>
 
 #include "arch/cgra.hpp"
+#include "io/dfg_io.hpp"
 
 namespace monomap {
 
@@ -30,6 +32,16 @@ namespace monomap {
 /// num_pes-bit masks, so memory grows with the fourth power of the side:
 /// 128x128 is ~100 MB of masks, 1024x1024 would be ~128 GB per table.
 inline constexpr int kMaxGridSide = 128;
+
+/// Longest request line monomap_serve buffers; past it the daemon answers
+/// `bad request` and drops the connection. A DFG text at the caps of
+/// io/dfg_io.hpp is kMaxDfgTextEdges edge lines whose endpoints are below
+/// kMaxDfgTextNodes, so each takes under 32 bytes JSON-escaped
+/// ("edge 4095 4095 2147483647\n" is 27). Twice that per edge line, plus
+/// 64 KiB for the header, the name and the other fields, admits any such
+/// request: about 1.1 MiB.
+inline constexpr std::size_t kMaxRequestLineBytes =
+    64 * static_cast<std::size_t>(kMaxDfgTextEdges) + (std::size_t{64} << 10);
 
 struct ServeRequest {
   enum class Verb { kMap, kStats, kShutdown };

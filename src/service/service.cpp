@@ -87,6 +87,13 @@ std::string MappingService::handle_line(const std::string& line) {
   return error_response(req.id, "unreachable verb");
 }
 
+std::string MappingService::reject_oversized_line() {
+  errors_.fetch_add(1, std::memory_order_relaxed);
+  return error_response("", "bad request: line longer than " +
+                                std::to_string(kMaxRequestLineBytes) +
+                                " bytes");
+}
+
 std::string MappingService::handle_map(const ServeRequest& req) {
   requests_.fetch_add(1, std::memory_order_relaxed);
   Stopwatch watch;

@@ -77,7 +77,11 @@ class MappingService {
   /// Fabrics with both sides up to kMaxCachedFabricSide are kept between
   /// requests, the kFabricCacheEntries most recently used of them. A
   /// 32x32 fabric holds about 384 KiB of masks, a kMaxGridSide one about
-  /// 96 MiB, so larger fabrics are built per request.
+  /// 96 MiB, so larger fabrics are built per request. A cached fabric also
+  /// keeps its pin fabric once a space search has used it
+  /// (CgraArch::pin_fabric, built only for sides of 32 or less): a 32x32
+  /// fabric's 63x63 pin fabric holds about 6 MiB of masks, plus 2 MiB per
+  /// multiplicity level its searches ask for.
   static constexpr int kMaxCachedFabricSide = 32;
   static constexpr std::size_t kFabricCacheEntries = 4;
 
@@ -91,6 +95,10 @@ class MappingService {
   /// Thread-safe; map requests block the calling thread until a worker
   /// finishes them (connection threads are the natural callers).
   std::string handle_line(const std::string& line);
+
+  /// The response to a line the front-end stopped reading past
+  /// kMaxRequestLineBytes, counted as an error. Thread-safe.
+  std::string reject_oversized_line();
 
   /// A shutdown verb was accepted; the front-end should stop accepting.
   [[nodiscard]] bool shutdown_requested() const {

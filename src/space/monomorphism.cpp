@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <utility>
 
@@ -98,6 +99,19 @@ bool is_dynamic_order(SpaceOrder order) {
 /// Below it the upgrade never arms, keeping small-grid traces bit-identical
 /// to the recorded baselines.
 constexpr int kSparseOrderMinPes = 256;
+
+/// Pin-fabric arming (BitsetSearcher::plan_pin_fabric). The real fabric
+/// needs more than kPinFabricMinPes PEs, the multi-word threshold the
+/// multiplicity filter also uses: on smaller fabrics the octant already
+/// removes the 8-fold symmetry and few translations fit: a prototype armed
+/// on 4x4/5x5 made the 300 novel compiles of the serve-mixed benchmark
+/// 0.69 -> 0.98-1.00 s in total (nw 4x4 74 -> 102 ms).
+constexpr int kPinFabricMinPes = PeSet::kWordBits;
+/// ...and the pin fabric at most kPinFabricMaxPes PEs, so real sides of 32
+/// or less. Mask memory grows with PEs squared: a 63x63 pin fabric holds
+/// about 6 MiB of masks, a 255x255 one (a kMaxGridSide service request)
+/// would take about 1.5 GiB.
+constexpr std::int64_t kPinFabricMaxPes = 4096;
 
 /// Static variable order for kConnectivity / kDegree / kBfs.
 std::vector<NodeId> build_static_order(
@@ -200,13 +214,13 @@ class BitsetSearcher {
                  const std::vector<int>& labels, int ii,
                  const SpaceOptions& options, const Deadline& deadline)
       : dfg_(dfg),
-        arch_(arch),
+        real_(arch),
+        fabric_(&arch),
         labels_(labels),
         ii_(ii),
         options_(options),
         deadline_(deadline),
         n_(dfg.num_nodes()),
-        num_pes_(arch.num_pes()),
         neighbors_(static_cast<std::size_t>(n_)),
         nodes_by_label_(static_cast<std::size_t>(ii)),
         assignment_(static_cast<std::size_t>(n_), -1),
@@ -224,9 +238,9 @@ class BitsetSearcher {
       degree_of_[static_cast<std::size_t>(v)] =
           static_cast<int>(neighbors_[static_cast<std::size_t>(v)].size());
       const int label = labels_[static_cast<std::size_t>(v)];
-      if (label >= 0 && label < ii_) {  // check_labels asserts otherwise
-        nodes_by_label_[static_cast<std::size_t>(label)].push_back(v);
-      }
+      MONOMAP_ASSERT_MSG(label >= 0 && label < ii_,
+                         "label " << label << " outside [0," << ii_ << ")");
+      nodes_by_label_[static_cast<std::size_t>(label)].push_back(v);
     }
     // Dancing-links views of the unassigned node set: ascending-id order
     // globally (select_node's scan) and nodes_by_label_ order per label
@@ -257,53 +271,24 @@ class BitsetSearcher {
     bfs_dist_.resize(static_cast<std::size_t>(n_));
     bfs_parent_.resize(static_cast<std::size_t>(n_));
     bfs_queue_.resize(static_cast<std::size_t>(n_));
-    domain_.reserve(static_cast<std::size_t>(n_));
     pruners_.reserve(static_cast<std::size_t>(n_));
     cs_stack_.reserve(static_cast<std::size_t>(n_));
     for (NodeId v = 0; v < n_; ++v) {
-      domain_.push_back(PeSet::full(num_pes_));
       pruners_.push_back(PeSet(n_));
       cs_stack_.push_back(PeSet(n_));
     }
-    words_ = (num_pes_ + PeSet::kWordBits - 1) / PeSet::kWordBits;
     node_words_ = (n_ + PeSet::kWordBits - 1) / PeSet::kWordBits;
-    num_tiles_ = (words_ + PeSet::kTileWords - 1) / PeSet::kTileWords;
-    // Cached once per search so a run is internally consistent even if the
-    // global toggle flips concurrently (the bench flips it between runs).
-    tile_skip_ = words_ >= PeSet::kDispatchWords &&
-                 words_ <= PeSet::kMaxTrackedWords &&
-                 simd::tile_skipping_enabled();
-    // Same once-per-search pinning for the dispatch level: the tiled loops
-    // below call kernels per 8-word tile, where re-resolving the dispatch
-    // table each call costs as much as the kernel itself.
-    hk_ = simd::hot_kernels();
+    // The ordering regime is the real fabric's, also on the pin fabric: in
+    // a prototype, letting a 10x10 search's 361-PE pin fabric arm sparse
+    // MRV cost hotspot3D 10x10 an II (4 -> 5).
     use_sparse_ = options_.order == SpaceOrder::kSparseMrv ||
                   (options_.order == SpaceOrder::kDynamicMrv &&
                    options_.sparse_order_auto &&
-                   num_pes_ >= kSparseOrderMinPes);
-
-    // Global value order: interior-first rank memoised on the arch (same
-    // key and stability as the reference engine's candidate sort, so both
-    // engines expand values in the same order; the per-searcher
-    // stable_sort over num_pes was measurable on a 64x64 fabric).
-    value_rank_ = arch_.interior_first_rank().data();
-    // One candidate buffer per depth: enumeration happens via the domain's
-    // set bits (O(words + candidates)), not a scan over all PEs. The
-    // storage is deliberately left uninitialised — search() always writes
-    // a depth's slice from the domain before reading it, and zero-filling
-    // n * num_pes ints is measurable against a whole small-kernel mapping
-    // on a 64x64 fabric.
-    cand_arena_.reset(new PeId[static_cast<std::size_t>(n_) *
-                               static_cast<std::size_t>(num_pes_)]);
-    if (options_.symmetry_breaking && symmetry_applicable(arch_)) {
-      canonical_ = PeSet(num_pes_);
-      for (PeId p = 0; p < num_pes_; ++p) {
-        if (in_canonical_octant(arch_, p)) canonical_.set(p);
-      }
-    }
+                   real_.num_pes() >= kSparseOrderMinPes);
     if (!is_dynamic_order(options_.order)) {
       order_ = build_static_order(dfg_, neighbors_, options_.order);
     }
+    std::vector<char> mult_used;
     if (options_.distance2_filter) {
       // Paths-of-length-2 adjacency of the labelled DFG: for every node a,
       // the nodes b at undirected distance exactly 2 with *all* their
@@ -317,7 +302,6 @@ class BitsetSearcher {
       PeSet seen(n_);
       std::vector<std::vector<NodeId>> wit(static_cast<std::size_t>(n_));
       std::vector<NodeId> partners;
-      std::vector<char> mult_used;
       for (NodeId a = 0; a < n_; ++a) {
         seen.clear();
         seen.set(a);
@@ -370,6 +354,49 @@ class BitsetSearcher {
           wl.clear();
         }
       }
+    }
+
+    // Everything below lives on the fabric the search runs on: the real
+    // one, or its pin fabric.
+    plan_pin_fabric();
+    num_pes_ = fabric_->num_pes();
+    domain_.reserve(static_cast<std::size_t>(n_));
+    for (NodeId v = 0; v < n_; ++v) {
+      domain_.push_back(PeSet::full(num_pes_));
+    }
+    words_ = (num_pes_ + PeSet::kWordBits - 1) / PeSet::kWordBits;
+    num_tiles_ = (words_ + PeSet::kTileWords - 1) / PeSet::kTileWords;
+    // Cached once per search so a run is internally consistent even if the
+    // global toggle flips concurrently (the bench flips it between runs).
+    tile_skip_ = words_ >= PeSet::kDispatchWords &&
+                 words_ <= PeSet::kMaxTrackedWords &&
+                 simd::tile_skipping_enabled();
+    // Same once-per-search pinning for the dispatch level: the tiled loops
+    // below call kernels per 8-word tile, where re-resolving the dispatch
+    // table each call costs as much as the kernel itself.
+    hk_ = simd::hot_kernels();
+
+    // Global value order: interior-first rank memoised on the arch (same
+    // key and stability as the reference engine's candidate sort, so both
+    // engines expand values in the same order; the per-searcher
+    // stable_sort over num_pes was measurable on a 64x64 fabric).
+    value_rank_ = fabric_->interior_first_rank().data();
+    // One candidate buffer per depth: enumeration happens via the domain's
+    // set bits (O(words + candidates)), not a scan over all PEs. The
+    // storage is deliberately left uninitialised — search() always writes
+    // a depth's slice from the domain before reading it, and zero-filling
+    // n * num_pes ints is measurable against a whole small-kernel mapping
+    // on a 64x64 fabric.
+    cand_arena_.reset(new PeId[static_cast<std::size_t>(n_) *
+                               static_cast<std::size_t>(num_pes_)]);
+    if (options_.symmetry_breaking && !window_ &&
+        symmetry_applicable(real_)) {
+      canonical_ = PeSet(num_pes_);
+      for (PeId p = 0; p < num_pes_; ++p) {
+        if (in_canonical_octant(real_, p)) canonical_.set(p);
+      }
+    }
+    if (options_.distance2_filter) {
       // Per-multiplicity target-mask tables, only for the multiplicities
       // this DFG actually contains (commonly none, or just k = 2). Probing
       // stays within each PE's distance-2 ball, so the build is O(PEs)
@@ -378,15 +405,16 @@ class BitsetSearcher {
       // effects dominate) while the extra pruner witnesses enlarge
       // conflict sets and measurably weaken backjumping — nw 4x4 pays
       // ~8% more backtracks — whereas 16x16 and up win 13-26% (see
-      // SpaceOptions::distance2_multiplicity).
+      // SpaceOptions::distance2_multiplicity). The real fabric's PE count
+      // decides, also on the pin fabric.
       use_mult_ = options_.distance2_multiplicity && max_mult_ >= 2 &&
-                  num_pes_ > PeSet::kWordBits;
+                  real_.num_pes() > PeSet::kWordBits;
       if (use_mult_) {
         d2k_masks_.resize(static_cast<std::size_t>(max_mult_) + 1, nullptr);
         for (int k = 2; k <= max_mult_; ++k) {
           if (mult_used[static_cast<std::size_t>(k)] == 0) continue;
           d2k_masks_[static_cast<std::size_t>(k)] =
-              &arch_.common_target_masks(k);
+              &fabric_->common_target_masks(k);
         }
       }
     }
@@ -459,7 +487,7 @@ class BitsetSearcher {
       result.seconds = watch.elapsed_s();
       return result;
     }
-    if (!check_labels(dfg_, arch_, labels_, ii_, result)) {
+    if (!check_labels(dfg_, real_, labels_, ii_, result)) {
       result.seconds = watch.elapsed_s();
       return result;
     }
@@ -491,6 +519,7 @@ class BitsetSearcher {
     result.domain_bytes_touched = words_touched_ * sizeof(PeSet::Word);
     if (result.found) {
       result.pe = assignment_;
+      if (window_) shift_onto_real(result.pe);
     } else if (result.failure_reason.empty()) {
       result.failure_reason = result.timed_out ? "search budget exhausted"
                                                : "search space exhausted";
@@ -499,9 +528,11 @@ class BitsetSearcher {
         // proof branched on or wiped out, plus every node whose placement
         // or existence pruned a domain the proof used — so the proof
         // stands on the induced subproblem of exactly these nodes (see
-        // SpaceResult::conflict_nodes). A set holding the pinned root was
-        // proven with the root at the pin only, so it is widened first.
-        if (root_ != kInvalidNode && fail_set_.test(root_)) {
+        // SpaceResult::conflict_nodes). A set holding the root pinned in
+        // place was proven with the root at the pin only, so it is widened
+        // first; one proven on the pin fabric needs no widening (see
+        // plan_pin_fabric).
+        if (!window_ && root_ != kInvalidNode && fail_set_.test(root_)) {
           widen_certificate(result);
         }
         fail_set_.for_each(
@@ -701,26 +732,10 @@ class BitsetSearcher {
   bool apply_root_degree_filter(SpaceResult& result) {
     std::vector<int> per_label(static_cast<std::size_t>(ii_), 0);
     for (NodeId v = 0; v < n_; ++v) {
-      int need = 0;
-      int need_label = -1;
-      auto bump = [&](NodeId u) {
-        const int l = labels_[static_cast<std::size_t>(u)];
-        if (++per_label[static_cast<std::size_t>(l)] > need) {
-          need = per_label[static_cast<std::size_t>(l)];
-          need_label = l;
-        }
-      };
-      bump(v);
-      for (const NodeId u : neighbors_[static_cast<std::size_t>(v)]) bump(u);
-      per_label[static_cast<std::size_t>(labels_[
-          static_cast<std::size_t>(v)])] = 0;
-      for (const NodeId u : neighbors_[static_cast<std::size_t>(v)]) {
-        per_label[static_cast<std::size_t>(labels_[
-            static_cast<std::size_t>(u)])] = 0;
-      }
+      const auto [need, need_label] = closed_demand(v, per_label);
       if (need <= 1) continue;
       PeSet& d = domain_[static_cast<std::size_t>(v)];
-      const PeSet& mask = arch_.min_closed_degree_mask(need);
+      const PeSet& mask = fabric_->min_closed_degree_mask(need);
       if (d.is_subset_of(mask)) continue;
       d &= mask;
       for (const NodeId u : neighbors_[static_cast<std::size_t>(v)]) {
@@ -744,6 +759,97 @@ class BitsetSearcher {
       }
     }
     return true;
+  }
+
+  /// The root degree filter's demand at v: the size of the largest
+  /// same-label subset of N(v) ∪ {v}, and its label. `per_label` is an
+  /// all-zero scratch of ii_ counters, and is left all-zero.
+  std::pair<int, int> closed_demand(NodeId v,
+                                    std::vector<int>& per_label) const {
+    int need = 0;
+    int need_label = -1;
+    auto bump = [&](NodeId u) {
+      const int l = labels_[static_cast<std::size_t>(u)];
+      if (++per_label[static_cast<std::size_t>(l)] > need) {
+        need = per_label[static_cast<std::size_t>(l)];
+        need_label = l;
+      }
+    };
+    bump(v);
+    for (const NodeId u : neighbors_[static_cast<std::size_t>(v)]) bump(u);
+    per_label[static_cast<std::size_t>(labels_[
+        static_cast<std::size_t>(v)])] = 0;
+    for (const NodeId u : neighbors_[static_cast<std::size_t>(v)]) {
+      per_label[static_cast<std::size_t>(labels_[
+          static_cast<std::size_t>(u)])] = 0;
+    }
+    return {need, need_label};
+  }
+
+  /// The depth-0 node select_node picks on the real fabric, computed
+  /// before any domain exists: there every domain starts full and the
+  /// root degree filter cuts it to min_closed_degree_mask(need).
+  /// kInvalidNode when the filter wipes a domain, which run() then reports
+  /// on the real fabric.
+  NodeId real_root() const {
+    std::vector<int> per_label(static_cast<std::size_t>(ii_), 0);
+    NodeId best = kInvalidNode;
+    int best_count = 0;
+    for (NodeId v = 0; v < n_; ++v) {
+      int count = real_.num_pes();
+      if (options_.distance2_filter) {
+        const int need = closed_demand(v, per_label).first;
+        if (need > 1) count = real_.min_closed_degree_mask(need).count();
+        if (count == 0) return kInvalidNode;
+      }
+      if (best == kInvalidNode || prefer(v, count, best, best_count)) {
+        best = v;
+        best_count = count;
+      }
+    }
+    return is_dynamic_order(options_.order) ? best : order_[0];
+  }
+
+  /// Pin fabric, for a mesh or king mesh too narrow to pin in place
+  /// (translation_pin): the search runs on real_.pin_fabric(), the
+  /// (2R-1)x(2C-1) fabric of the same topology, with the real depth-0 node
+  /// pinned at its centre (R-1, C-1), and rejects every candidate that
+  /// would stretch the placed nodes' bounding box past R rows or C columns
+  /// (window_culprit). It is exact. A real placement, shifted so the root
+  /// sits on the centre, stays on the pin fabric with its box at most R x C;
+  /// a windowed placement shifted by its box's top-left corner lands back
+  /// on the real fabric (shift_onto_real). A conflict set needs no
+  /// widening: in any real placement of its sub-DFG every node lies within
+  /// R-1 rows and C-1 columns of every other, so the same shift carries it
+  /// onto the pin with its box intact. Arms on connected DFGs with
+  /// symmetry breaking on, beside the PE bounds kPinFabricMinPes and
+  /// kPinFabricMaxPes; the sparse-ordering and multiplicity regimes and the
+  /// slot capacity stay the real fabric's.
+  void plan_pin_fabric() {
+    if (!options_.symmetry_breaking || n_ == 0) return;
+    if (real_.topology() != Topology::kMesh &&
+        real_.topology() != Topology::kDiagonal) {
+      return;
+    }
+    const std::int64_t pin_pes =
+        static_cast<std::int64_t>(2 * real_.rows() - 1) *
+        static_cast<std::int64_t>(2 * real_.cols() - 1);
+    if (real_.num_pes() <= kPinFabricMinPes || pin_pes > kPinFabricMaxPes) {
+      return;
+    }
+    const NodeId root = real_root();
+    if (root == kInvalidNode) return;
+    const auto [reached, ecc] = bfs_from(root, [](NodeId) { return true; });
+    if (reached < n_ || pins_in_place(ecc)) return;
+    fabric_ = &real_.pin_fabric();
+    root_ = root;
+    window_ = true;
+    box_.resize(static_cast<std::size_t>(n_) + 1);
+  }
+
+  /// Whether the in-place translation pin (e, e) fits the real fabric.
+  [[nodiscard]] bool pins_in_place(int ecc) const {
+    return real_.rows() >= 2 * ecc + 1 && real_.cols() >= 2 * ecc + 1;
   }
 
   /// Undirected BFS from `root` over the nodes `member` admits, filling
@@ -784,19 +890,83 @@ class BitsetSearcher {
   /// 2e + 1 — and a shift preserves mesh adjacency and keeps same-slot
   /// nodes on distinct PEs. So a placement exists iff one exists with v at
   /// (e, e), a PE inside the canonical octant. Needs a connected DFG (e
-  /// finite); the torus is left to the octant.
+  /// finite); the torus is left to the octant. On the pin fabric the pin is
+  /// its centre instead (plan_pin_fabric).
   PeId translation_pin(NodeId v) {
+    if (window_) return fabric_->pe_at(real_.rows() - 1, real_.cols() - 1);
     if (!options_.symmetry_breaking) return -1;
-    if (arch_.topology() != Topology::kMesh &&
-        arch_.topology() != Topology::kDiagonal) {
+    if (real_.topology() != Topology::kMesh &&
+        real_.topology() != Topology::kDiagonal) {
       return -1;
     }
     const auto [reached, ecc] = bfs_from(v, [](NodeId) { return true; });
-    if (reached < n_) return -1;
-    if (arch_.rows() < 2 * ecc + 1 || arch_.cols() < 2 * ecc + 1) return -1;
+    if (reached < n_ || !pins_in_place(ecc)) return -1;
     root_ = v;
     root_ecc_ = ecc;
-    return arch_.pe_at(ecc, ecc);
+    return real_.pe_at(ecc, ecc);
+  }
+
+  /// The placed nodes' bounding box on the pin fabric, with the
+  /// earliest-placed node on each edge (the culprit window_culprit
+  /// charges). box_[d] covers the nodes placed at depths below d; box_[0]
+  /// is empty (inverted bounds).
+  struct Box {
+    int top = std::numeric_limits<int>::max();
+    int bottom = std::numeric_limits<int>::min();
+    int left = std::numeric_limits<int>::max();
+    int right = std::numeric_limits<int>::min();
+    NodeId top_node = kInvalidNode;
+    NodeId bottom_node = kInvalidNode;
+    NodeId left_node = kInvalidNode;
+    NodeId right_node = kInvalidNode;
+  };
+
+  /// `box` grown by node v at PE p.
+  Box extend(Box box, NodeId v, PeId p) const {
+    const int r = fabric_->row_of(p);
+    const int c = fabric_->col_of(p);
+    if (r < box.top) {
+      box.top = r;
+      box.top_node = v;
+    }
+    if (r > box.bottom) {
+      box.bottom = r;
+      box.bottom_node = v;
+    }
+    if (c < box.left) {
+      box.left = c;
+      box.left_node = v;
+    }
+    if (c > box.right) {
+      box.right = c;
+      box.right_node = v;
+    }
+    return box;
+  }
+
+  /// The placed node that rules out PE p under the window: one on the box
+  /// edge p would lie more than R-1 rows or C-1 columns from, or
+  /// kInvalidNode when p keeps the box within R x C. The constraint is
+  /// pairwise (it holds between any two nodes of any real placement), so
+  /// that one node explains the rejection.
+  NodeId window_culprit(const Box& box, PeId p) const {
+    const int r = fabric_->row_of(p);
+    const int c = fabric_->col_of(p);
+    if (r - box.top >= real_.rows()) return box.top_node;
+    if (box.bottom - r >= real_.rows()) return box.bottom_node;
+    if (c - box.left >= real_.cols()) return box.left_node;
+    if (box.right - c >= real_.cols()) return box.right_node;
+    return kInvalidNode;
+  }
+
+  /// A found pin-fabric placement, shifted by its box's top-left corner
+  /// onto the real fabric.
+  void shift_onto_real(std::vector<PeId>& pe) const {
+    const Box& box = box_[static_cast<std::size_t>(n_)];
+    for (PeId& p : pe) {
+      p = real_.pe_at(fabric_->row_of(p) - box.top,
+                      fabric_->col_of(p) - box.left);
+    }
   }
 
   /// A pinned refutation with conflict set S (holding root_) proves only
@@ -854,7 +1024,7 @@ class BitsetSearcher {
     // neighbour additionally lost p itself above.
     for (const NodeId u : neighbors_[static_cast<std::size_t>(v)]) {
       if (assigned(u)) continue;
-      const Change c = intersect_domain(u, arch_.closed_neighbor_mask(p));
+      const Change c = intersect_domain(u, fabric_->closed_neighbor_mask(p));
       if (c != Change::kUnchanged) add_pruner(u, v);
       if (c == Change::kWiped) return u;
     }
@@ -862,7 +1032,7 @@ class BitsetSearcher {
     // within two grid hops of p. The witness w joins u's pruners because
     // the implied constraint only holds on subproblems that contain w.
     if (options_.distance2_filter) {
-      const PeSet& ball = arch_.distance2_mask(p);
+      const PeSet& ball = fabric_->distance2_mask(p);
       for (const D2Pair& pr : dist2_[static_cast<std::size_t>(v)]) {
         const NodeId u = pr.partner;
         if (assigned(u)) continue;
@@ -1009,33 +1179,33 @@ class BitsetSearcher {
     return c;
   }
 
-  NodeId select_node(std::size_t depth) const {
-    if (!is_dynamic_order(options_.order)) {
-      return order_[depth];
-    }
+  /// select_node's rule: whether v, with `count` candidates, beats the
+  /// current best.
+  bool prefer(NodeId v, int count, NodeId best, int best_count) const {
     const auto deg = [&](NodeId x) {
       return static_cast<std::uint64_t>(
           degree_of_[static_cast<std::size_t>(x)]);
     };
+    if (use_sparse_) {
+      // count / (deg + 1) compared cross-multiplied, exact in integers.
+      const std::uint64_t sv =
+          static_cast<std::uint64_t>(count) * (deg(best) + 1);
+      const std::uint64_t sb =
+          static_cast<std::uint64_t>(best_count) * (deg(v) + 1);
+      return sv < sb || (sv == sb && deg(v) > deg(best));
+    }
+    return count < best_count || (count == best_count && deg(v) > deg(best));
+  }
+
+  NodeId select_node(std::size_t depth) const {
+    if (!is_dynamic_order(options_.order)) {
+      return order_[depth];
+    }
     NodeId best = kInvalidNode;
     int best_count = 0;
     const auto consider = [&](NodeId v) {
       const int count = cached_domain_count(v);
-      bool better;
-      if (best == kInvalidNode) {
-        better = true;
-      } else if (use_sparse_) {
-        // count / (deg + 1) compared cross-multiplied, exact in integers.
-        const std::uint64_t sv =
-            static_cast<std::uint64_t>(count) * (deg(best) + 1);
-        const std::uint64_t sb =
-            static_cast<std::uint64_t>(best_count) * (deg(v) + 1);
-        better = sv < sb || (sv == sb && deg(v) > deg(best));
-      } else {
-        better = count < best_count ||
-                 (count == best_count && deg(v) > deg(best));
-      }
-      if (better) {
+      if (best == kInvalidNode || prefer(v, count, best, best_count)) {
         best = v;
         best_count = count;
       }
@@ -1086,7 +1256,9 @@ class BitsetSearcher {
       fail_level_ = -1;
       return false;
     }
-    const NodeId v = select_node(depth);
+    // On the pin fabric the depth-0 node is the one the real fabric's
+    // domains select (plan_pin_fabric).
+    const NodeId v = window_ && depth == 0 ? root_ : select_node(depth);
     MONOMAP_ASSERT(v != kInvalidNode);
     level_of_[static_cast<std::size_t>(v)] = static_cast<int>(depth);
     // This decision's conflict set: v itself, plus everything that shaped
@@ -1099,7 +1271,10 @@ class BitsetSearcher {
     cs |= pruners_[static_cast<std::size_t>(v)];
     // First placement: the translation pin when it applies (one
     // candidate), else the canonical octant unless that empties the
-    // candidate set (mirrors the reference engine exactly).
+    // candidate set (mirrors the reference engine exactly). On the pin
+    // fabric every later candidate must keep the bounding box within the
+    // window, and the node a rejection rests on joins this decision's
+    // conflict set.
     const PeId pin = depth == 0 ? translation_pin(v) : -1;
     if (pin >= 0) result.root_pinned = true;
     const bool canonical_only = pin < 0 && depth == 0 &&
@@ -1117,6 +1292,16 @@ class BitsetSearcher {
       if (domain_[static_cast<std::size_t>(v)].test(pin)) {
         cands[num_cands++] = pin;
       }
+    } else if (window_) {
+      const Box& box = box_[depth];
+      domain_[static_cast<std::size_t>(v)].for_each([&](int p) {
+        const NodeId culprit = window_culprit(box, p);
+        if (culprit != kInvalidNode) {
+          cs.set(culprit);
+          return;
+        }
+        cands[num_cands++] = static_cast<PeId>(p);
+      });
     } else {
       domain_[static_cast<std::size_t>(v)].for_each([&](int p) {
         if (canonical_only && !canonical_.test(p)) return;
@@ -1141,8 +1326,8 @@ class BitsetSearcher {
     }
     if (sparse_anchor >= 0) {
       std::sort(cands, cands + num_cands, [&](PeId a, PeId b) {
-        const int da = arch_.grid_distance(a, sparse_anchor);
-        const int db = arch_.grid_distance(b, sparse_anchor);
+        const int da = fabric_->grid_distance(a, sparse_anchor);
+        const int db = fabric_->grid_distance(b, sparse_anchor);
         if (da != db) return da < db;
         return value_rank_[static_cast<std::size_t>(a)] <
                value_rank_[static_cast<std::size_t>(b)];
@@ -1159,6 +1344,7 @@ class BitsetSearcher {
       const std::size_t pruner_mark = pruner_trail_.size();
       const std::size_t tile_mark = tile_trail_.size();
       assignment_[static_cast<std::size_t>(v)] = p;
+      if (window_) box_[depth + 1] = extend(box_[depth], v, p);
       unlink_node(v);
       frontier_.reset(v);
       const NodeId wiped = propagate_assign(v, p);
@@ -1216,13 +1402,15 @@ class BitsetSearcher {
   }
 
   const Dfg& dfg_;
-  const CgraArch& arch_;
+  const CgraArch& real_;     // the fabric the caller maps onto
+  const CgraArch* fabric_;   // the one the domains live on: real_ or its
+                             // pin fabric (plan_pin_fabric)
   const std::vector<int>& labels_;
   int ii_;
   SpaceOptions options_;
   const Deadline& deadline_;
   int n_;
-  int num_pes_;
+  int num_pes_ = 0;     // fabric_'s
   int words_ = 0;       // words per PE set
   int node_words_ = 0;  // words per node set
   std::vector<std::vector<NodeId>> neighbors_;
@@ -1232,7 +1420,7 @@ class BitsetSearcher {
   std::vector<std::vector<D2Pair>> dist2_;
   /// Backing store for the D2Pair same-label witness groups (mult >= 2).
   std::vector<NodeId> d2_witness_pool_;
-  /// (*d2k_masks_[k])[p] == arch_.common_target_mask(p, k); fetched from
+  /// (*d2k_masks_[k])[p] == fabric_->common_target_mask(p, k); fetched from
   /// the arch's memo only for the multiplicities k >= 2 this DFG contains,
   /// when use_mult_ (nullptr for absent levels).
   std::vector<const std::vector<PeSet>*> d2k_masks_;
@@ -1288,6 +1476,10 @@ class BitsetSearcher {
   // eccentricity, and the BFS buffers it and widen_certificate share.
   NodeId root_ = kInvalidNode;
   int root_ecc_ = 0;
+  // Pin fabric (plan_pin_fabric): search there with the root at its
+  // centre, under the window; box_[d] per depth when armed.
+  bool window_ = false;
+  std::vector<Box> box_;
   std::vector<int> bfs_dist_;
   std::vector<NodeId> bfs_parent_;
   std::vector<NodeId> bfs_queue_;

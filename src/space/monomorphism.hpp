@@ -76,12 +76,17 @@ struct SpaceOptions {
   bool forward_check = true;
   /// Restrict the very first placement. On a square mesh or king mesh it
   /// goes to one symmetry octant. The bitset engine additionally pins it by
-  /// translation: when the topology is mesh or king mesh, the DFG is
-  /// connected and both sides are at least 2e+1 (e = the first node's
-  /// eccentricity in the undirected DFG), the first node's only candidate
-  /// is the PE at row e, column e, because every placement shifts there
-  /// (SpaceResult::root_pinned; docs/performance.md, "Translation pin").
-  /// Sound and complete either way; the reference engine stays unpinned.
+  /// translation when the topology is mesh or king mesh and the DFG is
+  /// connected (SpaceResult::root_pinned; docs/performance.md,
+  /// "Translation pin"). If both sides are at least 2e+1 (e = the first
+  /// node's eccentricity in the undirected DFG), the first node's only
+  /// candidate is the PE at row e, column e, because every placement
+  /// shifts there. Otherwise, on an R x C fabric of more than 64 PEs whose
+  /// (2R-1)x(2C-1) pin fabric has at most 4,096, the search runs on the pin
+  /// fabric with the first node at its centre and every placement kept
+  /// within an R x C bounding box, and the placement it finds is shifted
+  /// back. Sound and complete either way; the reference engine stays
+  /// unpinned.
   bool symmetry_breaking = true;
   /// Bitset engine: supplemental distance-2 constraints, two mechanisms
   /// under one toggle: (a) paths-of-length-2 filtering — assigning a node
@@ -217,11 +222,17 @@ struct SpaceResult {
   /// budget, because the certificate does not depend on the unexplored
   /// region. The reference engine and the precheck failures report coarser
   /// but still sound sets. The decoupled mapper turns this into a
-  /// time-phase nogood clause. A refutation under the translation pin is
-  /// widened first (certificate_widened) so that it holds unpinned.
+  /// time-phase nogood clause. A refutation under the in-place translation
+  /// pin is widened first (certificate_widened) so that it holds unpinned;
+  /// one proven on the pin fabric holds unpinned as it stands.
   std::vector<NodeId> conflict_nodes;
-  /// Bitset engine: the translation pin fired, so the depth-0 node had the
-  /// single candidate (e, e) (SpaceOptions::symmetry_breaking).
+  /// Bitset engine: the translation pin fired, so the depth-0 node had a
+  /// single candidate: (e, e) on the fabric, or the centre of the pin
+  /// fabric (SpaceOptions::symmetry_breaking). On the pin fabric the
+  /// domain and trail telemetry above (words_per_domain,
+  /// trail_words_saved, tiles_skipped, domain_bytes_touched) describe the
+  /// pin fabric's domains; pe and conflict_nodes refer to the real fabric
+  /// as always.
   bool root_pinned = false;
   /// Bitset engine: a pinned refutation's conflict set left some of its
   /// nodes farther than e from the pinned node inside the induced sub-DFG,

@@ -58,6 +58,18 @@ TEST(DfgIo, RejectsMalformedInput) {
                InputError);
   EXPECT_NO_THROW((void)dfg_from_text(
       "dfg x\nnodes " + std::to_string(kMaxDfgTextNodes) + "\nend\n"));
+  // So is one edge line past the edge cap; the cap itself loads. Distinct
+  // distance-1 edges i -> i + k, k = 1..4, fill it exactly.
+  std::string at_cap =
+      "dfg x\nnodes " + std::to_string(kMaxDfgTextNodes) + "\n";
+  for (int k = 1; k <= kMaxDfgTextEdges / kMaxDfgTextNodes; ++k) {
+    for (int i = 0; i < kMaxDfgTextNodes; ++i) {
+      at_cap += "edge " + std::to_string(i) + " " +
+                std::to_string((i + k) % kMaxDfgTextNodes) + " 1\n";
+    }
+  }
+  EXPECT_EQ(dfg_from_text(at_cap + "end\n").num_edges(), kMaxDfgTextEdges);
+  EXPECT_THROW(dfg_from_text(at_cap + "edge 0 1 0\nend\n"), InputError);
   // DFGs no II can map: no nodes, and cycles of distance-0 edges (a
   // self-loop, a two-node cycle). A distance-1 cycle is a recurrence.
   EXPECT_THROW(dfg_from_text("dfg x\nnodes 0\nend\n"), InputError);

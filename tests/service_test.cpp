@@ -137,6 +137,21 @@ TEST(ServiceTest, ExactRepeatIsMemoHitWithSameAnswer) {
   EXPECT_EQ(service.stats().store.memo_hits, 1u);
 }
 
+TEST(ServiceTest, MemoHitReportsTheMissMii) {
+  // A hit answers with the bounds the stored walk started from: fft on 4x4
+  // has mII 7, on the miss and on the repeat.
+  MappingService service;
+  const json::Value miss =
+      parse_response(service.handle_line(map_request("fft", true)));
+  const json::Value hit =
+      parse_response(service.handle_line(map_request("fft", true)));
+  ASSERT_TRUE(miss.bool_or("ok", false));
+  ASSERT_TRUE(hit.bool_or("ok", false));
+  ASSERT_TRUE(hit.bool_or("memo_hit", false));
+  EXPECT_EQ(miss.number_or("mii", -1.0), 7.0);
+  EXPECT_EQ(hit.number_or("mii", -2.0), miss.number_or("mii", -1.0));
+}
+
 TEST(ServiceTest, IsomorphicRepeatIsMemoHitWithValidMapping) {
   // Same structural graph under two different node labelings: the second
   // request must hit the memo AND return a mapping valid for ITS labeling.
@@ -213,6 +228,103 @@ TEST(KnowledgeStoreTest, DifferentOptionsNeverShareMemoSlots) {
   KnowledgeStore fresh;
   fresh.store(dfg, fp, arch_fp, options, degraded);
   EXPECT_FALSE(fresh.lookup(dfg, arch, fp, arch_fp, options).has_value());
+}
+
+TEST(KnowledgeStoreTest, ConcurrentStoresAndLookupsStayConsistent) {
+  // Four threads look up and store overlapping keys: four DFGs times 1,000
+  // answer-shaping option variants, about 1.6 MB of entries offered to a
+  // 1 MB byte budget and a 2,816-entry cap (176 per stripe), so stripes
+  // evict while other threads read them. Every hit must validate and carry
+  // its key's answer, and the counters must add up.
+  const CgraArch arch(4, 4, Topology::kMesh);
+  const std::uint64_t arch_fp = fingerprint_arch(arch);
+  struct Case {
+    Dfg dfg;
+    DfgFingerprint fp;
+    MapResult result;
+  };
+  std::vector<Case> cases;
+  for (const char* name : {"fft", "gsm", "heartwall", "particlefilter"}) {
+    const Dfg& dfg = benchmark_by_name(name).dfg;
+    MapResult result = DecoupledMapper(DecoupledMapperOptions{}).map(dfg, arch);
+    ASSERT_TRUE(result.success) << name;
+    cases.push_back(Case{dfg, fingerprint_dfg(dfg), std::move(result)});
+  }
+  constexpr int kVariants = 1000;
+  const auto options_of = [](int variant) {
+    DecoupledMapperOptions options;
+    options.max_schedules = 1000 + variant;
+    return options;
+  };
+  const int keys = static_cast<int>(cases.size()) * kVariants;
+
+  KnowledgeStore::Options sizing;
+  sizing.memory_budget_mb = 1;
+  sizing.max_memo_entries = 2816;
+  KnowledgeStore store(sizing);
+  constexpr int kThreads = 4;
+  std::atomic<std::uint64_t> lookups{0};
+  std::atomic<std::uint64_t> hits{0};
+  std::vector<std::vector<std::string>> failures(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // 7 is coprime with the key count: each thread visits every key
+      // twice, a few keys apart from the others, so most keys are stored by
+      // one thread and looked up by the rest soon after.
+      for (int i = 0; i < 2 * keys; ++i) {
+        const int k = (i * 7 + t * 3) % keys;
+        const Case& c = cases[static_cast<std::size_t>(k) % cases.size()];
+        const DecoupledMapperOptions options =
+            options_of(k / static_cast<int>(cases.size()));
+        ++lookups;
+        const std::optional<MapResult> hit =
+            store.lookup(c.dfg, arch, c.fp, arch_fp, options);
+        if (!hit.has_value()) {
+          store.store(c.dfg, c.fp, arch_fp, options, c.result);
+          continue;
+        }
+        ++hits;
+        if (hit->ii != c.result.ii ||
+            hit->mii.mii() != c.result.mii.mii() ||
+            !validate_mapping(c.dfg, arch, hit->mapping,
+                              MrrgModel::kRegisterPersistence)
+                 .empty()) {
+          failures[static_cast<std::size_t>(t)].push_back(
+              "key " + std::to_string(k));
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_TRUE(failures[static_cast<std::size_t>(t)].empty())
+        << failures[static_cast<std::size_t>(t)].size()
+        << " bad hits, first: " << failures[static_cast<std::size_t>(t)][0];
+  }
+  const KnowledgeStore::StatsSnapshot s = store.stats();
+  EXPECT_EQ(s.memo_hits, hits.load());
+  EXPECT_EQ(s.memo_hits + s.memo_misses, lookups.load());
+  EXPECT_EQ(s.memo_invalid, 0u);
+  EXPECT_GT(s.memo_hits, 0u);
+  EXPECT_GT(s.memo_evictions, 0u);
+  // The byte budget bound: a charge was refused within one entry (under
+  // 1 KiB here) of it.
+  EXPECT_LE(s.bytes_peak, std::size_t{1} << 20);
+  EXPECT_GT(s.bytes_peak, (std::size_t{1} << 20) - 1024);
+  // Quiescent: exactly the stored and not evicted entries answer.
+  std::uint64_t resident = 0;
+  for (int k = 0; k < keys; ++k) {
+    const Case& c = cases[static_cast<std::size_t>(k) % cases.size()];
+    resident += store
+                    .lookup(c.dfg, arch, c.fp, arch_fp,
+                            options_of(k / static_cast<int>(cases.size())))
+                    .has_value()
+                    ? 1
+                    : 0;
+  }
+  EXPECT_EQ(resident, s.memo_stores - s.memo_evictions);
+  EXPECT_LT(resident, static_cast<std::uint64_t>(keys));
 }
 
 // ---- memo miss -----------------------------------------------------------

@@ -277,6 +277,162 @@ TEST(SpaceEngines, ConflictExplanationsAreSoundUnderTruncation) {
   RecordProperty("widened_certificates", widened);
 }
 
+TEST(SpaceEngines, PinFabricIsExactOnNarrowFabrics) {
+  // A fabric above 64 PEs that is too narrow for the in-place pin (a side
+  // below 2e+1) is searched on its (2R-1)x(2C-1) pin fabric under an
+  // R x C window. That must never change found/not-found against the
+  // unpinned search, every placement must come back onto the real fabric,
+  // and every certificate must hold there without widening: an exhaustive
+  // unpinned reference search of its induced sub-DFG finds nothing.
+  // Sparse DFGs keep eccentricities above the in-place bound; denser ones
+  // (extra_edge_prob 0.2) reach in-place-pinned refutations that the
+  // unpinned comparison search needs minutes for.
+  struct Fabric {
+    int rows;
+    int cols;
+    Topology topology;
+  };
+  int instances = 0;
+  int found = 0;
+  int certificates = 0;
+  int root_pinned = 0;
+  int on_pin_fabric = 0;
+  int pin_fabric_certificates = 0;
+  for (const Fabric f : {Fabric{9, 9, Topology::kMesh},
+                         Fabric{10, 10, Topology::kMesh},
+                         Fabric{12, 12, Topology::kMesh},
+                         Fabric{9, 12, Topology::kMesh},
+                         Fabric{11, 8, Topology::kMesh},
+                         Fabric{9, 9, Topology::kDiagonal}}) {
+    const CgraArch arch(f.rows, f.cols, f.topology);
+    const int real_words = (arch.num_pes() + 63) / 64;
+    for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+      SyntheticSpec spec;
+      spec.num_nodes = 8 + static_cast<int>(seed % 20);  // 8..27 nodes
+      spec.extra_edge_prob = 0.1;
+      spec.max_degree = 4;
+      spec.seed = seed * 6151 + static_cast<std::uint64_t>(f.rows * f.cols);
+      const Dfg dfg = random_dfg(spec);
+      for (int ii = 1; ii <= 3; ++ii) {
+        Rng rng(seed * 97 + static_cast<std::uint64_t>(ii));
+        std::vector<int> labels(static_cast<std::size_t>(dfg.num_nodes()));
+        for (int& l : labels) {
+          l = static_cast<int>(rng.next_below(static_cast<std::uint32_t>(ii)));
+        }
+        const std::string where =
+            std::to_string(f.rows) + "x" + std::to_string(f.cols) + " " +
+            topology_name(f.topology) + " seed=" + std::to_string(seed) +
+            " ii=" + std::to_string(ii);
+        SpaceOptions pinned;
+        pinned.max_backtracks = 0;
+        SpaceOptions unpinned = pinned;
+        unpinned.symmetry_breaking = false;
+        const SpaceResult r = find_monomorphism(dfg, arch, labels, ii, pinned);
+        const SpaceResult u =
+            find_monomorphism(dfg, arch, labels, ii, unpinned);
+        ASSERT_FALSE(r.timed_out || u.timed_out) << where;
+        EXPECT_EQ(r.found, u.found) << where;
+        ++instances;
+        // The domain telemetry describes the fabric the search ran on.
+        const bool pin_fabric =
+            r.root_pinned && r.words_per_domain > real_words;
+        on_pin_fabric += pin_fabric ? 1 : 0;
+        root_pinned += r.root_pinned ? 1 : 0;
+        if (r.found) {
+          ++found;
+          expect_valid_placement(dfg, arch, labels, r);
+          continue;
+        }
+        ASSERT_FALSE(r.conflict_nodes.empty()) << where;
+        if (pin_fabric) {
+          EXPECT_FALSE(r.certificate_widened) << where;
+        }
+        std::vector<int> sub_labels;
+        const Dfg sub =
+            induced_subdfg(dfg, labels, r.conflict_nodes, sub_labels);
+        SpaceOptions oracle;
+        oracle.engine = SpaceEngine::kReference;
+        oracle.max_backtracks = 0;
+        oracle.symmetry_breaking = false;
+        EXPECT_FALSE(find_monomorphism(sub, arch, sub_labels, ii, oracle).found)
+            << "unsound certificate: " << where << " |conflict|="
+            << r.conflict_nodes.size() << "/" << dfg.num_nodes();
+        ++certificates;
+        pin_fabric_certificates += pin_fabric ? 1 : 0;
+      }
+    }
+  }
+  // 900 instances: 681 found, 219 certificates (102 of them proven on the
+  // pin fabric), every root pinned, 356 on the pin fabric.
+  EXPECT_GE(found, instances / 2);
+  EXPECT_GE(certificates, instances / 5);
+  EXPECT_EQ(root_pinned, instances);
+  EXPECT_GE(on_pin_fabric, instances / 3)
+      << "the sweep rarely reached the pin fabric";
+  EXPECT_GE(pin_fabric_certificates, instances / 10);
+  RecordProperty("certificates_checked", certificates);
+  RecordProperty("on_pin_fabric", on_pin_fabric);
+}
+
+TEST(SpaceEngines, PinFabricWindowRefutesWhatDoesNotFit) {
+  // A 2 x k ladder with one slot label is rigid on a mesh: every square
+  // lands on a unit square, and the next square on the far side of the
+  // shared edge, so it needs a straight 2 x k strip. On the pin fabric it
+  // always has room; only the window stops a k longer than both fabric
+  // sides. So the refutation rests on window rejections, and its
+  // certificate must name the nodes they rest on: an exhaustive unpinned
+  // reference search of the induced sub-DFG on the real fabric must fail.
+  // A three-node tail off one end lets the certificate be smaller than
+  // the DFG; without the culprit charge it drops nodes it needs.
+  constexpr int kTail = 3;
+  const auto ladder = [](int k) {
+    std::vector<Edge> edges;
+    for (int j = 0; j < k; ++j) {
+      edges.push_back(Edge{j, k + j, 0});
+      if (j + 1 < k) {
+        edges.push_back(Edge{j, j + 1, 0});
+        edges.push_back(Edge{k + j, k + j + 1, 0});
+      }
+    }
+    for (int t = 0; t < kTail; ++t) {
+      edges.push_back(Edge{t == 0 ? k - 1 : 2 * k + t - 1, 2 * k + t, 0});
+    }
+    return Dfg::from_edges("ladder", 2 * k + kTail, edges);
+  };
+  for (const auto& [rows, cols] : {std::pair{9, 9}, std::pair{10, 10},
+                                   std::pair{9, 12}, std::pair{11, 8}}) {
+    const CgraArch arch(rows, cols, Topology::kMesh);
+    const int side = std::max(rows, cols);
+    for (const int k : {side, side + 1}) {
+      const Dfg dfg = ladder(k);
+      const std::vector<int> labels(static_cast<std::size_t>(dfg.num_nodes()),
+                                    0);
+      SpaceOptions opt;
+      opt.max_backtracks = 0;
+      const SpaceResult r = find_monomorphism(dfg, arch, labels, 1, opt);
+      const std::string where = std::to_string(rows) + "x" +
+                                std::to_string(cols) +
+                                " k=" + std::to_string(k);
+      ASSERT_FALSE(r.timed_out) << where;
+      EXPECT_TRUE(r.root_pinned) << where;
+      EXPECT_EQ(r.found, k == side) << where;
+      if (r.found) {
+        expect_valid_placement(dfg, arch, labels, r);
+        continue;
+      }
+      std::vector<int> sub_labels;
+      const Dfg sub = induced_subdfg(dfg, labels, r.conflict_nodes, sub_labels);
+      SpaceOptions oracle;
+      oracle.engine = SpaceEngine::kReference;
+      oracle.max_backtracks = 0;
+      oracle.symmetry_breaking = false;
+      EXPECT_FALSE(find_monomorphism(sub, arch, sub_labels, 1, oracle).found)
+          << "unsound certificate: " << where << " |conflict|="
+          << r.conflict_nodes.size();
+    }
+  }
+}
+
 TEST(SpaceEngines, TogglesPreserveCompleteness) {
   // Distance-2 filtering and backjumping are implied/complete — flipping
   // them never changes found/not-found on complete searches.

@@ -162,7 +162,8 @@ TEST(Monomorphism, SymmetryBreakingPreservesCompleteness) {
 
   // The suite's first schedules on the small grids never pin by
   // translation: every DFG's first node has an eccentricity too large for
-  // the fabric (the default budget is enough, the pin is decided first).
+  // the fabric, and fabrics of 64 PEs or fewer never move to the pin
+  // fabric (the default budget is enough, the pin is decided first).
   for (const int side : {2, 4, 5}) {
     const CgraArch small = CgraArch::square(side);
     for (const Benchmark& b : benchmark_suite()) {
@@ -174,9 +175,11 @@ TEST(Monomorphism, SymmetryBreakingPreservesCompleteness) {
       EXPECT_FALSE(r.root_pinned) << b.name << " " << side;
     }
   }
-  // On the large grids the translation pin fires for most of the suite.
-  // Complete searches with it, without any symmetry breaking, and with the
-  // unpinned reference engine must agree on every first schedule.
+  // On the large grids the translation pin fires for most of the suite,
+  // and on 10x10 for all of it: where a side is below 2e+1 the search pins
+  // on the pin fabric instead. Complete searches with it, without any
+  // symmetry breaking, and with the unpinned reference engine must agree
+  // on every first schedule.
   with.max_backtracks = 0;
   without.max_backtracks = 0;
   SpaceOptions reference = with;
@@ -200,6 +203,9 @@ TEST(Monomorphism, SymmetryBreakingPreservesCompleteness) {
       EXPECT_EQ(r.found, off.found) << b.name << " " << side;
       EXPECT_EQ(r.found, ref.found) << b.name << " " << side;
       pinned += r.root_pinned ? 1 : 0;
+      if (side == 10) {
+        EXPECT_TRUE(r.root_pinned) << b.name;
+      }
       if (r.found) expect_monomorphism(b.dfg, large, first_labels, r);
       if (off.found) expect_monomorphism(b.dfg, large, first_labels, off);
     }

@@ -85,6 +85,20 @@ TEST(SpeculativeMapper, MatchesSequentialOnRandomDfgs) {
   }
 }
 
+/// On 10x10 every nw attempt searches the fabric's pin fabric, which the
+/// racing attempts build and read through the arch's memo: the race runs
+/// first on a fresh fabric, so its workers are the ones that race to build
+/// it, and must still agree with the sequential walk.
+TEST(SpeculativeMapper, RacingAttemptsSharePinFabric) {
+  const DecoupledMapper mapper(fast_options());
+  const Benchmark& b = benchmark_by_name("nw");
+  const CgraArch arch = CgraArch::square(10);
+  const MapResult spec = mapper.map(b.dfg, arch, kLookahead);
+  const MapResult seq = mapper.map(b.dfg, arch);
+  expect_same_walk(seq, spec, "nw 10x10");
+  EXPECT_TRUE(mapping_is_valid(b.dfg, arch, spec.mapping));
+}
+
 /// The narrowest race — one II beyond the frontier on two workers, the
 /// shape every map_batch case takes — must still agree.
 TEST(SpeculativeMapper, LookaheadOneStillMatches) {

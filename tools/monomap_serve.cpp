@@ -10,6 +10,8 @@
 // One MappingService instance backs every connection, so all clients share
 // the fingerprint memo cache. A
 // `shutdown` verb (or SIGINT/SIGTERM) drains in-flight requests and exits 0.
+// A line longer than kMaxRequestLineBytes is answered `bad request: ...`
+// and ends its connection (or the --stdio session).
 #include <atomic>
 #include <csignal>
 #include <cstring>
@@ -53,8 +55,21 @@ void on_signal(int) { g_stop.store(true, std::memory_order_release); }
   std::exit(2);
 }
 
+/// Write `response` and a newline to fd; false when the peer is gone.
+bool write_line(int fd, std::string response) {
+  response.push_back('\n');
+  std::size_t off = 0;
+  while (off < response.size()) {
+    const ssize_t w = ::write(fd, response.data() + off, response.size() - off);
+    if (w <= 0) return false;
+    off += static_cast<std::size_t>(w);
+  }
+  return true;
+}
+
 /// Read up to '\n'-delimited lines from fd, answer each through the
-/// service. Returns when the peer hangs up or shutdown is requested.
+/// service. Returns when the peer hangs up, shutdown is requested, or a
+/// line runs past kMaxRequestLineBytes (answered, then dropped).
 void serve_connection(MappingService* service, int fd) {
   std::string buffer;
   char chunk[4096];
@@ -66,40 +81,56 @@ void serve_connection(MappingService* service, int fd) {
     for (;;) {
       const std::size_t nl = buffer.find('\n', start);
       if (nl == std::string::npos) break;
+      if (nl - start > kMaxRequestLineBytes) {
+        (void)write_line(fd, service->reject_oversized_line());
+        ::close(fd);
+        return;
+      }
       std::string line = buffer.substr(start, nl - start);
       start = nl + 1;
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (line.empty()) continue;
-      std::string response = service->handle_line(line);
-      response.push_back('\n');
-      std::size_t off = 0;
-      while (off < response.size()) {
-        const ssize_t w =
-            ::write(fd, response.data() + off, response.size() - off);
-        if (w <= 0) {
-          ::close(fd);
-          return;
-        }
-        off += static_cast<std::size_t>(w);
-      }
-      if (service->shutdown_requested()) {
+      if (!write_line(fd, service->handle_line(line)) ||
+          service->shutdown_requested()) {
         ::close(fd);
         return;
       }
     }
     buffer.erase(0, start);
+    if (buffer.size() > kMaxRequestLineBytes) {
+      (void)write_line(fd, service->reject_oversized_line());
+      break;
+    }
   }
   ::close(fd);
 }
 
+/// std::getline that stops past kMaxRequestLineBytes: false at the end of
+/// the input, or with *too_long set.
+bool read_line(std::istream& in, std::string* line, bool* too_long) {
+  line->clear();
+  for (int c = in.get(); c != std::char_traits<char>::eof(); c = in.get()) {
+    if (c == '\n') return true;
+    if (line->size() == kMaxRequestLineBytes) {
+      *too_long = true;
+      return false;
+    }
+    line->push_back(static_cast<char>(c));
+  }
+  return !line->empty();
+}
+
 int serve_stdio(MappingService* service) {
   std::string line;
+  bool too_long = false;
   while (!service->shutdown_requested() &&
          !g_stop.load(std::memory_order_acquire) &&
-         std::getline(std::cin, line)) {
+         read_line(std::cin, &line, &too_long)) {
     if (line.empty()) continue;
     std::cout << service->handle_line(line) << '\n' << std::flush;
   }
+  // An over-long line ends the session, as it ends a socket connection.
+  if (too_long) std::cout << service->reject_oversized_line() << '\n';
   return 0;
 }
 
