@@ -105,6 +105,8 @@ class TimeFormulation {
   [[nodiscard]] int ii() const { return ii_; }
   [[nodiscard]] int horizon() const { return mobs_.length(); }
   [[nodiscard]] TimeFormulationStats stats() const;
+  /// The underlying solver (its SatStats and last model).
+  [[nodiscard]] const SatSolver& solver() const { return solver_; }
 
  private:
   [[nodiscard]] Lit x_lit(NodeId v, int t) const;

@@ -99,6 +99,8 @@ class TimeSession {
   bool add_label_nogood(const std::vector<std::pair<NodeId, int>>& placements);
 
   [[nodiscard]] TimeFormulationStats stats() const;
+  /// The underlying solver (its SatStats and last model).
+  [[nodiscard]] const SatSolver& solver() const { return solver_; }
   /// Learnt clauses currently retained by the session's solver.
   [[nodiscard]] int num_learnts() const;
 

@@ -80,6 +80,7 @@ bool TimeSolver::advance_instance() {
     }
     formulation_ = std::make_unique<TimeFormulation>(
         dfg_, arch_, ii_, critical_path_ + extension_, options_.constraints);
+    sat_folded_ = SatStats{};
     if (formulation_->build()) {
       // Re-arm the space-conflict nogoods recorded at this II; a rebuild
       // must keep pruning exactly what the incremental session prunes.
@@ -158,6 +159,14 @@ bool TimeSolver::add_space_nogood(const TimeSolution& solution,
   return true;
 }
 
+void TimeSolver::fold_sat_stats(const SatSolver& solver) {
+  const SatStats& now = solver.stats();
+  stats_.sat_conflicts += now.conflicts - sat_folded_.conflicts;
+  stats_.sat_decisions += now.decisions - sat_folded_.decisions;
+  stats_.sat_propagations += now.propagations - sat_folded_.propagations;
+  sat_folded_ = now;
+}
+
 std::optional<TimeSolution> TimeSolver::next(const Deadline& deadline) {
   const bool incremental = options_.engine == TimeEngine::kIncremental;
   // Block the previously yielded solution so the search moves on (unless a
@@ -203,8 +212,10 @@ std::optional<TimeSolution> TimeSolver::next(const Deadline& deadline) {
       status = session_->solve(deadline);
       stats_.learnt_retained = session_->num_learnts();
       stats_.last_formulation = session_->stats();
+      fold_sat_stats(session_->solver());
     } else {
       status = formulation_->solve(deadline);
+      fold_sat_stats(formulation_->solver());
     }
     if (status == SatStatus::kSat) {
       TimeSolution solution =

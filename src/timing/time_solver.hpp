@@ -78,7 +78,11 @@ struct TimeSolverOptions {
   X(int, nogoods_deduped, sum)    /* covered by a recorded nogood */       \
   /* Horizons never handed to SAT because they lie below their II's      \
      capacity floor (capacity_horizon_floor), whole IIs included. */       \
-  X(int, capacity_refuted_horizons, sum)
+  X(int, capacity_refuted_horizons, sum)                                   \
+  /* SatStats of every solver the search built, up to its last solve. */  \
+  X(std::uint64_t, sat_conflicts, sum)                                     \
+  X(std::uint64_t, sat_decisions, sum)                                     \
+  X(std::uint64_t, sat_propagations, sum)
 
 struct TimeSolverStats {
 #define MONOMAP_DECLARE_COUNTER(type, name, merge) type name = 0;
@@ -145,6 +149,8 @@ class TimeSolver {
   // floor minus the critical path), or -1 when the floor rules out every
   // horizon up to max_horizon_extension.
   int first_extension_at_ii();
+  // Add what `solver` did since the last fold to the sat_* counters.
+  void fold_sat_stats(const SatSolver& solver);
 
   const Dfg& dfg_;
   const CgraArch& arch_;
@@ -159,6 +165,7 @@ class TimeSolver {
   // nogoods recorded at this II (rotations included) for re-application
   // after each rebuild.
   std::unique_ptr<TimeFormulation> formulation_;
+  SatStats sat_folded_;  // the current solver's stats at the last fold
   std::vector<std::vector<std::pair<NodeId, int>>> ii_nogoods_;
   // Conflicts recorded at this II, every rotation of each — the dedupe set.
   std::set<std::vector<std::pair<NodeId, int>>> seen_nogoods_;
