@@ -1,7 +1,8 @@
 #include "sat/solver.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "support/fault.hpp"
 #include "support/resource.hpp"
@@ -19,19 +20,107 @@ const char* to_string(SatStatus status) {
 
 namespace {
 
-struct Clause {
-  std::vector<Lit> lits;
-  double activity = 0.0;
-  int lbd = 0;
-  bool learnt = false;
+/// A clause's name: the arena offset of its header.
+using CRef = std::uint32_t;
+constexpr CRef kNoClause = std::numeric_limits<CRef>::max();
 
-  [[nodiscard]] std::size_t size() const { return lits.size(); }
-  Lit& operator[](std::size_t i) { return lits[i]; }
-  const Lit& operator[](std::size_t i) const { return lits[i]; }
+/// Every clause of a solver in one flat array of 32-bit words. A clause is
+/// a 4-word header — its size; its LBD above a deleted flag (bit 1) and a
+/// learnt flag (bit 0); its activity, a double over two words — followed by
+/// its literal codes. Clauses are appended in creation order and compact()
+/// keeps that order, so a smaller CRef is always an older clause.
+class ClauseArena {
+ public:
+  static constexpr std::size_t kHeaderWords = 4;
+
+  /// Arena bytes a clause of n literals occupies.
+  static constexpr std::size_t bytes(std::size_t n) {
+    return (kHeaderWords + n) * sizeof(std::uint32_t);
+  }
+
+  CRef alloc(const std::vector<Lit>& lits, bool learnt, int lbd) {
+    const std::size_t at = words_.size();
+    MONOMAP_ASSERT_MSG(at + kHeaderWords + lits.size() < kNoClause,
+                       "clause arena outgrew 32-bit references");
+    words_.resize(at + kHeaderWords + lits.size());
+    words_[at] = static_cast<std::uint32_t>(lits.size());
+    words_[at + 1] = (static_cast<std::uint32_t>(lbd) << 2) |
+                     (learnt ? kLearntBit : 0U);
+    set_activity(static_cast<CRef>(at), 0.0);
+    std::uint32_t* out = &words_[at + kHeaderWords];
+    for (const Lit l : lits) *out++ = static_cast<std::uint32_t>(l.code());
+    return static_cast<CRef>(at);
+  }
+
+  [[nodiscard]] std::uint32_t size(CRef c) const { return words_[c]; }
+  [[nodiscard]] bool learnt(CRef c) const {
+    return (words_[c + 1] & kLearntBit) != 0;
+  }
+  [[nodiscard]] bool deleted(CRef c) const {
+    return (words_[c + 1] & kDeletedBit) != 0;
+  }
+  /// Mark `c` deleted; compact() reclaims its words.
+  void free(CRef c) {
+    words_[c + 1] |= kDeletedBit;
+    deleted_words_ += kHeaderWords + size(c);
+  }
+  [[nodiscard]] int lbd(CRef c) const {
+    return static_cast<int>(words_[c + 1] >> 2);
+  }
+  [[nodiscard]] double activity(CRef c) const {
+    double a;
+    std::memcpy(&a, &words_[c + 2], sizeof a);
+    return a;
+  }
+  void set_activity(CRef c, double a) {
+    std::memcpy(&words_[c + 2], &a, sizeof a);
+  }
+
+  /// The clause's literal codes, in place.
+  [[nodiscard]] std::uint32_t* lits(CRef c) {
+    return &words_[c + kHeaderWords];
+  }
+  [[nodiscard]] Lit lit(CRef c, std::size_t i) const {
+    return Lit::from_code(
+        static_cast<std::int32_t>(words_[c + kHeaderWords + i]));
+  }
+
+  /// Drop the deleted clauses: the live ones move to a fresh array in
+  /// arena order. Returns the old array, in which each live clause's flags
+  /// word now holds its new offset (see forwarded()).
+  std::vector<std::uint32_t> compact() {
+    std::vector<std::uint32_t> to;
+    to.reserve(words_.size() - deleted_words_);
+    for (std::size_t c = 0; c < words_.size();) {
+      const std::size_t len = kHeaderWords + words_[c];
+      if (!deleted(static_cast<CRef>(c))) {
+        const auto moved = static_cast<std::uint32_t>(to.size());
+        to.insert(to.end(), words_.begin() + static_cast<std::ptrdiff_t>(c),
+                  words_.begin() + static_cast<std::ptrdiff_t>(c + len));
+        words_[c + 1] = moved;
+      }
+      c += len;
+    }
+    deleted_words_ = 0;
+    words_.swap(to);
+    return to;
+  }
+  /// Where compact() moved the live clause `c` of the returned old array.
+  [[nodiscard]] static CRef forwarded(const std::vector<std::uint32_t>& old,
+                                      CRef c) {
+    return old[c + 1];
+  }
+
+ private:
+  static constexpr std::uint32_t kLearntBit = 1;
+  static constexpr std::uint32_t kDeletedBit = 2;
+
+  std::vector<std::uint32_t> words_;
+  std::size_t deleted_words_ = 0;
 };
 
 struct Watch {
-  Clause* clause = nullptr;
+  CRef cref = kNoClause;
   Lit blocker;  // if blocker is true, the clause is satisfied — skip it
 };
 
@@ -118,16 +207,17 @@ std::uint64_t luby(std::uint64_t i) {
 }  // namespace
 
 struct SatSolver::Impl {
-  // Clause database. Problem clauses and learnt clauses are owned here;
-  // watchers hold raw pointers (stable: unique_ptr heap allocations).
-  std::vector<std::unique_ptr<Clause>> problem;
-  std::vector<std::unique_ptr<Clause>> learnts;
+  // Clause database: every clause lives in the arena; the learnt ones are
+  // also listed, oldest first, for reduction.
+  ClauseArena arena;
+  int num_problem = 0;
+  std::vector<CRef> learnts;
   std::vector<std::vector<Watch>> watches;  // indexed by literal code
 
-  std::vector<LBool> assigns;
+  std::vector<LBool> values;        // indexed by literal code
   std::vector<bool> polarity;       // phase saving (last value)
   std::vector<int> level;
-  std::vector<Clause*> reason;
+  std::vector<CRef> reason;
   std::vector<double> activity;
   VarHeap order;
 
@@ -173,10 +263,8 @@ struct SatSolver::Impl {
     if (gov != nullptr) gov->uncharge(gov_charged);
   }
 
-  /// Footprint estimate for a learnt clause of n literals: the Clause
-  /// header, its literal storage, and a nod to allocator/watcher overhead.
-  [[nodiscard]] static std::size_t clause_bytes(std::size_t n) {
-    return sizeof(Clause) + n * sizeof(Lit) + 2 * sizeof(Watch) + 32;
+  [[nodiscard]] int num_vars() const {
+    return static_cast<int>(level.size());
   }
 
   [[nodiscard]] int decision_level() const {
@@ -184,25 +272,27 @@ struct SatSolver::Impl {
   }
 
   [[nodiscard]] LBool value(SatVar v) const {
-    return assigns[static_cast<std::size_t>(v)];
+    return values[2 * static_cast<std::size_t>(v)];
   }
   [[nodiscard]] LBool value(Lit l) const {
-    const LBool v = assigns[static_cast<std::size_t>(l.var())];
-    if (v == LBool::kUndef) return LBool::kUndef;
-    return l.negated() ? negate(v) : v;
+    return values[static_cast<std::size_t>(l.code())];
+  }
+  [[nodiscard]] LBool value_of_code(std::uint32_t code) const {
+    return values[code];
   }
 
   SatVar new_var() {
-    const auto v = static_cast<SatVar>(assigns.size());
-    assigns.push_back(LBool::kUndef);
+    const auto v = static_cast<SatVar>(level.size());
+    values.push_back(LBool::kUndef);
+    values.push_back(LBool::kUndef);
     polarity.push_back(false);
     level.push_back(0);
-    reason.push_back(nullptr);
+    reason.push_back(kNoClause);
     activity.push_back(0.0);
     seen.push_back(false);
     watches.emplace_back();
     watches.emplace_back();
-    order.grow(static_cast<int>(assigns.size()));
+    order.grow(num_vars());
     order.insert(v, activity);
     return v;
   }
@@ -218,27 +308,30 @@ struct SatSolver::Impl {
 
   void var_decay_step() { var_inc /= var_decay; }
 
-  void cla_bump(Clause& c) {
-    c.activity += cla_inc;
-    if (c.activity > 1e20) {
-      for (auto& cl : learnts) cl->activity *= 1e-20;
+  void cla_bump(CRef c) {
+    const double a = arena.activity(c) + cla_inc;
+    arena.set_activity(c, a);
+    if (a > 1e20) {
+      for (const CRef l : learnts) {
+        arena.set_activity(l, arena.activity(l) * 1e-20);
+      }
       cla_inc *= 1e-20;
     }
   }
 
-  void attach(Clause* c) {
-    MONOMAP_ASSERT(c->size() >= 2);
-    watches[static_cast<std::size_t>((*c)[0].code())].push_back(
-        Watch{c, (*c)[1]});
-    watches[static_cast<std::size_t>((*c)[1].code())].push_back(
-        Watch{c, (*c)[0]});
+  void attach(CRef c) {
+    MONOMAP_ASSERT(arena.size(c) >= 2);
+    const Lit c0 = arena.lit(c, 0);
+    const Lit c1 = arena.lit(c, 1);
+    watches[static_cast<std::size_t>(c0.code())].push_back(Watch{c, c1});
+    watches[static_cast<std::size_t>(c1.code())].push_back(Watch{c, c0});
   }
 
-  void detach(Clause* c) {
-    for (int i = 0; i < 2; ++i) {
-      auto& list = watches[static_cast<std::size_t>((*c)[static_cast<std::size_t>(i)].code())];
+  void detach(CRef c) {
+    for (std::size_t i = 0; i < 2; ++i) {
+      auto& list = watches[static_cast<std::size_t>(arena.lit(c, i).code())];
       for (std::size_t j = 0; j < list.size(); ++j) {
-        if (list[j].clause == c) {
+        if (list[j].cref == c) {
           list[j] = list.back();
           list.pop_back();
           break;
@@ -247,77 +340,82 @@ struct SatSolver::Impl {
     }
   }
 
-  void enqueue(Lit p, Clause* from) {
+  void enqueue(Lit p, CRef from) {
     MONOMAP_ASSERT(value(p) == LBool::kUndef);
     const SatVar v = p.var();
-    assigns[static_cast<std::size_t>(v)] = lbool_from(!p.negated());
+    values[static_cast<std::size_t>(p.code())] = LBool::kTrue;
+    values[static_cast<std::size_t>((~p).code())] = LBool::kFalse;
     polarity[static_cast<std::size_t>(v)] = !p.negated();
     level[static_cast<std::size_t>(v)] = decision_level();
     reason[static_cast<std::size_t>(v)] = from;
     trail.push_back(p);
   }
 
-  Clause* propagate() {
-    Clause* conflict = nullptr;
+  CRef propagate() {
+    CRef conflict_ref = kNoClause;
     while (qhead < trail.size()) {
       const Lit p = trail[qhead++];  // p is true
       ++stats.propagations;
-      auto& list = watches[static_cast<std::size_t>((~p).code())];
-      std::size_t i = 0;
-      std::size_t j = 0;
-      while (i < list.size()) {
-        const Watch w = list[i];
-        if (value(w.blocker) == LBool::kTrue) {
-          list[j++] = list[i++];
+      const auto false_code = static_cast<std::uint32_t>((~p).code());
+      std::vector<Watch>& list = watches[false_code];
+      Watch* i = list.data();
+      Watch* j = i;
+      Watch* const end = i + list.size();
+      while (i != end) {
+        const Lit blocker = i->blocker;
+        if (value(blocker) == LBool::kTrue) {
+          *j++ = *i++;
           continue;
         }
-        Clause& c = *w.clause;
+        const CRef cr = i->cref;
+        std::uint32_t* c = arena.lits(cr);
         // Ensure the false literal (~p) is at position 1.
-        const Lit false_lit = ~p;
-        if (c[0] == false_lit) {
+        if (c[0] == false_code) {
           std::swap(c[0], c[1]);
         }
         ++i;
-        const Lit first = c[0];
-        if (first != w.blocker && value(first) == LBool::kTrue) {
-          list[j++] = Watch{&c, first};
+        const Lit first = Lit::from_code(static_cast<std::int32_t>(c[0]));
+        if (first != blocker && value(first) == LBool::kTrue) {
+          *j++ = Watch{cr, first};
           continue;
         }
         // Look for a new literal to watch.
         bool found = false;
-        for (std::size_t k = 2; k < c.size(); ++k) {
-          if (value(c[k]) != LBool::kFalse) {
+        const std::uint32_t size = arena.size(cr);
+        for (std::uint32_t k = 2; k < size; ++k) {
+          if (value_of_code(c[k]) != LBool::kFalse) {
             std::swap(c[1], c[k]);
-            watches[static_cast<std::size_t>(c[1].code())].push_back(
-                Watch{&c, first});
+            watches[c[1]].push_back(Watch{cr, first});
             found = true;
             break;
           }
         }
         if (found) continue;
         // Clause is unit or conflicting.
-        list[j++] = Watch{&c, first};
+        *j++ = Watch{cr, first};
         if (value(first) == LBool::kFalse) {
-          conflict = &c;
+          conflict_ref = cr;
           qhead = trail.size();
-          while (i < list.size()) list[j++] = list[i++];
+          while (i != end) *j++ = *i++;
           break;
         }
-        enqueue(first, &c);
+        enqueue(first, cr);
       }
-      list.resize(j);
-      if (conflict != nullptr) break;
+      list.resize(static_cast<std::size_t>(j - list.data()));
+      if (conflict_ref != kNoClause) break;
     }
-    return conflict;
+    return conflict_ref;
   }
 
   void cancel_until(int target_level) {
     if (decision_level() <= target_level) return;
     const int bound = trail_lim[static_cast<std::size_t>(target_level)];
     for (int i = static_cast<int>(trail.size()) - 1; i >= bound; --i) {
-      const SatVar v = trail[static_cast<std::size_t>(i)].var();
-      assigns[static_cast<std::size_t>(v)] = LBool::kUndef;
-      reason[static_cast<std::size_t>(v)] = nullptr;
+      const Lit l = trail[static_cast<std::size_t>(i)];
+      const SatVar v = l.var();
+      values[static_cast<std::size_t>(l.code())] = LBool::kUndef;
+      values[static_cast<std::size_t>((~l).code())] = LBool::kUndef;
+      reason[static_cast<std::size_t>(v)] = kNoClause;
       if (!order.contains(v)) order.insert(v, activity);
     }
     trail.resize(static_cast<std::size_t>(bound));
@@ -328,9 +426,10 @@ struct SatSolver::Impl {
   /// True if `l` is redundant in the current learnt clause (all antecedents
   /// seen or at level 0) — non-recursive self-subsumption check.
   bool lit_redundant(Lit l) {
-    Clause* r = reason[static_cast<std::size_t>(l.var())];
-    if (r == nullptr) return false;
-    for (const Lit q : r->lits) {
+    const CRef r = reason[static_cast<std::size_t>(l.var())];
+    if (r == kNoClause) return false;
+    for (std::uint32_t k = 0, n = arena.size(r); k < n; ++k) {
+      const Lit q = arena.lit(r, k);
       if (q.var() == l.var()) continue;
       if (level[static_cast<std::size_t>(q.var())] == 0) continue;
       if (!seen[static_cast<std::size_t>(q.var())]) return false;
@@ -340,19 +439,20 @@ struct SatSolver::Impl {
 
   /// 1-UIP conflict analysis; fills `learnt` (learnt[0] = asserting literal)
   /// and returns the backtrack level.
-  int analyze(Clause* conflict, std::vector<Lit>& learnt) {
+  int analyze(CRef conflict_ref, std::vector<Lit>& learnt) {
     learnt.clear();
     learnt.push_back(Lit());  // placeholder for the asserting literal
     int counter = 0;
     Lit p;
     bool p_valid = false;
     std::size_t index = trail.size();
-    Clause* reason_clause = conflict;
+    CRef reason_ref = conflict_ref;
 
     for (;;) {
-      MONOMAP_ASSERT(reason_clause != nullptr);
-      if (reason_clause->learnt) cla_bump(*reason_clause);
-      for (const Lit q : reason_clause->lits) {
+      MONOMAP_ASSERT(reason_ref != kNoClause);
+      if (arena.learnt(reason_ref)) cla_bump(reason_ref);
+      for (std::uint32_t k = 0, n = arena.size(reason_ref); k < n; ++k) {
+        const Lit q = arena.lit(reason_ref, k);
         if (p_valid && q == p) continue;
         const SatVar v = q.var();
         if (!seen[static_cast<std::size_t>(v)] &&
@@ -373,7 +473,7 @@ struct SatSolver::Impl {
       p = trail[index];
       p_valid = true;
       seen[static_cast<std::size_t>(p.var())] = false;
-      reason_clause = reason[static_cast<std::size_t>(p.var())];
+      reason_ref = reason[static_cast<std::size_t>(p.var())];
       --counter;
       if (counter == 0) break;
     }
@@ -430,13 +530,14 @@ struct SatSolver::Impl {
       const SatVar x = trail[static_cast<std::size_t>(i)].var();
       if (!seen[static_cast<std::size_t>(x)]) continue;
       seen[static_cast<std::size_t>(x)] = false;
-      Clause* r = reason[static_cast<std::size_t>(x)];
-      if (r == nullptr) {
+      const CRef r = reason[static_cast<std::size_t>(x)];
+      if (r == kNoClause) {
         // A decision above level 0 is always one of the assumptions.
         MONOMAP_ASSERT(level[static_cast<std::size_t>(x)] > 0);
         conflict.push_back(trail[static_cast<std::size_t>(i)]);
       } else {
-        for (const Lit q : r->lits) {
+        for (std::uint32_t k = 0, n = arena.size(r); k < n; ++k) {
+          const Lit q = arena.lit(r, k);
           if (q.var() != x && level[static_cast<std::size_t>(q.var())] > 0) {
             seen[static_cast<std::size_t>(q.var())] = true;
           }
@@ -450,8 +551,8 @@ struct SatSolver::Impl {
 
   [[nodiscard]] int compute_lbd(const std::vector<Lit>& lits) {
     // Number of distinct decision levels.
-    if (lbd_stamp.size() < assigns.size() + 1) {
-      lbd_stamp.resize(assigns.size() + 1, 0);
+    if (lbd_stamp.size() < level.size() + 1) {
+      lbd_stamp.resize(level.size() + 1, 0);
     }
     ++lbd_stamp_id;
     int distinct = 0;
@@ -468,49 +569,55 @@ struct SatSolver::Impl {
   void reduce_db() {
     // Keep glue clauses (lbd <= 2) and reasons; delete the worst half of the
     // rest, ordered by (lbd desc, activity asc).
-    std::vector<Clause*> candidates;
-    for (auto& c : learnts) {
-      if (c->lbd > 2 && !is_reason(c.get())) {
-        candidates.push_back(c.get());
-      }
+    std::vector<CRef> candidates;
+    for (const CRef c : learnts) {
+      if (arena.lbd(c) > 2 && !is_reason(c)) candidates.push_back(c);
     }
     std::sort(candidates.begin(), candidates.end(),
-              [](const Clause* a, const Clause* b) {
-                if (a->lbd != b->lbd) return a->lbd > b->lbd;
-                return a->activity < b->activity;
+              [this](CRef a, CRef b) {
+                if (arena.lbd(a) != arena.lbd(b)) {
+                  return arena.lbd(a) > arena.lbd(b);
+                }
+                return arena.activity(a) < arena.activity(b);
               });
-    const std::size_t to_delete = candidates.size() / 2;
-    std::vector<Clause*> victims(candidates.begin(),
-                                 candidates.begin() + static_cast<std::ptrdiff_t>(to_delete));
-    std::sort(victims.begin(), victims.end());
-    for (Clause* c : victims) {
+    candidates.resize(candidates.size() / 2);
+    // Detach in creation order, so the watch lists come out the same
+    // whatever the allocation history.
+    std::sort(candidates.begin(), candidates.end());
+    std::size_t freed = 0;
+    for (const CRef c : candidates) {
       detach(c);
+      freed += ClauseArena::bytes(arena.size(c));
+      arena.free(c);
     }
-    auto is_victim = [&victims](const Clause* c) {
-      return std::binary_search(victims.begin(), victims.end(),
-                                const_cast<Clause*>(c));
-    };
-    auto it = std::remove_if(learnts.begin(), learnts.end(),
-                             [&](const std::unique_ptr<Clause>& c) {
-                               return is_victim(c.get());
-                             });
-    stats.deleted_clauses += static_cast<std::uint64_t>(learnts.end() - it);
+    stats.deleted_clauses += candidates.size();
+    std::erase_if(learnts, [this](CRef c) { return arena.deleted(c); });
     if (gov != nullptr) {
       // Give the victims' bytes back. Clamped to what THIS solver charged:
       // clauses learnt before the governor was bound were never charged,
       // and unclamped refunds would underflow the shared used() counter.
-      std::size_t freed = 0;
-      for (Clause* c : victims) freed += clause_bytes(c->lits.size());
       freed = std::min(freed, gov_charged);
       gov->uncharge(freed);
       gov_charged -= freed;
     }
-    learnts.erase(it, learnts.end());
+    compact();
   }
 
-  [[nodiscard]] bool is_reason(const Clause* c) const {
-    if (c->lits.empty()) return false;
-    const SatVar v = c->lits[0].var();
+  /// Reclaim deleted clauses' words and rename every reference to a moved
+  /// clause. Watch lists, learnts and reasons keep their order.
+  void compact() {
+    const std::vector<std::uint32_t> old = arena.compact();
+    for (auto& list : watches) {
+      for (Watch& w : list) w.cref = ClauseArena::forwarded(old, w.cref);
+    }
+    for (CRef& c : learnts) c = ClauseArena::forwarded(old, c);
+    for (CRef& r : reason) {
+      if (r != kNoClause) r = ClauseArena::forwarded(old, r);
+    }
+  }
+
+  [[nodiscard]] bool is_reason(CRef c) const {
+    const SatVar v = arena.lit(c, 0).var();
     return reason[static_cast<std::size_t>(v)] == c &&
            value(v) != LBool::kUndef;
   }
@@ -532,22 +639,22 @@ struct SatSolver::Impl {
     std::uint64_t conflicts_here = 0;
     std::vector<Lit>& learnt = learnt_scratch;  // persists across restarts
     for (;;) {
-      Clause* conflict = propagate();
-      if (conflict != nullptr) {
+      const CRef conflict_ref = propagate();
+      if (conflict_ref != kNoClause) {
         ++stats.conflicts;
         ++conflicts_here;
         if (decision_level() == 0) return SatStatus::kUnsat;
-        const int bt = analyze(conflict, learnt);
+        const int bt = analyze(conflict_ref, learnt);
         cancel_until(bt);
         if (learnt.size() == 1) {
-          enqueue(learnt[0], nullptr);
+          enqueue(learnt[0], kNoClause);
         } else {
           if (gov != nullptr) {
             // Charge the new learnt clause against the memory budget. On
             // denial, shed (reduce_db is safe mid-search: reason clauses
             // are locked by is_reason) and retry once; if the budget still
             // cannot hold it, trip and abort into a clean memory outcome.
-            const std::size_t bytes = clause_bytes(learnt.size());
+            const std::size_t bytes = ClauseArena::bytes(learnt.size());
             bool granted = gov->try_charge(bytes);
             if (!granted) {
               gov->note_shed();
@@ -561,16 +668,12 @@ struct SatSolver::Impl {
             }
             gov_charged += bytes;
           }
-          auto clause = std::make_unique<Clause>();
-          clause->lits = learnt;
-          clause->learnt = true;
-          clause->lbd = compute_lbd(learnt);
-          Clause* raw = clause.get();
-          learnts.push_back(std::move(clause));
+          const CRef c = arena.alloc(learnt, true, compute_lbd(learnt));
+          learnts.push_back(c);
           ++stats.learned_clauses;
-          attach(raw);
-          cla_bump(*raw);
-          enqueue(learnt[0], raw);
+          attach(c);
+          cla_bump(c);
+          enqueue(learnt[0], c);
         }
         var_decay_step();
         cla_inc *= 1.001;
@@ -627,7 +730,7 @@ struct SatSolver::Impl {
           }
         }
         trail_lim.push_back(static_cast<int>(trail.size()));
-        enqueue(next, nullptr);
+        enqueue(next, kNoClause);
       }
     }
   }
@@ -638,13 +741,9 @@ SatSolver::~SatSolver() = default;
 
 SatVar SatSolver::new_var() { return impl_->new_var(); }
 
-int SatSolver::num_vars() const {
-  return static_cast<int>(impl_->assigns.size());
-}
+int SatSolver::num_vars() const { return impl_->num_vars(); }
 
-int SatSolver::num_clauses() const {
-  return static_cast<int>(impl_->problem.size());
-}
+int SatSolver::num_clauses() const { return impl_->num_problem; }
 
 bool SatSolver::add_clause(std::vector<Lit> lits) {
   Impl& s = *impl_;
@@ -671,18 +770,15 @@ bool SatSolver::add_clause(std::vector<Lit> lits) {
     return false;
   }
   if (out.size() == 1) {
-    s.enqueue(out[0], nullptr);
-    if (s.propagate() != nullptr) {
+    s.enqueue(out[0], kNoClause);
+    if (s.propagate() != kNoClause) {
       s.ok = false;
       return false;
     }
     return true;
   }
-  auto clause = std::make_unique<Clause>();
-  clause->lits = std::move(out);
-  Clause* raw = clause.get();
-  s.problem.push_back(std::move(clause));
-  s.attach(raw);
+  s.attach(s.arena.alloc(out, false, 0));
+  ++s.num_problem;
   return true;
 }
 
@@ -703,7 +799,7 @@ SatStatus SatSolver::solve_assuming(const std::vector<Lit>& assumptions,
   if (!s.ok) return SatStatus::kUnsat;
   s.assumptions = assumptions;
   s.cancel_until(0);
-  if (s.propagate() != nullptr) {
+  if (s.propagate() != kNoClause) {
     s.ok = false;
     return SatStatus::kUnsat;
   }
@@ -715,9 +811,9 @@ SatStatus SatSolver::solve_assuming(const std::vector<Lit>& assumptions,
         s.search(restart_len, deadline,
                  budget_base == 0 ? 0 : budget_base);
     if (status == SatStatus::kSat) {
-      s.model.assign(s.assigns.size(), false);
-      for (std::size_t v = 0; v < s.assigns.size(); ++v) {
-        s.model[v] = (s.assigns[v] == LBool::kTrue);
+      s.model.assign(s.level.size(), false);
+      for (std::size_t v = 0; v < s.level.size(); ++v) {
+        s.model[v] = s.value(static_cast<SatVar>(v)) == LBool::kTrue;
       }
       s.cancel_until(0);
       s.assumptions.clear();

@@ -30,9 +30,9 @@ std::uint64_t hash_site(const std::string& site) {
 }
 
 /// An armed plan plus its per-rule arrival counters. Readers access it via
-/// an atomic pointer with no lock; replaced plans are intentionally leaked
-/// (installs are rare — tests and process start — and a freed plan under a
-/// concurrent reader would be a use-after-free).
+/// an atomic pointer with no lock, so no plan is ever freed (installs are
+/// rare — tests and process start — and a freed plan under a concurrent
+/// reader would be a use-after-free).
 struct ActivePlan {
   std::vector<FaultRule> rules;
   std::vector<std::uint64_t> phases;  // seeded firing phase per rule
@@ -53,8 +53,17 @@ struct ActivePlan {
 std::atomic<ActivePlan*> g_plan{nullptr};
 std::atomic<bool> g_env_resolved{false};
 std::mutex g_install_m;
+// Every plan ever installed, guarded by g_install_m. Never destroyed (a
+// reader may still hold a replaced plan, even at exit), but reachable from
+// here, so a leak checker does not report it.
+auto* const g_plans = new std::vector<std::unique_ptr<ActivePlan>>();
 
-void install_locked(ActivePlan* next) {
+/// Arm `plan` (none when empty); the caller holds g_install_m.
+void install_locked(const FaultPlan* plan) {
+  ActivePlan* next = nullptr;
+  if (plan != nullptr && !plan->rules.empty()) {
+    next = g_plans->emplace_back(std::make_unique<ActivePlan>(*plan)).get();
+  }
   g_plan.store(next, std::memory_order_release);
   g_env_resolved.store(true, std::memory_order_release);
 }
@@ -65,13 +74,9 @@ void resolve_env() {
   const std::lock_guard<std::mutex> lock(g_install_m);
   if (g_env_resolved.load(std::memory_order_acquire)) return;
   const char* env = std::getenv("MONOMAP_FAULTS");
-  ActivePlan* next = nullptr;
-  if (env != nullptr && *env != '\0') {
-    if (const auto plan = parse_fault_spec(env)) {
-      next = new ActivePlan(*plan);
-    }
-  }
-  install_locked(next);
+  std::optional<FaultPlan> plan;
+  if (env != nullptr && *env != '\0') plan = parse_fault_spec(env);
+  install_locked(plan ? &*plan : nullptr);
 }
 
 ActivePlan* current_plan() {
@@ -147,7 +152,7 @@ std::optional<FaultPlan> parse_fault_spec(const std::string& spec,
 
 void install_faults(const FaultPlan& plan) {
   const std::lock_guard<std::mutex> lock(g_install_m);
-  install_locked(plan.rules.empty() ? nullptr : new ActivePlan(plan));
+  install_locked(&plan);
 }
 
 void clear_faults() {

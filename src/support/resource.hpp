@@ -133,7 +133,9 @@ class GovernorScope {
 
  private:
   ResourceGovernor* previous_;
-  static thread_local ResourceGovernor* current_;
+  // constinit: other translation units read it directly instead of through
+  // a TLS init wrapper, whose weak-symbol test UBSan flags as a null load.
+  static constinit inline thread_local ResourceGovernor* current_ = nullptr;
 };
 
 }  // namespace monomap

@@ -5,7 +5,12 @@
 #include <gtest/gtest.h>
 
 #include "sat/solver.hpp"
+#include "sched/kms.hpp"
+#include "support/resource.hpp"
 #include "support/rng.hpp"
+#include "timing/time_session.hpp"
+#include "timing/time_solver.hpp"
+#include "workloads/suite.hpp"
 
 namespace monomap {
 namespace {
@@ -367,6 +372,134 @@ TEST(SatSolver, StatsAccumulate) {
   EXPECT_GT(s.stats().conflicts, 0u);
   EXPECT_GT(s.stats().decisions, 0u);
   EXPECT_GT(s.stats().propagations, 0u);
+}
+
+/// The effort and the model of a run of time-formulation solves.
+struct SolveTrace {
+  std::uint64_t conflicts = 0;
+  std::uint64_t decisions = 0;
+  std::uint64_t propagations = 0;
+  std::uint64_t model_digest = 0;
+};
+
+/// `calls` solves of the time formulation of `bench` on a grid x grid mesh
+/// at `ii`, as TimeSolver drives them: one session at the II's capacity
+/// floor; after each model its label vector is blocked and the phases are
+/// reseeded. Every model's full assignment folds into the digest.
+SolveTrace time_formulation_trace(const char* bench, int grid, int ii,
+                                  int calls) {
+  const Benchmark& b = benchmark_by_name(bench);
+  const CgraArch arch = CgraArch::square(grid);
+  const int floor = capacity_horizon_floor(
+      b.dfg, ii, arch.num_pes(), TimeSolverOptions{}.max_horizon_extension);
+  TimeSession session(b.dfg, arch, ii, TimeConstraintOptions{}, floor);
+  SolveTrace trace;
+  for (int call = 1; call <= calls; ++call) {
+    EXPECT_EQ(session.solve(Deadline::unlimited()), SatStatus::kSat)
+        << bench << " call " << call;
+    const SatSolver& solver = session.solver();
+    for (SatVar v = 0; v < solver.num_vars(); ++v) {
+      trace.model_digest = mix64(trace.model_digest ^
+                                 static_cast<std::uint64_t>(
+                                     Lit(v, !solver.model_value(v)).code()));
+    }
+    session.block_labels(session.extract());
+    session.reseed_phases(call);
+  }
+  const SatStats& stats = session.solver().stats();
+  trace.conflicts = stats.conflicts;
+  trace.decisions = stats.decisions;
+  trace.propagations = stats.propagations;
+  return trace;
+}
+
+TEST(SatTest, TimeFormulationTracesArePinned) {
+  // The solver's search decisions, bit for bit, on the formulations the
+  // mapper solves: the single solve of Table III's hardest 2x2 rows (cfd
+  // lands at II 13 and hotspot3D at II 15 on their first model) and eight
+  // enumerating calls on hotspot3D 4x4 at II 4, where learnt clauses carry
+  // across calls. A change to watch order, literal order, analysis,
+  // minimisation, the heuristic or the restart schedule moves these; a
+  // change that means to must say so by updating the constants.
+  const SolveTrace cfd = time_formulation_trace("cfd", 2, 13, 1);
+  EXPECT_EQ(cfd.conflicts, 413u);
+  EXPECT_EQ(cfd.decisions, 3024u);
+  EXPECT_EQ(cfd.propagations, 102715u);
+  EXPECT_EQ(cfd.model_digest, 0x471c223a26b0da72ULL);
+
+  const SolveTrace hotspot = time_formulation_trace("hotspot3D", 2, 15, 1);
+  EXPECT_EQ(hotspot.conflicts, 217u);
+  EXPECT_EQ(hotspot.decisions, 1285u);
+  EXPECT_EQ(hotspot.propagations, 53976u);
+  EXPECT_EQ(hotspot.model_digest, 0xde884c2bea18c50cULL);
+
+  const SolveTrace multi = time_formulation_trace("hotspot3D", 4, 4, 8);
+  EXPECT_EQ(multi.conflicts, 35u);
+  EXPECT_EQ(multi.decisions, 939u);
+  EXPECT_EQ(multi.propagations, 23833u);
+  EXPECT_EQ(multi.model_digest, 0xa96b3823af46d1deULL);
+}
+
+/// Verdict and effort of a sliced solve of `f` under a governor held at
+/// soft pressure, so every restart above 256 learnt clauses reduces the
+/// learnt database. With `churn`, another solver allocates and frees its
+/// clauses between slices.
+std::pair<SatStatus, SatStats> solve_under_pressure(const CnfFormula& f,
+                                                    bool churn) {
+  constexpr std::size_t kBudget = std::size_t{64} << 20;
+  ResourceGovernor gov(kBudget);
+  EXPECT_TRUE(gov.try_charge(kBudget - kBudget / 4));
+  EXPECT_TRUE(gov.soft_pressure());
+  SatStatus status = SatStatus::kUnknown;
+  SatStats stats;
+  {
+    SatSolver s;
+    EXPECT_TRUE(load_into_solver(f, s));
+    Rng rng(0x5eed);
+    while (status == SatStatus::kUnknown) {
+      {
+        const GovernorScope scope(&gov);
+        status = s.solve(Deadline::unlimited(), 300);
+      }
+      if (churn) {
+        SatSolver other;
+        load_into_solver(random_3sat(60, 255, rng), other);
+        other.solve();
+      }
+    }
+    if (status == SatStatus::kSat) {
+      EXPECT_TRUE(satisfies(f, s));
+    }
+    stats = s.stats();
+  }
+  // Every byte the solver charged came back with it.
+  EXPECT_EQ(gov.used(), kBudget - kBudget / 4);
+  return {status, stats};
+}
+
+TEST(SatTest, ReductionIsIndependentOfAllocationHistory) {
+  // reduce_db detaches its victims in creation order, and the clause arena
+  // is private to its solver, so the search cannot depend on where the
+  // heap put a clause: the same formula solved with and without another
+  // solver churning clauses in between must give the same verdict and the
+  // same effort.
+  Rng rng(0xdb);
+  const CnfFormula f = random_3sat(160, 682, rng);
+  SatSolver plain;
+  ASSERT_TRUE(load_into_solver(f, plain));
+  const SatStatus expected = plain.solve();
+  ASSERT_NE(expected, SatStatus::kUnknown);
+
+  const auto [quiet_status, quiet] = solve_under_pressure(f, false);
+  const auto [churn_status, churned] = solve_under_pressure(f, true);
+  EXPECT_EQ(quiet_status, expected);
+  EXPECT_EQ(churn_status, expected);
+  EXPECT_GT(quiet.deleted_clauses, 0u);  // reduce_db really ran
+  EXPECT_EQ(churned.conflicts, quiet.conflicts);
+  EXPECT_EQ(churned.decisions, quiet.decisions);
+  EXPECT_EQ(churned.propagations, quiet.propagations);
+  EXPECT_EQ(churned.learned_clauses, quiet.learned_clauses);
+  EXPECT_EQ(churned.deleted_clauses, quiet.deleted_clauses);
 }
 
 }  // namespace
