@@ -3,13 +3,24 @@
 // This is the search engine behind both the decoupled time formulation and
 // the coupled SAT-MapIt-style baseline (DESIGN.md S7; substitution for Z3).
 // Feature set: two-watched-literal propagation, 1-UIP clause learning with
-// recursive minimisation, VSIDS decision heuristic with phase saving, Luby
-// restarts, LBD-based learned-clause reduction, incremental clause addition
-// between solve() calls, solve-under-assumptions with failed-assumption
-// (final conflict) extraction, and wall-clock/conflict budgets. Learnt
-// clauses, variable activities and saved phases persist across calls, so a
-// sequence of closely related queries (the time phase's horizon extensions
-// and blocking-clause re-solves) shares one warm solver.
+// minimisation against the clause's own literals, VSIDS decision heuristic
+// with phase saving, Luby restarts, LBD-based learned-clause reduction,
+// incremental clause addition between solve() calls, solve-under-
+// assumptions with failed-assumption (final conflict) extraction, and
+// wall-clock/conflict budgets. Learnt clauses, variable activities and
+// saved phases persist across calls, so a sequence of closely related
+// queries (the time phase's horizon extensions and blocking-clause
+// re-solves) shares one warm solver.
+//
+// Storage: every clause lives in one flat arena of 32-bit words, a 4-word
+// header (size; LBD with learnt and deleted flags; activity) followed by
+// its literals, and is named by its 32-bit offset. Watches are 8 bytes
+// (offset and blocker literal) and assignment values are indexed by
+// literal, so a watch visit reads the clause's words directly. Reduction
+// detaches its victims in creation order and compacts the arena in arena
+// order, so the search never depends on where the heap put a clause; the
+// memory governor is charged the arena bytes of each learnt clause
+// (docs/performance.md, "SAT core").
 #ifndef MONOMAP_SAT_SOLVER_HPP
 #define MONOMAP_SAT_SOLVER_HPP
 

@@ -79,12 +79,6 @@ class TimeFormulation {
   /// Solve; kUnknown on deadline/conflict budget exhaustion.
   SatStatus solve(const Deadline& deadline);
 
-  /// True when the last solve's kUnknown came from the memory governor
-  /// tripping rather than the deadline (see SatSolver).
-  [[nodiscard]] bool last_solve_memory_out() const {
-    return solver_.last_unknown_was_memory();
-  }
-
   /// Extract the schedule from the current model (solve() returned kSat).
   [[nodiscard]] TimeSolution extract() const;
 
@@ -105,7 +99,8 @@ class TimeFormulation {
   [[nodiscard]] int ii() const { return ii_; }
   [[nodiscard]] int horizon() const { return mobs_.length(); }
   [[nodiscard]] TimeFormulationStats stats() const;
-  /// The underlying solver (its SatStats and last model).
+  /// The underlying solver: its SatStats, learnt clauses, last model and
+  /// whether its last kUnknown was a memory-governor trip.
   [[nodiscard]] const SatSolver& solver() const { return solver_; }
 
  private:

@@ -358,6 +358,4 @@ TimeFormulationStats TimeSession::stats() const {
   return TimeFormulationStats{solver_.num_vars(), solver_.num_clauses()};
 }
 
-int TimeSession::num_learnts() const { return solver_.num_learnts(); }
-
 }  // namespace monomap

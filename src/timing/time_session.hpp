@@ -80,12 +80,6 @@ class TimeSession {
   /// clauses / nogoods made the formula unsatisfiable outright).
   [[nodiscard]] bool unsat_is_final() const;
 
-  /// True when the last solve's kUnknown came from the memory governor
-  /// tripping rather than the deadline (see SatSolver).
-  [[nodiscard]] bool last_solve_memory_out() const {
-    return solver_.last_unknown_was_memory();
-  }
-
   /// Extract the schedule from the current model (solve() returned kSat).
   [[nodiscard]] TimeSolution extract() const;
 
@@ -99,10 +93,9 @@ class TimeSession {
   bool add_label_nogood(const std::vector<std::pair<NodeId, int>>& placements);
 
   [[nodiscard]] TimeFormulationStats stats() const;
-  /// The underlying solver (its SatStats and last model).
+  /// The underlying solver: its SatStats, learnt clauses, last model and
+  /// whether its last kUnknown was a memory-governor trip.
   [[nodiscard]] const SatSolver& solver() const { return solver_; }
-  /// Learnt clauses currently retained by the session's solver.
-  [[nodiscard]] int num_learnts() const;
 
   /// Re-bias the decision phases toward a space-friendly schedule, with
   /// `salt` rotating the preferred steps so successive re-seeds (one per

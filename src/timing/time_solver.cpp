@@ -159,14 +159,6 @@ bool TimeSolver::add_space_nogood(const TimeSolution& solution,
   return true;
 }
 
-void TimeSolver::fold_sat_stats(const SatSolver& solver) {
-  const SatStats& now = solver.stats();
-  stats_.sat_conflicts += now.conflicts - sat_folded_.conflicts;
-  stats_.sat_decisions += now.decisions - sat_folded_.decisions;
-  stats_.sat_propagations += now.propagations - sat_folded_.propagations;
-  sat_folded_ = now;
-}
-
 std::optional<TimeSolution> TimeSolver::next(const Deadline& deadline) {
   const bool incremental = options_.engine == TimeEngine::kIncremental;
   // Block the previously yielded solution so the search moves on (unless a
@@ -210,13 +202,19 @@ std::optional<TimeSolution> TimeSolver::next(const Deadline& deadline) {
     if (incremental) {
       ++stats_.assumptions_used;  // one horizon selector per call
       status = session_->solve(deadline);
-      stats_.learnt_retained = session_->num_learnts();
       stats_.last_formulation = session_->stats();
-      fold_sat_stats(session_->solver());
     } else {
       status = formulation_->solve(deadline);
-      fold_sat_stats(formulation_->solver());
     }
+    const SatSolver& sat =
+        incremental ? session_->solver() : formulation_->solver();
+    // Add what this solver did since the last fold to the sat_* counters.
+    const SatStats& now = sat.stats();
+    stats_.sat_conflicts += now.conflicts - sat_folded_.conflicts;
+    stats_.sat_decisions += now.decisions - sat_folded_.decisions;
+    stats_.sat_propagations += now.propagations - sat_folded_.propagations;
+    sat_folded_ = now;
+    if (incremental) stats_.learnt_retained = sat.num_learnts();
     if (status == SatStatus::kSat) {
       TimeSolution solution =
           incremental ? session_->extract() : formulation_->extract();
@@ -228,11 +226,7 @@ std::optional<TimeSolution> TimeSolver::next(const Deadline& deadline) {
     }
     if (status == SatStatus::kUnknown) {
       timed_out_ = true;
-      if (incremental ? (session_ && session_->last_solve_memory_out())
-                      : (formulation_ &&
-                         formulation_->last_solve_memory_out())) {
-        memory_out_ = true;
-      }
+      if (sat.last_unknown_was_memory()) memory_out_ = true;
       return std::nullopt;
     }
     // UNSAT: exhaust this instance, move on. A session refutation that did

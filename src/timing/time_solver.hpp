@@ -149,8 +149,6 @@ class TimeSolver {
   // floor minus the critical path), or -1 when the floor rules out every
   // horizon up to max_horizon_extension.
   int first_extension_at_ii();
-  // Add what `solver` did since the last fold to the sat_* counters.
-  void fold_sat_stats(const SatSolver& solver);
 
   const Dfg& dfg_;
   const CgraArch& arch_;

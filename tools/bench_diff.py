@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Compare a fresh bench_micro_space/bench_micro_time --json run against a
-checked-in baseline and fail on regression.
+"""Compare a fresh bench_micro_space/bench_micro_time/bench_micro_sat
+--json run against a checked-in baseline and fail on regression.
 
 Usage:
     bench_diff.py FRESH.json BASELINE.json [--max-ratio 2.0]
@@ -8,13 +8,14 @@ Usage:
 
 Rows are paired on (suite, grid, engine) inside the record array named by
 --key ("space" for BENCH_space.json, "time" or "hard" for
-BENCH_time.json; "hard" rows carry a per-row grid, the others inherit the
-document's). The check fails (exit 1) when the MEDIAN of the per-row
-fresh/baseline ratios for --metric exceeds --max-ratio. The deterministic
-effort counters (nodes_expanded for space records, sat_calls and
-schedules_tried for time records) are checked with the same threshold when
-present — they catch search-behaviour regressions independently of machine
-speed.
+BENCH_time.json, "sat" for BENCH_sat.json; "hard" rows carry a per-row
+grid, the others inherit the document's). The check fails (exit 1) when
+the MEDIAN of the per-row fresh/baseline ratios for --metric exceeds
+--max-ratio. The deterministic effort counters (nodes_expanded for space
+records; sat_calls, schedules_tried and the SAT counters sat_conflicts,
+sat_decisions and sat_propagations for time records; the SAT counters for
+sat records) are checked with the same threshold when present — they catch
+search-behaviour regressions independently of machine speed.
 
 The speculative race's pool steals are only *noted* when a baseline
 recorded them (sum > 0 over the paired rows) and the fresh run sums to
@@ -146,7 +147,7 @@ def main():
     parser.add_argument("--metric", default="seconds",
                         help="primary metric to compare (default: seconds)")
     parser.add_argument("--key", default="space",
-                        help="record array name (space | time)")
+                        help="record array name (space | time | hard | sat)")
     args = parser.parse_args()
 
     fresh = load_rows(args.fresh, args.key)
@@ -181,7 +182,8 @@ def main():
     # Deterministic effort counters are machine-independent; check whichever
     # one this record family carries alongside the primary metric.
     metrics = [args.metric]
-    for counter in ("nodes_expanded", "sat_calls", "schedules_tried"):
+    for counter in ("nodes_expanded", "sat_calls", "schedules_tried",
+                    "sat_conflicts", "sat_decisions", "sat_propagations"):
         if counter != args.metric:
             metrics.append(counter)
 
