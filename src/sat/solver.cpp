@@ -277,9 +277,6 @@ struct SatSolver::Impl {
   [[nodiscard]] LBool value(Lit l) const {
     return values[static_cast<std::size_t>(l.code())];
   }
-  [[nodiscard]] LBool value_of_code(std::uint32_t code) const {
-    return values[code];
-  }
 
   SatVar new_var() {
     const auto v = static_cast<SatVar>(level.size());
@@ -383,7 +380,7 @@ struct SatSolver::Impl {
         bool found = false;
         const std::uint32_t size = arena.size(cr);
         for (std::uint32_t k = 2; k < size; ++k) {
-          if (value_of_code(c[k]) != LBool::kFalse) {
+          if (values[c[k]] != LBool::kFalse) {
             std::swap(c[1], c[k]);
             watches[c[1]].push_back(Watch{cr, first});
             found = true;
