@@ -440,26 +440,34 @@ TEST(SatTest, TimeFormulationTracesArePinned) {
   EXPECT_EQ(multi.model_digest, 0xa96b3823af46d1deULL);
 }
 
-/// Verdict and effort of a sliced solve of `f` under a governor held at
-/// soft pressure, so every restart above 256 learnt clauses reduces the
-/// learnt database. With `churn`, another solver allocates and frees its
-/// clauses between slices.
-std::pair<SatStatus, SatStats> solve_under_pressure(const CnfFormula& f,
-                                                    bool churn) {
-  constexpr std::size_t kBudget = std::size_t{64} << 20;
-  ResourceGovernor gov(kBudget);
-  EXPECT_TRUE(gov.try_charge(kBudget - kBudget / 4));
-  EXPECT_TRUE(gov.soft_pressure());
+/// A sliced solve under a memory governor: its verdict, effort and sheds.
+struct PressuredSolve {
   SatStatus status = SatStatus::kUnknown;
   SatStats stats;
+  int sheds = 0;
+};
+
+/// Solve `f` in 300-conflict slices under a governor pre-charged so that
+/// only `headroom` bytes stay free: at most a quarter of the budget keeps
+/// it at soft pressure, so every restart above 256 learnt clauses reduces
+/// the learnt database, and a headroom the learnt clauses outgrow makes a
+/// charge fail mid-search, which sheds. With `churn`, another solver
+/// allocates and frees its clauses between slices.
+PressuredSolve solve_under_pressure(const CnfFormula& f, std::size_t headroom,
+                                    bool churn) {
+  constexpr std::size_t kBudget = std::size_t{64} << 20;
+  ResourceGovernor gov(kBudget);
+  EXPECT_TRUE(gov.try_charge(kBudget - headroom));
+  EXPECT_TRUE(gov.soft_pressure());
+  PressuredSolve out;
   {
     SatSolver s;
     EXPECT_TRUE(load_into_solver(f, s));
     Rng rng(0x5eed);
-    while (status == SatStatus::kUnknown) {
+    while (out.status == SatStatus::kUnknown && !gov.tripped()) {
       {
         const GovernorScope scope(&gov);
-        status = s.solve(Deadline::unlimited(), 300);
+        out.status = s.solve(Deadline::unlimited(), 300);
       }
       if (churn) {
         SatSolver other;
@@ -467,14 +475,16 @@ std::pair<SatStatus, SatStats> solve_under_pressure(const CnfFormula& f,
         other.solve();
       }
     }
-    if (status == SatStatus::kSat) {
+    if (out.status == SatStatus::kSat) {
       EXPECT_TRUE(satisfies(f, s));
     }
-    stats = s.stats();
+    out.stats = s.stats();
   }
+  EXPECT_FALSE(gov.tripped());
   // Every byte the solver charged came back with it.
-  EXPECT_EQ(gov.used(), kBudget - kBudget / 4);
-  return {status, stats};
+  EXPECT_EQ(gov.used(), kBudget - headroom);
+  out.sheds = gov.sheds();
+  return out;
 }
 
 TEST(SatTest, ReductionIsIndependentOfAllocationHistory) {
@@ -482,7 +492,8 @@ TEST(SatTest, ReductionIsIndependentOfAllocationHistory) {
   // is private to its solver, so the search cannot depend on where the
   // heap put a clause: the same formula solved with and without another
   // solver churning clauses in between must give the same verdict and the
-  // same effort.
+  // same effort. Reductions at restarts (soft pressure) and mid-search
+  // (a denied charge sheds with reasons locked) both compact the arena.
   Rng rng(0xdb);
   const CnfFormula f = random_3sat(160, 682, rng);
   SatSolver plain;
@@ -490,16 +501,25 @@ TEST(SatTest, ReductionIsIndependentOfAllocationHistory) {
   const SatStatus expected = plain.solve();
   ASSERT_NE(expected, SatStatus::kUnknown);
 
-  const auto [quiet_status, quiet] = solve_under_pressure(f, false);
-  const auto [churn_status, churned] = solve_under_pressure(f, true);
-  EXPECT_EQ(quiet_status, expected);
-  EXPECT_EQ(churn_status, expected);
-  EXPECT_GT(quiet.deleted_clauses, 0u);  // reduce_db really ran
-  EXPECT_EQ(churned.conflicts, quiet.conflicts);
-  EXPECT_EQ(churned.decisions, quiet.decisions);
-  EXPECT_EQ(churned.propagations, quiet.propagations);
-  EXPECT_EQ(churned.learned_clauses, quiet.learned_clauses);
-  EXPECT_EQ(churned.deleted_clauses, quiet.deleted_clauses);
+  constexpr std::size_t kSoft = std::size_t{16} << 20;  // reduce at restarts
+  constexpr std::size_t kTight = std::size_t{12} << 10;  // and shed mid-search
+  for (const std::size_t headroom : {kSoft, kTight}) {
+    SCOPED_TRACE(headroom);
+    const PressuredSolve quiet = solve_under_pressure(f, headroom, false);
+    const PressuredSolve churned = solve_under_pressure(f, headroom, true);
+    EXPECT_EQ(quiet.status, expected);
+    EXPECT_EQ(churned.status, expected);
+    EXPECT_GT(quiet.stats.deleted_clauses, 0u);  // reduce_db really ran
+    EXPECT_EQ(churned.stats.conflicts, quiet.stats.conflicts);
+    EXPECT_EQ(churned.stats.decisions, quiet.stats.decisions);
+    EXPECT_EQ(churned.stats.propagations, quiet.stats.propagations);
+    EXPECT_EQ(churned.stats.learned_clauses, quiet.stats.learned_clauses);
+    EXPECT_EQ(churned.stats.deleted_clauses, quiet.stats.deleted_clauses);
+    EXPECT_EQ(churned.sheds, quiet.sheds);
+    if (headroom == kTight) {
+      EXPECT_GT(quiet.sheds, 0);  // the mid-search path really ran
+    }
+  }
 }
 
 }  // namespace
