@@ -28,6 +28,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -327,6 +328,7 @@ void run_json_mode(const std::vector<int>& grids, int repeats,
   json.end_array();
   json.field("topology", topology_name(Topology::kMesh));
   json.field("repeats", repeats);
+  json.field("nproc", static_cast<int>(std::thread::hardware_concurrency()));
   json.field("simd", simd::level_name(simd::active_level()));
 
   std::vector<double> ref_ratios;  // grid 8: reference / bitset

@@ -18,10 +18,12 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <thread>
 
 #include "bench_common.hpp"
 #include "mapper/decoupled_mapper.hpp"
 #include "support/json.hpp"
+#include "support/simd.hpp"
 #include "support/stopwatch.hpp"
 #include "timing/time_solver.hpp"
 #include "workloads/suite.hpp"
@@ -152,6 +154,8 @@ void run_json_mode(int grid, int repeats) {
   json::Writer json;
   json.begin_object();
   json.field("bench", "bench_micro_time");
+  json.field("nproc", static_cast<int>(std::thread::hardware_concurrency()));
+  json.field("simd", simd::level_name(simd::active_level()));
   json.field("grid", grid);
   json.field("topology", topology_name(arch.topology()));
   json.field("repeats", repeats);

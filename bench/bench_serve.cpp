@@ -22,6 +22,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <sys/socket.h>
@@ -33,6 +34,7 @@
 #include "support/argparse.hpp"
 #include "support/json.hpp"
 #include "support/outcome.hpp"
+#include "support/simd.hpp"
 #include "support/stopwatch.hpp"
 #include "workloads/suite.hpp"
 
@@ -328,6 +330,8 @@ int main(int argc, char** argv) {
   json::Writer w;
   w.begin_object();
   w.field("bench", "bench_serve");
+  w.field("nproc", static_cast<int>(std::thread::hardware_concurrency()));
+  w.field("simd", simd::level_name(simd::active_level()));
   w.field("grid", grid);
   w.field("topology", "mesh");
   w.field("repeats", repeats);

@@ -125,6 +125,9 @@ Dfg dfg_from_text(const std::string& text) {
                               dst < num_nodes,
                           "edge endpoint out of range");
       MONOMAP_CHECK_INPUT(dist >= 0, "negative loop-carried distance");
+      MONOMAP_CHECK_INPUT(dist <= kMaxDfgTextDistance,
+                          "loop-carried distance " << dist << " exceeds "
+                                                   << kMaxDfgTextDistance);
       MONOMAP_CHECK_INPUT(static_cast<int>(edges.size()) < kMaxDfgTextEdges,
                           "more than " << kMaxDfgTextEdges << " edges");
       edges.push_back(Edge{src, dst, dist});

@@ -37,11 +37,18 @@ inline constexpr int kMaxDfgTextNodes = 4096;
 /// placeable grids about two per node, the suite under two).
 inline constexpr int kMaxDfgTextEdges = 4 * kMaxDfgTextNodes;
 
+/// Largest loop-carried distance dfg_from_text accepts. The mapper and
+/// validate_mapping compute distance × II in an int; with both at most
+/// kMaxDfgTextNodes (the walk's own II ceiling is max(mII, nodes)) the
+/// product stays far inside one. The suite's largest distance is 14.
+inline constexpr int kMaxDfgTextDistance = kMaxDfgTextNodes;
+
 /// Parse the `dfg` format above. Throws InputError on malformed input,
 /// including a token that is not an integer where one is expected, a
-/// `nodes` count of 0 or above kMaxDfgTextNodes, more than
-/// kMaxDfgTextEdges edges (refused before the excess is stored), and
-/// distance-0 edges that form a cycle (no II can schedule such a DFG).
+/// `nodes` count of 0 or above kMaxDfgTextNodes, a distance above
+/// kMaxDfgTextDistance, more than kMaxDfgTextEdges edges (refused before
+/// the excess is stored), and distance-0 edges that form a cycle (no II
+/// can schedule such a DFG).
 Dfg dfg_from_text(const std::string& text);
 
 /// Serialise a mapping of `dfg`.

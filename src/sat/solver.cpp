@@ -192,6 +192,14 @@ class VarHeap {
   std::vector<int> pos_;
 };
 
+/// Without memory pressure the learnt database is reduced at a restart once
+/// it holds more than kLearntAllowance clauses, and each such reduction
+/// raises the allowance by kLearntAllowanceGrowth. It grows per reduction,
+/// not per restart: under Luby restarts a per-restart allowance outruns
+/// the database, which then is never reduced.
+constexpr std::size_t kLearntAllowance = 8192;
+constexpr std::size_t kLearntAllowanceGrowth = 1024;
+
 /// Luby restart sequence (1,1,2,1,1,2,4,...).
 std::uint64_t luby(std::uint64_t i) {
   std::uint64_t k = 1;
@@ -212,6 +220,7 @@ struct SatSolver::Impl {
   ClauseArena arena;
   int num_problem = 0;
   std::vector<CRef> learnts;
+  std::size_t learnt_allowance = kLearntAllowance;
   std::vector<std::vector<Watch>> watches;  // indexed by literal code
 
   std::vector<LBool> values;        // indexed by literal code
@@ -693,11 +702,14 @@ struct SatSolver::Impl {
           cancel_until(0);
           return SatStatus::kUnknown;  // caller restarts
         }
-        if ((learnts.size() > 8192 + 1024 * stats.restarts ||
-             (gov != nullptr && gov->soft_pressure() &&
-              learnts.size() > 256)) &&
-            decision_level() == 0) {
-          reduce_db();
+        if (decision_level() == 0) {
+          if (learnts.size() > learnt_allowance) {
+            reduce_db();
+            learnt_allowance += kLearntAllowanceGrowth;
+          } else if (gov != nullptr && gov->soft_pressure() &&
+                     learnts.size() > 256) {
+            reduce_db();
+          }
         }
         // Place pending assumptions first, one decision level each (decision
         // level i+1 holds assumptions[i]). Restarts and backjumps into the

@@ -96,6 +96,13 @@ ParsedRequest parse_request(const std::string& line) {
     parsed.error = "negative budget field";
     return parsed;
   }
+  // No DFG the service takes needs an II ceiling above kMaxDfgTextNodes (at
+  // II = #nodes a sequential schedule places), and the anytime probe, which
+  // starts at the ceiling, allocates in proportion to it.
+  if (req.max_ii > kMaxDfgTextNodes) {
+    parsed.error = "max_ii above " + std::to_string(kMaxDfgTextNodes);
+    return parsed;
+  }
   const std::string topo = doc->string_or("topology", "mesh");
   if (topo == "mesh") {
     req.topology = Topology::kMesh;

@@ -12,7 +12,8 @@
 //
 // Defaults: memo follows the service configuration; the others are
 // off/0. `mapping:true` asks for the placement text in the response.
-// Grid sides are bounded by kMaxGridSide, and a line by kMaxRequestLineBytes.
+// Grid sides are bounded by kMaxGridSide, `max_ii` by kMaxDfgTextNodes, and
+// a line by kMaxRequestLineBytes.
 // Unknown fields are ignored (forward compatibility); a missing or
 // unknown verb, unparsable JSON, or an inconsistent body is a protocol
 // error — answered with {"ok":false,"error":...}, never a dropped

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <condition_variable>
 #include <exception>
+#include <optional>
 #include <utility>
 
 #include "io/dfg_io.hpp"
@@ -39,6 +40,56 @@ std::string stop_response(const std::string& id, MapOutcome outcome,
       .field("error", what)
       .end_object()
       .take();
+}
+
+/// A memo miss on its way through the compile pool: what the front end
+/// built, then the worker's answer (or its exception) and its own time.
+struct Compile {
+  const Dfg dfg;
+  const std::shared_ptr<const CgraArch> arch;
+  const std::optional<DfgFingerprint> fp;  // set when the answer is memoised
+  const std::uint64_t arch_fp;
+  const DecoupledMapperOptions opts;
+  const double deadline_s;
+
+  std::mutex m;
+  std::condition_variable cv;
+  bool done = false;  // guarded by m; the fields below are set before it
+  MapResult result;
+  std::exception_ptr error;
+  double seconds = 0.0;
+};
+
+/// Gives back one unit of a count when it leaves scope.
+struct Release {
+  std::atomic<int>& count;
+  ~Release() { count.fetch_sub(1, std::memory_order_acq_rel); }
+};
+
+/// The response to a map request the memo or the mapper answered.
+std::string map_response(const ServeRequest& req, const Dfg& dfg,
+                         const MapResult& result, bool memo_hit,
+                         double seconds) {
+  json::Writer w = response(req.id, result.success);
+  w.field("outcome", to_string(result.outcome))
+      .field("exit_code", exit_code(result.outcome))
+      .field("ii", result.ii)
+      .field("mii", result.mii.mii())
+      .field("ii_lo", result.ii_lo)
+      .field("ii_hi", result.ii_hi)
+      .field("schedules_tried", result.schedules_tried)
+      .field("memo_hit", memo_hit)
+      .field("seconds", seconds);
+  if (!result.causes.empty()) {
+    w.field("causes", format_causes(result.causes));
+  }
+  if (!result.success && !result.failure_reason.empty()) {
+    w.field("error", result.failure_reason);
+  }
+  if (req.want_mapping && result.success) {
+    w.field("mapping", mapping_to_text(dfg, result.mapping));
+  }
+  return w.end_object().take();
 }
 
 }  // namespace
@@ -97,138 +148,111 @@ std::string MappingService::reject_oversized_line() {
 std::string MappingService::handle_map(const ServeRequest& req) {
   requests_.fetch_add(1, std::memory_order_relaxed);
   Stopwatch watch;
-  // Admission control: bound queued + running map requests. An overloaded
-  // service answers NOW with the outcome an expired deadline would have
-  // produced — the client's retry policy treats both the same — instead of
-  // queueing into a latency cliff.
-  const int limit = options_.queue_limit;
-  if (limit > 0 &&
-      in_flight_.fetch_add(1, std::memory_order_acq_rel) >= limit) {
-    in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    record_latency(watch.elapsed_s());
-    return stop_response(req.id, MapOutcome::kDeadline,
-                         "admission: queue full", "admission queue full");
-  }
-  if (limit <= 0) {
-    in_flight_.fetch_add(1, std::memory_order_acq_rel);
-  }
-
-  struct Job {
-    std::mutex m;
-    std::condition_variable cv;
-    bool done = false;
-    std::string response;
-  };
-  auto job = std::make_shared<Job>();
-  pool_->submit([this, job, req] {
-    std::string response;
-    try {
-      response = run_map_job(req);
-    } catch (const std::exception& e) {
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      response = error_response(req.id, e.what());
-    } catch (...) {
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      response = error_response(req.id, "unknown worker failure");
-    }
-    {
-      const std::lock_guard<std::mutex> lock(job->m);
-      job->response = std::move(response);
-      job->done = true;
-    }
-    job->cv.notify_all();
-  });
+  // Every failure becomes a response here, the compile job's included (it
+  // hands its exception back): the front end runs on the caller's thread,
+  // which in the daemon is a connection thread an escaped exception would
+  // take the process down with.
   std::string response;
-  {
-    std::unique_lock<std::mutex> lock(job->m);
-    job->cv.wait(lock, [&job] { return job->done; });
-    response = std::move(job->response);
+  try {
+    response = serve_map(req, watch);
+  } catch (const fault::FaultInjectedError& e) {
+    faults_.fetch_add(1, std::memory_order_relaxed);
+    response = stop_response(req.id, MapOutcome::kFault,
+                             e.site() + ": injected fault", e.what());
+  } catch (const InputError& e) {
+    // The loaders refuse malformed DFG text and unknown bench names with an
+    // InputError: a bad request, not a crash.
+    errors_.fetch_add(1, std::memory_order_relaxed);
+    response = error_response(req.id, std::string("bad request: ") + e.what());
+  } catch (const std::exception& e) {
+    errors_.fetch_add(1, std::memory_order_relaxed);
+    response = error_response(req.id, e.what());
+  } catch (...) {
+    errors_.fetch_add(1, std::memory_order_relaxed);
+    response = error_response(req.id, "unknown failure");
   }
-  in_flight_.fetch_sub(1, std::memory_order_acq_rel);
   record_latency(watch.elapsed_s());
   return response;
 }
 
-std::string MappingService::run_map_job(const ServeRequest& req) {
-  Stopwatch watch;
+std::string MappingService::serve_map(const ServeRequest& req,
+                                      const Stopwatch& watch) {
   // The daemon-path fault site: fires before any real work so the ASan
   // sweep proves a failed request becomes a classified outcome on the
   // wire with the server still up.
-  try {
-    fault::maybe_inject("serve.request");
-  } catch (const fault::FaultInjectedError& e) {
-    faults_.fetch_add(1, std::memory_order_relaxed);
-    return stop_response(req.id, MapOutcome::kFault,
-                         e.site() + ": injected fault", e.what());
-  }
+  fault::maybe_inject("serve.request");
 
-  // Materialise the problem. The loaders refuse malformed DFG text and
-  // unknown bench names with an InputError — a bad request, not a crash.
-  std::optional<Dfg> dfg;
-  try {
-    if (!req.bench.empty()) {
-      dfg = benchmark_by_name(req.bench).dfg;
-    } else {
-      dfg = dfg_from_text(req.dfg_text);
-    }
-  } catch (const InputError& e) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    return error_response(req.id, std::string("bad request: ") + e.what());
-  }
-  // `held` keeps the fabric alive to the end of the job, evicted or not.
-  const std::shared_ptr<const CgraArch> held =
+  Dfg dfg = req.bench.empty() ? dfg_from_text(req.dfg_text)
+                              : benchmark_by_name(req.bench).dfg;
+  // `held` keeps the fabric alive to the end of the request, evicted or not.
+  std::shared_ptr<const CgraArch> held =
       fabric(req.rows, req.cols, req.topology);
-  const CgraArch& arch = *held;
-
   DecoupledMapperOptions opts = options_.mapper;
   opts.anytime = req.anytime;
   if (req.max_schedules > 0) opts.max_schedules = req.max_schedules;
   if (req.max_ii > 0) opts.max_ii = req.max_ii;
-  const bool use_memo = req.memo == -1 ? options_.memo : req.memo != 0;
-  const double deadline_s =
-      req.deadline_s > 0.0 ? req.deadline_s : options_.default_deadline_s;
 
   std::optional<DfgFingerprint> fp;
   std::uint64_t arch_fp = 0;
-  std::optional<MapResult> cached;
-  if (use_memo) {
-    fp = fingerprint_dfg(*dfg);
-    arch_fp = fingerprint_arch(arch);
-    cached = store_.lookup(*dfg, arch, *fp, arch_fp, opts);
-  }
-  const bool memo_hit = cached.has_value();
-  MapResult result;
-  if (memo_hit) {
-    result = std::move(*cached);
-  } else {
-    result = DecoupledMapper(opts).map(*dfg, arch, Deadline(deadline_s));
-    if (use_memo) store_.store(*dfg, *fp, arch_fp, opts, result);
-  }
-  if (result.outcome == MapOutcome::kFault) {
-    faults_.fetch_add(1, std::memory_order_relaxed);
+  if (req.memo == -1 ? options_.memo : req.memo != 0) {
+    fp = fingerprint_dfg(dfg);
+    arch_fp = fingerprint_arch(*held);
+    const std::optional<MapResult> hit =
+        store_.lookup(dfg, *held, *fp, arch_fp, opts);
+    if (hit.has_value()) {
+      return map_response(req, dfg, *hit, true, watch.elapsed_s());
+    }
   }
 
-  json::Writer w = response(req.id, result.success);
-  w.field("outcome", to_string(result.outcome))
-      .field("exit_code", exit_code(result.outcome))
-      .field("ii", result.ii)
-      .field("mii", result.mii.mii())
-      .field("ii_lo", result.ii_lo)
-      .field("ii_hi", result.ii_hi)
-      .field("schedules_tried", result.schedules_tried)
-      .field("memo_hit", memo_hit)
-      .field("seconds", watch.elapsed_s());
-  if (!result.causes.empty()) {
-    w.field("causes", format_causes(result.causes));
+  // Admission control bounds the compile jobs queued or running; a hit
+  // never gets here. An overloaded service answers NOW with the outcome an
+  // expired deadline would have produced — the client's retry policy
+  // treats both the same — instead of queueing into a latency cliff.
+  const int ahead = compiles_in_flight_.fetch_add(1, std::memory_order_acq_rel);
+  const Release slot{compiles_in_flight_};
+  if (options_.queue_limit > 0 && ahead >= options_.queue_limit) {
+    rejected_.fetch_add(1, std::memory_order_relaxed);
+    return stop_response(req.id, MapOutcome::kDeadline,
+                         "admission: queue full", "admission queue full");
   }
-  if (!result.success && !result.failure_reason.empty()) {
-    w.field("error", result.failure_reason);
+
+  // The compile job takes what the front end built, so nothing is parsed,
+  // fingerprinted or looked up twice. Its deadline starts when a worker
+  // picks it up, and `seconds` is the front end's time plus the worker's:
+  // the request's own work without the queue wait.
+  const double front_s = watch.elapsed_s();
+  const auto job = std::make_shared<Compile>(
+      std::move(dfg), std::move(held), std::move(fp), arch_fp,
+      std::move(opts),
+      req.deadline_s > 0.0 ? req.deadline_s : options_.default_deadline_s);
+  pool_->submit([this, job] {
+    const Stopwatch work;
+    try {
+      job->result = DecoupledMapper(job->opts).map(job->dfg, *job->arch,
+                                                   Deadline(job->deadline_s));
+      if (job->fp.has_value()) {
+        store_.store(job->dfg, *job->fp, job->arch_fp, job->opts, job->result);
+      }
+    } catch (...) {
+      job->error = std::current_exception();
+    }
+    job->seconds = work.elapsed_s();
+    {
+      const std::lock_guard<std::mutex> lock(job->m);
+      job->done = true;
+    }
+    job->cv.notify_all();
+  });
+  {
+    std::unique_lock<std::mutex> lock(job->m);
+    job->cv.wait(lock, [&job] { return job->done; });
   }
-  if (req.want_mapping && result.success) {
-    w.field("mapping", mapping_to_text(*dfg, result.mapping));
+  if (job->error) std::rethrow_exception(job->error);
+  if (job->result.outcome == MapOutcome::kFault) {
+    faults_.fetch_add(1, std::memory_order_relaxed);
   }
-  return w.end_object().take();
+  return map_response(req, job->dfg, job->result, false,
+                      front_s + job->seconds);
 }
 
 std::shared_ptr<const CgraArch> MappingService::fabric(int rows, int cols,

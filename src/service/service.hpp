@@ -1,28 +1,33 @@
 // MappingService: the daemon's engine, usable in-process.
 //
-// One instance owns the shared KnowledgeStore, a WorkStealingPool of
-// mapper workers, admission control and latency telemetry. handle_line()
-// is the single entry point — the socket front-end (tools/monomap_serve)
-// and the in-process load generator (bench_serve) and tests all feed
-// request lines through it, so every path exercises the same code.
+// One instance owns the shared KnowledgeStore, a WorkStealingPool that
+// compiles memo misses, admission control and latency telemetry.
+// handle_line() is the single entry point — the socket front-end
+// (tools/monomap_serve) and the in-process load generator (bench_serve) and
+// tests all feed request lines through it, so every path exercises the same
+// code.
 //
-// Request lifecycle: parse -> admission (a bounded in-flight count; an
-// overloaded service answers immediately with a `deadline` outcome and an
-// "admission" cause instead of queueing unboundedly) -> a pool worker runs
-// the mapper under the request's Deadline -> response. The fabrics
-// (CgraArch) requests name are kept in a small LRU cache, with the tables
-// each builds on first use, so a repeat request does not rebuild them.
-// The one reuse path is the memo: an exact or isomorphic repeat with the
-// same options fingerprint is answered from the KnowledgeStore without any
-// search, and every miss is a plain DecoupledMapper::map whose feasible
-// answer is memoised for the next request.
+// Request path: a front end on the calling thread parses the line, loads
+// the DFG, takes the fabric, fingerprints both and looks the request up in
+// the memo; a hit (an exact or isomorphic repeat with the same options
+// fingerprint) is answered there, without any search and without waiting
+// for the pool. A miss passes admission (a bounded count of compile jobs
+// queued or running; an overloaded service answers immediately with a
+// `deadline` outcome and an "admission" cause instead of queueing
+// unboundedly) and becomes a compile job on the pool: a plain
+// DecoupledMapper::map of the DFG, fabric, fingerprints and options the
+// front end built, under the request's Deadline, whose feasible answer is
+// memoised for the next request. The fabrics (CgraArch) requests name are
+// kept in a small LRU cache, with the tables each builds on first use, so a
+// repeat request does not rebuild them.
 //
 // Failure containment: the `serve.request` fault-injection site fires at
-// the top of every worker job; an injected fault (or any exception the
+// the top of the front end; an injected fault (or any exception the
 // mapper's own retries could not absorb) is classified onto the wire as a
 // `fault` outcome and the service keeps serving. Malformed input — a
 // protocol error, DFG text the loader refuses, an unknown bench name — is
-// an error response, never a crash.
+// an error response, never a crash. No exception leaves handle_line(): in
+// the daemon it runs on a connection thread.
 #ifndef MONOMAP_SERVICE_SERVICE_HPP
 #define MONOMAP_SERVICE_SERVICE_HPP
 
@@ -38,17 +43,19 @@
 #include "mapper/knowledge_store.hpp"
 #include "service/protocol.hpp"
 #include "support/parallel.hpp"
+#include "support/stopwatch.hpp"
 
 namespace monomap {
 
 class MappingService {
  public:
   struct Options {
-    /// Mapper worker threads (the socket front-end adds its own
-    /// per-connection reader threads on top).
+    /// Compile pool threads. Memo hits are answered on the calling thread
+    /// (the socket front-end's per-connection reader threads).
     int threads = 1;
-    /// Admission bound: map requests in flight (queued + running) beyond
-    /// this are rejected with a `deadline` outcome. <= 0 = unbounded.
+    /// Admission bound: compile jobs in flight (queued + running) beyond
+    /// this are rejected with a `deadline` outcome. A memo hit is never
+    /// refused. <= 0 = unbounded.
     int queue_limit = 16;
     /// Deadline for requests that do not carry their own.
     double default_deadline_s = 30.0;
@@ -92,8 +99,9 @@ class MappingService {
   MappingService& operator=(const MappingService&) = delete;
 
   /// Handle one request line; returns the response JSON (no newline).
-  /// Thread-safe; map requests block the calling thread until a worker
-  /// finishes them (connection threads are the natural callers).
+  /// Thread-safe; a failed request comes back as a response, never as an
+  /// exception. A memo miss blocks the calling thread until a pool worker
+  /// has compiled it (connection threads are the natural callers).
   std::string handle_line(const std::string& line);
 
   /// The response to a line the front-end stopped reading past
@@ -110,10 +118,11 @@ class MappingService {
 
  private:
   std::string handle_map(const ServeRequest& req);
-  std::string run_map_job(const ServeRequest& req);
+  /// The front end of a map request; throws what handle_map classifies.
+  std::string serve_map(const ServeRequest& req, const Stopwatch& watch);
   std::string render_stats(const std::string& id) const;
   void record_latency(double seconds);
-  /// The fabric a request maps onto. A job holds its own reference, so
+  /// The fabric a request maps onto. A request holds its own reference, so
   /// evicting a fabric from the cache never frees it under a running job.
   std::shared_ptr<const CgraArch> fabric(int rows, int cols,
                                          Topology topology);
@@ -122,7 +131,7 @@ class MappingService {
   KnowledgeStore store_;
   std::unique_ptr<WorkStealingPool> pool_;
   std::atomic<bool> shutdown_{false};
-  std::atomic<int> in_flight_{0};
+  std::atomic<int> compiles_in_flight_{0};
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::uint64_t> errors_{0};

@@ -45,6 +45,15 @@ TEST(DfgIo, RejectsMalformedInput) {
                InputError);
   EXPECT_THROW(dfg_from_text("dfg x\nnodes 1\nedge 0 0 -1\nend\n"),
                InputError);
+  // A distance above the cap is refused (distance x II must fit an int);
+  // the cap itself loads.
+  EXPECT_THROW(dfg_from_text("dfg x\nnodes 2\nedge 0 1 0\nedge 1 0 " +
+                             std::to_string(kMaxDfgTextDistance + 1) +
+                             "\nend\n"),
+               InputError);
+  EXPECT_NO_THROW((void)dfg_from_text(
+      "dfg x\nnodes 2\nedge 0 1 0\nedge 1 0 " +
+      std::to_string(kMaxDfgTextDistance) + "\nend\n"));
   // Not an integer, and an integer out of int range: input errors, not a
   // std::stoi exception escaping to the caller.
   EXPECT_THROW(dfg_from_text("dfg x\nnodes 1\nedge 0 one 0\nend\n"),

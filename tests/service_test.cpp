@@ -1,13 +1,16 @@
 // MappingService + KnowledgeStore: protocol robustness, memo soundness
 // (identical and isomorphic repeats), the memo-miss differential against
-// map(), the fabric cache under concurrency, admission control, fault
-// containment, shutdown.
+// map(), the fabric cache under concurrency, memo hits answered while a
+// compile runs, admission control, fault containment, a seeded mutation
+// run of the front end, shutdown.
 #include "service/service.hpp"
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <optional>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -52,6 +55,7 @@ TEST(ServeProtocolTest, MalformedInputIsAnErrorNeverACrash) {
       "{\"verb\":\"map\",\"bench\":\"fft\",\"grid\":1.5}",   // non-integer
       "{\"verb\":\"map\",\"bench\":\"fft\",\"grid\":129}",   // > kMaxGridSide
       "{\"verb\":\"map\",\"bench\":\"fft\",\"max_schedules\":-1}",
+      "{\"verb\":\"map\",\"bench\":\"fft\",\"max_ii\":4097}",  // > nodes cap
       "{\"verb\":\"map\",\"bench\":\"fft\",\"topology\":\"ring\"}",
       "{\"verb\":\"map\",\"bench\":\"fft\",\"deadline_s\":-2}",
       "{\"verb\":\"map\",\"bench\":\"fft\",\"memo\":1}",
@@ -471,6 +475,39 @@ TEST(ServiceTest, AdmissionBoundRejectsWithDeadlineOutcome) {
   EXPECT_TRUE(after.bool_or("ok", false));
 }
 
+TEST(ServiceTest, MemoHitIsAnsweredWhileACompileRuns) {
+  // A hit is answered on the caller's thread: it neither waits behind the
+  // compile that holds the only worker nor counts against the admission
+  // bound, which a queue limit of 1 leaves no room in.
+  for (const int queue_limit : {0, 1}) {
+    MappingService::Options options;
+    options.threads = 1;
+    options.queue_limit = queue_limit;
+    MappingService service(options);
+    ASSERT_TRUE(parse_response(service.handle_line(map_request("fft", true)))
+                    .bool_or("ok", false));
+    std::atomic<bool> compiled{false};
+    std::thread occupant([&] {
+      // cfd at 4x4 runs ~1s, on the worker from shortly after it arrives;
+      // the deadline only caps it in the slower sanitizer builds.
+      (void)service.handle_line(
+          "{\"verb\":\"map\",\"id\":\"t\",\"bench\":\"cfd\",\"grid\":4,"
+          "\"deadline_s\":2,\"memo\":false}");
+      compiled = true;
+    });
+    while (service.stats().requests < 2) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const json::Value hit =
+        parse_response(service.handle_line(map_request("fft", true)));
+    EXPECT_FALSE(compiled.load()) << "queue_limit " << queue_limit;
+    EXPECT_TRUE(hit.bool_or("ok", false)) << "queue_limit " << queue_limit;
+    EXPECT_TRUE(hit.bool_or("memo_hit", false))
+        << "queue_limit " << queue_limit;
+    occupant.join();
+    EXPECT_EQ(service.stats().rejected, 0u) << "queue_limit " << queue_limit;
+  }
+}
+
 // ---- fault containment ---------------------------------------------------
 
 TEST(ServiceTest, ServeRequestFaultSiteIsClassifiedAndContained) {
@@ -500,6 +537,135 @@ TEST(ServiceTest, ServeRequestFaultSiteIsClassifiedAndContained) {
   const json::Value after =
       parse_response(service.handle_line(map_request("fft", false)));
   EXPECT_TRUE(after.bool_or("ok", false));
+}
+
+// ---- mutation run of the front end ----------------------------------------
+
+/// One seeded mutation of DFG text: a few byte flips, a deleted or a
+/// duplicated line, a number replaced by a huge or negative value, or a
+/// truncation.
+std::string mutate(std::string text, std::mt19937_64& rng) {
+  if (text.empty()) return text;
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  std::vector<std::string> lines;
+  for (std::size_t at = 0; at < text.size();) {
+    const std::size_t nl = std::min(text.find('\n', at), text.size() - 1);
+    lines.push_back(text.substr(at, nl + 1 - at));
+    at = nl + 1;
+  }
+  const auto join = [&lines] {
+    std::string out;
+    for (const std::string& l : lines) out += l;
+    return out;
+  };
+  switch (rng() % 5) {
+    case 0:
+      for (std::size_t flips = 1 + pick(4); flips > 0; --flips) {
+        text[pick(text.size())] ^= static_cast<char>(1 << pick(8));
+      }
+      return text;
+    case 1:
+      lines.erase(lines.begin() +
+                  static_cast<std::ptrdiff_t>(pick(lines.size())));
+      return join();
+    case 2: {
+      const std::size_t i = pick(lines.size());
+      lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(i), lines[i]);
+      return join();
+    }
+    case 3: {
+      static const char* const kValues[] = {
+          "2147483647", "2147483648", "-1", "-2147483648", "4096", "4097",
+          "9223372036854775807", "99999999999999999999", "0"};
+      std::vector<std::pair<std::size_t, std::size_t>> numbers;
+      for (std::size_t i = 0; i < text.size();) {
+        if (std::isdigit(static_cast<unsigned char>(text[i])) == 0) {
+          ++i;
+          continue;
+        }
+        const std::size_t begin = i;
+        while (i < text.size() &&
+               std::isdigit(static_cast<unsigned char>(text[i])) != 0) {
+          ++i;
+        }
+        numbers.emplace_back(begin, i - begin);
+      }
+      if (numbers.empty()) return text;
+      const auto [at, len] = numbers[pick(numbers.size())];
+      return text.replace(at, len, kValues[pick(std::size(kValues))]);
+    }
+    default:
+      return text.substr(0, pick(text.size()));
+  }
+}
+
+TEST(ServiceTest, MutatedRequestsAlwaysGetOneResponse) {
+  // About 2,000 mutants of map lines carrying suite DFG text, most mutated
+  // in the DFG text and some in the line itself, each with a small deadline
+  // and schedule budget. Every call answers one JSON object with an id and
+  // ok, nothing escapes, and a returned mapping validates on the DFG and
+  // fabric the mutated line names.
+  constexpr int kMutants = 2000;
+  constexpr std::uint64_t kSeed = 0xf022;
+  std::vector<std::string> texts;
+  for (const Benchmark& b : benchmark_suite()) {
+    if (b.name != "cfd" && b.name != "hotspot3D") {
+      texts.push_back(dfg_to_text(b.dfg));
+    }
+  }
+  MappingService service;
+  std::mt19937_64 rng(kSeed);
+  std::vector<std::string> failures;
+  int mapped = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    std::string text = texts[rng() % texts.size()];
+    for (std::uint64_t m = 1 + rng() % 3; m > 0; --m) text = mutate(text, rng);
+    std::string line = "{\"verb\":\"map\",\"id\":\"m" + std::to_string(i) +
+                       "\",\"grid\":" + std::to_string(3 + rng() % 3) +
+                       ",\"deadline_s\":0.05,\"max_schedules\":2,"
+                       "\"mapping\":true,\"dfg\":\"" +
+                       json::escape(text) + "\"}";
+    if (rng() % 8 == 0) line = mutate(line, rng);
+    const std::string where = "mutant " + std::to_string(i) + ": ";
+    std::string body;
+    ASSERT_NO_THROW(body = service.handle_line(line)) << where << line;
+    const std::optional<json::Value> r = json::parse(body);
+    if (!r.has_value() || !r->is_object() || r->find("id") == nullptr ||
+        !r->find("id")->is_string() || r->find("ok") == nullptr ||
+        !r->find("ok")->is_bool()) {
+      failures.push_back(where + "malformed response " + body);
+      continue;
+    }
+    if (!r->bool_or("ok", false)) continue;
+    const ParsedRequest sent = parse_request(line);
+    if (!sent.request.want_mapping) continue;  // a mutant that dropped it
+    try {
+      const Dfg dfg = dfg_from_text(sent.request.dfg_text);
+      const Mapping mapping =
+          mapping_from_text(r->string_or("mapping", ""), dfg.num_nodes());
+      const CgraArch arch(sent.request.rows, sent.request.cols,
+                          sent.request.topology);
+      if (!validate_mapping(dfg, arch, mapping,
+                            MrrgModel::kRegisterPersistence)
+               .empty()) {
+        failures.push_back(where + "mapping fails validate_mapping");
+      }
+      ++mapped;
+    } catch (const InputError& e) {
+      failures.push_back(where + e.what());
+    }
+  }
+  EXPECT_TRUE(failures.empty())
+      << failures.size() << " failures, first: " << failures.front();
+  // The run exercises both sides: mutants the mapper answered, and mutants
+  // refused as bad requests.
+  EXPECT_GT(mapped, kMutants / 20);
+  EXPECT_GT(service.stats().errors, static_cast<std::uint64_t>(kMutants / 20));
+  const json::Value clean =
+      parse_response(service.handle_line(map_request("fft", true)));
+  EXPECT_TRUE(clean.bool_or("ok", false));
 }
 
 // ---- stats + shutdown ----------------------------------------------------

@@ -8,7 +8,8 @@
 //   monomap_serve --stdio [flags]            (one client; tests, pipes)
 //
 // One MappingService instance backs every connection, so all clients share
-// the fingerprint memo cache. A
+// the fingerprint memo cache. Each connection has its own thread, which
+// answers memo hits itself and waits on the compile pool for misses. A
 // `shutdown` verb (or SIGINT/SIGTERM) drains in-flight requests and exits 0.
 // A line longer than kMaxRequestLineBytes is answered `bad request: ...`
 // and ends its connection (or the --stdio session).
@@ -43,7 +44,7 @@ void on_signal(int) { g_stop.store(true, std::memory_order_release); }
 [[noreturn]] void usage() {
   std::cerr <<
       "usage: monomap_serve (--unix PATH | --port N | --stdio)\n"
-      "  [--threads N]          mapper worker threads (default 1)\n"
+      "  [--threads N]          compile pool threads (default 1)\n"
       "  [--queue-limit N]      admission bound, 0 = unbounded (default 16)\n"
       "  [--deadline S]         default per-request deadline (default 30)\n"
       "  [--no-memo]            disable the fingerprint memo cache\n"
