@@ -467,8 +467,8 @@ void run_json_mode(const std::vector<int>& grids, int repeats,
         speculative = mapper.map(b.dfg, arch, /*lookahead=*/2);
         speculative_s.push_back(speculative_wall.elapsed_s());
       }
-      // The race commits the single walk's II, so only its wall clock and
-      // pool steals ride along.
+      // The race commits the single walk's II, so only its wall clock
+      // rides along.
       json.begin_object();
       json.field("suite", b.name);
       json.field("grid", grid);
@@ -476,7 +476,6 @@ void run_json_mode(const std::vector<int>& grids, int repeats,
       json.field("single_s", median(single_s));
       json.field("speculative_success", speculative.success);
       json.field("speculative_s", median(speculative_s));
-      json.field("steals", speculative.steals);
       json.field("ii", single.success ? single.ii : -1);
       json.end_object();
     }

@@ -11,8 +11,7 @@
 //    last run's result as write_json writes it: outcome, II and interval,
 //    and every effort counter. The "hard" section additionally records
 //    engine="speculative" rows — the cross-II race (a lookahead-2 walk),
-//    which lands on the incremental rows' answer and effort and adds the
-//    pool's steals.
+//    which lands on the incremental rows' answer and effort.
 #include <benchmark/benchmark.h>
 
 #include <cstring>

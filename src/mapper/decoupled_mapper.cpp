@@ -146,7 +146,6 @@ void write_json(json::Writer& w, const MapResult& r) {
   MONOMAP_TIME_COUNTERS(MONOMAP_WRITE)
 #undef MONOMAP_WRITE
   w.field("learnt_retained", r.time_stats.learnt_retained);
-  w.field("steals", r.steals);
 }
 
 MapResult DecoupledMapper::map_at_ii(const Dfg& dfg, const CgraArch& arch,
@@ -489,7 +488,7 @@ class DecoupledMapper::Walk {
 
   /// Launch the anytime probe, then the first attempt window, as tasks of
   /// `pool` (null: queued for run_queued()). Call once.
-  void start(WorkStealingPool* pool) {
+  void start(ThreadPool* pool) {
     const std::lock_guard<std::mutex> lock(m_);
     pool_ = pool;
     if (frontier_ > ceiling_) {
@@ -506,7 +505,7 @@ class DecoupledMapper::Walk {
 
   /// Run the queued attempts on the calling thread until none is left (the
   /// pool-less walk). Returns what an attempt threw past its own fault
-  /// handling, like WorkStealingPool::wait_idle_collect().
+  /// handling, like ThreadPool::wait_idle_collect().
   std::exception_ptr run_queued() {
     try {
       for (;;) {
@@ -702,7 +701,7 @@ class DecoupledMapper::Walk {
   const Deadline& deadline_;
   const int lookahead_;
   const bool anytime_;
-  WorkStealingPool* pool_ = nullptr;  // null = run_queued() on the caller
+  ThreadPool* pool_ = nullptr;  // null = run_queued() on the caller
   ResourceGovernor* const gov_;   // request governor, rebound per attempt
   const MiiBreakdown mii_;
   const int ceiling_;  // inclusive; the anytime probe runs here
@@ -743,7 +742,7 @@ MapResult DecoupledMapper::map(const Dfg& dfg, const CgraArch& arch,
   Walk run(*this, dfg, arch, deadline, lookahead, gov);
   // The frontier plus the IIs raced beyond it: min(lookahead + 1, cores)
   // workers.
-  std::optional<WorkStealingPool> pool;
+  std::optional<ThreadPool> pool;
   if (lookahead > 0) {
     pool.emplace(std::min(lookahead, hardware_cores() - 1) + 1);
   }
@@ -751,7 +750,6 @@ MapResult DecoupledMapper::map(const Dfg& dfg, const CgraArch& arch,
   const std::exception_ptr error =
       pool ? pool->wait_idle_collect() : run.run_queued();
   MapResult result = run.take();
-  if (pool) result.steals = pool->steals();
   if (error != nullptr) {
     // A task died past its attempt's fault handling: classify the known
     // fault classes onto the result (take() already salvaged the effort
@@ -803,8 +801,8 @@ std::vector<MapResult> DecoupledMapper::map_batch(
     return results;
   }
   // Pooled path: every case is a lookahead-1 walk whose per-II attempts
-  // are the pool's tasks. A hard case decomposes into subtasks the other
-  // workers steal, instead of pinning one thread for the whole batch.
+  // are the pool's tasks. A hard case decomposes into attempts any idle
+  // worker takes, instead of pinning one thread for the whole batch.
   // Each case commits what its own map() would.
   std::vector<std::unique_ptr<Walk>> walks;
   walks.reserve(dfgs.size());
@@ -812,7 +810,7 @@ std::vector<MapResult> DecoupledMapper::map_batch(
     walks.push_back(std::make_unique<Walk>(*this, *dfg, arch, deadline,
                                            /*lookahead=*/1, gov));
   }
-  WorkStealingPool pool(clamp_pool_threads(num_threads));
+  ThreadPool pool(clamp_pool_threads(num_threads));
   for (auto& w : walks) w->start(&pool);
   // One poisoned case must not sink the batch: the known fault classes
   // are already folded into the affected case's take() fallback;
@@ -827,10 +825,7 @@ std::vector<MapResult> DecoupledMapper::map_batch(
       ++stats->outcome_counts[static_cast<std::size_t>(results[i].outcome)];
     }
   }
-  if (stats != nullptr) {
-    stats->steals = pool.steals();
-    stats->fault_requeues = pool.fault_requeues();
-  }
+  if (stats != nullptr) stats->fault_requeues = pool.fault_requeues();
   return results;
 }
 

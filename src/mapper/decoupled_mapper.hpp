@@ -76,7 +76,6 @@ struct DecoupledMapperOptions {
 /// Aggregate telemetry for one map_batch call (the per-case MapResults
 /// cannot carry pool-level counters without double counting).
 struct BatchStats {
-  std::uint64_t steals = 0;  // tasks taken from another worker's deque
   /// Tasks a worker put back after an injected pool.worker fault fired.
   std::uint64_t fault_requeues = 0;
   /// Cases per final MapOutcome, indexed by static_cast<int>(outcome).
@@ -137,9 +136,6 @@ struct MapResult {
 #define MONOMAP_DECLARE_COUNTER(type, name, merge) type name = 0;
   MONOMAP_MAP_COUNTERS(MONOMAP_DECLARE_COUNTER)
 #undef MONOMAP_DECLARE_COUNTER
-  /// Work-stealing pool steals observed by a racing walk (lookahead > 0;
-  /// map_batch reports pool-level steals via BatchStats).
-  std::uint64_t steals = 0;
   std::string failure_reason;
   TimeSolverStats time_stats;
   SpaceResult last_space;
@@ -147,8 +143,8 @@ struct MapResult {
 
 /// Write `r` as members of the object `w` has open: outcome, success, the
 /// II and its interval, mII, sound_refutation, every MONOMAP_MAP_COUNTERS
-/// and MONOMAP_TIME_COUNTERS counter by its field name, learnt_retained and
-/// steals. Every bench row and the CLI's `result:` line use it.
+/// and MONOMAP_TIME_COUNTERS counter by its field name, and learnt_retained.
+/// Every bench row and the CLI's `result:` line use it.
 void write_json(json::Writer& w, const MapResult& r);
 
 class DecoupledMapper {
@@ -162,8 +158,8 @@ class DecoupledMapper {
   ///
   /// `lookahead` is the number of IIs kept in flight beyond the unresolved
   /// frontier. 0 runs one attempt at a time on the caller's thread. Above
-  /// 0 the attempts race on a work-stealing pool of min(lookahead + 1,
-  /// cores) workers: while II is still being refuted, II+1..II+lookahead
+  /// 0 the attempts race on a ThreadPool of min(lookahead + 1, cores)
+  /// workers: while II is still being refuted, II+1..II+lookahead
   /// already run. Each attempt is a pure function of its II, so the
   /// committed II, its interval and the effort counters are exactly the
   /// lookahead-0 answer — the race buys wall clock only — unless a
@@ -199,8 +195,8 @@ class DecoupledMapper {
   /// entire in-flight batch short. options_.timeout_s is ignored.
   ///
   /// With num_threads != 1 every case is one lookahead-1 walk on a shared
-  /// work-stealing pool — its per-II attempts are the pool's tasks, so one
-  /// pathological case no longer idles the other cores; with
+  /// ThreadPool — its per-II attempts are the pool's tasks, so one
+  /// pathological case does not idle the other cores; with
   /// num_threads == 1 every case runs the plain map() in order. `stats`,
   /// when non-null, receives pool-level telemetry.
   std::vector<MapResult> map_batch(const std::vector<const Dfg*>& dfgs,

@@ -1,8 +1,7 @@
 #include "service/service.hpp"
 
 #include <algorithm>
-#include <condition_variable>
-#include <exception>
+#include <future>
 #include <optional>
 #include <utility>
 
@@ -42,21 +41,9 @@ std::string stop_response(const std::string& id, MapOutcome outcome,
       .take();
 }
 
-/// A memo miss on its way through the compile pool: what the front end
-/// built, then the worker's answer (or its exception) and its own time.
-struct Compile {
-  const Dfg dfg;
-  const std::shared_ptr<const CgraArch> arch;
-  const std::optional<DfgFingerprint> fp;  // set when the answer is memoised
-  const std::uint64_t arch_fp;
-  const DecoupledMapperOptions opts;
-  const double deadline_s;
-
-  std::mutex m;
-  std::condition_variable cv;
-  bool done = false;  // guarded by m; the fields below are set before it
+/// A compile job's answer and the worker's own time for it.
+struct Compiled {
   MapResult result;
-  std::exception_ptr error;
   double seconds = 0.0;
 };
 
@@ -101,7 +88,7 @@ MappingService::MappingService(Options options)
       store_(KnowledgeStore::Options{options_.store_budget_mb,
                                      options_.max_memo_entries}),
       latencies_s_(kLatencyWindow, 0.0) {
-  pool_ = std::make_unique<WorkStealingPool>(std::max(1, options_.threads));
+  pool_ = std::make_unique<ThreadPool>(std::max(1, options_.threads));
 }
 
 MappingService::~MappingService() {
@@ -216,43 +203,34 @@ std::string MappingService::serve_map(const ServeRequest& req,
                          "admission: queue full", "admission queue full");
   }
 
-  // The compile job takes what the front end built, so nothing is parsed,
-  // fingerprinted or looked up twice. Its deadline starts when a worker
-  // picks it up, and `seconds` is the front end's time plus the worker's:
-  // the request's own work without the queue wait.
+  // The compile job reads what the front end built, so nothing is parsed,
+  // fingerprinted or looked up twice; the front end blocks on the job's
+  // future, so those locals outlive the job, and the future hands back the
+  // answer or rethrows the job's exception. The deadline starts when a
+  // worker picks the job up, and `seconds` is the front end's time plus the
+  // worker's: the request's own work without the queue wait.
   const double front_s = watch.elapsed_s();
-  const auto job = std::make_shared<Compile>(
-      std::move(dfg), std::move(held), std::move(fp), arch_fp,
-      std::move(opts),
-      req.deadline_s > 0.0 ? req.deadline_s : options_.default_deadline_s);
-  pool_->submit([this, job] {
-    const Stopwatch work;
-    try {
-      job->result = DecoupledMapper(job->opts).map(job->dfg, *job->arch,
-                                                   Deadline(job->deadline_s));
-      if (job->fp.has_value()) {
-        store_.store(job->dfg, *job->fp, job->arch_fp, job->opts, job->result);
-      }
-    } catch (...) {
-      job->error = std::current_exception();
-    }
-    job->seconds = work.elapsed_s();
-    {
-      const std::lock_guard<std::mutex> lock(job->m);
-      job->done = true;
-    }
-    job->cv.notify_all();
-  });
-  {
-    std::unique_lock<std::mutex> lock(job->m);
-    job->cv.wait(lock, [&job] { return job->done; });
-  }
-  if (job->error) std::rethrow_exception(job->error);
-  if (job->result.outcome == MapOutcome::kFault) {
+  const double deadline_s =
+      req.deadline_s > 0.0 ? req.deadline_s : options_.default_deadline_s;
+  const auto job = std::make_shared<std::packaged_task<Compiled()>>(
+      [this, &dfg, &held, &fp, arch_fp, &opts, deadline_s] {
+        const Stopwatch work;
+        Compiled compiled{
+            DecoupledMapper(opts).map(dfg, *held, Deadline(deadline_s))};
+        if (fp.has_value()) {
+          store_.store(dfg, *fp, arch_fp, opts, compiled.result);
+        }
+        compiled.seconds = work.elapsed_s();
+        return compiled;
+      });
+  std::future<Compiled> answer = job->get_future();
+  pool_->submit([job] { (*job)(); });
+  const Compiled compiled = answer.get();
+  if (compiled.result.outcome == MapOutcome::kFault) {
     faults_.fetch_add(1, std::memory_order_relaxed);
   }
-  return map_response(req, job->dfg, job->result, false,
-                      front_s + job->seconds);
+  return map_response(req, dfg, compiled.result, false,
+                      front_s + compiled.seconds);
 }
 
 std::shared_ptr<const CgraArch> MappingService::fabric(int rows, int cols,

@@ -1,7 +1,7 @@
 // MappingService: the daemon's engine, usable in-process.
 //
-// One instance owns the shared KnowledgeStore, a WorkStealingPool that
-// compiles memo misses, admission control and latency telemetry.
+// One instance owns the shared KnowledgeStore, a ThreadPool that compiles
+// memo misses, admission control and latency telemetry.
 // handle_line() is the single entry point — the socket front-end
 // (tools/monomap_serve) and the in-process load generator (bench_serve) and
 // tests all feed request lines through it, so every path exercises the same
@@ -129,7 +129,7 @@ class MappingService {
 
   Options options_;
   KnowledgeStore store_;
-  std::unique_ptr<WorkStealingPool> pool_;
+  std::unique_ptr<ThreadPool> pool_;
   std::atomic<bool> shutdown_{false};
   std::atomic<int> compiles_in_flight_{0};
   std::atomic<std::uint64_t> requests_{0};

@@ -6,8 +6,10 @@
 //   sat.solve     — SatSolver::solve_assuming entry
 //   space.search  — find_monomorphism entry
 //   time.session  — TimeSession::solve entry
-//   pool.worker   — WorkStealingPool, before each task runs
-//   serve.request — MappingService, at the top of every daemon worker job
+//   pool.worker   — ThreadPool, before each task runs (the task is
+//                   requeued, and past a cap it runs anyway)
+//   serve.request — MappingService, at the top of every map request's
+//                   front end
 //
 // With no plan installed a site is one relaxed atomic load — effectively
 // free. A plan arms per-site rules of the form kind@period: every period-th

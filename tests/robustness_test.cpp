@@ -399,7 +399,7 @@ TEST(Governor, BatchReportsTelemetryAtEveryThreadCount) {
 // ---------------------------------------------------------------------------
 
 TEST(Pool, CollectReturnsTaskErrorAndPoolStaysUsable) {
-  WorkStealingPool pool(2);
+  ThreadPool pool(2);
   pool.submit([] { throw std::runtime_error("task died"); });
   const std::exception_ptr error = pool.wait_idle_collect();
   ASSERT_NE(error, nullptr);
@@ -414,7 +414,7 @@ TEST(Pool, CollectReturnsTaskErrorAndPoolStaysUsable) {
 }
 
 TEST(Pool, WaitIdleRethrowsCollectedError) {
-  WorkStealingPool pool(1);
+  ThreadPool pool(1);
   pool.submit([] { throw std::runtime_error("task died"); });
   EXPECT_THROW(pool.wait_idle(), std::runtime_error);
   pool.wait_idle();  // error was consumed; the pool is clean again
@@ -423,7 +423,7 @@ TEST(Pool, WaitIdleRethrowsCollectedError) {
 TEST(Pool, WorkerFaultRequeuesTaskInsteadOfDroppingIt) {
   const FaultGuard guard;
   install_spec("pool.worker=throw@3:1");
-  WorkStealingPool pool(2);
+  ThreadPool pool(2);
   std::atomic<int> ran{0};
   for (int i = 0; i < 30; ++i) {
     pool.submit([&ran] { ran.fetch_add(1); });
@@ -433,6 +433,21 @@ TEST(Pool, WorkerFaultRequeuesTaskInsteadOfDroppingIt) {
   EXPECT_EQ(pool.wait_idle_collect(), nullptr);
   EXPECT_EQ(ran.load(), 30);
   EXPECT_GT(pool.fault_requeues(), 0u);
+}
+
+TEST(Pool, WorkerFaultsPastTheRequeueCapStillRunTheTask) {
+  const FaultGuard guard;
+  install_spec("pool.worker=throw@1");
+  ThreadPool pool(2);
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 8; ++i) {
+    pool.submit([&ran] { ran.fetch_add(1); });
+  }
+  // Every pickup faults. The first 4,096 requeue their task; past that cap
+  // a task runs anyway, so nothing is dropped and no error surfaces.
+  EXPECT_EQ(pool.wait_idle_collect(), nullptr);
+  EXPECT_EQ(ran.load(), 8);
+  EXPECT_EQ(pool.fault_requeues(), 4096u);
 }
 
 // ---------------------------------------------------------------------------

@@ -539,6 +539,20 @@ TEST(ServiceTest, ServeRequestFaultSiteIsClassifiedAndContained) {
   EXPECT_TRUE(after.bool_or("ok", false));
 }
 
+TEST(ServiceTest, CompileAnswersUnderPermanentPoolWorkerFaults) {
+  // Every pickup of the compile job faults: the pool requeues it up to its
+  // cap and then runs it, so the miss is answered rather than lost.
+  const auto plan = fault::parse_fault_spec("pool.worker=throw@1");
+  ASSERT_TRUE(plan.has_value());
+  fault::install_faults(*plan);
+  MappingService service;
+  const json::Value r =
+      parse_response(service.handle_line(map_request("fft", false)));
+  fault::clear_faults();
+  EXPECT_EQ(r.string_or("outcome", ""), "feasible");
+  EXPECT_TRUE(r.bool_or("ok", false));
+}
+
 // ---- mutation run of the front end ----------------------------------------
 
 /// One seeded mutation of DFG text: a few byte flips, a deleted or a

@@ -3,13 +3,16 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <future>
 #include <limits>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -482,8 +485,8 @@ TEST(Deadline, CancelTokenChainsToParent) {
   EXPECT_TRUE(child.cancelled());
 }
 
-TEST(WorkStealingPool, RunsEveryTaskIncludingNested) {
-  WorkStealingPool pool(4);
+TEST(ThreadPool, RunsEveryTaskIncludingNested) {
+  ThreadPool pool(4);
   std::atomic<int> done{0};
   for (int i = 0; i < 32; ++i) {
     pool.submit([&pool, &done] {
@@ -500,26 +503,62 @@ TEST(WorkStealingPool, RunsEveryTaskIncludingNested) {
   EXPECT_EQ(done.load(), 65);
 }
 
-TEST(WorkStealingPool, StealsWhenOneQueueIsLoaded) {
-  // All tasks are submitted from the outside and dealt round-robin, but
-  // each task body blocks until every worker has picked something up —
-  // with more tasks than workers the laggards' tasks must be stolen.
-  // (On a single-core machine the pool still has 4 workers; they
-  // timeslice.)
-  WorkStealingPool pool(4);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 64; ++i) {
-    pool.submit([&done] { done.fetch_add(1); });
-  }
+TEST(ThreadPool, NestedTasksRunOnIdleWorkers) {
+  // One task submits three more, then all four wait until the three have
+  // started. That happens only if the nested tasks reach the three idle
+  // workers rather than queueing behind the task that submitted them. The
+  // wait is bounded by one shared deadline, so a failure costs ~10 s, not
+  // a hang.
+  ThreadPool pool(4);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::atomic<int> started{0};
+  std::atomic<int> saw_all_started{0};
+  const auto wait_for_nested = [&] {
+    while (started.load() < 3 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (started.load() == 3) saw_all_started.fetch_add(1);
+  };
+  pool.submit([&] {
+    for (int i = 0; i < 3; ++i) {
+      pool.submit([&] {
+        started.fetch_add(1);
+        wait_for_nested();
+      });
+    }
+    wait_for_nested();
+  });
   pool.wait_idle();
-  EXPECT_EQ(done.load(), 64);
-  // steals() is telemetry, not a guarantee — just check it is readable
-  // and sane (cannot exceed the task count).
-  EXPECT_LE(pool.steals(), 64u);
+  EXPECT_EQ(saw_all_started.load(), 4);
 }
 
-TEST(WorkStealingPool, RethrowsFirstTaskExceptionFromWaitIdle) {
-  WorkStealingPool pool(2);
+TEST(ThreadPool, RunsTasksInSubmissionOrder) {
+  // One worker, so the run order is the queue order: external submissions
+  // and the tasks they submit from inside the pool run oldest first. The
+  // first task holds the worker until every external task is queued.
+  ThreadPool pool(1);
+  std::promise<void> queued;
+  std::shared_future<void> all_queued = queued.get_future().share();
+  std::vector<int> order;  // touched by the one worker only
+  pool.submit([&] {
+    all_queued.wait();
+    order.push_back(0);
+    pool.submit([&] { order.push_back(4); });
+  });
+  pool.submit([&] {
+    order.push_back(1);
+    pool.submit([&] { order.push_back(5); });
+  });
+  pool.submit([&] { order.push_back(2); });
+  pool.submit([&] { order.push_back(3); });
+  queued.set_value();
+  pool.wait_idle();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+}
+
+TEST(ThreadPool, RethrowsFirstTaskExceptionFromWaitIdle) {
+  ThreadPool pool(2);
   std::atomic<int> survivors{0};
   pool.submit([] { throw std::runtime_error("boom"); });
   for (int i = 0; i < 8; ++i) {

@@ -379,8 +379,7 @@ int cmd_batch(const std::vector<std::string>& specs, const CliOptions& opt) {
     std::cout << ' ' << to_string(static_cast<MapOutcome>(o)) << '='
               << stats.outcome_counts[static_cast<std::size_t>(o)];
   }
-  std::cout << "\npool: " << stats.steals << " steals, "
-            << stats.fault_requeues << " fault requeues\n";
+  std::cout << "\npool: " << stats.fault_requeues << " fault requeues\n";
   return worst;
 }
 

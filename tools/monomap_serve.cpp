@@ -9,18 +9,21 @@
 //
 // One MappingService instance backs every connection, so all clients share
 // the fingerprint memo cache. Each connection has its own thread, which
-// answers memo hits itself and waits on the compile pool for misses. A
-// `shutdown` verb (or SIGINT/SIGTERM) drains in-flight requests and exits 0.
-// A line longer than kMaxRequestLineBytes is answered `bad request: ...`
-// and ends its connection (or the --stdio session).
+// answers memo hits itself and waits on the compile pool's future for
+// misses; the accept loop joins a connection's thread once it has finished.
+// A `shutdown` verb (or SIGINT/SIGTERM) stops accepting, stops reading from
+// the open connections, lets every request already being answered get its
+// reply, and exits 0 — an idle client does not hold the daemon up. A line
+// longer than kMaxRequestLineBytes is answered `bad request: ...` and ends
+// its connection (or the --stdio session).
 #include <atomic>
+#include <cerrno>
 #include <csignal>
 #include <cstring>
 #include <iostream>
-#include <memory>
+#include <list>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -62,20 +65,23 @@ bool write_line(int fd, std::string response) {
   std::size_t off = 0;
   while (off < response.size()) {
     const ssize_t w = ::write(fd, response.data() + off, response.size() - off);
+    if (w < 0 && errno == EINTR) continue;  // a stop signal; finish the reply
     if (w <= 0) return false;
     off += static_cast<std::size_t>(w);
   }
   return true;
 }
 
-/// Read up to '\n'-delimited lines from fd, answer each through the
-/// service. Returns when the peer hangs up, shutdown is requested, or a
-/// line runs past kMaxRequestLineBytes (answered, then dropped).
+/// Read '\n'-delimited lines from fd, answer each through the service.
+/// Returns when the peer hangs up, its reads are shut down at exit,
+/// shutdown is requested, or a line runs past kMaxRequestLineBytes
+/// (answered, then dropped). The caller closes fd.
 void serve_connection(MappingService* service, int fd) {
   std::string buffer;
   char chunk[4096];
   for (;;) {
     const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+    if (n < 0 && errno == EINTR) continue;  // the stop path shuts reads down
     if (n <= 0) break;
     buffer.append(chunk, static_cast<std::size_t>(n));
     std::size_t start = 0;
@@ -84,7 +90,6 @@ void serve_connection(MappingService* service, int fd) {
       if (nl == std::string::npos) break;
       if (nl - start > kMaxRequestLineBytes) {
         (void)write_line(fd, service->reject_oversized_line());
-        ::close(fd);
         return;
       }
       std::string line = buffer.substr(start, nl - start);
@@ -93,7 +98,6 @@ void serve_connection(MappingService* service, int fd) {
       if (line.empty()) continue;
       if (!write_line(fd, service->handle_line(line)) ||
           service->shutdown_requested()) {
-        ::close(fd);
         return;
       }
     }
@@ -103,8 +107,17 @@ void serve_connection(MappingService* service, int fd) {
       break;
     }
   }
-  ::close(fd);
 }
+
+/// One client: its socket and the thread answering it. The thread never
+/// closes `fd`; the accept loop does, after the join, so the shutdown(2)
+/// that stops a connection at exit cannot reach a reused descriptor.
+struct Connection {
+  explicit Connection(int socket) : fd(socket) {}
+  const int fd;
+  std::atomic<bool> finished{false};
+  std::thread thread;
+};
 
 /// std::getline that stops past kMaxRequestLineBytes: false at the end of
 /// the input, or with *too_long set.
@@ -137,19 +150,48 @@ int serve_stdio(MappingService* service) {
 
 int serve_socket(MappingService* service, int listen_fd,
                  const std::string& unix_path) {
-  std::vector<std::thread> connections;
+  std::list<Connection> connections;  // stable addresses for the threads
+  // Join and close the connections whose threads have finished (all of
+  // them when `all`, which waits for the ones still answering).
+  const auto reap = [&connections](bool all) {
+    for (auto it = connections.begin(); it != connections.end();) {
+      if (all || it->finished.load(std::memory_order_acquire)) {
+        it->thread.join();
+        ::close(it->fd);
+        it = connections.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  };
   while (!service->shutdown_requested() &&
          !g_stop.load(std::memory_order_acquire)) {
     pollfd pfd{listen_fd, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, 200);
     if (ready < 0 && errno != EINTR) break;
+    reap(false);
     if (ready <= 0 || (pfd.revents & POLLIN) == 0) continue;
     const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) continue;
-    connections.emplace_back(serve_connection, service, fd);
+    Connection& conn = connections.emplace_back(fd);
+    try {
+      conn.thread = std::thread([service, &conn] {
+        serve_connection(service, conn.fd);
+        ::shutdown(conn.fd, SHUT_RDWR);  // the peer sees the hang-up now
+        conn.finished.store(true, std::memory_order_release);
+      });
+    } catch (const std::exception&) {
+      // No thread for this client (the process is out of threads or
+      // memory): drop the connection and keep serving the others.
+      ::close(fd);
+      connections.pop_back();
+    }
   }
   ::close(listen_fd);
-  for (std::thread& t : connections) t.join();
+  // Stop reading from every open connection: an idle client's read returns
+  // at once, and a request already being answered still gets its reply.
+  for (const Connection& conn : connections) ::shutdown(conn.fd, SHUT_RD);
+  reap(true);
   if (!unix_path.empty()) ::unlink(unix_path.c_str());
   return 0;
 }
@@ -225,8 +267,13 @@ int main(int argc, char** argv) {
     fault::install_faults(*plan);
   }
 
-  std::signal(SIGINT, on_signal);
-  std::signal(SIGTERM, on_signal);
+  // No SA_RESTART: a read blocked on input (the --stdio loop's) returns
+  // EINTR, so the loop sees g_stop instead of waiting for the next line.
+  struct sigaction stop {};
+  stop.sa_handler = on_signal;
+  sigemptyset(&stop.sa_mask);
+  ::sigaction(SIGINT, &stop, nullptr);
+  ::sigaction(SIGTERM, &stop, nullptr);
   std::signal(SIGPIPE, SIG_IGN);
 
   MappingService service(options);
