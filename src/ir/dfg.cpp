@@ -42,7 +42,8 @@ Dfg Dfg::from_edges(std::string name, int num_nodes,
   std::vector<std::string> names;
   names.reserve(static_cast<std::size_t>(num_nodes));
   for (int v = 0; v < num_nodes; ++v) {
-    names.push_back("n" + std::to_string(v));
+    // append, not "n" + ...: GCC 12 reports a false -Wrestrict on the latter.
+    names.emplace_back("n").append(std::to_string(v));
   }
   return Dfg(std::move(name), std::move(g), std::move(ops), std::move(names));
 }

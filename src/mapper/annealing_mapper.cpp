@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "sched/asap_alap.hpp"
 #include "sched/mobility.hpp"
@@ -13,17 +14,25 @@ namespace monomap {
 
 namespace {
 
+/// Random restarts per II before escalating.
+constexpr int kRestartsPerIi = 3;
+/// Moves per temperature step = this factor times the node count.
+constexpr int kMovesPerNode = 64;
+constexpr double kInitialTemperature = 3.0;
+constexpr double kCooling = 0.92;
+/// Temperature floor: below it the search is greedy; a restart follows.
+constexpr double kMinTemperature = 0.02;
+constexpr std::uint64_t kSeed = 0xC6A4A793;
+
 /// Annealing state for one (DFG, arch, II) instance.
 class Annealer {
  public:
   Annealer(const Dfg& dfg, const CgraArch& arch, int ii,
-           const MobilitySchedule& mobs, const AnnealingOptions& options,
-           Rng& rng)
+           const MobilitySchedule& mobs, Rng& rng)
       : dfg_(dfg),
         arch_(arch),
         ii_(ii),
         mobs_(mobs),
-        options_(options),
         rng_(rng),
         time_(static_cast<std::size_t>(dfg.num_nodes())),
         pe_(static_cast<std::size_t>(dfg.num_nodes())),
@@ -34,17 +43,16 @@ class Annealer {
   /// One annealing run from a fresh random state. Returns true on cost 0.
   bool run(const Deadline& deadline, std::uint64_t& moves) {
     randomize();
-    double temperature = options_.initial_temperature;
-    const int moves_per_step =
-        std::max(16, options_.moves_per_node * dfg_.num_nodes());
-    while (temperature > options_.min_temperature) {
+    double temperature = kInitialTemperature;
+    const int moves_per_step = std::max(16, kMovesPerNode * dfg_.num_nodes());
+    while (temperature > kMinTemperature) {
       for (int m = 0; m < moves_per_step; ++m) {
         ++moves;
         if (cost_ == 0) return true;
         propose(temperature);
         if ((moves & 0x3FF) == 0 && deadline.expired()) return cost_ == 0;
       }
-      temperature *= options_.cooling;
+      temperature *= kCooling;
     }
     return cost_ == 0;
   }
@@ -165,7 +173,6 @@ class Annealer {
   const CgraArch& arch_;
   int ii_;
   const MobilitySchedule& mobs_;
-  const AnnealingOptions& options_;
   Rng& rng_;
   std::vector<int> time_;
   std::vector<PeId> pe_;
@@ -182,17 +189,16 @@ AnnealResult AnnealingMapper::map(const Dfg& dfg, const CgraArch& arch) const {
                                 ? Deadline(options_.timeout_s)
                                 : Deadline::unlimited();
   result.mii = compute_mii(dfg, arch);
-  const int max_ii =
-      options_.max_ii > 0
-          ? options_.max_ii
-          : std::max(result.mii.mii(), std::max(1, dfg.num_nodes()));
-  Rng rng(options_.seed);
+  // The exact mappers' automatic ceiling: at II = #nodes a fully sequential
+  // schedule always fits.
+  const int max_ii = std::max(result.mii.mii(), std::max(1, dfg.num_nodes()));
+  Rng rng(kSeed);
 
   for (int ii = result.mii.mii(); ii <= max_ii; ++ii) {
     // Generous horizon: II extra steps of slack help the anneal spread load.
     const int horizon = critical_path_length(dfg) + ii;
     const MobilitySchedule mobs(dfg, horizon);
-    for (int restart = 0; restart < options_.restarts_per_ii; ++restart) {
+    for (int restart = 0; restart < kRestartsPerIi; ++restart) {
       if (deadline.expired()) {
         result.timed_out = true;
         result.failure_reason = "annealing hit the deadline";
@@ -200,7 +206,7 @@ AnnealResult AnnealingMapper::map(const Dfg& dfg, const CgraArch& arch) const {
         return result;
       }
       ++result.restarts;
-      Annealer annealer(dfg, arch, ii, mobs, options_, rng);
+      Annealer annealer(dfg, arch, ii, mobs, rng);
       if (annealer.run(deadline, result.moves)) {
         result.success = true;
         result.ii = ii;

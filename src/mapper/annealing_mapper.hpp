@@ -24,17 +24,6 @@ namespace monomap {
 struct AnnealingOptions {
   /// Overall wall-clock budget in seconds; <= 0 = unlimited.
   double timeout_s = 60.0;
-  /// Highest II to try; 0 = automatic (same rule as the exact mappers).
-  int max_ii = 0;
-  /// Random restarts per II before escalating.
-  int restarts_per_ii = 3;
-  /// Moves per temperature step = this factor times the node count.
-  int moves_per_node = 64;
-  double initial_temperature = 3.0;
-  double cooling = 0.92;
-  /// Temperature floor: below it the search is greedy; a restart follows.
-  double min_temperature = 0.02;
-  std::uint64_t seed = 0xC6A4A793;
 };
 
 struct AnnealResult {

@@ -9,6 +9,7 @@
 #include "sched/mobility.hpp"
 #include "support/log.hpp"
 #include "support/stopwatch.hpp"
+#include "timing/time_solver.hpp"
 
 namespace monomap {
 
@@ -167,14 +168,14 @@ CoupledMapResult CoupledSatMapper::map(const Dfg& dfg,
                                 ? Deadline(options_.timeout_s)
                                 : Deadline::unlimited();
   result.mii = compute_mii(dfg, arch);
-  const int max_ii =
-      options_.max_ii > 0
-          ? options_.max_ii
-          : std::max(result.mii.mii(), std::max(1, dfg.num_nodes()));
+  // The decoupled mapper's automatic II ceiling and horizon extension, so
+  // Table III compares both mappers over the same (II, horizon) range.
+  const int max_ii = std::max(result.mii.mii(), std::max(1, dfg.num_nodes()));
+  const int max_extension = TimeSolverOptions{}.max_horizon_extension;
   const int cp = critical_path_length(dfg);
 
   for (int ii = result.mii.mii(); ii <= max_ii; ++ii) {
-    for (int ext = 0; ext <= options_.max_horizon_extension; ++ext) {
+    for (int ext = 0; ext <= max_extension; ++ext) {
       if (deadline.expired()) {
         result.timed_out = true;
         result.failure_reason = "joint search hit the deadline";

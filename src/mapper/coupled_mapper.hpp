@@ -18,10 +18,6 @@ namespace monomap {
 struct CoupledMapperOptions {
   /// Overall wall-clock budget in seconds (paper: 4000 s); <= 0 = unlimited.
   double timeout_s = 4000.0;
-  /// Highest II to try; 0 = automatic (same rule as the time solver).
-  int max_ii = 0;
-  /// Extra schedule steps beyond the critical path per II.
-  int max_horizon_extension = 8;
 };
 
 struct CoupledMapResult {

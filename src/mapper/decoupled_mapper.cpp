@@ -73,7 +73,7 @@ T merge_max(T into, T from) {
 
 /// Fold one resolved attempt's effort counters into an aggregate. Result
 /// fields that identify the outcome (success, ii, mapping, failure_reason,
-/// last_space, learnt_retained) stay the receiver's.
+/// learnt_retained) stay the receiver's.
 void merge_attempt_counters(MapResult& into, const MapResult& from) {
 #define MONOMAP_MERGE(type, name, merge) \
   into.name = merge_##merge(into.name, from.name);
@@ -304,7 +304,6 @@ void DecoupledMapper::run_mapping_loop(const Dfg& dfg, const CgraArch& arch,
                                                 space_options, deadline);
     result.space_phase_s += phase.elapsed_s();
     result.space_backjumps += space.backjumps;
-    result.last_space = space;
 
     if (space.found) {
       result.success = true;

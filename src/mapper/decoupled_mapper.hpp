@@ -138,7 +138,6 @@ struct MapResult {
 #undef MONOMAP_DECLARE_COUNTER
   std::string failure_reason;
   TimeSolverStats time_stats;
-  SpaceResult last_space;
 };
 
 /// Write `r` as members of the object `w` has open: outcome, success, the

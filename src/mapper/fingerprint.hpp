@@ -1,9 +1,9 @@
 // Isomorphism-robust DFG fingerprints for the cross-request knowledge layer.
 //
-// The service memoises completed mappings and reuses refutation certificates
-// across requests; both need a key that identifies a DFG *up to node
-// relabelling* — AutoSA-style flows emit many near-duplicate kernels whose
-// node ids differ only by emission order. The fingerprint here is:
+// The service memoises completed mappings across requests, which needs a key
+// that identifies a DFG *up to node relabelling* — AutoSA-style flows emit
+// many near-duplicate kernels whose node ids differ only by emission order.
+// The fingerprint here is:
 //
 //   1. WL (Weisfeiler-Leman) colour refinement over (opcode, in/out edge
 //      roles, loop-carried distances) to a fixpoint. The sorted colour
@@ -13,9 +13,9 @@
 //      discrete colouring = a node ordering; the minimal signature over all
 //      leaves is the canonical form, and `canon` maps node -> canonical
 //      index. Two isomorphic DFGs get identical (iso_hi, iso_lo) AND their
-//      canonical forms are the same labelled graph, so artefacts expressed
-//      in canonical node space (mappings, slot-partition certificates)
-//      transfer between them by composing the two permutations.
+//      canonical forms are the same labelled graph, so a mapping expressed
+//      in canonical node space transfers between them by composing the two
+//      permutations.
 //
 // The search is budget-bounded. The budget is counted in refinement steps,
 // a quantity identical across isomorphic copies of a graph, so the

@@ -156,7 +156,6 @@ void KnowledgeStore::store(const Dfg& dfg, const DfgFingerprint& fp,
   entry.ii = result.ii;
   entry.mii = result.mii;
   entry.ii_refuted_up_to = result.ii_refuted_up_to;
-  entry.schedules_tried = result.schedules_tried;
   entry.num_nodes = dfg.num_nodes();
   entry.num_edges = dfg.num_edges();
   const std::size_t n = static_cast<std::size_t>(dfg.num_nodes());

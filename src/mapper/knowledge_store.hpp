@@ -106,7 +106,6 @@ class KnowledgeStore {
     int ii = 0;
     MiiBreakdown mii;  // a hit reports the bounds the stored walk started at
     int ii_refuted_up_to = 0;
-    int schedules_tried = 0;
     int num_nodes = 0;
     int num_edges = 0;
     std::vector<int> time;  // canonical index -> absolute time

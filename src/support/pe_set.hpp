@@ -151,7 +151,6 @@ class PeSet {
     }
     return true;
   }
-  [[nodiscard]] bool any() const { return !empty(); }
 
   PeSet& operator&=(const PeSet& o) {
     MONOMAP_ASSERT(o.words_.size() == words_.size());
@@ -175,34 +174,6 @@ class PeSet {
     occ_ |= o.occ_;
     return *this;
   }
-  /// this &= ~o (set difference). Occupancy is unchanged: the result only
-  /// loses bits, so the old map stays a valid over-approximation.
-  PeSet& and_not(const PeSet& o) {
-    MONOMAP_ASSERT(o.words_.size() == words_.size());
-    if (num_words() >= kDispatchWords) {
-      simd::and_not_assign(words_.data(), o.words_.data(), words_.size());
-      return *this;
-    }
-    for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= ~o.words_[i];
-    return *this;
-  }
-
-  /// Fused this &= o that also reports whether anything is left: one pass
-  /// where operator&= followed by empty() would take two.
-  bool intersect_and_test(const PeSet& o) {
-    MONOMAP_ASSERT(o.words_.size() == words_.size());
-    occ_ &= o.occ_;
-    if (num_words() >= kDispatchWords) {
-      return simd::and_assign_any(words_.data(), o.words_.data(),
-                                  words_.size()) != 0;
-    }
-    Word any = 0;
-    for (std::size_t i = 0; i < words_.size(); ++i) {
-      any |= (words_[i] &= o.words_[i]);
-    }
-    return any != 0;
-  }
-
   /// |this & o| without materialising the intersection.
   [[nodiscard]] int intersect_count(const PeSet& o) const {
     MONOMAP_ASSERT(o.words_.size() == words_.size());
@@ -240,21 +211,13 @@ class PeSet {
                              static_cast<std::size_t>(n));
   }
 
+  // is_subset_of and intersects are plain word loops at every width: the
+  // searcher calls them only before the recursion (the root degree filter,
+  // once per DFG node, and the depth-0 octant test, once per search).
+
   /// True if every member of this set is also in `o`.
   [[nodiscard]] bool is_subset_of(const PeSet& o) const {
     MONOMAP_ASSERT(o.words_.size() == words_.size());
-    if (num_words() >= kDispatchWords) {
-      if (tile_skipping_active()) {
-        // Tiles empty in this set are trivially contained.
-        return for_tile_runs(occ_, [&](int base, int n) {
-          return simd::is_subset_of(words_.data() + base,
-                                    o.words_.data() + base,
-                                    static_cast<std::size_t>(n));
-        });
-      }
-      return simd::is_subset_of(words_.data(), o.words_.data(),
-                                words_.size());
-    }
     for (std::size_t i = 0; i < words_.size(); ++i) {
       if ((words_[i] & ~o.words_[i]) != 0) return false;
     }
@@ -263,16 +226,6 @@ class PeSet {
 
   [[nodiscard]] bool intersects(const PeSet& o) const {
     MONOMAP_ASSERT(o.words_.size() == words_.size());
-    if (num_words() >= kDispatchWords) {
-      if (tile_skipping_active()) {
-        return !for_tile_runs(occ_ & o.occ_, [&](int base, int n) {
-          return !simd::intersects(words_.data() + base,
-                                   o.words_.data() + base,
-                                   static_cast<std::size_t>(n));
-        });
-      }
-      return simd::intersects(words_.data(), o.words_.data(), words_.size());
-    }
     for (std::size_t i = 0; i < words_.size(); ++i) {
       if ((words_[i] & o.words_[i]) != 0) return true;
     }
@@ -285,47 +238,6 @@ class PeSet {
     return a.capacity_ == b.capacity_ && a.words_ == b.words_;
   }
   friend bool operator!=(const PeSet& a, const PeSet& b) { return !(a == b); }
-
-  /// Lowest set id, or -1 when empty.
-  [[nodiscard]] int find_first() const { return find_from(0); }
-
-  /// Lowest set id > prev, or -1 when exhausted.
-  [[nodiscard]] int find_next(int prev) const { return find_from(prev + 1); }
-
-  /// Lowest set id >= start, or -1 when exhausted. Starts below 0 are
-  /// clamped; starts at or beyond capacity() return -1.
-  [[nodiscard]] int find_from(int start) const {
-    if (start < 0) start = 0;
-    if (start >= capacity_) return -1;
-    std::size_t wi = static_cast<std::size_t>(start / kWordBits);
-    Word w = words_[wi] >> (start % kWordBits);
-    if (w != 0) return start + std::countr_zero(w);
-    if (num_words() >= kDispatchWords && tile_skipping_active()) {
-      const int nw = num_words();
-      int i = static_cast<int>(wi) + 1;
-      while (i < nw) {
-        const int t = i / kTileWords;
-        if (((occ_ >> t) & 1) == 0) {
-          i = (t + 1) * kTileWords;  // tile definitely empty, hop the line
-          continue;
-        }
-        const int end = (t + 1) * kTileWords < nw ? (t + 1) * kTileWords : nw;
-        for (; i < end; ++i) {
-          if (words_[static_cast<std::size_t>(i)] != 0) {
-            return i * kWordBits +
-                   std::countr_zero(words_[static_cast<std::size_t>(i)]);
-          }
-        }
-      }
-      return -1;
-    }
-    for (++wi; wi < words_.size(); ++wi) {
-      if (words_[wi] != 0) {
-        return static_cast<int>(wi) * kWordBits + std::countr_zero(words_[wi]);
-      }
-    }
-    return -1;
-  }
 
   /// Visits set ids in ascending order (callers rely on the order being
   /// identical with tile skipping on or off — skipped tiles hold no ids).

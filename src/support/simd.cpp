@@ -34,15 +34,10 @@ namespace {
 struct KernelTable {
   void (*and_assign)(Word*, const Word*, std::size_t);
   void (*or_assign)(Word*, const Word*, std::size_t);
-  void (*and_not_assign)(Word*, const Word*, std::size_t);
-  Word (*and_assign_any)(Word*, const Word*, std::size_t);
   int (*count)(const Word*, std::size_t);
   int (*intersect_count)(const Word*, const Word*, std::size_t);
   bool (*all_zero)(const Word*, std::size_t);
-  bool (*intersects)(const Word*, const Word*, std::size_t);
-  bool (*is_subset_of)(const Word*, const Word*, std::size_t);
   AndPreview (*and_preview)(const Word*, const Word*, std::size_t);
-  Word (*occupancy_mask)(const Word*, std::size_t);
   Level level;
 };
 
@@ -70,29 +65,6 @@ void s_or_assign(Word* a, const Word* b, std::size_t n) {
     a[i + 3] |= b[i + 3];
   }
   for (; i < n; ++i) a[i] |= b[i];
-}
-
-void s_and_not_assign(Word* a, const Word* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    a[i] &= ~b[i];
-    a[i + 1] &= ~b[i + 1];
-    a[i + 2] &= ~b[i + 2];
-    a[i + 3] &= ~b[i + 3];
-  }
-  for (; i < n; ++i) a[i] &= ~b[i];
-}
-
-Word s_and_assign_any(Word* a, const Word* b, std::size_t n) {
-  Word any0 = 0;
-  Word any1 = 0;
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    any0 |= (a[i] &= b[i]);
-    any1 |= (a[i + 1] &= b[i + 1]);
-  }
-  for (; i < n; ++i) any0 |= (a[i] &= b[i]);
-  return any0 | any1;
 }
 
 int s_count(const Word* a, std::size_t n) {
@@ -129,20 +101,6 @@ bool s_all_zero(const Word* a, std::size_t n) {
   return acc == 0;
 }
 
-bool s_intersects(const Word* a, const Word* b, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if ((a[i] & b[i]) != 0) return true;
-  }
-  return false;
-}
-
-bool s_is_subset_of(const Word* a, const Word* b, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if ((a[i] & ~b[i]) != 0) return false;
-  }
-  return true;
-}
-
 AndPreview s_and_preview(const Word* a, const Word* b, std::size_t n) {
   AndPreview r{0, 0};
   for (std::size_t i = 0; i < n; ++i) {
@@ -153,22 +111,9 @@ AndPreview s_and_preview(const Word* a, const Word* b, std::size_t n) {
   return r;
 }
 
-Word s_occupancy_mask(const Word* a, std::size_t n) {
-  Word occ = 0;
-  std::size_t tile = 0;
-  for (std::size_t base = 0; base < n; base += kTileWords, ++tile) {
-    const std::size_t end = base + kTileWords < n ? base + kTileWords : n;
-    Word acc = 0;
-    for (std::size_t i = base; i < end; ++i) acc |= a[i];
-    occ |= static_cast<Word>(acc != 0) << tile;
-  }
-  return occ;
-}
-
 constexpr KernelTable kScalarTable{
-    s_and_assign, s_or_assign,   s_and_not_assign, s_and_assign_any,
-    s_count,      s_intersect_count, s_all_zero,   s_intersects,
-    s_is_subset_of, s_and_preview, s_occupancy_mask, Level::kScalar,
+    s_and_assign, s_or_assign, s_count, s_intersect_count,
+    s_all_zero, s_and_preview, Level::kScalar,
 };
 
 #if MONOMAP_SIMD_X86
@@ -201,35 +146,6 @@ MONOMAP_AVX2 void v2_or_assign(Word* a, const Word* b, std::size_t n) {
                         _mm256_or_si256(va, vb));
   }
   for (; i < n; ++i) a[i] |= b[i];
-}
-
-MONOMAP_AVX2 void v2_and_not_assign(Word* a, const Word* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va = _mm256_loadu_si256(reinterpret_cast<__m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    // andnot(x, y) = ~x & y, so operands swap.
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(a + i),
-                        _mm256_andnot_si256(vb, va));
-  }
-  for (; i < n; ++i) a[i] &= ~b[i];
-}
-
-MONOMAP_AVX2 Word v2_and_assign_any(Word* a, const Word* b, std::size_t n) {
-  __m256i vany = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va = _mm256_loadu_si256(reinterpret_cast<__m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    const __m256i vn = _mm256_and_si256(va, vb);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(a + i), vn);
-    vany = _mm256_or_si256(vany, vn);
-  }
-  Word any = !_mm256_testz_si256(vany, vany);
-  for (; i < n; ++i) any |= (a[i] &= b[i]);
-  return any;
 }
 
 /// Per-64-bit-lane popcount via the pshufb nibble lookup (Mula's method);
@@ -292,38 +208,6 @@ MONOMAP_AVX2 bool v2_all_zero(const Word* a, std::size_t n) {
   return true;
 }
 
-MONOMAP_AVX2 bool v2_intersects(const Word* a, const Word* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    if (!_mm256_testz_si256(va, vb)) return true;  // testz: (va & vb) == 0
-  }
-  for (; i < n; ++i) {
-    if ((a[i] & b[i]) != 0) return true;
-  }
-  return false;
-}
-
-MONOMAP_AVX2 bool v2_is_subset_of(const Word* a, const Word* b,
-                                  std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    // testc: (~vb & va) == 0, i.e. va ⊆ vb.
-    if (!_mm256_testc_si256(vb, va)) return false;
-  }
-  for (; i < n; ++i) {
-    if ((a[i] & ~b[i]) != 0) return false;
-  }
-  return true;
-}
-
 MONOMAP_AVX2 AndPreview v2_and_preview(const Word* a, const Word* b,
                                        std::size_t n) {
   AndPreview r{0, 0};
@@ -353,30 +237,9 @@ MONOMAP_AVX2 AndPreview v2_and_preview(const Word* a, const Word* b,
   return r;
 }
 
-MONOMAP_AVX2 Word v2_occupancy_mask(const Word* a, std::size_t n) {
-  Word occ = 0;
-  std::size_t tile = 0;
-  std::size_t base = 0;
-  for (; base + kTileWords <= n; base += kTileWords, ++tile) {
-    const __m256i lo =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + base));
-    const __m256i hi =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + base + 4));
-    const __m256i v = _mm256_or_si256(lo, hi);
-    occ |= static_cast<Word>(!_mm256_testz_si256(v, v)) << tile;
-  }
-  if (base < n) {
-    Word acc = 0;
-    for (std::size_t i = base; i < n; ++i) acc |= a[i];
-    occ |= static_cast<Word>(acc != 0) << tile;
-  }
-  return occ;
-}
-
 constexpr KernelTable kAvx2Table{
-    v2_and_assign, v2_or_assign,   v2_and_not_assign, v2_and_assign_any,
-    v2_count,      v2_intersect_count, v2_all_zero,   v2_intersects,
-    v2_is_subset_of, v2_and_preview, v2_occupancy_mask, Level::kAvx2,
+    v2_and_assign, v2_or_assign, v2_count, v2_intersect_count,
+    v2_all_zero, v2_and_preview, Level::kAvx2,
 };
 
 // --- AVX-512 ---------------------------------------------------------------
@@ -404,29 +267,14 @@ MONOMAP_AVX512 void v5_or_assign(Word* a, const Word* b, std::size_t n) {
   for (; i < n; ++i) a[i] |= b[i];
 }
 
-MONOMAP_AVX512 void v5_and_not_assign(Word* a, const Word* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i va = _mm512_loadu_si512(a + i);
-    const __m512i vb = _mm512_loadu_si512(b + i);
-    _mm512_storeu_si512(a + i, _mm512_andnot_si512(vb, va));
-  }
-  for (; i < n; ++i) a[i] &= ~b[i];
-}
-
-MONOMAP_AVX512 Word v5_and_assign_any(Word* a, const Word* b, std::size_t n) {
-  __m512i vany = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i va = _mm512_loadu_si512(a + i);
-    const __m512i vb = _mm512_loadu_si512(b + i);
-    const __m512i vn = _mm512_and_si512(va, vb);
-    _mm512_storeu_si512(a + i, vn);
-    vany = _mm512_or_si512(vany, vn);
-  }
-  Word any = _mm512_reduce_or_epi64(vany);
-  for (; i < n; ++i) any |= (a[i] &= b[i]);
-  return any;
+/// Sum of the eight epi64 lanes, stored and added as the AVX2 kernels do:
+/// GCC 12's _mm512_reduce_add_epi64 trips -Wuninitialized in its own header.
+MONOMAP_AVX512 inline int v5_sum_lanes(__m512i v) {
+  Word lanes[8];
+  _mm512_storeu_si512(lanes, v);
+  Word sum = 0;
+  for (const Word lane : lanes) sum += lane;
+  return static_cast<int>(sum);
 }
 
 MONOMAP_AVX512 int v5_count(const Word* a, std::size_t n) {
@@ -436,7 +284,7 @@ MONOMAP_AVX512 int v5_count(const Word* a, std::size_t n) {
     acc = _mm512_add_epi64(acc,
                            _mm512_popcnt_epi64(_mm512_loadu_si512(a + i)));
   }
-  int c = static_cast<int>(_mm512_reduce_add_epi64(acc));
+  int c = v5_sum_lanes(acc);
   for (; i < n; ++i) c += std::popcount(a[i]);
   return c;
 }
@@ -451,7 +299,7 @@ MONOMAP_AVX512 int v5_intersect_count(const Word* a, const Word* b,
     acc = _mm512_add_epi64(acc,
                            _mm512_popcnt_epi64(_mm512_and_si512(va, vb)));
   }
-  int c = static_cast<int>(_mm512_reduce_add_epi64(acc));
+  int c = v5_sum_lanes(acc);
   for (; i < n; ++i) c += std::popcount(a[i] & b[i]);
   return c;
 }
@@ -464,34 +312,6 @@ MONOMAP_AVX512 bool v5_all_zero(const Word* a, std::size_t n) {
   }
   for (; i < n; ++i) {
     if (a[i] != 0) return false;
-  }
-  return true;
-}
-
-MONOMAP_AVX512 bool v5_intersects(const Word* a, const Word* b,
-                                  std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i va = _mm512_loadu_si512(a + i);
-    const __m512i vb = _mm512_loadu_si512(b + i);
-    if (_mm512_test_epi64_mask(va, vb) != 0) return true;
-  }
-  for (; i < n; ++i) {
-    if ((a[i] & b[i]) != 0) return true;
-  }
-  return false;
-}
-
-MONOMAP_AVX512 bool v5_is_subset_of(const Word* a, const Word* b,
-                                    std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i va = _mm512_loadu_si512(a + i);
-    const __m512i vb = _mm512_loadu_si512(b + i);
-    if (_mm512_test_epi64_mask(va, ~vb) != 0) return false;
-  }
-  for (; i < n; ++i) {
-    if ((a[i] & ~b[i]) != 0) return false;
   }
   return true;
 }
@@ -509,7 +329,7 @@ MONOMAP_AVX512 AndPreview v5_and_preview(const Word* a, const Word* b,
     const __mmask8 changed = _mm512_cmpneq_epi64_mask(vn, va);
     r.dirty |= static_cast<Word>(changed) << i;
   }
-  Word any_tail = _mm512_reduce_or_epi64(vany);
+  Word any_tail = _mm512_test_epi64_mask(vany, vany) != 0;
   for (; i < n; ++i) {
     const Word next = a[i] & b[i];
     any_tail |= next;
@@ -519,26 +339,9 @@ MONOMAP_AVX512 AndPreview v5_and_preview(const Word* a, const Word* b,
   return r;
 }
 
-MONOMAP_AVX512 Word v5_occupancy_mask(const Word* a, std::size_t n) {
-  Word occ = 0;
-  std::size_t tile = 0;
-  std::size_t base = 0;
-  for (; base + kTileWords <= n; base += kTileWords, ++tile) {
-    const __m512i v = _mm512_loadu_si512(a + base);
-    occ |= static_cast<Word>(_mm512_test_epi64_mask(v, v) != 0) << tile;
-  }
-  if (base < n) {
-    Word acc = 0;
-    for (std::size_t i = base; i < n; ++i) acc |= a[i];
-    occ |= static_cast<Word>(acc != 0) << tile;
-  }
-  return occ;
-}
-
 constexpr KernelTable kAvx512Table{
-    v5_and_assign, v5_or_assign,   v5_and_not_assign, v5_and_assign_any,
-    v5_count,      v5_intersect_count, v5_all_zero,   v5_intersects,
-    v5_is_subset_of, v5_and_preview, v5_occupancy_mask, Level::kAvx512,
+    v5_and_assign, v5_or_assign, v5_count, v5_intersect_count,
+    v5_all_zero, v5_and_preview, Level::kAvx512,
 };
 
 #endif  // MONOMAP_SIMD_X86
@@ -643,12 +446,6 @@ void and_assign(Word* a, const Word* b, std::size_t n) {
 void or_assign(Word* a, const Word* b, std::size_t n) {
   kernels().or_assign(a, b, n);
 }
-void and_not_assign(Word* a, const Word* b, std::size_t n) {
-  kernels().and_not_assign(a, b, n);
-}
-Word and_assign_any(Word* a, const Word* b, std::size_t n) {
-  return kernels().and_assign_any(a, b, n);
-}
 int count(const Word* a, std::size_t n) { return kernels().count(a, n); }
 int intersect_count(const Word* a, const Word* b, std::size_t n) {
   return kernels().intersect_count(a, b, n);
@@ -656,19 +453,9 @@ int intersect_count(const Word* a, const Word* b, std::size_t n) {
 bool all_zero(const Word* a, std::size_t n) {
   return kernels().all_zero(a, n);
 }
-bool intersects(const Word* a, const Word* b, std::size_t n) {
-  return kernels().intersects(a, b, n);
-}
-bool is_subset_of(const Word* a, const Word* b, std::size_t n) {
-  return kernels().is_subset_of(a, b, n);
-}
 AndPreview and_preview(const Word* a, const Word* b, std::size_t n) {
   MONOMAP_ASSERT(n <= 64);
   return kernels().and_preview(a, b, n);
-}
-Word occupancy_mask(const Word* a, std::size_t n) {
-  MONOMAP_ASSERT(n <= 64 * static_cast<std::size_t>(kTileWords));
-  return kernels().occupancy_mask(a, n);
 }
 
 HotKernels hot_kernels() {

@@ -3,7 +3,7 @@
 // The space search represents candidate domains as PeSet word arrays. On an
 // 8x8 mesh a domain is one 64-bit word and the searcher's inline loops are
 // already optimal, but production-scale fabrics (32x32-64x64, 1K-4K PEs)
-// make every domain 16-64 words, and intersect/popcount/scan over those
+// make every domain 16-64 words, and intersect/popcount over those
 // arrays become the hot path. This layer provides the word-array kernels the
 // multi-word regime needs, with three interchangeable implementations:
 //
@@ -78,7 +78,7 @@ Level set_level(Level level);
 struct AndPreview {
   /// Bit i set <=> (a[i] & b[i]) != a[i], i.e. word i would change.
   Word dirty;
-  /// OR of all a[i] & b[i]: zero <=> the intersection is empty.
+  /// Nonzero iff the intersection is nonempty.
   Word any;
 };
 
@@ -90,28 +90,16 @@ struct AndPreview {
 void and_assign(Word* a, const Word* b, std::size_t n);
 /// a |= b.
 void or_assign(Word* a, const Word* b, std::size_t n);
-/// a &= ~b.
-void and_not_assign(Word* a, const Word* b, std::size_t n);
-/// Fused a &= b that also reports the OR of the result words, so callers
-/// test wipeout without a second pass.
-Word and_assign_any(Word* a, const Word* b, std::size_t n);
 /// popcount(a).
 int count(const Word* a, std::size_t n);
 /// popcount(a & b) without materialising the intersection.
 int intersect_count(const Word* a, const Word* b, std::size_t n);
 bool all_zero(const Word* a, std::size_t n);
-bool intersects(const Word* a, const Word* b, std::size_t n);
-/// Every bit of a is also set in b.
-bool is_subset_of(const Word* a, const Word* b, std::size_t n);
 /// Non-mutating fused intersect: which words would a &= b change (dirty
 /// mask, so the caller trails and rewrites only those), and is the result
 /// empty. Requires n <= 64 so the dirty mask fits one word; callers with
 /// wider arrays loop in 64-word blocks.
 AndPreview and_preview(const Word* a, const Word* b, std::size_t n);
-/// Tile occupancy bitmap: bit t set <=> the t'th kTileWords-word tile of a
-/// holds any set bit. Requires n <= 64 * kTileWords so the bitmap fits one
-/// word; wider sets don't track occupancy (see PeSet).
-Word occupancy_mask(const Word* a, std::size_t n);
 
 /// Resolved function pointers for the kernels the search engine's per-tile
 /// loops call millions of times per run. The free functions above re-read

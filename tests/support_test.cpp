@@ -133,7 +133,7 @@ TEST(PeSet, SetTestResetAndCount) {
   s.reset(63);
   EXPECT_FALSE(s.test(63));
   EXPECT_EQ(s.count(), 3);
-  EXPECT_TRUE(s.any());
+  EXPECT_FALSE(s.empty());
   s.clear();
   EXPECT_TRUE(s.empty());
 }
@@ -149,7 +149,7 @@ TEST(PeSet, FullRespectsCapacityTail) {
   EXPECT_EQ(word.count(), 64);
 }
 
-TEST(PeSet, IntersectionUnionDifference) {
+TEST(PeSet, IntersectionAndUnion) {
   PeSet a(130);
   PeSet b(130);
   a.set(1);
@@ -166,10 +166,6 @@ TEST(PeSet, IntersectionUnionDifference) {
   PeSet u = a;
   u |= b;
   EXPECT_EQ(u.count(), 4);
-  PeSet d = a;
-  d.and_not(b);
-  EXPECT_EQ(d.count(), 1);
-  EXPECT_TRUE(d.test(1));
   EXPECT_TRUE(a.intersects(b));
   PeSet disjoint(130);
   disjoint.set(5);
@@ -183,11 +179,6 @@ TEST(PeSet, IterationOrderIsAscending) {
   std::vector<int> seen;
   s.for_each([&](int i) { seen.push_back(i); });
   EXPECT_EQ(seen, std::vector<int>(std::begin(members), std::end(members)));
-  EXPECT_EQ(s.find_first(), 0);
-  EXPECT_EQ(s.find_next(1), 63);
-  EXPECT_EQ(s.find_next(128), 399);
-  EXPECT_EQ(s.find_next(399), -1);
-  EXPECT_EQ(PeSet(64).find_first(), -1);
 }
 
 TEST(PeSet, EqualityAndWordAccess) {
@@ -238,20 +229,6 @@ TEST(PeSet, SetWordRejectsPhantomTailBits) {
   EXPECT_EQ(s.words()[1], saved);
 }
 
-TEST(PeSet, FindFromAcrossWordBoundaries) {
-  PeSet s(4096);
-  for (const int m : {0, 63, 64, 255, 256, 4095}) s.set(m);
-  EXPECT_EQ(s.find_from(-100), 0);  // starts below zero are clamped
-  EXPECT_EQ(s.find_from(1), 63);
-  EXPECT_EQ(s.find_from(63), 63);
-  EXPECT_EQ(s.find_from(64), 64);
-  EXPECT_EQ(s.find_from(65), 255);
-  EXPECT_EQ(s.find_from(257), 4095);
-  EXPECT_EQ(s.find_from(4095), 4095);
-  EXPECT_EQ(s.find_from(4096), -1);  // at/beyond capacity
-  EXPECT_EQ(s.find_next(4095), -1);
-}
-
 TEST(PeSet, TileOccupancyTracksBulkWordOps) {
   // The occupancy-bitmap contract the tiled searcher's trail relies on:
   // a clear bit t implies tile t is all-zero (over-approximation), bulk
@@ -275,7 +252,6 @@ TEST(PeSet, TileOccupancyTracksBulkWordOps) {
   EXPECT_EQ(s.tile_occupancy(),
             (PeSet::Word{1} << 0) | (PeSet::Word{1} << 5));
   EXPECT_EQ(s.count(), 1);
-  EXPECT_EQ(s.find_from(4), -1);
 
   // Tile-granular wipe + snapshot restore, exactly as the tile trail
   // does it.
@@ -286,7 +262,6 @@ TEST(PeSet, TileOccupancyTracksBulkWordOps) {
   // Occupancy still claims tile 0, but results stay exact...
   EXPECT_EQ((s.tile_occupancy() >> 0) & 1, PeSet::Word{1});
   EXPECT_TRUE(s.empty());
-  EXPECT_EQ(s.find_first(), -1);
   // ...until the caller-proven tightening drops the line from bulk scans
   // (tile 5's stale-high bit survives — tightening is per-tile).
   s.mark_tile_empty(0);
@@ -317,9 +292,11 @@ TEST(PeSet, TileOccupancyTracksBulkWordOps) {
   EXPECT_EQ(f.tile_occupancy(), s.tile_occupancy());
   EXPECT_EQ(f.count(), 1);
 
-  // Invariant check: the exact mask is a subset of the tracked one.
-  const PeSet::Word exact =
-      simd::occupancy_mask(s.words().data(), s.words().size());
+  // Invariant check: every tile holding a set bit is tracked as occupied.
+  PeSet::Word exact = 0;
+  for (int w = 0; w < s.num_words(); ++w) {
+    if (s.word(w) != 0) exact |= PeSet::Word{1} << (w / PeSet::kTileWords);
+  }
   EXPECT_EQ(exact & ~s.tile_occupancy(), PeSet::Word{0});
 }
 
@@ -335,15 +312,17 @@ TEST(Simd, SetLevelClampsToSupport) {
 }
 
 TEST(PeSet, FusedKernelsMatchNaiveCompositionAtEveryLevel) {
-  // Property test pinning the bit-identical contract: every fused kernel
-  // (intersect_count, intersect_and_test, intersect_preview, is_subset_of,
-  // intersects) agrees with the naive two-operation composition, and every
-  // SIMD level the CPU supports agrees with every other, across capacities
-  // spanning the 1-word fast path, odd tails, and the 64x64-fabric size.
+  // Property test pinning the bit-identical contract: every dispatched
+  // operation (&=, |=, count, empty, intersect_count, intersect_preview)
+  // agrees with a naive bit loop, and every SIMD level the CPU supports
+  // agrees with every other. The capacities span the 1-word fast path, odd
+  // tails, 6 and 7 words (the 19x19 pin fabric and the 20x20 fabric, where
+  // AVX-512 runs only its scalar tail and AVX2 one vector step), and the
+  // 64x64-fabric size.
   const simd::Level saved = simd::active_level();
   const int best = static_cast<int>(simd::best_supported_level());
   Rng rng(4242);
-  for (const int cap : {64, 127, 257, 1024, 4096}) {
+  for (const int cap : {64, 127, 257, 361, 400, 1024, 4096}) {
     for (int trial = 0; trial < 8; ++trial) {
       PeSet a(cap);
       PeSet b(cap);
@@ -357,29 +336,38 @@ TEST(PeSet, FusedKernelsMatchNaiveCompositionAtEveryLevel) {
         if (rng.next_below(64) < 8u) b.set(i);
       }
       // Naive expectations via explicit bit loops.
+      int expect_a = 0;
       int expect_inter = 0;
+      int expect_union = 0;
       bool expect_subset = true;
       for (int i = 0; i < cap; ++i) {
+        if (a.test(i)) ++expect_a;
         if (a.test(i) && b.test(i)) ++expect_inter;
+        if (a.test(i) || b.test(i)) ++expect_union;
         if (a.test(i) && !b.test(i)) expect_subset = false;
       }
       for (int lv = 0; lv <= best; ++lv) {
         simd::set_level(static_cast<simd::Level>(lv));
+        EXPECT_EQ(a.count(), expect_a) << "level " << lv;
+        EXPECT_EQ(a.empty(), expect_a == 0) << "level " << lv;
         EXPECT_EQ(a.intersect_count(b), expect_inter) << "level " << lv;
         EXPECT_EQ(a.is_subset_of(b), expect_subset) << "level " << lv;
         EXPECT_EQ(a.intersects(b), expect_inter > 0) << "level " << lv;
-        EXPECT_EQ(a.count() - a.intersect_count(b) + b.count(),
-                  [&] {  // |a ∪ b| via or_assign
-                    PeSet u = a;
-                    u |= b;
-                    return u.count();
-                  }());
+        PeSet inter = a;
+        inter &= b;
+        PeSet uni = a;
+        uni |= b;
+        for (int i = 0; i < cap; ++i) {
+          ASSERT_EQ(inter.test(i), a.test(i) && b.test(i))
+              << "level " << lv << " id " << i;
+          ASSERT_EQ(uni.test(i), a.test(i) || b.test(i))
+              << "level " << lv << " id " << i;
+        }
+        EXPECT_EQ(inter.count(), expect_inter) << "level " << lv;
+        EXPECT_EQ(inter.empty(), expect_inter == 0) << "level " << lv;
+        EXPECT_EQ(uni.count(), expect_union) << "level " << lv;
         // Preview: dirty words are exactly those the intersection changes,
         // any == 0 iff the intersection is empty.
-        PeSet inter = a;
-        ASSERT_EQ(inter.intersect_and_test(b), expect_inter > 0)
-            << "level " << lv;
-        EXPECT_EQ(inter.count(), expect_inter) << "level " << lv;
         for (int base = 0; base < a.num_words(); base += 64) {
           const int n = std::min(64, a.num_words() - base);
           const simd::AndPreview pv = a.intersect_preview(b, base, n);
@@ -394,21 +382,15 @@ TEST(PeSet, FusedKernelsMatchNaiveCompositionAtEveryLevel) {
           EXPECT_EQ(pv.dirty, expect_dirty) << "level " << lv;
           EXPECT_EQ(pv.any != 0, expect_any != 0) << "level " << lv;
         }
-        // Difference against the bit-loop expectation.
-        PeSet diff = a;
-        diff.and_not(b);
-        EXPECT_EQ(diff.count(), a.count() - expect_inter) << "level " << lv;
       }
     }
   }
   simd::set_level(saved);
 }
 
-TEST(Simd, OccupancyMaskMatchesNaiveAtEveryLevel) {
-  // occupancy_mask is what (re)derives a PeSet's tile bitmap; like every
-  // other kernel it must agree bit-for-bit across SIMD levels, including
-  // partial final tiles. Also pins that the pinned hot_kernels() pointers
-  // resolve to the same level's kernels as the free functions.
+TEST(Simd, HotKernelsMatchFreeFunctionsAtEveryLevel) {
+  // The pointers hot_kernels() pins resolve to the same level's kernels as
+  // the free functions, across partial and whole tiles.
   const simd::Level saved = simd::active_level();
   const int best = static_cast<int>(simd::best_supported_level());
   Rng rng(777);
@@ -418,16 +400,8 @@ TEST(Simd, OccupancyMaskMatchesNaiveAtEveryLevel) {
       for (simd::Word& w : a) {
         if (rng.next_below(4) == 0) w = rng.next_u64();
       }
-      simd::Word expect = 0;
-      for (int i = 0; i < n; ++i) {
-        if (a[static_cast<std::size_t>(i)] != 0) {
-          expect |= simd::Word{1} << (i / simd::kTileWords);
-        }
-      }
       for (int lv = 0; lv <= best; ++lv) {
         simd::set_level(static_cast<simd::Level>(lv));
-        EXPECT_EQ(simd::occupancy_mask(a.data(), a.size()), expect)
-            << "level " << lv << " n " << n;
         const simd::HotKernels hot = simd::hot_kernels();
         EXPECT_EQ(hot.count(a.data(), a.size()),
                   simd::count(a.data(), a.size()))

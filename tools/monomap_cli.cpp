@@ -11,6 +11,7 @@
 //   monomap check <bench|file.dfg> <mapping.txt> [--grid N] [...]
 //       Validate a saved mapping against a DFG and architecture.
 #include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -181,6 +182,12 @@ CliOptions parse_flags(int argc, char** argv, int first) {
       opt.max_schedules = parse_pos_int(value(), "--max-schedules", 0);
     } else if (arg == "--mem-budget-mb") {
       opt.mem_budget_mb = parse_u64(value(), "--mem-budget-mb");
+      // The governor counts bytes: a larger value would wrap on the shift.
+      if (opt.mem_budget_mb > (SIZE_MAX >> 20)) {
+        std::cerr << "--mem-budget-mb: at most " << (SIZE_MAX >> 20)
+                  << ", got " << opt.mem_budget_mb << "\n";
+        usage();
+      }
     } else if (arg == "--faults") {
       opt.faults = value();
     } else if (arg == "--restricted") {

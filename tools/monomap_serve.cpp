@@ -19,6 +19,7 @@
 #include <atomic>
 #include <cerrno>
 #include <csignal>
+#include <cstdint>
 #include <cstring>
 #include <iostream>
 #include <list>
@@ -240,8 +241,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-memo") {
       options.memo = false;
     } else if (arg == "--store-budget-mb") {
+      // The store counts bytes: a larger value would wrap on the shift.
       std::uint64_t mb = 0;
-      if (!argparse::parse_u64(value(), &mb)) usage();
+      if (!argparse::parse_u64(value(), &mb) || mb > (SIZE_MAX >> 20)) {
+        usage();
+      }
       options.store_budget_mb = static_cast<std::size_t>(mb);
     } else if (arg == "--max-memo-entries") {
       std::uint64_t n = 0;
