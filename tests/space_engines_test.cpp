@@ -771,6 +771,61 @@ TEST(SpaceEngines, BitsetPrunesAtLeastAsHard) {
   EXPECT_LE(bitset.nodes_expanded, reference.nodes_expanded);
 }
 
+TEST(SpaceEngines, SearchTraceDigestIsPinned) {
+  // The bitset engine's search trace, bit for bit: every decision counter,
+  // the placement, the certificate and the trail and byte telemetry of the
+  // default search of each suite first schedule on 4x4, 5x5, 8x8 and
+  // 10x10, plus the set-width edges under a fixed budget: 64 and 65 nodes
+  // on 64 PEs, 64 nodes on 81 PEs. Node sets and domains switch width at
+  // 64, so a change to how the searcher stores them must leave this digest
+  // as it is; a change to what it decides must say so by updating it.
+  std::uint64_t digest = 0;
+  int searches = 0;
+  const auto absorb = [&](const Dfg& dfg, const CgraArch& arch,
+                          const SpaceOptions& opt) {
+    const auto sol = first_schedule(dfg, arch, Deadline(60.0)).solution;
+    ASSERT_TRUE(sol.has_value()) << dfg.name() << " on " << arch.num_pes();
+    std::vector<int> labels;
+    for (NodeId v = 0; v < dfg.num_nodes(); ++v) {
+      labels.push_back(sol->label(v));
+    }
+    const SpaceResult r = find_monomorphism(dfg, arch, labels, sol->ii, opt);
+    ++searches;
+    for (const std::uint64_t v :
+         {static_cast<std::uint64_t>(r.found), r.nodes_expanded, r.backtracks,
+          r.backjumps, static_cast<std::uint64_t>(r.max_depth),
+          static_cast<std::uint64_t>(r.shallowest_retreat),
+          r.trail_words_saved, r.domain_bytes_touched,
+          static_cast<std::uint64_t>(r.conflict_nodes.size()),
+          static_cast<std::uint64_t>(r.pe.size())}) {
+      digest = mix64(digest ^ v);
+    }
+    for (const NodeId u : r.conflict_nodes) {
+      digest = mix64(digest ^ static_cast<std::uint64_t>(u));
+    }
+    for (const PeId p : r.pe) {
+      digest = mix64(digest ^ static_cast<std::uint64_t>(p));
+    }
+  };
+  for (const int side : {4, 5, 8, 10}) {
+    const CgraArch arch = CgraArch::square(side);
+    for (const Benchmark& b : benchmark_suite()) {
+      absorb(b.dfg, arch, SpaceOptions{});
+    }
+  }
+  SpaceOptions budget;
+  budget.max_backtracks = 2000;
+  for (const auto& [nodes, side] :
+       {std::pair{64, 8}, std::pair{65, 8}, std::pair{64, 9}}) {
+    SyntheticSpec spec;
+    spec.num_nodes = nodes;
+    spec.seed = 0x5eed + static_cast<std::uint64_t>(nodes);
+    absorb(random_dfg(spec), CgraArch::square(side), budget);
+  }
+  EXPECT_EQ(searches, 71);
+  EXPECT_EQ(digest, 0x3646c65c5e587276ULL);
+}
+
 TEST(SpaceEngines, BudgetAndDeadlineReporting) {
   const Benchmark& b = benchmark_by_name("hotspot3D");
   const CgraArch arch = CgraArch::square(4);
