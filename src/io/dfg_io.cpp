@@ -172,6 +172,10 @@ Mapping mapping_from_text(const std::string& text, int num_nodes) {
     if (t[0] == "ii") {
       MONOMAP_CHECK_INPUT(t.size == 2, "ii needs a value");
       ii = to_int(t[1]);
+      // The validator sizes per-slot tables by II; no mapping the mapper
+      // makes has an II above the protocol's max_ii cap.
+      MONOMAP_CHECK_INPUT(ii <= kMaxDfgTextNodes,
+                          "ii " << ii << " exceeds " << kMaxDfgTextNodes);
     } else if (t[0] == "place") {
       MONOMAP_CHECK_INPUT(t.size == 4, "place needs <node> <pe> <time>");
       const int v = to_int(t[1]);

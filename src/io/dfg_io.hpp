@@ -55,7 +55,8 @@ Dfg dfg_from_text(const std::string& text);
 std::string mapping_to_text(const Dfg& dfg, const Mapping& mapping);
 
 /// Parse a mapping for a DFG with `num_nodes` nodes. Throws InputError on
-/// malformed input or a node left unplaced.
+/// malformed input, an `ii` below 1 or above kMaxDfgTextNodes (the
+/// protocol's max_ii cap), or a node left unplaced.
 Mapping mapping_from_text(const std::string& text, int num_nodes);
 
 }  // namespace monomap

@@ -1,6 +1,7 @@
 #include "mapper/mapping.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <sstream>
 
@@ -72,7 +73,9 @@ std::vector<MappingViolation> validate_mapping(const Dfg& dfg,
     const Edge& edge = g.edge(e);
     const int ts = mapping.time(edge.src);
     const int td = mapping.time(edge.dst);
-    if (td + edge.attr * ii < ts + 1) {
+    // In 64 bits: a loaded time may be as large as INT_MAX.
+    if (std::int64_t{td} + std::int64_t{edge.attr} * ii <
+        std::int64_t{ts} + 1) {
       fail("edge " + std::to_string(edge.src) + "->" +
            std::to_string(edge.dst) + " (dist " + std::to_string(edge.attr) +
            ") violates timing: T_s=" + std::to_string(ts) +

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <type_traits>
 #include <utility>
 
 #include "support/assert.hpp"
@@ -185,7 +186,7 @@ bool in_canonical_octant(const CgraArch& arch, PeId p) {
 
 // --- bitset engine ---------------------------------------------------------
 
-/// Bit-parallel domain-propagation search. One PeSet candidate domain per
+/// Bit-parallel domain-propagation search. One candidate domain (PE set) per
 /// DFG node; assigning node v to PE p narrows the domains of v's unassigned
 /// neighbours (mask intersection with N[p]), of unassigned same-label nodes
 /// (PE p's slot is now taken), and — with supplemental filtering — of
@@ -208,7 +209,16 @@ bool in_canonical_octant(const CgraArch& arch, PeId p) {
 ///
 /// All state (domains, trails, conflict sets, orders) is preallocated in
 /// the constructor; the recursion itself never allocates.
+///
+/// NodeSet holds sets of DFG nodes (pruner sets, conflict sets, the fail
+/// set, the frontier) and Dom the candidate domains: WordSet where they fit
+/// one word, PeSet otherwise (find_monomorphism picks). The search is the
+/// same text and the same trace either way; one-word domains only skip the
+/// tiled and SIMD paths, which never arm below 4 words.
+template <typename NodeSet, typename Dom>
 class BitsetSearcher {
+  static constexpr bool kWordDomains = std::is_same_v<Dom, WordSet>;
+
  public:
   BitsetSearcher(const Dfg& dfg, const CgraArch& arch,
                  const std::vector<int>& labels, int ii,
@@ -274,8 +284,8 @@ class BitsetSearcher {
     pruners_.reserve(static_cast<std::size_t>(n_));
     cs_stack_.reserve(static_cast<std::size_t>(n_));
     for (NodeId v = 0; v < n_; ++v) {
-      pruners_.push_back(PeSet(n_));
-      cs_stack_.push_back(PeSet(n_));
+      pruners_.push_back(NodeSet(n_));
+      cs_stack_.push_back(NodeSet(n_));
     }
     node_words_ = (n_ + PeSet::kWordBits - 1) / PeSet::kWordBits;
     // The ordering regime is the real fabric's, also on the pin fabric: in
@@ -362,7 +372,16 @@ class BitsetSearcher {
     num_pes_ = fabric_->num_pes();
     domain_.reserve(static_cast<std::size_t>(n_));
     for (NodeId v = 0; v < n_; ++v) {
-      domain_.push_back(PeSet::full(num_pes_));
+      domain_.push_back(Dom::full(num_pes_));
+    }
+    if constexpr (kWordDomains) {
+      // Flat one-word copies of the masks propagation intersects with.
+      for (PeId p = 0; p < num_pes_; ++p) {
+        closed_tab_.emplace_back(fabric_->closed_neighbor_mask(p));
+        if (options_.distance2_filter) {
+          d2_tab_.emplace_back(fabric_->distance2_mask(p));
+        }
+      }
     }
     words_ = (num_pes_ + PeSet::kWordBits - 1) / PeSet::kWordBits;
     num_tiles_ = (words_ + PeSet::kTileWords - 1) / PeSet::kTileWords;
@@ -391,7 +410,8 @@ class BitsetSearcher {
                                static_cast<std::size_t>(num_pes_)]);
     if (options_.symmetry_breaking && !window_ &&
         symmetry_applicable(real_)) {
-      canonical_ = PeSet(num_pes_);
+      use_octant_ = true;
+      canonical_ = Dom(num_pes_);
       for (PeId p = 0; p < num_pes_; ++p) {
         if (in_canonical_octant(real_, p)) canonical_.set(p);
       }
@@ -409,6 +429,7 @@ class BitsetSearcher {
       // decides, also on the pin fabric.
       use_mult_ = options_.distance2_multiplicity && max_mult_ >= 2 &&
                   real_.num_pes() > PeSet::kWordBits;
+      if constexpr (kWordDomains) MONOMAP_ASSERT(!use_mult_);
       if (use_mult_) {
         d2k_masks_.resize(static_cast<std::size_t>(max_mult_) + 1, nullptr);
         for (int k = 2; k <= max_mult_; ++k) {
@@ -613,11 +634,13 @@ class BitsetSearcher {
   /// (the preview and the occupancy map are level-independent); only the
   /// trail representation and the cache lines touched differ between
   /// layouts.
-  Change intersect_domain(NodeId u, const PeSet& mask) {
-    PeSet& d = domain_[static_cast<std::size_t>(u)];
+  Change intersect_domain(NodeId u, const Dom& mask) {
+    Dom& d = domain_[static_cast<std::size_t>(u)];
     PeSet::Word any = 0;
     bool changed = false;
-    if (tile_skip_) {
+    if constexpr (kWordDomains) {
+      changed = intersect_words(u, d, mask, any);
+    } else if (tile_skip_) {
       const PeSet::Word occ = d.tile_occupancy();
       tiles_skipped_ +=
           static_cast<std::uint64_t>(num_tiles_ - std::popcount(occ));
@@ -667,26 +690,71 @@ class BitsetSearcher {
         }
       }
     } else {
-      words_touched_ += static_cast<std::uint64_t>(words_);
-      for (int w = 0; w < words_; ++w) {
-        const PeSet::Word old = d.word(w);
-        const PeSet::Word next = old & mask.word(w);
-        if (next != old) {
-          trail_.push_back(TrailEntry{u, w, old});
-          d.restore_word(w, next);
-          changed = true;
-        }
-        any |= next;
-      }
+      changed = intersect_words(u, d, mask, any);
     }
     if (changed) count_cache_[static_cast<std::size_t>(u)] = -1;
     if (any == 0) return Change::kWiped;
     return changed ? Change::kChanged : Change::kUnchanged;
   }
 
+  /// intersect_domain's narrow path (fewer than kDispatchWords words, or
+  /// one-word domains): trail and rewrite each changed word, OR-ing the
+  /// result words into `any`. Returns whether any word changed.
+  bool intersect_words(NodeId u, Dom& d, const Dom& mask, PeSet::Word& any) {
+    bool changed = false;
+    words_touched_ += static_cast<std::uint64_t>(dom_words());
+    for (int w = 0; w < dom_words(); ++w) {
+      const PeSet::Word old = d.word(w);
+      const PeSet::Word next = old & mask.word(w);
+      if (next != old) {
+        trail_.push_back(TrailEntry{u, w, old});
+        d.restore_word(w, next);
+        changed = true;
+      }
+      any |= next;
+    }
+    return changed;
+  }
+
+  /// Words per domain, a constant for one-word domains so the word loops
+  /// fold away.
+  [[nodiscard]] int dom_words() const {
+    if constexpr (kWordDomains) {
+      return 1;
+    } else {
+      return words_;
+    }
+  }
+
+  /// A fabric mask as a domain: the PeSet itself, or its one word.
+  static decltype(auto) as_domain(const PeSet& s) {
+    if constexpr (kWordDomains) {
+      return WordSet(s);
+    } else {
+      return (s);
+    }
+  }
+
+  /// The masks propagation intersects with, as domains: the fabric's
+  /// PeSets, or the flat one-word tables.
+  [[nodiscard]] const Dom& closed_mask(PeId p) const {
+    if constexpr (kWordDomains) {
+      return closed_tab_[static_cast<std::size_t>(p)];
+    } else {
+      return fabric_->closed_neighbor_mask(p);
+    }
+  }
+  [[nodiscard]] const Dom& ball_mask(PeId p) const {
+    if constexpr (kWordDomains) {
+      return d2_tab_[static_cast<std::size_t>(p)];
+    } else {
+      return fabric_->distance2_mask(p);
+    }
+  }
+
   /// domain_[u] -= {p}, trailing the change.
   Change remove_from_domain(NodeId u, PeId p) {
-    PeSet& d = domain_[static_cast<std::size_t>(u)];
+    Dom& d = domain_[static_cast<std::size_t>(u)];
     ++words_touched_;
     const int w = p / PeSet::kWordBits;
     const PeSet::Word bit = PeSet::Word{1} << (p % PeSet::kWordBits);
@@ -711,7 +779,7 @@ class BitsetSearcher {
   /// Record `culprit` as responsible for a pruning of u's current domain
   /// (trailed, so the record dies with the pruning it explains).
   void add_pruner(NodeId u, NodeId culprit) {
-    PeSet& ps = pruners_[static_cast<std::size_t>(u)];
+    NodeSet& ps = pruners_[static_cast<std::size_t>(u)];
     const int w = culprit / PeSet::kWordBits;
     const PeSet::Word bit = PeSet::Word{1} << (culprit % PeSet::kWordBits);
     const PeSet::Word old = ps.word(w);
@@ -734,8 +802,8 @@ class BitsetSearcher {
     for (NodeId v = 0; v < n_; ++v) {
       const auto [need, need_label] = closed_demand(v, per_label);
       if (need <= 1) continue;
-      PeSet& d = domain_[static_cast<std::size_t>(v)];
-      const PeSet& mask = fabric_->min_closed_degree_mask(need);
+      Dom& d = domain_[static_cast<std::size_t>(v)];
+      const Dom& mask = as_domain(fabric_->min_closed_degree_mask(need));
       if (d.is_subset_of(mask)) continue;
       d &= mask;
       for (const NodeId u : neighbors_[static_cast<std::size_t>(v)]) {
@@ -1024,7 +1092,7 @@ class BitsetSearcher {
     // neighbour additionally lost p itself above.
     for (const NodeId u : neighbors_[static_cast<std::size_t>(v)]) {
       if (assigned(u)) continue;
-      const Change c = intersect_domain(u, fabric_->closed_neighbor_mask(p));
+      const Change c = intersect_domain(u, closed_mask(p));
       if (c != Change::kUnchanged) add_pruner(u, v);
       if (c == Change::kWiped) return u;
     }
@@ -1032,7 +1100,7 @@ class BitsetSearcher {
     // within two grid hops of p. The witness w joins u's pruners because
     // the implied constraint only holds on subproblems that contain w.
     if (options_.distance2_filter) {
-      const PeSet& ball = fabric_->distance2_mask(p);
+      const Dom& ball = ball_mask(p);
       for (const D2Pair& pr : dist2_[static_cast<std::size_t>(v)]) {
         const NodeId u = pr.partner;
         if (assigned(u)) continue;
@@ -1051,20 +1119,23 @@ class BitsetSearcher {
         // phi(u) is confined to common_target_mask(p, pr.mult). All mult
         // witnesses join u's pruners — the implied constraint (and thus
         // any refutation resting on this pruning) needs the whole group in
-        // the induced subproblem.
-        if (use_mult_ && pr.mult >= 2) {
-          const Change c = intersect_domain(
-              u, (*d2k_masks_[static_cast<std::size_t>(pr.mult)])
-                     [static_cast<std::size_t>(p)]);
-          if (c != Change::kUnchanged) {
-            ++mult_prunings_;
-            add_pruner(u, v);
-            for (std::int32_t i = pr.wit_begin;
-                 i < pr.wit_begin + pr.mult; ++i) {
-              add_pruner(u, d2_witness_pool_[static_cast<std::size_t>(i)]);
+        // the induced subproblem. It arms on multi-word fabrics only, so
+        // one-word domains never carry it.
+        if constexpr (!kWordDomains) {
+          if (use_mult_ && pr.mult >= 2) {
+            const Change c = intersect_domain(
+                u, (*d2k_masks_[static_cast<std::size_t>(pr.mult)])
+                       [static_cast<std::size_t>(p)]);
+            if (c != Change::kUnchanged) {
+              ++mult_prunings_;
+              add_pruner(u, v);
+              for (std::int32_t i = pr.wit_begin;
+                   i < pr.wit_begin + pr.mult; ++i) {
+                add_pruner(u, d2_witness_pool_[static_cast<std::size_t>(i)]);
+              }
             }
+            if (c == Change::kWiped) return u;
           }
-          if (c == Change::kWiped) return u;
         }
       }
     }
@@ -1101,15 +1172,18 @@ class BitsetSearcher {
     // word entries pushed alongside tile entries are the same-label
     // removals, which run before the intersects that snapshot tiles — so
     // the chronologically older word values must be applied last to win.
-    for (std::size_t i = tile_trail_.size(); i > tile_mark; --i) {
-      const TileTrailEntry& e = tile_trail_[i - 1];
-      const int n = std::min(PeSet::kTileWords, words_ - e.base);
-      trail_words_saved_ += static_cast<std::uint64_t>(n);
-      count_cache_[static_cast<std::size_t>(e.node)] = -1;
-      domain_[static_cast<std::size_t>(e.node)].restore_words(e.base, n,
-                                                              e.old_bits);
+    // One-word domains never tile.
+    if constexpr (!kWordDomains) {
+      for (std::size_t i = tile_trail_.size(); i > tile_mark; --i) {
+        const TileTrailEntry& e = tile_trail_[i - 1];
+        const int n = std::min(PeSet::kTileWords, words_ - e.base);
+        trail_words_saved_ += static_cast<std::uint64_t>(n);
+        count_cache_[static_cast<std::size_t>(e.node)] = -1;
+        domain_[static_cast<std::size_t>(e.node)].restore_words(e.base, n,
+                                                                e.old_bits);
+      }
+      tile_trail_.resize(tile_mark);
     }
-    tile_trail_.resize(tile_mark);
     // restore_word, not set_word: every old_bits value was read out of the
     // set it goes back into, so the tail-mask re-check would be pure
     // overhead on the hottest loop in the engine.
@@ -1154,16 +1228,21 @@ class BitsetSearcher {
   /// domain.count() with the dispatch hoisted (see hk_): popcount only the
   /// occupied tiles. Exact — identical to PeSet::count() — this is purely
   /// the per-call table-resolution cost pulled out of select_node's loop.
-  int domain_count(const PeSet& d) const {
-    if (!tile_skip_) return d.count();
-    int c = 0;
-    for (PeSet::Word rest = d.tile_occupancy(); rest != 0; rest &= rest - 1) {
-      const int t = std::countr_zero(rest);
-      const int base = t * PeSet::kTileWords;
-      const int n = std::min(PeSet::kTileWords, words_ - base);
-      c += hk_.count(d.words().data() + base, static_cast<std::size_t>(n));
+  int domain_count(const Dom& d) const {
+    if constexpr (!kWordDomains) {
+      if (tile_skip_) {
+        int c = 0;
+        for (PeSet::Word rest = d.tile_occupancy(); rest != 0;
+             rest &= rest - 1) {
+          const int t = std::countr_zero(rest);
+          const int base = t * PeSet::kTileWords;
+          const int n = std::min(PeSet::kTileWords, words_ - base);
+          c += hk_.count(d.words().data() + base, static_cast<std::size_t>(n));
+        }
+        return c;
+      }
     }
-    return c;
+    return d.count();
   }
 
   /// domain_count with a per-node memo. select_node rescans every
@@ -1265,7 +1344,7 @@ class BitsetSearcher {
     // v's candidate list (the refutation below enumerates exactly the
     // unpruned candidates, so whoever pruned the rest is part of the
     // proof).
-    PeSet& cs = cs_stack_[depth];
+    NodeSet& cs = cs_stack_[depth];
     cs.clear();
     cs.set(v);
     cs |= pruners_[static_cast<std::size_t>(v)];
@@ -1277,8 +1356,7 @@ class BitsetSearcher {
     // conflict set.
     const PeId pin = depth == 0 ? translation_pin(v) : -1;
     if (pin >= 0) result.root_pinned = true;
-    const bool canonical_only = pin < 0 && depth == 0 &&
-                                canonical_.capacity() > 0 &&
+    const bool canonical_only = pin < 0 && depth == 0 && use_octant_ &&
                                 domain_[static_cast<std::size_t>(v)]
                                     .intersects(canonical_);
     // Snapshot the domain's candidates into this depth's buffer and order
@@ -1424,6 +1502,10 @@ class BitsetSearcher {
   /// the arch's memo only for the multiplicities k >= 2 this DFG contains,
   /// when use_mult_ (nullptr for absent levels).
   std::vector<const std::vector<PeSet>*> d2k_masks_;
+  // One-word domains: closed_neighbor_mask and distance2_mask per PE, as
+  // flat words (closed_mask, ball_mask); empty otherwise.
+  std::vector<WordSet> closed_tab_;
+  std::vector<WordSet> d2_tab_;
   int max_mult_ = 0;      // largest same-label witness-group size seen
   bool use_mult_ = false; // multiplicity filter armed (toggle && mult >= 2)
   int num_tiles_ = 0;     // occupancy tiles per domain
@@ -1441,7 +1523,7 @@ class BitsetSearcher {
   // Unassigned nodes with >= 1 placed neighbour (mapped_neighbor_count_
   // > 0), maintained on assign/undo. select_node iterates this instead of
   // the whole unassigned list whenever it is non-empty.
-  PeSet frontier_;
+  NodeSet frontier_;
   // Unassigned-node lists (dancing links; see ctor). un_* is the global
   // ascending-id list with its sentinel at index n_; lab_* chains each
   // label's nodes_by_label_ order with per-label sentinels at n_ + label.
@@ -1449,13 +1531,13 @@ class BitsetSearcher {
   std::vector<NodeId> un_prev_;
   std::vector<NodeId> lab_next_;
   std::vector<NodeId> lab_prev_;
-  std::vector<PeSet> domain_;
+  std::vector<Dom> domain_;
   // Exact per-node |domain| memo for select_node (-1 = stale; see
   // cached_domain_count). mutable: reads recompute lazily from const paths.
   mutable std::vector<int> count_cache_;
-  std::vector<PeSet> pruners_;     // per node: who pruned its domain
-  std::vector<PeSet> cs_stack_;    // conflict set per decision level
-  PeSet fail_set_;                 // conflict set of the failure in flight
+  std::vector<NodeSet> pruners_;   // per node: who pruned its domain
+  std::vector<NodeSet> cs_stack_;  // conflict set per decision level
+  NodeSet fail_set_;               // conflict set of the failure in flight
   int fail_level_ = -1;            // level that failure resumes at
   std::vector<TrailEntry> trail_;
   std::size_t trail_reserved_ = 0;
@@ -1471,7 +1553,8 @@ class BitsetSearcher {
   const int* value_rank_ = nullptr;
   std::unique_ptr<PeId[]> cand_arena_;  // per-depth candidate buffers
   std::vector<NodeId> order_;       // static variable order, if any
-  PeSet canonical_;                 // empty capacity == disabled
+  bool use_octant_ = false;         // depth 0 prefers canonical_
+  Dom canonical_;
   // Translation pin (translation_pin): the pinned depth-0 node and its
   // eccentricity, and the BFS buffers it and widen_certificate share.
   NodeId root_ = kInvalidNode;
@@ -1830,7 +1913,22 @@ SpaceResult find_monomorphism(const Dfg& dfg, const CgraArch& arch,
   if (options.engine == SpaceEngine::kReference) {
     return ReferenceSearcher(dfg, arch, labels, ii, options, deadline).run();
   }
-  return BitsetSearcher(dfg, arch, labels, ii, options, deadline).run();
+  // Node sets and candidate domains take one word each wherever they fit:
+  // at most 64 nodes, and at most 64 PEs (where neither the pin fabric nor
+  // the multiplicity filter arms). The search and its trace are the same.
+  if (dfg.num_nodes() > WordSet::kBits) {
+    return BitsetSearcher<PeSet, PeSet>(dfg, arch, labels, ii, options,
+                                        deadline)
+        .run();
+  }
+  if (arch.num_pes() > WordSet::kBits) {
+    return BitsetSearcher<WordSet, PeSet>(dfg, arch, labels, ii, options,
+                                          deadline)
+        .run();
+  }
+  return BitsetSearcher<WordSet, WordSet>(dfg, arch, labels, ii, options,
+                                          deadline)
+      .run();
 }
 
 }  // namespace monomap

@@ -12,10 +12,13 @@
 //
 // Word layout: capacity bits packed little-endian into 64-bit words; the
 // unused high bits of the last word (the "tail") are always zero, so
-// count()/empty()/== never need masking. Up to 64 PEs (an 8x8 mesh) a set
-// is a single word and every operation below compiles to a couple of
-// instructions; at 1K-4K PEs (32x32-64x64 fabrics) a set is 16-64 words and
-// the bulk operations dispatch to the runtime-selected SIMD kernels in
+// count()/empty()/== never need masking. Up to 64 ids a PeSet is a single
+// word, but every call still goes through the heap block, the width loop,
+// the always-on bounds asserts and the occupancy mark; WordSet below is
+// the one-word set the space searcher uses in that regime instead (node
+// sets of DFGs up to 64 nodes, domains on fabrics up to 64 PEs, 4x4-8x8).
+// At 1K-4K PEs (32x32-64x64 fabrics) a set is 16-64 words and the bulk
+// operations dispatch to the runtime-selected SIMD kernels in
 // support/simd.hpp (AVX2/AVX-512 with a bit-identical scalar fallback).
 //
 // Tiled occupancy layout: the words are additionally viewed as cache-line
@@ -376,6 +379,74 @@ class PeSet {
   int capacity_ = 0;
   Word occ_ = 0;
   std::vector<Word, simd::CacheAlignedAllocator<Word>> words_;
+};
+
+/// A set of ids in [0, 64) held in one word by value: the PeSet calls the
+/// space searcher makes, so one search text runs on either type. A vector
+/// of WordSets is a flat word array, and every operation is a plain word
+/// operation — no heap block, width loop, occupancy mark or per-call
+/// bounds assert. The capacity is checked once, at construction; the
+/// word-indexed calls take PeSet's word index for signature parity, and it
+/// is always 0.
+class WordSet {
+ public:
+  using Word = PeSet::Word;
+  static constexpr int kBits = PeSet::kWordBits;
+
+  WordSet() = default;
+
+  /// An empty set able to hold ids in [0, capacity), capacity <= 64.
+  explicit WordSet(int capacity) {
+    MONOMAP_ASSERT(capacity >= 0 && capacity <= kBits);
+  }
+
+  /// The one word of a PeSet of at most 64 ids.
+  explicit WordSet(const PeSet& s) : bits_(s.num_words() == 0 ? 0 : s.word(0)) {
+    MONOMAP_ASSERT(s.capacity() <= kBits);
+  }
+
+  /// The full set {0, ..., capacity-1}.
+  static WordSet full(int capacity) {
+    WordSet s(capacity);
+    s.bits_ = capacity == kBits ? ~Word{0} : (Word{1} << capacity) - 1;
+    return s;
+  }
+
+  [[nodiscard]] bool test(int i) const { return (bits_ >> i) & 1u; }
+  void set(int i) { bits_ |= Word{1} << i; }
+  void reset(int i) { bits_ &= ~(Word{1} << i); }
+  void clear() { bits_ = 0; }
+
+  [[nodiscard]] int count() const { return std::popcount(bits_); }
+  [[nodiscard]] bool empty() const { return bits_ == 0; }
+
+  WordSet& operator&=(const WordSet& o) {
+    bits_ &= o.bits_;
+    return *this;
+  }
+  WordSet& operator|=(const WordSet& o) {
+    bits_ |= o.bits_;
+    return *this;
+  }
+  [[nodiscard]] bool is_subset_of(const WordSet& o) const {
+    return (bits_ & ~o.bits_) == 0;
+  }
+  [[nodiscard]] bool intersects(const WordSet& o) const {
+    return (bits_ & o.bits_) != 0;
+  }
+
+  /// Visits set ids in ascending order, as PeSet::for_each does.
+  template <typename F>
+  void for_each(F&& f) const {
+    for (Word w = bits_; w != 0; w &= w - 1) f(std::countr_zero(w));
+  }
+
+  [[nodiscard]] Word word(int /*i*/) const { return bits_; }
+  void set_word(int /*i*/, Word w) { bits_ = w; }
+  void restore_word(int /*i*/, Word w) { bits_ = w; }
+
+ private:
+  Word bits_ = 0;
 };
 
 }  // namespace monomap

@@ -110,5 +110,36 @@ TEST(MappingIo, RejectsIncompleteMapping) {
                InputError);
 }
 
+TEST(MappingIo, BoundsTheIi) {
+  // validate_mapping sizes its per-slot table by II: the loader takes an II
+  // up to the protocol's max_ii cap and refuses one above it before any
+  // table exists.
+  const Mapping at_cap =
+      mapping_from_text("mapping x\nii 4096\nplace 0 0 0\nend\n", 1);
+  EXPECT_EQ(at_cap.ii(), kMaxDfgTextNodes);
+  EXPECT_THROW(mapping_from_text("mapping x\nii 4097\nplace 0 0 0\nend\n", 1),
+               InputError);
+  EXPECT_THROW(
+      mapping_from_text("mapping x\nii 2147483647\nplace 0 0 0\nend\n", 1),
+      InputError);
+}
+
+TEST(MappingIo, TimingTestTakesTheLargestTime) {
+  // A time of INT_MAX loads, and the timing test T_d + dist*II >= T_s + 1
+  // must judge it without overflowing on either side: the distance-0 edge
+  // 0->1 is violated (7 < INT_MAX + 1), the distance-1 edge 1->0 holds
+  // (INT_MAX + 2 >= 8).
+  const Dfg dfg = Dfg::from_edges("pair", 2, {{0, 1, 0}, {1, 0, 1}});
+  const CgraArch arch = CgraArch::square(2);
+  const Mapping mapping = mapping_from_text(
+      "mapping x\nii 2\nplace 0 0 2147483647\nplace 1 1 7\nend\n", 2);
+  const auto violations = validate_mapping(dfg, arch, mapping);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_NE(violations[0].what.find("edge 0->1"), std::string::npos)
+      << violations[0].what;
+  EXPECT_NE(violations[0].what.find("violates timing"), std::string::npos)
+      << violations[0].what;
+}
+
 }  // namespace
 }  // namespace monomap

@@ -300,6 +300,70 @@ TEST(PeSet, TileOccupancyTracksBulkWordOps) {
   EXPECT_EQ(exact & ~s.tile_occupancy(), PeSet::Word{0});
 }
 
+TEST(WordSet, AnswersEveryCallLikeAOneWordPeSet) {
+  // The space searcher runs one text on either set type, so a random walk
+  // of the calls it makes must leave both with the same bits and answers,
+  // at every capacity up to one word.
+  Rng rng(0x5e7);
+  for (const int cap : {1, 16, 25, 63, 64}) {
+    PeSet p = PeSet::full(cap);
+    WordSet w = WordSet::full(cap);
+    PeSet pm(cap);
+    WordSet wm(cap);
+    for (int step = 0; step < 2000; ++step) {
+      const int i =
+          static_cast<int>(rng.next_below(static_cast<std::uint32_t>(cap)));
+      switch (rng.next_below(8)) {
+        case 0:
+          p.set(i);
+          w.set(i);
+          break;
+        case 1:
+          p.reset(i);
+          w.reset(i);
+          break;
+        case 2:
+          pm.set(i);
+          wm.set(i);
+          break;
+        case 3:
+          p &= pm;
+          w &= wm;
+          break;
+        case 4:
+          p |= pm;
+          w |= wm;
+          break;
+        case 5:
+          p.restore_word(0, pm.word(0));
+          w.restore_word(0, wm.word(0));
+          break;
+        case 6:
+          pm.clear();
+          wm.clear();
+          break;
+        default:
+          p.set_word(0, p.word(0) & ~pm.word(0));
+          w.set_word(0, w.word(0) & ~wm.word(0));
+          break;
+      }
+      ASSERT_EQ(w.word(0), p.word(0)) << "cap " << cap << " step " << step;
+      ASSERT_EQ(w.test(i), p.test(i));
+      ASSERT_EQ(w.count(), p.count());
+      ASSERT_EQ(w.empty(), p.empty());
+      ASSERT_EQ(w.is_subset_of(wm), p.is_subset_of(pm));
+      ASSERT_EQ(w.intersects(wm), p.intersects(pm));
+      ASSERT_EQ(WordSet(p).word(0), p.word(0));
+    }
+    std::vector<int> from_p, from_w;
+    p.for_each([&](int x) { from_p.push_back(x); });
+    w.for_each([&](int x) { from_w.push_back(x); });
+    EXPECT_EQ(from_w, from_p);
+  }
+  EXPECT_THROW(WordSet(65), AssertionError);
+  EXPECT_THROW(WordSet(PeSet(65)), AssertionError);
+}
+
 TEST(Simd, SetLevelClampsToSupport) {
   const simd::Level saved = simd::active_level();
   const simd::Level best = simd::best_supported_level();
