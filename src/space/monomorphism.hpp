@@ -53,11 +53,11 @@ const char* to_string(SpaceOrder order);
 /// Search-engine implementation (both explore the same space and agree on
 /// found/not-found for complete runs; see tests/space_engines_test.cpp).
 enum class SpaceEngine {
-  /// Bit-parallel candidate domains (one PeSet per DFG node) updated
-  /// incrementally on assign/unassign through a trail: MRV selection is a
-  /// popcount, forward checking is domain-wipeout detection, and the
-  /// steady-state recursion performs no heap allocation. Glasgow-solver
-  /// style; the default.
+  /// Bit-parallel candidate domains (one bitset per DFG node: one word up
+  /// to 64 PEs, a PeSet above) updated incrementally on assign/unassign
+  /// through a trail: MRV selection is a popcount, forward checking is
+  /// domain-wipeout detection, and the steady-state recursion performs no
+  /// heap allocation. Glasgow-solver style; the default.
   kBitset,
   /// The original scan-based searcher: per-step candidate recounts against
   /// adjacency lists. Kept as the independent oracle for differential
@@ -177,7 +177,7 @@ struct SpaceResult {
   /// conflict sets reached shallow decisions marks a hopeless schedule
   /// family.
   int shallowest_retreat = 0;
-  /// Bitset engine: PeSet words per candidate domain (1 up to 64 PEs, 16 at
+  /// Bitset engine: words per candidate domain (1 up to 64 PEs, 16 at
   /// 32x32, 64 at 64x64) — the unit of domain-trail traffic.
   int words_per_domain = 0;
   /// Bitset engine: total words recorded on (and restored from) the domain
