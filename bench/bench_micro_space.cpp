@@ -186,6 +186,7 @@ void emit_space_row(json::Writer& json, const std::string& suite, int grid,
   json.field("multiplicity_prunings", last.multiplicity_prunings);
   json.field("tiles_skipped", last.tiles_skipped);
   json.field("domain_bytes_touched", last.domain_bytes_touched);
+  json.field("delegated_subtrees", last.delegated_subtrees);
   json.end_object();
 }
 
@@ -329,6 +330,7 @@ void run_json_mode(const std::vector<int>& grids, int repeats,
   json.field("topology", topology_name(Topology::kMesh));
   json.field("repeats", repeats);
   json.field("nproc", static_cast<int>(std::thread::hardware_concurrency()));
+  json.field("split_helpers", space_split_helpers());
   json.field("simd", simd::level_name(simd::active_level()));
 
   std::vector<double> ref_ratios;  // grid 8: reference / bitset

@@ -1,10 +1,17 @@
 #include "space/monomorphism.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <condition_variable>
 #include <cstring>
+#include <deque>
 #include <limits>
 #include <memory>
+#include <mutex>
+#include <thread>
 #include <type_traits>
 #include <utility>
 
@@ -184,6 +191,153 @@ bool in_canonical_octant(const CgraArch& arch, PeId p) {
   return r < half && c < half && c >= r;
 }
 
+// --- parallel split --------------------------------------------------------
+
+/// Backtracks after which a bitset search hands the not-yet-started
+/// candidates of its first branching level to the helper pool
+/// (docs/performance.md, "Parallel split"). Checked on the backtrack path
+/// only.
+constexpr std::uint64_t kSplitAfterBacktracks = 64;
+
+/// Ceiling on helper threads: a split level rarely holds more than a dozen
+/// candidates, and every helper reserves its own trails.
+constexpr int kMaxSplitHelpers = 7;
+
+/// One fewer than the cores this process may run on, capped.
+int split_helper_count() {
+  static const int count = [] {
+    int cores = static_cast<int>(std::thread::hardware_concurrency());
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) == 0) cores = CPU_COUNT(&set);
+    return std::clamp(cores - 1, 0, kMaxSplitHelpers);
+  }();
+  return count;
+}
+
+/// One step of a busy wait: a pause hint where the CPU has one. Every
+/// 1,024th step yields the core to any other runnable thread.
+inline void relax(unsigned step) {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+  if ((step & 1023U) == 1023U) std::this_thread::yield();
+}
+
+/// A split as the helper pool sees it: help() runs on a helper thread and
+/// returns once the split needs no more work from it.
+class SplitJob {
+ public:
+  virtual ~SplitJob() = default;
+  virtual void help() = 0;
+
+ private:
+  friend class SplitPool;
+  std::atomic<int> active_{0};  // helpers inside help()
+};
+
+/// The process-wide helper threads, started on the first split. One FIFO
+/// queue of help() runs. A helper that finds the queue empty busy-waits
+/// for kSpinS (relax) before it sleeps: a compile's searches come a few
+/// hundred microseconds apart, and waking a sleeping helper costs the
+/// arming search 5-10 us and the helper 25 us more before it runs; in a
+/// measurement, helpers that slept at once or spun on sched_yield also
+/// slowed the SAT time phase between searches by a third. A finished split
+/// drops its queued runs and waits only for the ones already running,
+/// which notice its cancellation within a backtrack.
+class SplitPool {
+ public:
+  static SplitPool& instance() {
+    static SplitPool pool(split_helper_count());
+    return pool;
+  }
+
+  ~SplitPool() {
+    {
+      const std::lock_guard<std::mutex> lock(m_);
+      stop_ = true;
+      queued_.store(-1, std::memory_order_relaxed);
+    }
+    work_cv_.notify_all();
+    for (std::thread& t : threads_) t.join();
+  }
+
+  SplitPool(const SplitPool&) = delete;
+  SplitPool& operator=(const SplitPool&) = delete;
+
+  /// Queue `runs` help() calls of `job`.
+  void submit(SplitJob* job, int runs) {
+    bool wake = false;
+    {
+      const std::lock_guard<std::mutex> lock(m_);
+      for (int i = 0; i < runs; ++i) queue_.push_back(job);
+      queued_.store(static_cast<int>(queue_.size()), std::memory_order_relaxed);
+      wake = sleeping_ > 0;
+    }
+    if (wake) work_cv_.notify_all();
+  }
+
+  /// Drop `job`'s queued runs and wait until none of its runs is active.
+  void retire(SplitJob* job) {
+    {
+      const std::lock_guard<std::mutex> lock(m_);
+      queue_.erase(std::remove(queue_.begin(), queue_.end(), job),
+                   queue_.end());
+      queued_.store(static_cast<int>(queue_.size()), std::memory_order_relaxed);
+    }
+    for (unsigned step = 0;
+         job->active_.load(std::memory_order_acquire) != 0; ++step) {
+      relax(step);
+    }
+  }
+
+ private:
+  static constexpr double kSpinS = 1e-3;
+
+  explicit SplitPool(int helpers) {
+    threads_.reserve(static_cast<std::size_t>(helpers));
+    for (int t = 0; t < helpers; ++t) {
+      threads_.emplace_back([this] { loop(); });
+    }
+  }
+
+  void loop() {
+    std::unique_lock<std::mutex> lock(m_);
+    for (;;) {
+      if (queue_.empty() && !stop_) {
+        lock.unlock();
+        const Stopwatch spin;
+        for (unsigned step = 1; queued_.load(std::memory_order_relaxed) == 0;
+             ++step) {
+          if ((step & 63U) == 0 && spin.elapsed_s() >= kSpinS) break;
+          relax(step);
+        }
+        lock.lock();
+        ++sleeping_;
+        work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+        --sleeping_;
+      }
+      if (queue_.empty()) return;  // stopping
+      SplitJob* job = queue_.front();
+      queue_.pop_front();
+      queued_.store(static_cast<int>(queue_.size()), std::memory_order_relaxed);
+      job->active_.fetch_add(1, std::memory_order_relaxed);
+      lock.unlock();
+      job->help();
+      job->active_.fetch_sub(1, std::memory_order_release);  // last touch
+      lock.lock();
+    }
+  }
+
+  std::mutex m_;
+  std::condition_variable work_cv_;
+  std::deque<SplitJob*> queue_;  // guarded by m_, like the two below
+  int sleeping_ = 0;
+  bool stop_ = false;
+  std::atomic<int> queued_{0};  // queue_.size(), readable while spinning
+  std::vector<std::thread> threads_;  // last: the threads use the above
+};
+
 // --- bitset engine ---------------------------------------------------------
 
 /// Bit-parallel domain-propagation search. One candidate domain (PE set) per
@@ -214,10 +368,19 @@ bool in_canonical_octant(const CgraArch& arch, PeId p) {
 /// set, the frontier) and Dom the candidate domains: WordSet where they fit
 /// one word, PeSet otherwise (find_monomorphism picks). The search is the
 /// same text and the same trace either way; one-word domains only skip the
-/// tiled and SIMD paths, which never arm below 4 words.
+/// tiled and SIMD paths, which never arm below 4 words, and number their
+/// bits by the interior-first value rank instead of the PE id, so that a
+/// domain's ascending bits are its candidates in value order.
+///
+/// A refutation that backtracks kSplitAfterBacktracks times may split: the
+/// not-yet-started candidates of its first branching level go to helper
+/// searchers on the process-wide SplitPool, and the level takes their
+/// reports strictly in candidate order (arm_split, merge_split; see
+/// docs/performance.md, "Parallel split").
 template <typename NodeSet, typename Dom>
 class BitsetSearcher {
   static constexpr bool kWordDomains = std::is_same_v<Dom, WordSet>;
+  struct Split;
 
  public:
   BitsetSearcher(const Dfg& dfg, const CgraArch& arch,
@@ -231,17 +394,11 @@ class BitsetSearcher {
         options_(options),
         deadline_(deadline),
         n_(dfg.num_nodes()),
-        neighbors_(static_cast<std::size_t>(n_)),
-        nodes_by_label_(static_cast<std::size_t>(ii)),
-        assignment_(static_cast<std::size_t>(n_), -1),
-        mapped_neighbor_count_(static_cast<std::size_t>(n_), 0),
-        level_of_(static_cast<std::size_t>(n_), -1),
-        frontier_(n_),
-        fail_set_(n_) {
+        neighbors_(static_cast<std::size_t>(n_)) {
     degree_of_.resize(static_cast<std::size_t>(n_));
     for (NodeId v = 0; v < n_; ++v) {
       neighbors_[static_cast<std::size_t>(v)] =
-          dfg_.graph().undirected_neighbors(v);
+          dfg.graph().undirected_neighbors(v);
       // Flat copy of the degrees: select_node's comparator reads them per
       // candidate pair, and the vector-of-vectors size() chase is
       // measurable there.
@@ -250,43 +407,10 @@ class BitsetSearcher {
       const int label = labels_[static_cast<std::size_t>(v)];
       MONOMAP_ASSERT_MSG(label >= 0 && label < ii_,
                          "label " << label << " outside [0," << ii_ << ")");
-      nodes_by_label_[static_cast<std::size_t>(label)].push_back(v);
     }
-    // Dancing-links views of the unassigned node set: ascending-id order
-    // globally (select_node's scan) and nodes_by_label_ order per label
-    // (the mono1 sweep). Both iterate exactly the nodes the old
-    // scan-and-skip loops reached, in the same order, without touching
-    // assigned nodes — unlink on assign, relink on undo, strict LIFO, so
-    // a node's neighbours are intact when it relinks.
-    un_next_.assign(static_cast<std::size_t>(n_) + 1, 0);
-    un_prev_.assign(static_cast<std::size_t>(n_) + 1, 0);
-    for (NodeId v = 0; v <= n_; ++v) {
-      const NodeId nx = v == n_ ? 0 : v + 1;
-      un_next_[static_cast<std::size_t>(v)] = nx;
-      un_prev_[static_cast<std::size_t>(nx)] = v;
-    }
-    lab_next_.assign(static_cast<std::size_t>(n_ + ii_), 0);
-    lab_prev_.assign(static_cast<std::size_t>(n_ + ii_), 0);
-    for (int l = 0; l < ii_; ++l) {
-      NodeId prev = n_ + l;  // per-label sentinel
-      for (const NodeId u : nodes_by_label_[static_cast<std::size_t>(l)]) {
-        lab_next_[static_cast<std::size_t>(prev)] = u;
-        lab_prev_[static_cast<std::size_t>(u)] = prev;
-        prev = u;
-      }
-      lab_next_[static_cast<std::size_t>(prev)] = n_ + l;
-      lab_prev_[static_cast<std::size_t>(n_ + l)] = prev;
-    }
-    count_cache_.assign(static_cast<std::size_t>(n_), -1);
     bfs_dist_.resize(static_cast<std::size_t>(n_));
     bfs_parent_.resize(static_cast<std::size_t>(n_));
     bfs_queue_.resize(static_cast<std::size_t>(n_));
-    pruners_.reserve(static_cast<std::size_t>(n_));
-    cs_stack_.reserve(static_cast<std::size_t>(n_));
-    for (NodeId v = 0; v < n_; ++v) {
-      pruners_.push_back(NodeSet(n_));
-      cs_stack_.push_back(NodeSet(n_));
-    }
     node_words_ = (n_ + PeSet::kWordBits - 1) / PeSet::kWordBits;
     // The ordering regime is the real fabric's, also on the pin fabric: in
     // a prototype, letting a 10x10 search's 361-PE pin fabric arm sparse
@@ -296,7 +420,7 @@ class BitsetSearcher {
                    options_.sparse_order_auto &&
                    real_.num_pes() >= kSparseOrderMinPes);
     if (!is_dynamic_order(options_.order)) {
-      order_ = build_static_order(dfg_, neighbors_, options_.order);
+      order_ = build_static_order(dfg, neighbors_, options_.order);
     }
     std::vector<char> mult_used;
     if (options_.distance2_filter) {
@@ -370,19 +494,6 @@ class BitsetSearcher {
     // one, or its pin fabric.
     plan_pin_fabric();
     num_pes_ = fabric_->num_pes();
-    domain_.reserve(static_cast<std::size_t>(n_));
-    for (NodeId v = 0; v < n_; ++v) {
-      domain_.push_back(Dom::full(num_pes_));
-    }
-    if constexpr (kWordDomains) {
-      // Flat one-word copies of the masks propagation intersects with.
-      for (PeId p = 0; p < num_pes_; ++p) {
-        closed_tab_.emplace_back(fabric_->closed_neighbor_mask(p));
-        if (options_.distance2_filter) {
-          d2_tab_.emplace_back(fabric_->distance2_mask(p));
-        }
-      }
-    }
     words_ = (num_pes_ + PeSet::kWordBits - 1) / PeSet::kWordBits;
     num_tiles_ = (words_ + PeSet::kTileWords - 1) / PeSet::kTileWords;
     // Cached once per search so a run is internally consistent even if the
@@ -400,20 +511,24 @@ class BitsetSearcher {
     // engines expand values in the same order; the per-searcher
     // stable_sort over num_pes was measurable on a 64x64 fabric).
     value_rank_ = fabric_->interior_first_rank().data();
-    // One candidate buffer per depth: enumeration happens via the domain's
-    // set bits (O(words + candidates)), not a scan over all PEs. The
-    // storage is deliberately left uninitialised — search() always writes
-    // a depth's slice from the domain before reading it, and zero-filling
-    // n * num_pes ints is measurable against a whole small-kernel mapping
-    // on a 64x64 fabric.
-    cand_arena_.reset(new PeId[static_cast<std::size_t>(n_) *
-                               static_cast<std::size_t>(num_pes_)]);
+    if constexpr (kWordDomains) {
+      // Rank-numbered one-word copies of the masks propagation intersects
+      // with: bit r stands for the PE of rank r.
+      value_order_ = fabric_->interior_first_order().data();
+      for (int r = 0; r < num_pes_; ++r) {
+        const PeId p = value_order_[r];
+        closed_tab_.push_back(as_domain(fabric_->closed_neighbor_mask(p)));
+        if (options_.distance2_filter) {
+          d2_tab_.push_back(as_domain(fabric_->distance2_mask(p)));
+        }
+      }
+    }
     if (options_.symmetry_breaking && !window_ &&
         symmetry_applicable(real_)) {
       use_octant_ = true;
       canonical_ = Dom(num_pes_);
       for (PeId p = 0; p < num_pes_; ++p) {
-        if (in_canonical_octant(real_, p)) canonical_.set(p);
+        if (in_canonical_octant(real_, p)) canonical_.set(bit_of(p));
       }
     }
     if (options_.distance2_filter) {
@@ -437,6 +552,182 @@ class BitsetSearcher {
           d2k_masks_[static_cast<std::size_t>(k)] =
               &fabric_->common_target_masks(k);
         }
+      }
+    }
+    gov_ = GovernorScope::current();
+    // No split under a memory budget: helper trails would go uncharged.
+    // Nor under an explicit kSparseMrv on one-word domains, whose sorted
+    // candidate lists a split could not recompute.
+    if (gov_ == nullptr && split_helper_count() > 0 &&
+        !(kWordDomains && use_sparse_)) {
+      split_watch_ = kSplitAfterBacktracks;
+    }
+    init_state();
+  }
+
+  /// A split helper: the owner's tables, fresh state, and the owner's
+  /// split-level state rebuilt by replaying the forced levels above the
+  /// split from the root degree filter on. Runs without a governor, under
+  /// the split's deadline and backtrack cap, and never splits itself.
+  BitsetSearcher(const BitsetSearcher& owner, const Split& split);
+
+  ~BitsetSearcher() {
+    finish_split();
+    if (gov_ != nullptr) gov_->uncharge(gov_charged_);
+    if (serving_ != nullptr) {
+      // Hand the trails and the arena back to this helper thread for its
+      // next split, unless they grew past kSpareBytes.
+      Spare& spare = spare_buffers();
+      const auto keep = [](auto& from, auto& to) {
+        if (from.capacity() * sizeof(from[0]) <= kSpareBytes) {
+          from.clear();
+          to = std::move(from);
+        }
+      };
+      keep(trail_, spare.trail);
+      keep(tile_trail_, spare.tile_trail);
+      keep(pruner_trail_, spare.pruner_trail);
+      if (cand_arena_size_ * sizeof(PeId) <= kSpareBytes) {
+        spare.arena = std::move(cand_arena_);
+        spare.arena_size = cand_arena_size_;
+      }
+    }
+  }
+
+  BitsetSearcher(const BitsetSearcher&) = delete;
+  BitsetSearcher& operator=(const BitsetSearcher&) = delete;
+
+  SpaceResult run() {
+    SpaceResult result;
+    result.words_per_domain = words_;
+    Stopwatch watch;
+    if (gov_denied_) {
+      // The constructor could not reserve the trails within the memory
+      // budget: nothing was proven about the space.
+      result.timed_out = true;
+      result.memory_out = true;
+      result.failure_reason = "space trail reservation exceeded the memory budget";
+      result.seconds = watch.elapsed_s();
+      return result;
+    }
+    if (!check_labels(dfg_, real_, labels_, ii_, result)) {
+      result.seconds = watch.elapsed_s();
+      return result;
+    }
+    if (options_.model == MrrgModel::kConsecutiveOnly &&
+        !check_slot_adjacency(dfg_, labels_, ii_, result)) {
+      result.seconds = watch.elapsed_s();
+      return result;
+    }
+    if (options_.distance2_filter &&
+        !apply_root_degree_filter(result)) {
+      result.seconds = watch.elapsed_s();
+      return result;
+    }
+    result.shallowest_retreat = n_ + 1;
+    result.found = n_ == 0 ? true : search(0, result);
+    // Every helper is cancelled and joined before the answer leaves.
+    finish_split();
+    // The no-steady-state-allocation invariant: the preallocated trails
+    // were never outgrown (a regrowth would mean a capacity bound is
+    // wrong).
+    MONOMAP_ASSERT(trail_.capacity() == trail_reserved_);
+    MONOMAP_ASSERT(tile_trail_.capacity() == tile_trail_reserved_);
+    MONOMAP_ASSERT(pruner_trail_.capacity() == pruner_trail_reserved_);
+    result.trail_words_saved =
+        trail_words_saved_ + trail_.size() + tile_words_on_trail(0);
+    result.multiplicity_prunings = mult_prunings_;
+    result.tiles_skipped = tiles_skipped_;
+    result.domain_bytes_touched = words_touched_ * sizeof(PeSet::Word);
+    if (result.found) {
+      result.pe = assignment_;
+      for (PeId& p : result.pe) p = pe_of(p);
+      if (window_) shift_onto_real(result.pe);
+    } else if (result.failure_reason.empty()) {
+      result.failure_reason = result.timed_out ? "search budget exhausted"
+                                               : "search space exhausted";
+      if (!result.timed_out) {
+        // Complete refutation: the final conflict set names every node the
+        // proof branched on or wiped out, plus every node whose placement
+        // or existence pruned a domain the proof used — so the proof
+        // stands on the induced subproblem of exactly these nodes (see
+        // SpaceResult::conflict_nodes). A set holding the root pinned in
+        // place was proven with the root at the pin only, so it is widened
+        // first; one proven on the pin fabric needs no widening (see
+        // plan_pin_fabric).
+        if (!window_ && root_ != kInvalidNode && fail_set_.test(root_)) {
+          widen_certificate(result);
+        }
+        fail_set_.for_each(
+            [&](int u) { result.conflict_nodes.push_back(u); });
+      }
+    }
+    result.seconds = watch.elapsed_s();
+    return result;
+  }
+
+ private:
+  /// The mutable search state, sized for the tables above: everything
+  /// unassigned, domains full, trails reserved (charged to the governor,
+  /// if any).
+  void init_state() {
+    assignment_.assign(static_cast<std::size_t>(n_), -1);
+    mapped_neighbor_count_.assign(static_cast<std::size_t>(n_), 0);
+    level_of_.assign(static_cast<std::size_t>(n_), -1);
+    frontier_ = NodeSet(n_);
+    fail_set_ = NodeSet(n_);
+    // Dancing-links views of the unassigned node set: ascending-id order
+    // globally (select_node's scan) and ascending-id order per label (the
+    // mono1 sweep). Both iterate exactly the nodes the old scan-and-skip
+    // loops reached, in the same order, without touching assigned nodes —
+    // unlink on assign, relink on undo, strict LIFO, so a node's
+    // neighbours are intact when it relinks.
+    un_next_.assign(static_cast<std::size_t>(n_) + 1, 0);
+    un_prev_.assign(static_cast<std::size_t>(n_) + 1, 0);
+    for (NodeId v = 0; v <= n_; ++v) {
+      const NodeId nx = v == n_ ? 0 : v + 1;
+      un_next_[static_cast<std::size_t>(v)] = nx;
+      un_prev_[static_cast<std::size_t>(nx)] = v;
+    }
+    lab_next_.assign(static_cast<std::size_t>(n_ + ii_), 0);
+    lab_prev_.assign(static_cast<std::size_t>(n_ + ii_), 0);
+    std::vector<NodeId> last(static_cast<std::size_t>(ii_));
+    for (int l = 0; l < ii_; ++l) last[static_cast<std::size_t>(l)] = n_ + l;
+    for (NodeId v = 0; v < n_; ++v) {
+      NodeId& prev = last[static_cast<std::size_t>(
+          labels_[static_cast<std::size_t>(v)])];
+      lab_next_[static_cast<std::size_t>(prev)] = v;
+      lab_prev_[static_cast<std::size_t>(v)] = prev;
+      prev = v;
+    }
+    for (int l = 0; l < ii_; ++l) {
+      const NodeId prev = last[static_cast<std::size_t>(l)];
+      lab_next_[static_cast<std::size_t>(prev)] = n_ + l;
+      lab_prev_[static_cast<std::size_t>(n_ + l)] = prev;
+    }
+    count_cache_.assign(static_cast<std::size_t>(n_), -1);
+    pruners_.reserve(static_cast<std::size_t>(n_));
+    cs_stack_.reserve(static_cast<std::size_t>(n_));
+    domain_.reserve(static_cast<std::size_t>(n_));
+    for (NodeId v = 0; v < n_; ++v) {
+      pruners_.push_back(NodeSet(n_));
+      cs_stack_.push_back(NodeSet(n_));
+      domain_.push_back(Dom::full(num_pes_));
+    }
+    if (window_) box_.resize(static_cast<std::size_t>(n_) + 1);
+    // One candidate buffer per depth: enumeration happens via the domain's
+    // set bits (O(words + candidates)), not a scan over all PEs. The
+    // storage is deliberately left uninitialised — search() always writes
+    // a depth's slice from the domain before reading it, and zero-filling
+    // n * num_pes ints is measurable against a whole small-kernel mapping
+    // on a 64x64 fabric. One-word domains walk their rank-numbered words
+    // instead and need it only under an explicit kSparseMrv.
+    if (!kWordDomains || use_sparse_) {
+      const std::size_t size = static_cast<std::size_t>(n_) *
+                               static_cast<std::size_t>(num_pes_);
+      if (cand_arena_size_ < size) {
+        cand_arena_.reset(new PeId[size]);
+        cand_arena_size_ = size;
       }
     }
 
@@ -470,7 +761,6 @@ class BitsetSearcher {
     // so the governor is charged for the whole reservation up front. A
     // denied charge skips the reserves entirely; run() then aborts into a
     // memory outcome before the search starts.
-    gov_ = GovernorScope::current();
     if (gov_ != nullptr) {
       const std::size_t bytes =
           (trail_cap + pruner_cap) * sizeof(TrailEntry) +
@@ -491,80 +781,21 @@ class BitsetSearcher {
     pruner_trail_reserved_ = pruner_trail_.capacity();
   }
 
-  ~BitsetSearcher() {
-    if (gov_ != nullptr) gov_->uncharge(gov_charged_);
+  /// A helper's split-level state: the root degree filter, then the forced
+  /// levels above the split, placed and propagated in order exactly as the
+  /// owner placed them.
+  void replay(const Split& split);
+
+  /// Words the tile-trail entries from index `from` on snapshot.
+  [[nodiscard]] std::uint64_t tile_words_on_trail(std::size_t from) const {
+    std::uint64_t words = 0;
+    for (std::size_t i = from; i < tile_trail_.size(); ++i) {
+      words += static_cast<std::uint64_t>(
+          std::min(PeSet::kTileWords, words_ - tile_trail_[i].base));
+    }
+    return words;
   }
 
-  SpaceResult run() {
-    SpaceResult result;
-    result.words_per_domain = words_;
-    Stopwatch watch;
-    if (gov_denied_) {
-      // The constructor could not reserve the trails within the memory
-      // budget: nothing was proven about the space.
-      result.timed_out = true;
-      result.memory_out = true;
-      result.failure_reason = "space trail reservation exceeded the memory budget";
-      result.seconds = watch.elapsed_s();
-      return result;
-    }
-    if (!check_labels(dfg_, real_, labels_, ii_, result)) {
-      result.seconds = watch.elapsed_s();
-      return result;
-    }
-    if (options_.model == MrrgModel::kConsecutiveOnly &&
-        !check_slot_adjacency(dfg_, labels_, ii_, result)) {
-      result.seconds = watch.elapsed_s();
-      return result;
-    }
-    if (options_.distance2_filter &&
-        !apply_root_degree_filter(result)) {
-      result.seconds = watch.elapsed_s();
-      return result;
-    }
-    result.shallowest_retreat = n_ + 1;
-    result.found = n_ == 0 ? true : search(0, result);
-    // The no-steady-state-allocation invariant: the preallocated trails
-    // were never outgrown (a regrowth would mean a capacity bound is
-    // wrong).
-    MONOMAP_ASSERT(trail_.capacity() == trail_reserved_);
-    MONOMAP_ASSERT(tile_trail_.capacity() == tile_trail_reserved_);
-    MONOMAP_ASSERT(pruner_trail_.capacity() == pruner_trail_reserved_);
-    result.trail_words_saved = trail_words_saved_ + trail_.size();
-    for (const TileTrailEntry& e : tile_trail_) {
-      result.trail_words_saved += static_cast<std::uint64_t>(
-          std::min(PeSet::kTileWords, words_ - e.base));
-    }
-    result.multiplicity_prunings = mult_prunings_;
-    result.tiles_skipped = tiles_skipped_;
-    result.domain_bytes_touched = words_touched_ * sizeof(PeSet::Word);
-    if (result.found) {
-      result.pe = assignment_;
-      if (window_) shift_onto_real(result.pe);
-    } else if (result.failure_reason.empty()) {
-      result.failure_reason = result.timed_out ? "search budget exhausted"
-                                               : "search space exhausted";
-      if (!result.timed_out) {
-        // Complete refutation: the final conflict set names every node the
-        // proof branched on or wiped out, plus every node whose placement
-        // or existence pruned a domain the proof used — so the proof
-        // stands on the induced subproblem of exactly these nodes (see
-        // SpaceResult::conflict_nodes). A set holding the root pinned in
-        // place was proven with the root at the pin only, so it is widened
-        // first; one proven on the pin fabric needs no widening (see
-        // plan_pin_fabric).
-        if (!window_ && root_ != kInvalidNode && fail_set_.test(root_)) {
-          widen_certificate(result);
-        }
-        fail_set_.for_each(
-            [&](int u) { result.conflict_nodes.push_back(u); });
-      }
-    }
-    result.seconds = watch.elapsed_s();
-    return result;
-  }
-
- private:
   struct TrailEntry {
     NodeId node;
     std::int32_t word;
@@ -582,6 +813,22 @@ class BitsetSearcher {
     std::int32_t base;  // first word of the tile
     PeSet::Word old_bits[PeSet::kTileWords];
   };
+
+  /// A helper thread's trails and candidate arena, kept between the splits
+  /// it serves (at most kSpareBytes each), so that a helper's set-up
+  /// allocates and faults in little.
+  struct Spare {
+    std::vector<TrailEntry> trail;
+    std::vector<TileTrailEntry> tile_trail;
+    std::vector<TrailEntry> pruner_trail;
+    std::unique_ptr<PeId[]> arena;
+    std::size_t arena_size = 0;
+  };
+  static constexpr std::size_t kSpareBytes = std::size_t{1} << 20;
+  static Spare& spare_buffers() {
+    thread_local Spare spare;
+    return spare;
+  }
 
   /// Snapshot one tile of domain_[u] onto the tile trail. Callers only
   /// snapshot tiles the preview (or the all_zero probe) proved are about
@@ -726,12 +973,39 @@ class BitsetSearcher {
     }
   }
 
-  /// A fabric mask as a domain: the PeSet itself, or its one word.
-  static decltype(auto) as_domain(const PeSet& s) {
+  /// A fabric mask as a domain: the PeSet itself, or its one word in rank
+  /// numbering.
+  decltype(auto) as_domain(const PeSet& s) const {
     if constexpr (kWordDomains) {
-      return WordSet(s);
+      WordSet w(num_pes_);
+      s.for_each([&](int p) { w.set(bit_of(p)); });
+      return w;
     } else {
       return (s);
+    }
+  }
+
+  /// The domain bit of PE p (its rank on one-word domains), and back.
+  [[nodiscard]] int bit_of(PeId p) const {
+    if constexpr (kWordDomains) {
+      return value_rank_[static_cast<std::size_t>(p)];
+    } else {
+      return p;
+    }
+  }
+  [[nodiscard]] PeId pe_of(int bit) const {
+    if constexpr (kWordDomains) {
+      return value_order_[static_cast<std::size_t>(bit)];
+    } else {
+      return bit;
+    }
+  }
+  /// The value rank of a domain bit.
+  [[nodiscard]] int rank_of(int bit) const {
+    if constexpr (kWordDomains) {
+      return bit;
+    } else {
+      return value_rank_[static_cast<std::size_t>(bit)];
     }
   }
 
@@ -948,9 +1222,9 @@ class BitsetSearcher {
     return {tail, farthest};
   }
 
-  /// Translation pin for the depth-0 node v: the PE at row e, column e
-  /// (e = v's eccentricity in the undirected DFG), or -1 when the pin does
-  /// not apply. Every DFG edge lands on adjacent-or-same PEs, which on a
+  /// Translation pin for the depth-0 node v: the domain bit of the PE at
+  /// row e, column e (e = v's eccentricity in the undirected DFG), or -1
+  /// when the pin does not apply. Every DFG edge lands on adjacent-or-same PEs, which on a
   /// mesh or king mesh moves each grid coordinate by at most one, so any
   /// placement keeps every node within e rows and e columns of phi(v).
   /// Shifting it until v sits at (e, e) therefore keeps every node inside
@@ -971,7 +1245,7 @@ class BitsetSearcher {
     if (reached < n_ || !pins_in_place(ecc)) return -1;
     root_ = v;
     root_ecc_ = ecc;
-    return real_.pe_at(ecc, ecc);
+    return bit_of(real_.pe_at(ecc, ecc));
   }
 
   /// The placed nodes' bounding box on the pin fabric, with the
@@ -1328,12 +1602,15 @@ class BitsetSearcher {
         return false;
       }
     }
-    if (options_.max_backtracks != 0 &&
-        result.backtracks > options_.max_backtracks) {
-      result.timed_out = true;
-      result.truncated = true;
-      fail_level_ = -1;
-      return false;
+    if (options_.max_backtracks != 0) {
+      // A split helper reports the last count it checked (merge_split).
+      budget_checked_at_ = result.backtracks;
+      if (result.backtracks > options_.max_backtracks) {
+        result.timed_out = true;
+        result.truncated = true;
+        fail_level_ = -1;
+        return false;
+      }
     }
     // On the pin fabric the depth-0 node is the one the real fabric's
     // domains select (plan_pin_fabric).
@@ -1359,6 +1636,25 @@ class BitsetSearcher {
     const bool canonical_only = pin < 0 && depth == 0 && use_octant_ &&
                                 domain_[static_cast<std::size_t>(v)]
                                     .intersects(canonical_);
+    if constexpr (kWordDomains) {
+      if (!use_sparse_) {
+        // Rank-numbered bits: the domain word, walked upwards, is the
+        // candidate list in value order, with no copy and no sort.
+        PeSet::Word cands = domain_[static_cast<std::size_t>(v)].word(0);
+        if (pin >= 0) {
+          cands &= PeSet::Word{1} << pin;
+        } else if (canonical_only) {
+          cands &= canonical_.word(0);
+        }
+        for (; cands != 0; cands &= cands - 1) {
+          const Step s = branch(depth, v, std::countr_zero(cands), cs, result);
+          if (s == Step::kPlaced) return true;
+          if (s == Step::kStopped) return false;
+          if (s == Step::kMerged) break;
+        }
+        return exhausted(depth, v, cs, result);
+      }
+    }
     // Snapshot the domain's candidates into this depth's buffer and order
     // them by the global value order (ranks are unique, so this reproduces
     // filtering value_order_ by the domain, without scanning all PEs).
@@ -1397,68 +1693,98 @@ class BitsetSearcher {
     if (use_sparse_) {
       for (const NodeId u : neighbors_[static_cast<std::size_t>(v)]) {
         if (assigned(u)) {
-          sparse_anchor = assignment_[static_cast<std::size_t>(u)];
+          sparse_anchor = pe_of(assignment_[static_cast<std::size_t>(u)]);
           break;
         }
       }
     }
     if (sparse_anchor >= 0) {
       std::sort(cands, cands + num_cands, [&](PeId a, PeId b) {
-        const int da = fabric_->grid_distance(a, sparse_anchor);
-        const int db = fabric_->grid_distance(b, sparse_anchor);
+        const int da = fabric_->grid_distance(pe_of(a), sparse_anchor);
+        const int db = fabric_->grid_distance(pe_of(b), sparse_anchor);
         if (da != db) return da < db;
-        return value_rank_[static_cast<std::size_t>(a)] <
-               value_rank_[static_cast<std::size_t>(b)];
+        return rank_of(a) < rank_of(b);
       });
-    } else {
+    } else if constexpr (!kWordDomains) {
       std::sort(cands, cands + num_cands, [&](PeId a, PeId b) {
         return value_rank_[static_cast<std::size_t>(a)] <
                value_rank_[static_cast<std::size_t>(b)];
       });
     }
     for (int ci = 0; ci < num_cands; ++ci) {
-      const PeId p = cands[ci];
-      const std::size_t mark = trail_.size();
-      const std::size_t pruner_mark = pruner_trail_.size();
-      const std::size_t tile_mark = tile_trail_.size();
-      assignment_[static_cast<std::size_t>(v)] = p;
-      if (window_) box_[depth + 1] = extend(box_[depth], v, p);
-      unlink_node(v);
-      frontier_.reset(v);
-      const NodeId wiped = propagate_assign(v, p);
-      if (wiped == kInvalidNode) {
-        if (search(depth + 1, result)) return true;
-        if (result.timed_out) {
-          undo_assign(v, mark, pruner_mark, tile_mark);
-          level_of_[static_cast<std::size_t>(v)] = -1;
-          return false;
-        }
-        if (fail_level_ < static_cast<int>(depth)) {
-          // The failure below rests only on decisions above this one
-          // (fail_set_ names no node assigned here or deeper): no other
-          // value of v can repair it. Skip the remaining candidates and
-          // deliver fail_set_ unchanged to the culprit level.
-          undo_assign(v, mark, pruner_mark, tile_mark);
-          level_of_[static_cast<std::size_t>(v)] = -1;
-          return false;
-        }
-        // fail_level_ == depth: this decision is the deepest culprit.
-        // Absorb the sub-refutation and try the next value.
-        cs |= fail_set_;
-      } else {
-        // Immediate wipeout: charge the wiped node and whatever pruned its
-        // domain (which includes v via propagate_assign).
-        cs |= pruners_[static_cast<std::size_t>(wiped)];
-        cs.set(wiped);
-      }
-      undo_assign(v, mark, pruner_mark, tile_mark);
-      ++result.backtracks;
+      const Step s = branch(depth, v, cands[ci], cs, result);
+      if (s == Step::kPlaced) return true;
+      if (s == Step::kStopped) return false;
+      if (s == Step::kMerged) break;
     }
-    // Every candidate failed. Jump to the deepest decision level the
-    // conflict set names; levels in between cannot repair the failure. No
-    // assigned node in the set at all means the refutation is
-    // self-contained — the search as a whole is over, and cs is a sound
-    // certificate even if a budget would have truncated the full tree.
+    return exhausted(depth, v, cs, result);
+  }
+
+  /// How a candidate, or the rest of a split level, came out.
+  enum class Step {
+    kRefuted,  // no placement below it; its conflict joined the level's set
+    kPlaced,   // a placement was found
+    kStopped,  // the level is over: cut off, or a retreat past it (undone)
+    kMerged,   // the split took every remaining candidate; all refuted
+  };
+
+  /// One candidate of the decision at `depth`: place v on p, propagate,
+  /// search below, and undo. A refutation charges its conflict to cs.
+  Step try_candidate(std::size_t depth, NodeId v, PeId p, NodeSet& cs,
+                     SpaceResult& result) {
+    const std::size_t mark = trail_.size();
+    const std::size_t pruner_mark = pruner_trail_.size();
+    const std::size_t tile_mark = tile_trail_.size();
+    assignment_[static_cast<std::size_t>(v)] = p;
+    if (window_) box_[depth + 1] = extend(box_[depth], v, p);
+    unlink_node(v);
+    frontier_.reset(v);
+    const NodeId wiped = propagate_assign(v, p);
+    if (wiped == kInvalidNode) {
+      if (search(depth + 1, result)) return Step::kPlaced;
+      if (result.timed_out || fail_level_ < static_cast<int>(depth)) {
+        // Cut off, or the failure below rests only on decisions above
+        // this one (fail_set_ names no node assigned here or deeper): no
+        // other value of v can repair it. Skip the remaining candidates
+        // and deliver fail_set_ unchanged to the culprit level.
+        undo_assign(v, mark, pruner_mark, tile_mark);
+        level_of_[static_cast<std::size_t>(v)] = -1;
+        return Step::kStopped;
+      }
+      // fail_level_ == depth: this decision is the deepest culprit.
+      // Absorb the sub-refutation and try the next value.
+      cs |= fail_set_;
+    } else {
+      // Immediate wipeout: charge the wiped node and whatever pruned its
+      // domain (which includes v via propagate_assign).
+      cs |= pruners_[static_cast<std::size_t>(wiped)];
+      cs.set(wiped);
+    }
+    undo_assign(v, mark, pruner_mark, tile_mark);
+    return Step::kRefuted;
+  }
+
+  /// try_candidate and the backtrack it costs when refuted. The split
+  /// watch sits on this path only: split_watch_ is kSplitAfterBacktracks
+  /// until a split arms, 0 while one is live (and in helpers), and the
+  /// maximum once none can.
+  Step branch(std::size_t depth, NodeId v, PeId p, NodeSet& cs,
+              SpaceResult& result) {
+    const Step s = try_candidate(depth, v, p, cs, result);
+    if (s != Step::kRefuted) return s;
+    if (++result.backtracks >= split_watch_) [[unlikely]] {
+      return on_split_watch(depth, v, p, cs, result);
+    }
+    return Step::kRefuted;
+  }
+
+  /// Every candidate failed. Jump to the deepest decision level the
+  /// conflict set names; levels in between cannot repair the failure. No
+  /// assigned node in the set at all means the refutation is
+  /// self-contained — the search as a whole is over, and cs is a sound
+  /// certificate even if a budget would have truncated the full tree.
+  bool exhausted(std::size_t depth, NodeId v, const NodeSet& cs,
+                 SpaceResult& result) {
     level_of_[static_cast<std::size_t>(v)] = -1;
     int target = -1;
     if (options_.backjumping) {
@@ -1479,6 +1805,378 @@ class BitsetSearcher {
     return false;
   }
 
+  // --- parallel split ------------------------------------------------------
+
+  /// A helper's account of one candidate of the split level: what
+  /// try_candidate returned there and what it cost, as deltas the owner
+  /// adds exactly as if it had searched the candidate itself.
+  struct Report {
+    static constexpr int kPending = 0;
+    static constexpr int kDone = 1;
+    static constexpr int kCutOff = 2;  // deadline, cancel, cap or fault
+    std::atomic<int> state{kPending};
+    Step step = Step::kRefuted;
+    std::uint64_t nodes_expanded = 0;
+    std::uint64_t backtracks = 0;  // below the split level only
+    std::uint64_t backjumps = 0;
+    int max_depth = 0;
+    int shallowest_retreat = 0;
+    /// Highest backtrack count (of this subtree) at which the search
+    /// checked the budget, or kNoCheck.
+    std::uint64_t checked_at = kNoCheck;
+    std::uint64_t trail_words = 0;
+    std::uint64_t words_touched = 0;
+    std::uint64_t tiles_skipped = 0;
+    std::uint64_t mult_prunings = 0;
+    /// kRefuted: the conflict to add to the level's set. kStopped: the
+    /// fail set delivered past the level, at fail_level.
+    NodeSet conflict;
+    int fail_level = -1;
+    std::vector<PeId> pe;  // kPlaced: the assignment (domain bits)
+    Box box;               // kPlaced on the pin fabric: its final box
+  };
+
+  static constexpr std::uint64_t kNoCheck =
+      std::numeric_limits<std::uint64_t>::max();
+
+  /// A live split: the split level, how to rebuild the state above it,
+  /// its not-yet-started candidates in value order, and one report slot
+  /// per candidate. The unclaimed candidates are always a range
+  /// [front, back): the owner claims from the front as its loop reaches
+  /// them, helpers from the back, so the owner waits on a helper only
+  /// where the two meet.
+  struct Split final : SplitJob {
+    Split(const BitsetSearcher& owner_in, int depth_in, NodeId node_in,
+          std::vector<std::pair<NodeId, PeId>> forced_in,
+          std::vector<PeId> pending_in, std::uint64_t cap_in)
+        : owner(owner_in),
+          depth(depth_in),
+          node(node_in),
+          forced(std::move(forced_in)),
+          pending(std::move(pending_in)),
+          cap(cap_in),
+          stop(owner_in.deadline_.cancel_token()),
+          deadline(owner_in.deadline_.remaining_s(), &stop),
+          range(static_cast<std::uint64_t>(pending.size()) << 32),
+          reports(new Report[pending.size()]) {}
+
+    void help() override {
+      try {
+        if (stop.cancelled()) return;
+        BitsetSearcher helper(owner, *this);
+        if (stop.cancelled()) return;
+        helper.replay(*this);
+        helper.serve(*this);
+      } catch (...) {
+        // A fault in the helper (or its set-up): the owner searches every
+        // candidate left without a report itself, and meets it there.
+        stop.cancel();
+      }
+    }
+
+    /// Publish report j (the claimant's, exactly once).
+    void publish(int j, int state) {
+      reports[static_cast<std::size_t>(j)].state.store(
+          state, std::memory_order_release);
+    }
+
+    /// Claim the front (the owner) or back (a helper) unclaimed index;
+    /// -1 when none is left.
+    int claim(bool from_back) {
+      std::uint64_t r = range.load(std::memory_order_relaxed);
+      for (;;) {
+        const auto front = static_cast<std::uint32_t>(r);
+        const auto back = static_cast<std::uint32_t>(r >> 32);
+        if (front >= back) return -1;
+        const std::uint64_t claimed =
+            from_back ? (static_cast<std::uint64_t>(back - 1) << 32) | front
+                      : r + 1;
+        if (range.compare_exchange_weak(r, claimed,
+                                        std::memory_order_relaxed)) {
+          return static_cast<int>(from_back ? back - 1 : front);
+        }
+      }
+    }
+
+    const BitsetSearcher& owner;
+    const int depth;
+    const NodeId node;
+    const std::vector<std::pair<NodeId, PeId>> forced;  // levels < depth
+    const std::vector<PeId> pending;
+    const std::uint64_t cap;  // helper backtrack cap; 0 = none
+    CancelToken stop;         // child of the owner's cancel token
+    const Deadline deadline;  // the owner's wall clock, and stop
+    std::atomic<std::uint64_t> range;  // front | back << 32
+    std::unique_ptr<Report[]> reports;
+  };
+
+  /// A helper's loop: claim the split's candidates from the back, search
+  /// each from the split-level state, and publish a report per claim,
+  /// until none is left or the split is cancelled.
+  void serve(Split& split) {
+    const std::size_t depth = static_cast<std::size_t>(split.depth);
+    const NodeId v = split.node;
+    level_of_[static_cast<std::size_t>(v)] = split.depth;
+    const std::size_t trail_mark = trail_.size();
+    const std::size_t tile_mark = tile_trail_.size();
+    trail_words_saved_ = 0;
+    words_touched_ = 0;
+    tiles_skipped_ = 0;
+    mult_prunings_ = 0;
+    NodeSet& scratch = cs_stack_[depth];
+    while (!split.stop.cancelled()) {
+      const int j = split.claim(/*from_back=*/true);
+      if (j < 0) return;
+      Report& rep = split.reports[static_cast<std::size_t>(j)];
+      SpaceResult local;
+      local.shallowest_retreat = n_ + 1;
+      scratch.clear();
+      budget_checked_at_ = kNoCheck;
+      const std::uint64_t saved0 = trail_words_saved_;
+      const std::uint64_t touched0 = words_touched_;
+      const std::uint64_t skipped0 = tiles_skipped_;
+      const std::uint64_t mult0 = mult_prunings_;
+      Step step;
+      try {
+        step = try_candidate(depth, v, split.pending[static_cast<std::size_t>(j)],
+                             scratch, local);
+      } catch (...) {
+        split.publish(j, Report::kCutOff);
+        throw;
+      }
+      if (local.timed_out) {
+        // Cut off by the deadline, the cancel or the cap: the owner
+        // searches this candidate itself if it gets there. After a cap
+        // cut-off the earlier candidates still matter.
+        split.publish(j, Report::kCutOff);
+        if (!local.truncated) return;
+        continue;
+      }
+      rep.step = step;
+      rep.nodes_expanded = local.nodes_expanded;
+      rep.backtracks = local.backtracks;
+      rep.backjumps = local.backjumps;
+      rep.max_depth = local.max_depth;
+      rep.shallowest_retreat = local.shallowest_retreat;
+      rep.checked_at = budget_checked_at_;
+      rep.trail_words = trail_words_saved_ - saved0;
+      rep.words_touched = words_touched_ - touched0;
+      rep.tiles_skipped = tiles_skipped_ - skipped0;
+      rep.mult_prunings = mult_prunings_ - mult0;
+      if (step == Step::kRefuted) {
+        rep.conflict = scratch;
+      } else if (step == Step::kStopped) {
+        rep.conflict = fail_set_;
+        rep.fail_level = fail_level_;
+      } else {
+        // kPlaced: the trail still holds the placement's changes.
+        rep.trail_words += (trail_.size() - trail_mark) +
+                           tile_words_on_trail(tile_mark);
+        rep.pe = assignment_;
+        if (window_) rep.box = box_[static_cast<std::size_t>(n_)];
+      }
+      split.publish(j, Report::kDone);
+      // A placement leaves the state placed; a retreat ends the level.
+      if (step != Step::kRefuted) return;
+    }
+  }
+
+  /// The backtrack counter reached split_watch_. In a helper: stop if the
+  /// split was cancelled. In the owner: arm a split on the first visit,
+  /// and once armed, hand the split level's loop to merge_split when the
+  /// backtrack is that level's own.
+  Step on_split_watch(std::size_t depth, NodeId v, PeId p, NodeSet& cs,
+                      SpaceResult& result) {
+    if (serving_ != nullptr) {
+      if (!serving_->stop.cancelled()) return Step::kRefuted;
+      result.timed_out = true;
+      result.deadline_expired = true;
+      fail_level_ = -1;
+      level_of_[static_cast<std::size_t>(v)] = -1;
+      return Step::kStopped;
+    }
+    if (split_ == nullptr) {
+      arm_split(depth, p, result);
+      if (split_ == nullptr) return Step::kRefuted;
+    }
+    if (static_cast<int>(depth) != split_->depth) return Step::kRefuted;
+    const Step s = merge_split(depth, v, cs, result);
+    finish_split();
+    return s;
+  }
+
+  /// The candidates search() tried at active level k, in the order it
+  /// tried them, rebuilt from the domain of the level's node v: no
+  /// propagation touches it while v stays placed. The depth-0 pin, octant
+  /// and the window filter apply as they did there; multi-word levels read
+  /// their sorted arena slice.
+  std::vector<PeId> level_candidates(int k, NodeId v,
+                                     const SpaceResult& result) const {
+    const Dom& dom = domain_[static_cast<std::size_t>(v)];
+    if (k == 0 && result.root_pinned) {
+      return {assignment_[static_cast<std::size_t>(v)]};
+    }
+    std::vector<PeId> list;
+    if (window_) {
+      dom.for_each([&](int p) {
+        if (window_culprit(box_[static_cast<std::size_t>(k)], p) ==
+            kInvalidNode) {
+          list.push_back(p);
+        }
+      });
+    } else {
+      const bool octant = k == 0 && use_octant_ && dom.intersects(canonical_);
+      dom.for_each([&](int p) {
+        if (!octant || canonical_.test(p)) list.push_back(p);
+      });
+    }
+    if constexpr (!kWordDomains) {
+      // The sorted order search() used (sparse or rank).
+      const PeId* slice = cand_arena_.get() +
+                          static_cast<std::size_t>(k) *
+                              static_cast<std::size_t>(num_pes_);
+      list.assign(slice, slice + list.size());
+    }
+    return list;
+  }
+
+  /// The watch fired for the first time, at a backtrack at `depth` (p the
+  /// candidate just refuted there). Find the first branching level d: the
+  /// levels above it had one candidate each (the pin or a forced one).
+  /// Hand its candidates after the one in progress to the helper pool.
+  void arm_split(std::size_t depth, PeId p, const SpaceResult& result) {
+    split_watch_ = std::numeric_limits<std::uint64_t>::max();
+    if (options_.max_backtracks != 0 &&
+        result.backtracks >= options_.max_backtracks) {
+      return;
+    }
+    std::vector<NodeId> at(depth + 1, kInvalidNode);
+    for (NodeId u = 0; u < n_; ++u) {
+      const int l = level_of_[static_cast<std::size_t>(u)];
+      if (l >= 0 && l <= static_cast<int>(depth)) {
+        at[static_cast<std::size_t>(l)] = u;
+      }
+    }
+    int d = 0;
+    std::vector<PeId> list;
+    for (; d <= static_cast<int>(depth); ++d) {
+      list = level_candidates(d, at[static_cast<std::size_t>(d)], result);
+      if (list.size() >= 2) break;
+    }
+    if (d > static_cast<int>(depth)) return;
+    const NodeId node = at[static_cast<std::size_t>(d)];
+    const PeId current = d == static_cast<int>(depth)
+                             ? p
+                             : assignment_[static_cast<std::size_t>(node)];
+    const auto it = std::find(list.begin(), list.end(), current);
+    MONOMAP_ASSERT(it != list.end());
+    std::vector<PeId> pending(it + 1, list.end());
+    if (pending.empty()) return;
+    std::vector<std::pair<NodeId, PeId>> forced;
+    for (int k = 0; k < d; ++k) {
+      const NodeId u = at[static_cast<std::size_t>(k)];
+      forced.emplace_back(u, assignment_[static_cast<std::size_t>(u)]);
+    }
+    const std::uint64_t cap = options_.max_backtracks == 0
+                                  ? 0
+                                  : options_.max_backtracks - result.backtracks;
+    const int runs = std::min(split_helper_count(),
+                              static_cast<int>(pending.size()));
+    split_ = std::make_unique<Split>(*this, d, node, std::move(forced),
+                                     std::move(pending), cap);
+    SplitPool::instance().submit(split_.get(), runs);
+    split_watch_ = 0;
+  }
+
+  /// The split level's loop from here on: each remaining candidate in
+  /// order, from its helper's report where one stands, else searched here.
+  /// A report is applied as try_candidate's own outcome would have been;
+  /// it stands unless it is missing, cut off, or would have crossed
+  /// max_backtracks in sequence (backtracks so far plus the highest count
+  /// at which its subtree checked the budget).
+  Step merge_split(std::size_t depth, NodeId v, NodeSet& cs,
+                   SpaceResult& result) {
+    Split& split = *split_;
+    const int count = static_cast<int>(split.pending.size());
+    for (int j = 0; j < count; ++j) {
+      const Report* rep = nullptr;
+      const int mine = split.claim(/*from_back=*/false);
+      MONOMAP_ASSERT(mine < 0 || mine == j);
+      if (mine < 0) {
+        // A helper claimed it: wait for its report, busy, because waking
+        // from a sleep took 40-90 us in a measurement, against searches
+        // of a few hundred.
+        Report& r = split.reports[static_cast<std::size_t>(j)];
+        int state;
+        for (unsigned step = 0;
+             (state = r.state.load(std::memory_order_acquire)) ==
+             Report::kPending;
+             ++step) {
+          relax(step);
+        }
+        if (state == Report::kDone) rep = &r;
+      }
+      if (rep != nullptr && options_.max_backtracks != 0 &&
+          rep->checked_at != kNoCheck &&
+          result.backtracks + rep->checked_at > options_.max_backtracks) {
+        ++result.delegations_refused;
+        rep = nullptr;
+      }
+      Step s;
+      if (rep == nullptr) {
+        s = try_candidate(depth, v,
+                          split.pending[static_cast<std::size_t>(j)], cs,
+                          result);
+      } else {
+        ++result.delegated_subtrees;
+        s = apply_report(*rep, v, cs, result);
+      }
+      if (s != Step::kRefuted) return s;
+      ++result.backtracks;
+    }
+    return Step::kMerged;
+  }
+
+  /// A helper's report, applied as try_candidate's outcome.
+  Step apply_report(const Report& rep, NodeId v, NodeSet& cs,
+                    SpaceResult& result) {
+    result.nodes_expanded += rep.nodes_expanded;
+    result.backtracks += rep.backtracks;
+    result.backjumps += rep.backjumps;
+    result.max_depth = std::max(result.max_depth, rep.max_depth);
+    result.shallowest_retreat =
+        std::min(result.shallowest_retreat, rep.shallowest_retreat);
+    trail_words_saved_ += rep.trail_words;
+    words_touched_ += rep.words_touched;
+    tiles_skipped_ += rep.tiles_skipped;
+    mult_prunings_ += rep.mult_prunings;
+    switch (rep.step) {
+      case Step::kPlaced:
+        assignment_ = rep.pe;
+        if (window_) box_[static_cast<std::size_t>(n_)] = rep.box;
+        return Step::kPlaced;
+      case Step::kStopped:
+        for (int w = 0; w < node_words_; ++w) {
+          fail_set_.restore_word(w, rep.conflict.word(w));
+        }
+        fail_level_ = rep.fail_level;
+        level_of_[static_cast<std::size_t>(v)] = -1;
+        return Step::kStopped;
+      default:
+        cs |= rep.conflict;
+        return Step::kRefuted;
+    }
+  }
+
+  /// Cancel the split, if any, and wait for its running helpers.
+  void finish_split() {
+    if (split_ == nullptr) return;
+    split_->stop.cancel();
+    SplitPool::instance().retire(split_.get());
+    split_.reset();
+    split_watch_ = std::numeric_limits<std::uint64_t>::max();
+  }
+
   const Dfg& dfg_;
   const CgraArch& real_;     // the fabric the caller maps onto
   const CgraArch* fabric_;   // the one the domains live on: real_ or its
@@ -1492,7 +2190,6 @@ class BitsetSearcher {
   int words_ = 0;       // words per PE set
   int node_words_ = 0;  // words per node set
   std::vector<std::vector<NodeId>> neighbors_;
-  std::vector<std::vector<NodeId>> nodes_by_label_;
   /// Per node: every node at undirected DFG distance exactly 2, with the
   /// first-discovered witness and the same-label multiplicity evidence.
   std::vector<std::vector<D2Pair>> dist2_;
@@ -1502,8 +2199,9 @@ class BitsetSearcher {
   /// the arch's memo only for the multiplicities k >= 2 this DFG contains,
   /// when use_mult_ (nullptr for absent levels).
   std::vector<const std::vector<PeSet>*> d2k_masks_;
-  // One-word domains: closed_neighbor_mask and distance2_mask per PE, as
-  // flat words (closed_mask, ball_mask); empty otherwise.
+  // One-word domains: closed_neighbor_mask and distance2_mask per domain
+  // bit, as flat rank-numbered words (closed_mask, ball_mask); empty
+  // otherwise.
   std::vector<WordSet> closed_tab_;
   std::vector<WordSet> d2_tab_;
   int max_mult_ = 0;      // largest same-label witness-group size seen
@@ -1524,9 +2222,10 @@ class BitsetSearcher {
   // > 0), maintained on assign/undo. select_node iterates this instead of
   // the whole unassigned list whenever it is non-empty.
   NodeSet frontier_;
-  // Unassigned-node lists (dancing links; see ctor). un_* is the global
-  // ascending-id list with its sentinel at index n_; lab_* chains each
-  // label's nodes_by_label_ order with per-label sentinels at n_ + label.
+  // Unassigned-node lists (dancing links; see init_state). un_* is the
+  // global ascending-id list with its sentinel at index n_; lab_* chains
+  // each label's nodes in ascending id with per-label sentinels at
+  // n_ + label.
   std::vector<NodeId> un_next_;
   std::vector<NodeId> un_prev_;
   std::vector<NodeId> lab_next_;
@@ -1549,9 +2248,11 @@ class BitsetSearcher {
   std::size_t gov_charged_ = 0;      // trail reservation bytes charged
   bool gov_denied_ = false;          // reservation refused: run() aborts
   // Rank of each PE in the global value order (interior-first, the arch's
-  // memoised table).
+  // memoised table), and on one-word domains its inverse, the PE per rank.
   const int* value_rank_ = nullptr;
+  const PeId* value_order_ = nullptr;
   std::unique_ptr<PeId[]> cand_arena_;  // per-depth candidate buffers
+  std::size_t cand_arena_size_ = 0;
   std::vector<NodeId> order_;       // static variable order, if any
   bool use_octant_ = false;         // depth 0 prefers canonical_
   Dom canonical_;
@@ -1566,7 +2267,81 @@ class BitsetSearcher {
   std::vector<int> bfs_dist_;
   std::vector<NodeId> bfs_parent_;
   std::vector<NodeId> bfs_queue_;
+  // Parallel split (branch, arm_split): the backtrack count at which the
+  // watch next calls on_split_watch, the live split this searcher owns,
+  // the split a helper serves, and the last backtrack count the budget
+  // check saw.
+  std::uint64_t split_watch_ = std::numeric_limits<std::uint64_t>::max();
+  std::unique_ptr<Split> split_;
+  const Split* serving_ = nullptr;
+  std::uint64_t budget_checked_at_ = kNoCheck;
 };
+
+template <typename NodeSet, typename Dom>
+BitsetSearcher<NodeSet, Dom>::BitsetSearcher(const BitsetSearcher& owner,
+                                             const Split& split)
+    : dfg_(owner.dfg_),
+      real_(owner.real_),
+      fabric_(owner.fabric_),
+      labels_(owner.labels_),
+      ii_(owner.ii_),
+      options_(owner.options_),
+      deadline_(split.deadline),
+      n_(owner.n_),
+      num_pes_(owner.num_pes_),
+      words_(owner.words_),
+      node_words_(owner.node_words_),
+      neighbors_(owner.neighbors_),
+      dist2_(owner.dist2_),
+      d2_witness_pool_(owner.d2_witness_pool_),
+      d2k_masks_(owner.d2k_masks_),
+      closed_tab_(owner.closed_tab_),
+      d2_tab_(owner.d2_tab_),
+      max_mult_(owner.max_mult_),
+      use_mult_(owner.use_mult_),
+      num_tiles_(owner.num_tiles_),
+      tile_skip_(owner.tile_skip_),
+      hk_(owner.hk_),
+      use_sparse_(owner.use_sparse_),
+      degree_of_(owner.degree_of_),
+      value_rank_(owner.value_rank_),
+      value_order_(owner.value_order_),
+      order_(owner.order_),
+      use_octant_(owner.use_octant_),
+      canonical_(owner.canonical_),
+      root_(owner.root_),
+      root_ecc_(owner.root_ecc_),
+      window_(owner.window_),
+      split_watch_(0),
+      serving_(&split) {
+  options_.max_backtracks = split.cap;
+  Spare& spare = spare_buffers();
+  trail_ = std::move(spare.trail);
+  tile_trail_ = std::move(spare.tile_trail);
+  pruner_trail_ = std::move(spare.pruner_trail);
+  cand_arena_ = std::move(spare.arena);
+  cand_arena_size_ = std::exchange(spare.arena_size, 0);
+  init_state();
+}
+
+template <typename NodeSet, typename Dom>
+void BitsetSearcher<NodeSet, Dom>::replay(const Split& split) {
+  SpaceResult unused;
+  if (options_.distance2_filter) {
+    const bool kept = apply_root_degree_filter(unused);
+    MONOMAP_ASSERT(kept);
+  }
+  for (std::size_t k = 0; k < split.forced.size(); ++k) {
+    const auto [u, p] = split.forced[k];
+    level_of_[static_cast<std::size_t>(u)] = static_cast<int>(k);
+    assignment_[static_cast<std::size_t>(u)] = p;
+    if (window_) box_[k + 1] = extend(box_[k], u, p);
+    unlink_node(u);
+    frontier_.reset(u);
+    const NodeId wiped = propagate_assign(u, p);
+    MONOMAP_ASSERT(wiped == kInvalidNode);
+  }
+}
 
 // --- reference engine ------------------------------------------------------
 
@@ -1902,6 +2677,8 @@ class ReferenceSearcher {
 };
 
 }  // namespace
+
+int space_split_helpers() { return split_helper_count(); }
 
 SpaceResult find_monomorphism(const Dfg& dfg, const CgraArch& arch,
                               const std::vector<int>& labels, int ii,

@@ -206,6 +206,14 @@ struct SpaceResult {
   /// so bench layout comparisons pair rows with equal effort counters and
   /// differing bytes.
   std::uint64_t domain_bytes_touched = 0;
+  /// Bitset engine: subtrees of the first branching level that split
+  /// helpers searched and this search merged in candidate order, and
+  /// helper reports it searched again itself because they would have
+  /// crossed max_backtracks in sequence (docs/performance.md, "Parallel
+  /// split"). Timing-dependent, unlike every other counter here: the
+  /// answer and the counters above are the sequential search's either way.
+  std::uint64_t delegated_subtrees = 0;
+  std::uint64_t delegations_refused = 0;
   double seconds = 0.0;
   std::string failure_reason;
   /// Conflict explanation, set only when the search produced a complete
@@ -242,11 +250,17 @@ struct SpaceResult {
 };
 
 /// Search for a monomorphism of `dfg` (with per-node slot `labels`, values
-/// in [0, ii)) into the MRRG of `arch` at the given II.
+/// in [0, ii)) into the MRRG of `arch` at the given II. A long bitset
+/// refutation may hand subtrees to helper threads; every helper is joined
+/// before the call returns.
 SpaceResult find_monomorphism(const Dfg& dfg, const CgraArch& arch,
                               const std::vector<int>& labels, int ii,
                               const SpaceOptions& options = SpaceOptions{},
                               const Deadline& deadline = Deadline::unlimited());
+
+/// Helper threads a bitset refutation can split across: one fewer than the
+/// cores this process may run on, at most 7, so 0 on one core.
+int space_split_helpers();
 
 }  // namespace monomap
 

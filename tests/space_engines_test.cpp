@@ -9,11 +9,15 @@
 // II in {1..4}.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <memory>
 #include <set>
 #include <string>
+#include <thread>
 
 #include "first_schedule.hpp"
 #include "mapper/decoupled_mapper.hpp"
+#include "sched/mii.hpp"
 #include "space/monomorphism.hpp"
 #include "support/rng.hpp"
 #include "timing/time_solver.hpp"
@@ -869,6 +873,132 @@ TEST(SpaceEngines, CancelTokenStopsTheSearch) {
   EXPECT_TRUE(cancelled.expired());
   token.reset();
   EXPECT_FALSE(cancelled.expired());
+}
+
+/// Label vectors of the schedules a TimeSolver yields for `dfg` at mII on
+/// `arch`, each refutation's certificate fed back as the mapper does, up to
+/// `cap` schedules or the first one that places.
+std::vector<std::vector<int>> schedules_at_mii(const Dfg& dfg,
+                                               const CgraArch& arch, int cap,
+                                               int& ii) {
+  ii = compute_mii(dfg, arch).mii();
+  TimeSolver solver(dfg, arch, ii);
+  std::vector<std::vector<int>> out;
+  while (static_cast<int>(out.size()) < cap) {
+    const auto sol = solver.next(Deadline(60.0));
+    if (!sol.has_value()) break;
+    std::vector<int> labels;
+    for (NodeId v = 0; v < dfg.num_nodes(); ++v) {
+      labels.push_back(sol->label(v));
+    }
+    SpaceOptions opt;
+    opt.max_backtracks = 0;
+    const SpaceResult r = find_monomorphism(dfg, arch, labels, ii, opt);
+    out.push_back(std::move(labels));
+    if (r.found) break;
+    if (!r.conflict_nodes.empty()) {
+      solver.add_space_nogood(*sol, r.conflict_nodes);
+    }
+  }
+  return out;
+}
+
+/// Every answer and counter of `r` that the search trace determines.
+std::uint64_t trace_digest(std::uint64_t digest, const SpaceResult& r) {
+  for (const std::uint64_t v :
+       {static_cast<std::uint64_t>(r.found),
+        static_cast<std::uint64_t>(r.timed_out),
+        static_cast<std::uint64_t>(r.truncated), r.nodes_expanded,
+        r.backtracks, r.backjumps, static_cast<std::uint64_t>(r.max_depth),
+        static_cast<std::uint64_t>(r.shallowest_retreat),
+        r.trail_words_saved, r.multiplicity_prunings, r.tiles_skipped,
+        r.domain_bytes_touched,
+        static_cast<std::uint64_t>(r.conflict_nodes.size()),
+        static_cast<std::uint64_t>(r.pe.size())}) {
+    digest = mix64(digest ^ v);
+  }
+  for (const NodeId u : r.conflict_nodes) {
+    digest = mix64(digest ^ static_cast<std::uint64_t>(u));
+  }
+  for (const PeId p : r.pe) {
+    digest = mix64(digest ^ static_cast<std::uint64_t>(p));
+  }
+  return digest;
+}
+
+TEST(SpaceEngines, SplitSearchTraceDigestIsPinned) {
+  // Refutation-heavy searches, long enough for the bitset engine to hand
+  // the later candidates of its first branching level to split helpers:
+  // the first 16 schedules at mII of lud, nw and sha1 on 5x5, 10x10 and
+  // 20x20 (one-word domains, the pin fabric, tiled domains), searched
+  // unbudgeted and again under a budget of 400 backtracks that truncates
+  // 61 of them, most inside a later candidate's subtree. Every answer and
+  // counter must equal the sequential search's: the digest was recorded
+  // before the split existed. Only the timing-dependent split telemetry
+  // may vary, and where helpers exist some subtree must have been merged
+  // and some report refused by the budget rule.
+  std::uint64_t digest = 0;
+  int searches = 0;
+  std::uint64_t merged = 0;
+  std::uint64_t refused = 0;
+  for (const char* name : {"lud", "nw", "sha1"}) {
+    for (const int side : {5, 10, 20}) {
+      const Dfg& dfg = benchmark_by_name(name).dfg;
+      const CgraArch arch = CgraArch::square(side);
+      int ii = 0;
+      for (const auto& labels : schedules_at_mii(dfg, arch, 16, ii)) {
+        for (const std::uint64_t budget : {0, 400}) {
+          SpaceOptions opt;
+          opt.max_backtracks = budget;
+          const SpaceResult r = find_monomorphism(dfg, arch, labels, ii, opt);
+          ++searches;
+          digest = trace_digest(digest, r);
+          merged += r.delegated_subtrees;
+          refused += r.delegations_refused;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(searches, 286);
+  EXPECT_EQ(digest, 0xbfe027347d27e29eULL);
+  if (space_split_helpers() > 0) {
+    EXPECT_GT(merged, 0U);
+    EXPECT_GT(refused, 0U);
+  }
+}
+
+TEST(SpaceEngines, SplitSearchStopsOnCancel) {
+  // A cancel fired from another thread mid-refutation stops the search
+  // and its split helpers: hotspot3D's first 4x4 schedule takes over a
+  // million backtracks unbudgeted. The DFG and labels are freed as soon as
+  // the call returns, so a helper outliving it would read freed memory.
+  const Benchmark& b = benchmark_by_name("hotspot3D");
+  const CgraArch arch = CgraArch::square(4);
+  const auto sol = first_schedule(b.dfg, arch, Deadline(30.0)).solution;
+  ASSERT_TRUE(sol.has_value());
+  auto dfg = std::make_unique<Dfg>(b.dfg);
+  auto labels = std::make_unique<std::vector<int>>();
+  for (NodeId v = 0; v < dfg->num_nodes(); ++v) {
+    labels->push_back(sol->label(v));
+  }
+  CancelToken token;
+  const Deadline deadline(1e9, &token);
+  std::thread canceller([&token] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    token.cancel();
+  });
+  SpaceOptions opt;
+  opt.max_backtracks = 0;
+  const SpaceResult r =
+      find_monomorphism(*dfg, arch, *labels, sol->ii, opt, deadline);
+  dfg.reset();
+  labels.reset();
+  canceller.join();
+  EXPECT_FALSE(r.found);
+  EXPECT_TRUE(r.timed_out);
+  EXPECT_TRUE(r.deadline_expired);
+  EXPECT_TRUE(r.conflict_nodes.empty());
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
 }
 
 }  // namespace

@@ -103,8 +103,9 @@ def check_ii_quality(fresh, base):
 
 def note_outcome_counters(fresh, base):
     """Robustness telemetry riding on bench rows: outcome/fault_retries
-    (time records), memory_out and the tiled-layout locality
-    counters tiles_skipped/domain_bytes_touched (space records). Tolerated
+    (time records), memory_out, the tiled-layout locality
+    counters tiles_skipped/domain_bytes_touched and the split's
+    delegated_subtrees (space records). Tolerated
     when the baseline predates them (first recording), but noted; a fresh
     row that did not end clean/feasible is also noted loudly, since its
     timing reflects a cut-short run, not the search being measured."""
@@ -116,8 +117,11 @@ def note_outcome_counters(fresh, base):
         # tiles_skipped / domain_bytes_touched are locality telemetry from
         # the tiled domain layout: note-only, never gated — their magnitude
         # tracks layout policy (and MONOMAP_TILES), not search behaviour.
+        # delegated_subtrees counts the subtrees split helpers searched: it
+        # depends on timing and on the host's cores, never on the search.
         for field in ("outcome", "fault_retries", "memory_out",
-                      "tiles_skipped", "domain_bytes_touched"):
+                      "tiles_skipped", "domain_bytes_touched",
+                      "delegated_subtrees"):
             if field in row and (base_row is None or field not in base_row):
                 if field not in new_fields:
                     new_fields.append(field)
