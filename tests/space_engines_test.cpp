@@ -971,16 +971,32 @@ TEST(SpaceEngines, SplitSearchStopsOnCancel) {
   // A cancel fired from another thread mid-refutation stops the search
   // and its split helpers: hotspot3D's first 4x4 schedule takes over a
   // million backtracks unbudgeted. The DFG and labels are freed as soon as
-  // the call returns, so a helper outliving it would read freed memory.
+  // each call returns, so a helper outliving it would read freed memory:
+  // first after the cancel, then after a budget truncation, which leaves
+  // the helpers' own subtrees unfinished.
   const Benchmark& b = benchmark_by_name("hotspot3D");
   const CgraArch arch = CgraArch::square(4);
   const auto sol = first_schedule(b.dfg, arch, Deadline(30.0)).solution;
   ASSERT_TRUE(sol.has_value());
-  auto dfg = std::make_unique<Dfg>(b.dfg);
-  auto labels = std::make_unique<std::vector<int>>();
-  for (NodeId v = 0; v < dfg->num_nodes(); ++v) {
-    labels->push_back(sol->label(v));
+  const auto fresh = [&] {
+    auto labels = std::make_unique<std::vector<int>>();
+    for (NodeId v = 0; v < b.dfg.num_nodes(); ++v) {
+      labels->push_back(sol->label(v));
+    }
+    return std::pair{std::make_unique<Dfg>(b.dfg), std::move(labels)};
+  };
+  {
+    auto [dfg, labels] = fresh();
+    SpaceOptions opt;
+    opt.max_backtracks = 5000;
+    const SpaceResult r =
+        find_monomorphism(*dfg, arch, *labels, sol->ii, opt);
+    dfg.reset();
+    labels.reset();
+    EXPECT_TRUE(r.truncated);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
+  auto [dfg, labels] = fresh();
   CancelToken token;
   const Deadline deadline(1e9, &token);
   std::thread canceller([&token] {
