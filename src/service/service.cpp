@@ -10,6 +10,7 @@
 #include "support/fault.hpp"
 #include "support/json.hpp"
 #include "support/outcome.hpp"
+#include "support/parallel.hpp"
 #include "support/stopwatch.hpp"
 #include "workloads/suite.hpp"
 
@@ -168,6 +169,8 @@ std::string MappingService::serve_map(const ServeRequest& req,
   // sweep proves a failed request becomes a classified outcome on the
   // wire with the server still up.
   fault::maybe_inject("serve.request");
+  // Busy while it works, not while it waits for its compile job.
+  std::optional<BusyScope> busy(std::in_place);
 
   Dfg dfg = req.bench.empty() ? dfg_from_text(req.dfg_text)
                               : benchmark_by_name(req.bench).dfg;
@@ -225,6 +228,7 @@ std::string MappingService::serve_map(const ServeRequest& req,
       });
   std::future<Compiled> answer = job->get_future();
   pool_->submit([job] { (*job)(); });
+  busy.reset();
   const Compiled compiled = answer.get();
   if (compiled.result.outcome == MapOutcome::kFault) {
     faults_.fetch_add(1, std::memory_order_relaxed);

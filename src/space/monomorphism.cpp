@@ -11,12 +11,14 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <type_traits>
 #include <utility>
 
 #include "support/assert.hpp"
 #include "support/fault.hpp"
+#include "support/parallel.hpp"
 #include "support/pe_set.hpp"
 #include "support/resource.hpp"
 #include "support/simd.hpp"
@@ -203,16 +205,29 @@ constexpr std::uint64_t kSplitAfterBacktracks = 64;
 /// candidates, and every helper reserves its own trails.
 constexpr int kMaxSplitHelpers = 7;
 
-/// One fewer than the cores this process may run on, capped.
-int split_helper_count() {
-  static const int count = [] {
-    int cores = static_cast<int>(std::thread::hardware_concurrency());
+/// The cores this process may run on.
+int split_cores() {
+  static const int cores = [] {
+    int n = static_cast<int>(std::thread::hardware_concurrency());
     cpu_set_t set;
     CPU_ZERO(&set);
-    if (sched_getaffinity(0, sizeof(set), &set) == 0) cores = CPU_COUNT(&set);
-    return std::clamp(cores - 1, 0, kMaxSplitHelpers);
+    if (sched_getaffinity(0, sizeof(set), &set) == 0) n = CPU_COUNT(&set);
+    return std::max(n, 1);
   }();
-  return count;
+  return cores;
+}
+
+/// The helper pool's size: one fewer than the cores, capped.
+int split_helper_count() {
+  return std::clamp(split_cores() - 1, 0, kMaxSplitHelpers);
+}
+
+/// Helpers a split may use now: one per core that no busy thread of this
+/// process holds (BusyScope; the searching thread is one of them), within
+/// the pool.
+int idle_split_helpers() {
+  return std::min(split_helper_count(),
+                  split_cores() - BusyScope::busy_threads());
 }
 
 /// One step of a busy wait: a pause hint where the CPU has one. Every
@@ -237,14 +252,15 @@ class SplitJob {
 };
 
 /// The process-wide helper threads, started on the first split. One FIFO
-/// queue of help() runs. A helper that finds the queue empty busy-waits
-/// for kSpinS (relax) before it sleeps: a compile's searches come a few
-/// hundred microseconds apart, and waking a sleeping helper costs the
-/// arming search 5-10 us and the helper 25 us more before it runs; in a
-/// measurement, helpers that slept at once or spun on sched_yield also
-/// slowed the SAT time phase between searches by a third. A finished split
-/// drops its queued runs and waits only for the ones already running,
-/// which notice its cancellation within a backtrack.
+/// queue of help() runs, each counted busy (BusyScope) while it runs. A
+/// helper that finds the queue empty busy-waits for kSpinS (relax) before
+/// it sleeps, or sleeps at once when no core is idle: a compile's searches
+/// come a few hundred microseconds apart, and waking a sleeping helper
+/// costs the arming search 5-10 us and the helper 25 us more before it
+/// runs; in a measurement, helpers that slept at once or spun on
+/// sched_yield also slowed the SAT time phase between searches by a third.
+/// A finished split drops its queued runs and waits only for the ones
+/// already running, which notice its cancellation within a backtrack.
 class SplitPool {
  public:
   static SplitPool& instance() {
@@ -309,7 +325,11 @@ class SplitPool {
         const Stopwatch spin;
         for (unsigned step = 1; queued_.load(std::memory_order_relaxed) == 0;
              ++step) {
-          if ((step & 63U) == 0 && spin.elapsed_s() >= kSpinS) break;
+          if ((step & 63U) == 0 &&
+              (spin.elapsed_s() >= kSpinS ||
+               BusyScope::busy_threads() >= split_cores())) {
+            break;
+          }
           relax(step);
         }
         lock.lock();
@@ -323,7 +343,10 @@ class SplitPool {
       queued_.store(static_cast<int>(queue_.size()), std::memory_order_relaxed);
       job->active_.fetch_add(1, std::memory_order_relaxed);
       lock.unlock();
-      job->help();
+      {
+        const BusyScope busy;
+        job->help();
+      }
       job->active_.fetch_sub(1, std::memory_order_release);  // last touch
       lock.lock();
     }
@@ -393,21 +416,23 @@ class BitsetSearcher {
         ii_(ii),
         options_(options),
         deadline_(deadline),
-        n_(dfg.num_nodes()),
-        neighbors_(static_cast<std::size_t>(n_)) {
-    degree_of_.resize(static_cast<std::size_t>(n_));
+        n_(dfg.num_nodes()) {
+    own_.neighbors.resize(static_cast<std::size_t>(n_));
+    own_.degree_of.resize(static_cast<std::size_t>(n_));
     for (NodeId v = 0; v < n_; ++v) {
-      neighbors_[static_cast<std::size_t>(v)] =
+      own_.neighbors[static_cast<std::size_t>(v)] =
           dfg.graph().undirected_neighbors(v);
       // Flat copy of the degrees: select_node's comparator reads them per
       // candidate pair, and the vector-of-vectors size() chase is
       // measurable there.
-      degree_of_[static_cast<std::size_t>(v)] =
-          static_cast<int>(neighbors_[static_cast<std::size_t>(v)].size());
+      own_.degree_of[static_cast<std::size_t>(v)] = static_cast<int>(
+          own_.neighbors[static_cast<std::size_t>(v)].size());
       const int label = labels_[static_cast<std::size_t>(v)];
       MONOMAP_ASSERT_MSG(label >= 0 && label < ii_,
                          "label " << label << " outside [0," << ii_ << ")");
     }
+    neighbors_ = own_.neighbors;
+    degree_of_ = own_.degree_of;
     bfs_dist_.resize(static_cast<std::size_t>(n_));
     bfs_parent_.resize(static_cast<std::size_t>(n_));
     bfs_queue_.resize(static_cast<std::size_t>(n_));
@@ -420,7 +445,8 @@ class BitsetSearcher {
                    options_.sparse_order_auto &&
                    real_.num_pes() >= kSparseOrderMinPes);
     if (!is_dynamic_order(options_.order)) {
-      order_ = build_static_order(dfg, neighbors_, options_.order);
+      own_.order = build_static_order(dfg, own_.neighbors, options_.order);
+      order_ = own_.order;
     }
     std::vector<char> mult_used;
     if (options_.distance2_filter) {
@@ -432,7 +458,7 @@ class BitsetSearcher {
       // the pruning participates in a refutation); the size of the largest
       // same-label witness group is the pair's multiplicity, which the
       // multiplicity-aware filter turns into a sharper target mask.
-      dist2_.resize(static_cast<std::size_t>(n_));
+      own_.dist2.resize(static_cast<std::size_t>(n_));
       PeSet seen(n_);
       std::vector<std::vector<NodeId>> wit(static_cast<std::size_t>(n_));
       std::vector<NodeId> partners;
@@ -472,10 +498,10 @@ class BitsetSearcher {
           D2Pair pair{b, wl[0], best_count, 0};
           if (best_count >= 2) {
             pair.wit_begin =
-                static_cast<std::int32_t>(d2_witness_pool_.size());
+                static_cast<std::int32_t>(own_.d2_witness_pool.size());
             for (const NodeId w : wl) {
               if (labels_[static_cast<std::size_t>(w)] == best_label) {
-                d2_witness_pool_.push_back(w);
+                own_.d2_witness_pool.push_back(w);
               }
             }
             max_mult_ = std::max(max_mult_, best_count);
@@ -484,10 +510,12 @@ class BitsetSearcher {
             }
             mult_used[static_cast<std::size_t>(best_count)] = 1;
           }
-          dist2_[static_cast<std::size_t>(a)].push_back(pair);
+          own_.dist2[static_cast<std::size_t>(a)].push_back(pair);
           wl.clear();
         }
       }
+      dist2_ = own_.dist2;
+      d2_witness_pool_ = own_.d2_witness_pool;
     }
 
     // Everything below lives on the fabric the search runs on: the real
@@ -517,11 +545,14 @@ class BitsetSearcher {
       value_order_ = fabric_->interior_first_order().data();
       for (int r = 0; r < num_pes_; ++r) {
         const PeId p = value_order_[r];
-        closed_tab_.push_back(as_domain(fabric_->closed_neighbor_mask(p)));
+        own_.closed_tab.push_back(
+            as_domain(fabric_->closed_neighbor_mask(p)));
         if (options_.distance2_filter) {
-          d2_tab_.push_back(as_domain(fabric_->distance2_mask(p)));
+          own_.d2_tab.push_back(as_domain(fabric_->distance2_mask(p)));
         }
       }
+      closed_tab_ = own_.closed_tab;
+      d2_tab_ = own_.d2_tab;
     }
     if (options_.symmetry_breaking && !window_ &&
         symmetry_applicable(real_)) {
@@ -546,52 +577,34 @@ class BitsetSearcher {
                   real_.num_pes() > PeSet::kWordBits;
       if constexpr (kWordDomains) MONOMAP_ASSERT(!use_mult_);
       if (use_mult_) {
-        d2k_masks_.resize(static_cast<std::size_t>(max_mult_) + 1, nullptr);
+        own_.d2k_masks.resize(static_cast<std::size_t>(max_mult_) + 1,
+                              nullptr);
         for (int k = 2; k <= max_mult_; ++k) {
           if (mult_used[static_cast<std::size_t>(k)] == 0) continue;
-          d2k_masks_[static_cast<std::size_t>(k)] =
+          own_.d2k_masks[static_cast<std::size_t>(k)] =
               &fabric_->common_target_masks(k);
         }
+        d2k_masks_ = own_.d2k_masks;
       }
     }
     gov_ = GovernorScope::current();
     // No split under a memory budget: helper trails would go uncharged.
-    // Nor under an explicit kSparseMrv on one-word domains, whose sorted
-    // candidate lists a split could not recompute.
-    if (gov_ == nullptr && split_helper_count() > 0 &&
-        !(kWordDomains && use_sparse_)) {
+    if (gov_ == nullptr && split_helper_count() > 0) {
       split_watch_ = kSplitAfterBacktracks;
     }
     init_state();
   }
 
-  /// A split helper: the owner's tables, fresh state, and the owner's
-  /// split-level state rebuilt by replaying the forced levels above the
-  /// split from the root degree filter on. Runs without a governor, under
-  /// the split's deadline and backtrack cap, and never splits itself.
+  /// A split helper: views of the owner's tables, fresh state, and the
+  /// owner's split-level state rebuilt by replaying the forced levels
+  /// above the split from the root degree filter on. Runs without a
+  /// governor, under the split's deadline and backtrack cap (lowered as
+  /// the owner spends its budget), and never splits itself.
   BitsetSearcher(const BitsetSearcher& owner, const Split& split);
 
   ~BitsetSearcher() {
     finish_split();
     if (gov_ != nullptr) gov_->uncharge(gov_charged_);
-    if (serving_ != nullptr) {
-      // Hand the trails and the arena back to this helper thread for its
-      // next split, unless they grew past kSpareBytes.
-      Spare& spare = spare_buffers();
-      const auto keep = [](auto& from, auto& to) {
-        if (from.capacity() * sizeof(from[0]) <= kSpareBytes) {
-          from.clear();
-          to = std::move(from);
-        }
-      };
-      keep(trail_, spare.trail);
-      keep(tile_trail_, spare.tile_trail);
-      keep(pruner_trail_, spare.pruner_trail);
-      if (cand_arena_size_ * sizeof(PeId) <= kSpareBytes) {
-        spare.arena = std::move(cand_arena_);
-        spare.arena_size = cand_arena_size_;
-      }
-    }
   }
 
   BitsetSearcher(const BitsetSearcher&) = delete;
@@ -723,12 +736,8 @@ class BitsetSearcher {
     // on a 64x64 fabric. One-word domains walk their rank-numbered words
     // instead and need it only under an explicit kSparseMrv.
     if (!kWordDomains || use_sparse_) {
-      const std::size_t size = static_cast<std::size_t>(n_) *
-                               static_cast<std::size_t>(num_pes_);
-      if (cand_arena_size_ < size) {
-        cand_arena_.reset(new PeId[size]);
-        cand_arena_size_ = size;
-      }
+      cand_arena_.reset(new PeId[static_cast<std::size_t>(n_) *
+                                 static_cast<std::size_t>(num_pes_)]);
     }
 
     // Hard bound on live word-trail entries: per active depth and pruned
@@ -813,22 +822,6 @@ class BitsetSearcher {
     std::int32_t base;  // first word of the tile
     PeSet::Word old_bits[PeSet::kTileWords];
   };
-
-  /// A helper thread's trails and candidate arena, kept between the splits
-  /// it serves (at most kSpareBytes each), so that a helper's set-up
-  /// allocates and faults in little.
-  struct Spare {
-    std::vector<TrailEntry> trail;
-    std::vector<TileTrailEntry> tile_trail;
-    std::vector<TrailEntry> pruner_trail;
-    std::unique_ptr<PeId[]> arena;
-    std::size_t arena_size = 0;
-  };
-  static constexpr std::size_t kSpareBytes = std::size_t{1} << 20;
-  static Spare& spare_buffers() {
-    thread_local Spare spare;
-    return spare;
-  }
 
   /// Snapshot one tile of domain_[u] onto the tile trail. Callers only
   /// snapshot tiles the preview (or the all_zero probe) proved are about
@@ -1603,14 +1596,14 @@ class BitsetSearcher {
       }
     }
     if (options_.max_backtracks != 0) {
-      // A split helper reports the last count it checked (merge_split).
-      budget_checked_at_ = result.backtracks;
       if (result.backtracks > options_.max_backtracks) {
         result.timed_out = true;
         result.truncated = true;
         fail_level_ = -1;
         return false;
       }
+      // A split helper reports the last count that passed (merge_split).
+      budget_checked_at_ = result.backtracks;
     }
     // On the pin fabric the depth-0 node is the one the real fabric's
     // domains select (plan_pin_fabric).
@@ -1765,9 +1758,10 @@ class BitsetSearcher {
   }
 
   /// try_candidate and the backtrack it costs when refuted. The split
-  /// watch sits on this path only: split_watch_ is kSplitAfterBacktracks
-  /// until a split arms, 0 while one is live (and in helpers), and the
-  /// maximum once none can.
+  /// watch sits on this path only: split_watch_ is the backtrack count at
+  /// which arm_split next looks (kSplitAfterBacktracks, then that many
+  /// more each time it finds no idle core), 0 while a split is live (and
+  /// in helpers), and the maximum once none can arm.
   Step branch(std::size_t depth, NodeId v, PeId p, NodeSet& cs,
               SpaceResult& result) {
     const Step s = try_candidate(depth, v, p, cs, result);
@@ -1813,16 +1807,19 @@ class BitsetSearcher {
   struct Report {
     static constexpr int kPending = 0;
     static constexpr int kDone = 1;
-    static constexpr int kCutOff = 2;  // deadline, cancel, cap or fault
+    static constexpr int kCutOff = 2;  // deadline, cancel or fault
     std::atomic<int> state{kPending};
     Step step = Step::kRefuted;
+    /// kStopped by the helper's backtrack cap: the subtree stopped at the
+    /// budget check after `backtracks`, having passed it at `checked_at`.
+    bool truncated = false;
     std::uint64_t nodes_expanded = 0;
     std::uint64_t backtracks = 0;  // below the split level only
     std::uint64_t backjumps = 0;
     int max_depth = 0;
     int shallowest_retreat = 0;
-    /// Highest backtrack count (of this subtree) at which the search
-    /// checked the budget, or kNoCheck.
+    /// Highest backtrack count (of this subtree) at which the budget
+    /// check passed, or kNoCheck.
     std::uint64_t checked_at = kNoCheck;
     std::uint64_t trail_words = 0;
     std::uint64_t words_touched = 0;
@@ -1855,6 +1852,7 @@ class BitsetSearcher {
           forced(std::move(forced_in)),
           pending(std::move(pending_in)),
           cap(cap_in),
+          budget_left(cap_in),
           stop(owner_in.deadline_.cancel_token()),
           deadline(owner_in.deadline_.remaining_s(), &stop),
           range(static_cast<std::uint64_t>(pending.size()) << 32),
@@ -1904,6 +1902,11 @@ class BitsetSearcher {
     const std::vector<std::pair<NodeId, PeId>> forced;  // levels < depth
     const std::vector<PeId> pending;
     const std::uint64_t cap;  // helper backtrack cap; 0 = none
+    /// Under a budget: the backtracks it leaves the owner now, an upper
+    /// bound on what it leaves every candidate still ahead of the owner.
+    /// A subtree that checks the budget past that is refused anyway
+    /// (report_stands), so its helper stops there.
+    std::atomic<std::uint64_t> budget_left;
     CancelToken stop;         // child of the owner's cancel token
     const Deadline deadline;  // the owner's wall clock, and stop
     std::atomic<std::uint64_t> range;  // front | back << 32
@@ -1912,7 +1915,9 @@ class BitsetSearcher {
 
   /// A helper's loop: claim the split's candidates from the back, search
   /// each from the split-level state, and publish a report per claim,
-  /// until none is left or the split is cancelled.
+  /// until none is left or the split is cancelled. Every claim is
+  /// published, as kCutOff when no report stands, also when the helper
+  /// throws: the owner waits for it.
   void serve(Split& split) {
     const std::size_t depth = static_cast<std::size_t>(split.depth);
     const NodeId v = split.node;
@@ -1927,6 +1932,14 @@ class BitsetSearcher {
     while (!split.stop.cancelled()) {
       const int j = split.claim(/*from_back=*/true);
       if (j < 0) return;
+      struct Unreported {
+        Split& split;
+        int j;
+        bool reported = false;
+        ~Unreported() {
+          if (!reported) split.publish(j, Report::kCutOff);
+        }
+      } unreported{split, j};
       Report& rep = split.reports[static_cast<std::size_t>(j)];
       SpaceResult local;
       local.shallowest_retreat = n_ + 1;
@@ -1936,23 +1949,13 @@ class BitsetSearcher {
       const std::uint64_t touched0 = words_touched_;
       const std::uint64_t skipped0 = tiles_skipped_;
       const std::uint64_t mult0 = mult_prunings_;
-      Step step;
-      try {
-        step = try_candidate(depth, v, split.pending[static_cast<std::size_t>(j)],
-                             scratch, local);
-      } catch (...) {
-        split.publish(j, Report::kCutOff);
-        throw;
-      }
-      if (local.timed_out) {
-        // Cut off by the deadline, the cancel or the cap: the owner
-        // searches this candidate itself if it gets there. After a cap
-        // cut-off the earlier candidates still matter.
-        split.publish(j, Report::kCutOff);
-        if (!local.truncated) return;
-        continue;
-      }
+      const Step step = try_candidate(
+          depth, v, split.pending[static_cast<std::size_t>(j)], scratch, local);
+      // Cut off by the deadline or the cancel: the owner searches this
+      // candidate itself if it gets there.
+      if (local.timed_out && !local.truncated) return;
       rep.step = step;
+      rep.truncated = local.truncated;
       rep.nodes_expanded = local.nodes_expanded;
       rep.backtracks = local.backtracks;
       rep.backjumps = local.backjumps;
@@ -1975,9 +1978,12 @@ class BitsetSearcher {
         rep.pe = assignment_;
         if (window_) rep.box = box_[static_cast<std::size_t>(n_)];
       }
+      fault::maybe_inject("space.split");
       split.publish(j, Report::kDone);
+      unreported.reported = true;
       // A placement leaves the state placed; a retreat ends the level.
-      if (step != Step::kRefuted) return;
+      // After the cap, the earlier candidates still matter.
+      if (step != Step::kRefuted && !local.truncated) return;
     }
   }
 
@@ -1988,7 +1994,13 @@ class BitsetSearcher {
   Step on_split_watch(std::size_t depth, NodeId v, PeId p, NodeSet& cs,
                       SpaceResult& result) {
     if (serving_ != nullptr) {
-      if (!serving_->stop.cancelled()) return Step::kRefuted;
+      if (!serving_->stop.cancelled()) {
+        if (options_.max_backtracks != 0) {
+          options_.max_backtracks = std::max<std::uint64_t>(
+              serving_->budget_left.load(std::memory_order_relaxed), 1);
+        }
+        return Step::kRefuted;
+      }
       result.timed_out = true;
       result.deadline_expired = true;
       fail_level_ = -1;
@@ -1999,6 +2011,7 @@ class BitsetSearcher {
       arm_split(depth, p, result);
       if (split_ == nullptr) return Step::kRefuted;
     }
+    share_budget_left(result);
     if (static_cast<int>(depth) != split_->depth) return Step::kRefuted;
     const Step s = merge_split(depth, v, cs, result);
     finish_split();
@@ -2008,8 +2021,9 @@ class BitsetSearcher {
   /// The candidates search() tried at active level k, in the order it
   /// tried them, rebuilt from the domain of the level's node v: no
   /// propagation touches it while v stays placed. The depth-0 pin, octant
-  /// and the window filter apply as they did there; multi-word levels read
-  /// their sorted arena slice.
+  /// and the window filter apply as they did there; levels that search()
+  /// sorted in the candidate arena (multi-word or sparse) read their
+  /// slice.
   std::vector<PeId> level_candidates(int k, NodeId v,
                                      const SpaceResult& result) const {
     const Dom& dom = domain_[static_cast<std::size_t>(v)];
@@ -2030,7 +2044,7 @@ class BitsetSearcher {
         if (!octant || canonical_.test(p)) list.push_back(p);
       });
     }
-    if constexpr (!kWordDomains) {
+    if (!kWordDomains || use_sparse_) {
       // The sorted order search() used (sparse or rank).
       const PeId* slice = cand_arena_.get() +
                           static_cast<std::size_t>(k) *
@@ -2040,14 +2054,21 @@ class BitsetSearcher {
     return list;
   }
 
-  /// The watch fired for the first time, at a backtrack at `depth` (p the
-  /// candidate just refuted there). Find the first branching level d: the
-  /// levels above it had one candidate each (the pin or a forced one).
-  /// Hand its candidates after the one in progress to the helper pool.
+  /// The watch fired, at a backtrack at `depth` (p the candidate just
+  /// refuted there), and no split is live. Find the first branching level
+  /// d: the levels above it had one candidate each (the pin or a forced
+  /// one). Hand its candidates after the one in progress to as many
+  /// helpers as there are idle cores.
   void arm_split(std::size_t depth, PeId p, const SpaceResult& result) {
     split_watch_ = std::numeric_limits<std::uint64_t>::max();
     if (options_.max_backtracks != 0 &&
         result.backtracks >= options_.max_backtracks) {
+      return;
+    }
+    const int idle = idle_split_helpers();
+    if (idle <= 0) {
+      // No idle core: look again kSplitAfterBacktracks backtracks later.
+      split_watch_ = result.backtracks + kSplitAfterBacktracks;
       return;
     }
     std::vector<NodeId> at(depth + 1, kInvalidNode);
@@ -2080,8 +2101,7 @@ class BitsetSearcher {
     const std::uint64_t cap = options_.max_backtracks == 0
                                   ? 0
                                   : options_.max_backtracks - result.backtracks;
-    const int runs = std::min(split_helper_count(),
-                              static_cast<int>(pending.size()));
+    const int runs = std::min(idle, static_cast<int>(pending.size()));
     split_ = std::make_unique<Split>(*this, d, node, std::move(forced),
                                      std::move(pending), cap);
     SplitPool::instance().submit(split_.get(), runs);
@@ -2091,9 +2111,8 @@ class BitsetSearcher {
   /// The split level's loop from here on: each remaining candidate in
   /// order, from its helper's report where one stands, else searched here.
   /// A report is applied as try_candidate's own outcome would have been;
-  /// it stands unless it is missing, cut off, or would have crossed
-  /// max_backtracks in sequence (backtracks so far plus the highest count
-  /// at which its subtree checked the budget).
+  /// it stands unless it is missing, cut off, or does not hold in
+  /// sequence under max_backtracks (report_stands).
   Step merge_split(std::size_t depth, NodeId v, NodeSet& cs,
                    SpaceResult& result) {
     Split& split = *split_;
@@ -2116,9 +2135,7 @@ class BitsetSearcher {
         }
         if (state == Report::kDone) rep = &r;
       }
-      if (rep != nullptr && options_.max_backtracks != 0 &&
-          rep->checked_at != kNoCheck &&
-          result.backtracks + rep->checked_at > options_.max_backtracks) {
+      if (rep != nullptr && !report_stands(*rep, result.backtracks)) {
         ++result.delegations_refused;
         rep = nullptr;
       }
@@ -2133,8 +2150,30 @@ class BitsetSearcher {
       }
       if (s != Step::kRefuted) return s;
       ++result.backtracks;
+      share_budget_left(result);
     }
     return Step::kMerged;
+  }
+
+  /// Tell the split's helpers what the budget, if any, leaves.
+  void share_budget_left(const SpaceResult& result) {
+    if (options_.max_backtracks == 0) return;
+    split_->budget_left.store(
+        options_.max_backtracks > result.backtracks
+            ? options_.max_backtracks - result.backtracks
+            : 0,
+        std::memory_order_relaxed);
+  }
+
+  /// Whether a report holds in sequence, after `before` backtracks: every
+  /// budget check that passed in its subtree passes there too, and a
+  /// subtree the helper's cap stopped stops at the same check in sequence.
+  bool report_stands(const Report& rep, std::uint64_t before) const {
+    const std::uint64_t max = options_.max_backtracks;
+    if (max == 0) return true;
+    const bool passed =
+        rep.checked_at == kNoCheck || before + rep.checked_at <= max;
+    return passed && (!rep.truncated || before + rep.backtracks > max);
   }
 
   /// A helper's report, applied as try_candidate's outcome.
@@ -2156,8 +2195,13 @@ class BitsetSearcher {
         if (window_) box_[static_cast<std::size_t>(n_)] = rep.box;
         return Step::kPlaced;
       case Step::kStopped:
-        for (int w = 0; w < node_words_; ++w) {
-          fail_set_.restore_word(w, rep.conflict.word(w));
+        if (rep.truncated) {
+          result.timed_out = true;
+          result.truncated = true;
+        } else {
+          for (int w = 0; w < node_words_; ++w) {
+            fail_set_.restore_word(w, rep.conflict.word(w));
+          }
         }
         fail_level_ = rep.fail_level;
         level_of_[static_cast<std::size_t>(v)] = -1;
@@ -2189,21 +2233,36 @@ class BitsetSearcher {
   int num_pes_ = 0;     // fabric_'s
   int words_ = 0;       // words per PE set
   int node_words_ = 0;  // words per node set
-  std::vector<std::vector<NodeId>> neighbors_;
+  /// The tables the constructor builds and the search only reads. They
+  /// are read through the spans below, which in a split helper view its
+  /// owner's tables (own_ stays empty there): the owner joins every
+  /// helper before it is destroyed (finish_split).
+  struct Tables {
+    std::vector<std::vector<NodeId>> neighbors;
+    std::vector<std::vector<D2Pair>> dist2;
+    std::vector<NodeId> d2_witness_pool;
+    std::vector<const std::vector<PeSet>*> d2k_masks;
+    std::vector<WordSet> closed_tab;
+    std::vector<WordSet> d2_tab;
+    std::vector<int> degree_of;
+    std::vector<NodeId> order;
+  };
+  Tables own_;
+  std::span<const std::vector<NodeId>> neighbors_;
   /// Per node: every node at undirected DFG distance exactly 2, with the
   /// first-discovered witness and the same-label multiplicity evidence.
-  std::vector<std::vector<D2Pair>> dist2_;
+  std::span<const std::vector<D2Pair>> dist2_;
   /// Backing store for the D2Pair same-label witness groups (mult >= 2).
-  std::vector<NodeId> d2_witness_pool_;
+  std::span<const NodeId> d2_witness_pool_;
   /// (*d2k_masks_[k])[p] == fabric_->common_target_mask(p, k); fetched from
   /// the arch's memo only for the multiplicities k >= 2 this DFG contains,
   /// when use_mult_ (nullptr for absent levels).
-  std::vector<const std::vector<PeSet>*> d2k_masks_;
+  std::span<const std::vector<PeSet>* const> d2k_masks_;
   // One-word domains: closed_neighbor_mask and distance2_mask per domain
   // bit, as flat rank-numbered words (closed_mask, ball_mask); empty
   // otherwise.
-  std::vector<WordSet> closed_tab_;
-  std::vector<WordSet> d2_tab_;
+  std::span<const WordSet> closed_tab_;
+  std::span<const WordSet> d2_tab_;
   int max_mult_ = 0;      // largest same-label witness-group size seen
   bool use_mult_ = false; // multiplicity filter armed (toggle && mult >= 2)
   int num_tiles_ = 0;     // occupancy tiles per domain
@@ -2216,7 +2275,7 @@ class BitsetSearcher {
   std::uint64_t words_touched_ = 0;   // domain words propagation touched
   std::vector<PeId> assignment_;
   std::vector<int> mapped_neighbor_count_;
-  std::vector<int> degree_of_;     // |undirected_neighbors(v)|, flattened
+  std::span<const int> degree_of_;  // |undirected_neighbors(v)|, flattened
   std::vector<int> level_of_;      // decision level per node; -1 unassigned
   // Unassigned nodes with >= 1 placed neighbour (mapped_neighbor_count_
   // > 0), maintained on assign/undo. select_node iterates this instead of
@@ -2252,8 +2311,7 @@ class BitsetSearcher {
   const int* value_rank_ = nullptr;
   const PeId* value_order_ = nullptr;
   std::unique_ptr<PeId[]> cand_arena_;  // per-depth candidate buffers
-  std::size_t cand_arena_size_ = 0;
-  std::vector<NodeId> order_;       // static variable order, if any
+  std::span<const NodeId> order_;   // static variable order, if any
   bool use_octant_ = false;         // depth 0 prefers canonical_
   Dom canonical_;
   // Translation pin (translation_pin): the pinned depth-0 node and its
@@ -2315,12 +2373,6 @@ BitsetSearcher<NodeSet, Dom>::BitsetSearcher(const BitsetSearcher& owner,
       split_watch_(0),
       serving_(&split) {
   options_.max_backtracks = split.cap;
-  Spare& spare = spare_buffers();
-  trail_ = std::move(spare.trail);
-  tile_trail_ = std::move(spare.tile_trail);
-  pruner_trail_ = std::move(spare.pruner_trail);
-  cand_arena_ = std::move(spare.arena);
-  cand_arena_size_ = std::exchange(spare.arena_size, 0);
   init_state();
 }
 
@@ -2687,6 +2739,7 @@ SpaceResult find_monomorphism(const Dfg& dfg, const CgraArch& arch,
   MONOMAP_ASSERT(static_cast<int>(labels.size()) == dfg.num_nodes());
   MONOMAP_ASSERT(ii >= 1);
   fault::maybe_inject("space.search");
+  const BusyScope busy;
   if (options.engine == SpaceEngine::kReference) {
     return ReferenceSearcher(dfg, arch, labels, ii, options, deadline).run();
   }

@@ -5,6 +5,9 @@
 //
 //   sat.solve     — SatSolver::solve_assuming entry
 //   space.search  — find_monomorphism entry
+//   space.split   — a split helper, after it searched a claimed candidate
+//                   and before it reports it (the owner then searches the
+//                   candidate itself)
 //   time.session  — TimeSession::solve entry
 //   pool.worker   — ThreadPool, before each task runs (the task is
 //                   requeued, and past a cap it runs anyway)

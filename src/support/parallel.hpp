@@ -1,5 +1,6 @@
 // The thread pool behind the racing II walk, map_batch and the service's
-// compile jobs.
+// compile jobs, and the process-wide count of threads busy with compile
+// work that decides whether a space search may split across cores.
 //
 // Every task these paths submit is a whole mapping attempt, milliseconds to
 // seconds of work, so ordering matters and cache locality does not: the
@@ -19,6 +20,7 @@
 #define MONOMAP_SUPPORT_PARALLEL_HPP
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -32,6 +34,40 @@
 #include "support/fault.hpp"
 
 namespace monomap {
+
+/// Counts the calling thread as busy with compile work while it lives.
+/// Pool workers running a task, space searches, their split helpers and
+/// the service's request front ends hold one; a thread that already holds
+/// one is not counted again. A space search hands work to split helpers
+/// only while busy_threads() leaves a core idle (docs/performance.md,
+/// "Parallel split").
+class BusyScope {
+ public:
+  BusyScope() : counted_(!held_) {
+    if (counted_) {
+      held_ = true;
+      busy_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  ~BusyScope() {
+    if (counted_) {
+      busy_.fetch_sub(1, std::memory_order_relaxed);
+      held_ = false;
+    }
+  }
+  BusyScope(const BusyScope&) = delete;
+  BusyScope& operator=(const BusyScope&) = delete;
+
+  /// Threads of this process holding a BusyScope now.
+  [[nodiscard]] static int busy_threads() {
+    return busy_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  static inline std::atomic<int> busy_{0};
+  static inline thread_local bool held_ = false;
+  bool counted_;
+};
 
 /// A fixed set of workers draining one FIFO task queue. Tasks may submit
 /// further tasks (the speculative mapper's completion handlers launch the
@@ -131,6 +167,7 @@ class ThreadPool {
       }
       std::exception_ptr error;
       try {
+        const BusyScope busy;
         task();
       } catch (...) {
         error = std::current_exception();

@@ -10,6 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <future>
+#include <initializer_list>
+#include <latch>
 #include <memory>
 #include <set>
 #include <string>
@@ -19,6 +22,8 @@
 #include "mapper/decoupled_mapper.hpp"
 #include "sched/mii.hpp"
 #include "space/monomorphism.hpp"
+#include "support/fault.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "timing/time_solver.hpp"
 #include "workloads/suite.hpp"
@@ -926,45 +931,124 @@ std::uint64_t trace_digest(std::uint64_t digest, const SpaceResult& r) {
   return digest;
 }
 
-TEST(SpaceEngines, SplitSearchTraceDigestIsPinned) {
-  // Refutation-heavy searches, long enough for the bitset engine to hand
-  // the later candidates of its first branching level to split helpers:
-  // the first 16 schedules at mII of lud, nw and sha1 on 5x5, 10x10 and
-  // 20x20 (one-word domains, the pin fabric, tiled domains), searched
-  // unbudgeted and again under a budget of 400 backtracks that truncates
-  // 61 of them, most inside a later candidate's subtree. Every answer and
-  // counter must equal the sequential search's: the digest was recorded
-  // before the split existed. Only the timing-dependent split telemetry
-  // may vary, and where helpers exist some subtree must have been merged
-  // and some report refused by the budget rule.
+/// The split digest's searches folded into one digest, with the
+/// timing-dependent split telemetry summed beside it.
+struct SplitRun {
   std::uint64_t digest = 0;
   int searches = 0;
   std::uint64_t merged = 0;
   std::uint64_t refused = 0;
+};
+
+/// The first 16 schedules at mII of lud, nw and sha1 on each of `sides`,
+/// searched under `order`, unbudgeted and again under a budget of 400
+/// backtracks.
+SplitRun split_searches(std::initializer_list<int> sides, SpaceOrder order) {
+  SplitRun run;
   for (const char* name : {"lud", "nw", "sha1"}) {
-    for (const int side : {5, 10, 20}) {
+    for (const int side : sides) {
       const Dfg& dfg = benchmark_by_name(name).dfg;
       const CgraArch arch = CgraArch::square(side);
       int ii = 0;
       for (const auto& labels : schedules_at_mii(dfg, arch, 16, ii)) {
         for (const std::uint64_t budget : {0, 400}) {
           SpaceOptions opt;
+          opt.order = order;
           opt.max_backtracks = budget;
           const SpaceResult r = find_monomorphism(dfg, arch, labels, ii, opt);
-          ++searches;
-          digest = trace_digest(digest, r);
-          merged += r.delegated_subtrees;
-          refused += r.delegations_refused;
+          ++run.searches;
+          run.digest = trace_digest(run.digest, r);
+          run.merged += r.delegated_subtrees;
+          run.refused += r.delegations_refused;
         }
       }
     }
   }
-  EXPECT_EQ(searches, 286);
-  EXPECT_EQ(digest, 0xbfe027347d27e29eULL);
+  return run;
+}
+
+/// split_searches over 5x5, 10x10 and 20x20 under the default order, as
+/// the sequential search answers them.
+constexpr int kSplitSearches = 286;
+constexpr std::uint64_t kSplitDigest = 0xbfe027347d27e29eULL;
+
+TEST(SpaceEngines, SplitSearchTraceDigestIsPinned) {
+  // Refutation-heavy searches, long enough for the bitset engine to hand
+  // the later candidates of its first branching level to split helpers:
+  // on 5x5, 10x10 and 20x20 (one-word domains, the pin fabric, tiled
+  // domains), the budget of 400 backtracks truncates 61 of them, most
+  // inside a later candidate's subtree; and under an explicit kSparseMrv
+  // on 5x5, whose one-word levels keep a sorted candidate list. Every
+  // answer and counter must equal the sequential search's: both digests
+  // were recorded before the split existed. Only the timing-dependent
+  // split telemetry may vary, and where helpers exist some subtree must
+  // have been merged and some report refused by the budget rule.
+  const SplitRun run = split_searches({5, 10, 20}, SpaceOrder::kDynamicMrv);
+  EXPECT_EQ(run.searches, kSplitSearches);
+  EXPECT_EQ(run.digest, kSplitDigest);
+  const SplitRun sparse = split_searches({5}, SpaceOrder::kSparseMrv);
+  EXPECT_EQ(sparse.searches, 94);
+  EXPECT_EQ(sparse.digest, 0x925579204ad5cec4ULL);
   if (space_split_helpers() > 0) {
-    EXPECT_GT(merged, 0U);
-    EXPECT_GT(refused, 0U);
+    EXPECT_GT(run.merged, 0U);
+    EXPECT_GT(run.refused, 0U);
+    EXPECT_GT(sparse.merged, 0U);
   }
+}
+
+/// Disarms fault injection when the test ends, however it ends.
+struct FaultsCleared {
+  ~FaultsCleared() { fault::clear_faults(); }
+};
+
+TEST(SpaceEngines, SplitHelperFaultLeavesTheAnswer) {
+  // A helper that throws after it claimed a candidate and searched it, at
+  // the space.split site just before its report is published: the claim
+  // is still published (as cut off), so the owner searches the candidate
+  // itself instead of waiting for it. With every such report failing
+  // (alloc@1) nothing is merged; with every third failing (throw@3) the
+  // rest may be. The answers are the sequential search's either way.
+  const FaultsCleared cleared;
+  fault::FaultPlan every;
+  every.rules.push_back({"space.split", fault::FaultKind::kAlloc, 1});
+  fault::install_faults(every);
+  const SplitRun failed = split_searches({5, 10, 20}, SpaceOrder::kDynamicMrv);
+  EXPECT_EQ(failed.searches, kSplitSearches);
+  EXPECT_EQ(failed.digest, kSplitDigest);
+  EXPECT_EQ(failed.merged, 0U);
+  fault::FaultPlan some;
+  some.rules.push_back({"space.split", fault::FaultKind::kThrow, 3});
+  fault::install_faults(some);
+  const SplitRun mixed = split_searches({5, 10, 20}, SpaceOrder::kDynamicMrv);
+  EXPECT_EQ(mixed.searches, kSplitSearches);
+  EXPECT_EQ(mixed.digest, kSplitDigest);
+}
+
+TEST(SpaceEngines, SplitWaitsForAnIdleCore) {
+  // With one thread per core busy (BusyScope: the searching thread and
+  // one held on every other core), no split arms, and the answers stay.
+  const int others =
+      std::max(static_cast<int>(std::thread::hardware_concurrency()) - 1, 0);
+  if (others > 15) GTEST_SKIP() << "too many cores to occupy";
+  std::latch held(others);
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  std::vector<std::thread> busy;
+  for (int t = 0; t < others; ++t) {
+    busy.emplace_back([&held, released] {
+      const BusyScope scope;
+      held.count_down();
+      released.wait();
+    });
+  }
+  held.wait();
+  const SplitRun run = split_searches({5, 10, 20}, SpaceOrder::kDynamicMrv);
+  release.set_value();
+  for (std::thread& t : busy) t.join();
+  EXPECT_EQ(run.searches, kSplitSearches);
+  EXPECT_EQ(run.digest, kSplitDigest);
+  EXPECT_EQ(run.merged, 0U);
+  EXPECT_EQ(run.refused, 0U);
 }
 
 TEST(SpaceEngines, SplitSearchStopsOnCancel) {

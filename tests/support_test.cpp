@@ -595,6 +595,27 @@ TEST(ThreadPool, RunsTasksInSubmissionOrder) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
 }
 
+TEST(ThreadPool, CountsARunningTaskAsOneBusyThread) {
+  // A worker is busy while it runs a task, once however many BusyScopes
+  // the task nests, and idle again once the task is done.
+  const int before = BusyScope::busy_threads();
+  {
+    const BusyScope outer;
+    const BusyScope inner;
+    EXPECT_EQ(BusyScope::busy_threads(), before + 1);
+  }
+  EXPECT_EQ(BusyScope::busy_threads(), before);
+  ThreadPool pool(1);
+  int inside = -1;
+  pool.submit([&] {
+    const BusyScope nested;
+    inside = BusyScope::busy_threads();
+  });
+  pool.wait_idle();
+  EXPECT_EQ(inside, before + 1);
+  EXPECT_EQ(BusyScope::busy_threads(), before);
+}
+
 TEST(ThreadPool, RethrowsFirstTaskExceptionFromWaitIdle) {
   ThreadPool pool(2);
   std::atomic<int> survivors{0};
